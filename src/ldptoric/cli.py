@@ -20,8 +20,8 @@ import time
 from fractions import Fraction
 from typing import Sequence
 
+from .lattice import LatticeOverflowError
 from .polygon import (
-    FanValidationError,
     LdpPolygon,
     NotCounterclockwise,
     format_vertices,
@@ -29,7 +29,7 @@ from .polygon import (
     validate_fan,
     validate_ldp_polygon,
 )
-from .surface import ConeSingular, SurfaceReport, analyze, blow_up
+from .surface import SurfaceReport, analyze, blow_up
 from .equivalence import are_equivalent
 from .enumeration import (
     BoxSpec,
@@ -327,9 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Validation errors (FanValidationError, ConeSingular, ...) are ValueErrors.
     try:
         return args.func(args)
-    except (FanValidationError, ConeSingular, ValueError, IndexError, OSError) as exc:
+    except (ValueError, LatticeOverflowError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

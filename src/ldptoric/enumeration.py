@@ -17,8 +17,8 @@ import multiprocessing
 from dataclasses import dataclass, replace
 
 from .lattice import RayVector, det2, is_primitive
-from .polygon import angular_sort, validate_ldp_polygon, vertex_turn
-from .surface import analyze, nonsingular_arc_contiguous
+from .polygon import LdpPolygon, angular_sort, validate_ldp_polygon, vertex_turn
+from .surface import SurfaceReport, analyze, nonsingular_arc_contiguous
 from .equivalence import canonical_form
 from .families import FamilyParams, classify_three, identify
 
@@ -158,54 +158,50 @@ def enumerate_ldp(box: BoxSpec | int, jobs: int | None = 1) -> list[CatalogEntry
     return entries
 
 
+def _classify(poly: LdpPolygon) -> tuple[SurfaceReport, FamilyParams | None, str | None]:
+    """The one tagging path: analyze the vertices themselves (never a stored
+    field), then identify and classify_three as the singular count asks."""
+    surf = analyze(poly.cycle)
+    sc = surf.singular_count
+    family = identify(poly) if sc in (1, 2, 3) else None
+    three_case = classify_three(poly) if sc == 3 else None
+    return surf, family, three_case
+
+
 def classify_catalog(entries: list[CatalogEntry]) -> list[CatalogEntry]:
     """Fill family and three_case for every entry (a separate, pure pass)."""
     out = []
     for entry in entries:
-        poly = entry.polygon()
-        family = identify(poly) if entry.singular_count in (1, 2, 3) else None
-        three_case = classify_three(poly) if entry.singular_count == 3 else None
+        _, family, three_case = _classify(entry.polygon())
         out.append(replace(entry, family=family, three_case=three_case))
     return out
 
 
+# verify_catalog's checks (a)-(f), in report order.
+CHECKS = (
+    "one_singular_unmatched", "two_singular_unmatched", "three_singular_unclassified",
+    "alternating_d5", "noncontiguous", "half_plane_violations",
+)
+
+
 @dataclass
 class VerificationReport:
-    """Catalog-wide check results; each list holds canonical vertex tuples of
-    counterexamples, so an all-empty report certifies the box."""
+    """Catalog-wide check results: for each name in CHECKS, the canonical
+    vertex tuples of its counterexamples, so an all-empty report certifies
+    the box."""
 
     total: int
-    one_singular_unmatched: list
-    two_singular_unmatched: list
-    three_singular_unclassified: list
-    alternating_d5: list
-    noncontiguous: list
-    half_plane_violations: list
+    counterexamples: dict[str, list]
     note: str = BOX_CAVEAT
 
     @property
     def ok(self) -> bool:
-        return not (
-            self.one_singular_unmatched
-            or self.two_singular_unmatched
-            or self.three_singular_unclassified
-            or self.alternating_d5
-            or self.noncontiguous
-            or self.half_plane_violations
-        )
+        return not any(self.counterexamples.values())
 
     def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "one_singular_unmatched": [list(map(list, v)) for v in self.one_singular_unmatched],
-            "two_singular_unmatched": [list(map(list, v)) for v in self.two_singular_unmatched],
-            "three_singular_unclassified": [list(map(list, v)) for v in self.three_singular_unclassified],
-            "alternating_d5": [list(map(list, v)) for v in self.alternating_d5],
-            "noncontiguous": [list(map(list, v)) for v in self.noncontiguous],
-            "half_plane_violations": [list(map(list, v)) for v in self.half_plane_violations],
-            "ok": self.ok,
-            "note": self.note,
-        }
+        checks = self.counterexamples.items()
+        found = {name: [list(map(list, v)) for v in vs] for name, vs in checks}
+        return {"total": self.total, **found, "ok": self.ok, "note": self.note}
 
 
 def _is_alternating_d5(singular_indices: tuple[int, ...], d: int) -> bool:
@@ -214,6 +210,17 @@ def _is_alternating_d5(singular_indices: tuple[int, ...], d: int) -> bool:
         return False
     base = {i - 1 for i in singular_indices}
     return any({(i + k) % 5 for i in base} == {0, 2, 4} for k in range(5))
+
+
+def _violates_half_plane(poly: LdpPolygon, surf: SurfaceReport) -> bool:
+    # Check (f): a nonsingular cone sandwiched between two singular ones.
+    d, cyc = surf.d, poly.cycle
+    flags = {c.index: c.singular for c in surf.cones}
+    for i in range(1, d + 1):
+        if flags[(i - 2) % d + 1] and flags[i % d + 1] and not flags[i]:
+            if det2(cyc.ray(i + 2), cyc.ray(i - 1)) < 2 or surf.singular_count < 3:
+                return True
+    return False
 
 
 def verify_catalog(entries: list[CatalogEntry]) -> VerificationReport:
@@ -229,33 +236,20 @@ def verify_catalog(entries: list[CatalogEntry]) -> VerificationReport:
         outer ray pair spans determinant >= 2 and the entry has >= 3 singular
         points in total (d >= 4 entries).
     """
-    report = VerificationReport(len(entries), [], [], [], [], [], [])
+    found: dict[str, list] = {name: [] for name in CHECKS}
     for entry in entries:
         poly = entry.polygon()
-        surf = analyze(poly.cycle)
-        sc = surf.singular_count
-        if sc == 1 and identify(poly) is None:
-            report.one_singular_unmatched.append(entry.vertices)
-        if sc == 2:
-            match = identify(poly)
-            if match is None or entry.d > 5:
-                report.two_singular_unmatched.append(entry.vertices)
-        if sc == 3:
-            case = classify_three(poly)
-            if case == "none" or entry.d > 6:
-                report.three_singular_unclassified.append(entry.vertices)
-        if _is_alternating_d5(surf.singular_indices(), entry.d):
-            report.alternating_d5.append(entry.vertices)
-        if not nonsingular_arc_contiguous(surf):
-            report.noncontiguous.append(entry.vertices)
-        if entry.d >= 4:
-            cyc = poly.cycle
-            flags = {c.index: c.singular for c in surf.cones}
-            for i in range(1, entry.d + 1):
-                prev_c = flags[(i - 2) % entry.d + 1]
-                next_c = flags[i % entry.d + 1]
-                if prev_c and next_c and not flags[i]:
-                    if det2(cyc.ray(i + 2), cyc.ray(i - 1)) < 2 or sc < 3:
-                        report.half_plane_violations.append(entry.vertices)
-                        break
-    return report
+        surf, family, three_case = _classify(poly)
+        sc, d = surf.singular_count, surf.d
+        verdicts = {
+            "one_singular_unmatched": sc == 1 and family is None,
+            "two_singular_unmatched": sc == 2 and (family is None or d > 5),
+            "three_singular_unclassified": sc == 3 and (three_case == "none" or d > 6),
+            "alternating_d5": _is_alternating_d5(surf.singular_indices(), d),
+            "noncontiguous": not nonsingular_arc_contiguous(surf),
+            "half_plane_violations": d >= 4 and _violates_half_plane(poly, surf),
+        }
+        for name, failed in verdicts.items():
+            if failed:
+                found[name].append(entry.vertices)
+    return VerificationReport(len(entries), found)

@@ -78,7 +78,7 @@ def _normalize_anchored(rays: tuple[RayVector, ...]) -> tuple[RayVector, ...]:
     return tuple(apply_map(full, v) for v in rays)
 
 
-def _mirrored_cycle(vertices: tuple[RayVector, ...]) -> tuple[RayVector, ...]:
+def mirrored_cycle(vertices: tuple[RayVector, ...]) -> tuple[RayVector, ...]:
     # Reflect across the x axis and reverse the reading to restore ccw order.
     return tuple(RayVector(v.x, -v.y) for v in reversed(vertices))
 
@@ -91,7 +91,7 @@ def canonical_form(poly: LdpPolygon, orientation_preserving: bool = False) -> Ca
     """
     cycles = [poly.vertices]
     if not orientation_preserving:
-        cycles.append(_mirrored_cycle(poly.vertices))
+        cycles.append(mirrored_cycle(poly.vertices))
     best: tuple[RayVector, ...] | None = None
     best_key: tuple[tuple[int, int], ...] | None = None
     for cyc in cycles:

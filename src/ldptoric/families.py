@@ -11,6 +11,9 @@ five-vertex classes with three:
   two3    [(1,0), (0,1), (-1,p+1), (-1,p), (q,r)]      d=5, two singular points
   three5  [(1,0), (0,1), (-1,p), (q,r), (s,t)]         d=5, three singular points
 
+FAMILY_SPECS holds one FamilySpec per tag: parameter names, singular count,
+d, the vertex list above, the named constraints, and (for the four families
+given on the standard basis) how to read the parameters off a polygon.
 identify() decides membership for a concrete polygon; classify_three() sorts
 the three-singular-point classes into the cases that exhaust them for d <= 6.
 """
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .lattice import RayVector, apply_map, det2, solve_map
 from .polygon import (
@@ -28,29 +32,108 @@ from .polygon import (
     validate_ldp_polygon,
 )
 from .surface import analyze, blow_down, blow_down_candidates
-from .equivalence import are_equivalent
+from .equivalence import are_equivalent, mirrored_cycle
 
-FAMILY_TAGS = ("dais1", "dais2", "dais3", "two1", "two2", "two3", "three5")
 
-_PARAM_FIELDS = {
-    "dais1": ("p",),
-    "dais2": ("p",),
-    "dais3": ("p",),
-    "two1": ("p", "q"),
-    "two2": ("p", "q", "r"),
-    "two3": ("p", "q", "r"),
-    "three5": ("p", "q", "r", "s", "t"),
+@dataclass(frozen=True)
+class FamilySpec:
+    """Everything one family tag fixes.
+
+    `constraints` and `vertices` take the parameters in `params` order;
+    `constraints` returns (name, holds) pairs in the order generate() reports
+    them.  `read` maps a basis reading (a vertex cycle starting (1, 0),
+    (0, 1)) to the parameters it has if it is the family polygon; the dais
+    families have none, as the area forces their parameter.
+    """
+
+    params: tuple[str, ...]
+    singular: int
+    d: int
+    constraints: Callable[..., list[tuple[str, bool]]]
+    vertices: Callable[..., tuple[tuple[int, int], ...]]
+    read: Callable[[tuple[tuple[int, int], ...]], tuple[int, ...]] | None = None
+
+
+def _dais_constraints(p):
+    return [("p >= 1", p >= 1)]
+
+
+def _two1_constraints(p, q):
+    return [
+        ("p >= 2", p >= 2),
+        ("q >= 2", q >= 2),
+        ("gcd(p, q) == 1", math.gcd(p, q) == 1),
+    ]
+
+
+def _two2_constraints(p, q, r):
+    return [
+        ("p <= 1", p <= 1),
+        ("r <= -p*q - 2", r <= -p * q - 2),
+        ("r <= -2", r <= -2),
+        ("r <= -q - 1", r <= -q - 1),
+        ("r <= q - p*q - 1", r <= q - p * q - 1),
+        ("gcd(q, r) == 1", math.gcd(q, r) == 1),
+    ]
+
+
+def _two3_constraints(p, q, r):
+    return [
+        ("p <= 0", p <= 0),
+        ("q >= 1", q >= 1),
+        ("q <= -r - 1", q <= -r - 1),
+        ("gcd(q, r) == 1", math.gcd(q, r) == 1),
+    ]
+
+
+def _three5_constraints(p, q, r, s, t):
+    return [
+        ("p <= 1", p <= 1),
+        ("r <= -1", r <= -1),
+        ("r <= -p*q - 2", r <= -p * q - 2),
+        ("r <= q - p*q - 1", r <= q - p * q - 1),
+        ("r <= -p*q + q*t - r*s + p*s + t - 1", r <= -p * q + q * t - r * s + p * s + t - 1),
+        ("t <= -2", t <= -2),
+        ("t <= -s - 1", t <= -s - 1),
+        ("t <= q*t - r*s + r - 1", t <= q * t - r * s + r - 1),
+        ("q*t - r*s >= 2", q * t - r * s >= 2),
+        ("gcd(q, r) == 1", math.gcd(q, r) == 1),
+        ("gcd(s, t) == 1", math.gcd(s, t) == 1),
+    ]
+
+
+FAMILY_SPECS = {
+    "dais1": FamilySpec(("p",), 1, 3, _dais_constraints, lambda p: ((1, -1), (p, 1), (-1, 0))),
+    "dais2": FamilySpec(
+        ("p",), 1, 4, _dais_constraints, lambda p: ((1, -1), (p, 1), (p - 1, 1), (-1, 0))
+    ),
+    "dais3": FamilySpec(
+        ("p",), 1, 5, _dais_constraints, lambda p: ((1, -1), (p, 1), (p - 1, 1), (-1, 0), (0, -1))
+    ),
+    "two1": FamilySpec(
+        ("p", "q"), 2, 3, _two1_constraints, lambda p, q: ((1, 0), (0, 1), (-p, -q)),
+        read=lambda rd: (-rd[2][0], -rd[2][1]),
+    ),
+    "two2": FamilySpec(
+        ("p", "q", "r"), 2, 4, _two2_constraints, lambda p, q, r: ((1, 0), (0, 1), (-1, p), (q, r)),
+        read=lambda rd: (rd[2][1], *rd[3]),
+    ),
+    "two3": FamilySpec(
+        ("p", "q", "r"), 2, 5, _two3_constraints,
+        lambda p, q, r: ((1, 0), (0, 1), (-1, p + 1), (-1, p), (q, r)),
+        read=lambda rd: (rd[3][1], *rd[4]),
+    ),
+    "three5": FamilySpec(
+        ("p", "q", "r", "s", "t"), 3, 5, _three5_constraints,
+        lambda p, q, r, s, t: ((1, 0), (0, 1), (-1, p), (q, r), (s, t)),
+        read=lambda rd: (rd[2][1], *rd[3], *rd[4]),
+    ),
 }
 
-_EXPECTED_SINGULAR = {
-    "dais1": 1,
-    "dais2": 1,
-    "dais3": 1,
-    "two1": 2,
-    "two2": 2,
-    "two3": 2,
-    "three5": 3,
-}
+FAMILY_TAGS = tuple(FAMILY_SPECS)
+
+# identify() looks a polygon's tag up by (singular count, vertex count).
+_TAG_BY_SHAPE = {(spec.singular, spec.d): tag for tag, spec in FAMILY_SPECS.items()}
 
 
 class InvalidParams(ValueError):
@@ -72,9 +155,9 @@ class FamilyParams:
     t: int | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILY_TAGS:
+        if self.family not in FAMILY_SPECS:
             raise ValueError(f"unknown family tag {self.family!r}")
-        required = _PARAM_FIELDS[self.family]
+        required = FAMILY_SPECS[self.family].params
         for name in ("p", "q", "r", "s", "t"):
             value = getattr(self, name)
             if name in required and value is None:
@@ -83,11 +166,11 @@ class FamilyParams:
                 raise ValueError(f"family {self.family} takes no parameter {name}")
 
     def as_tuple(self) -> tuple[int, ...]:
-        return tuple(getattr(self, name) for name in _PARAM_FIELDS[self.family])
+        return tuple(getattr(self, name) for name in FAMILY_SPECS[self.family].params)
 
     def to_dict(self) -> dict:
         out: dict = {"family": self.family}
-        for name in _PARAM_FIELDS[self.family]:
+        for name in FAMILY_SPECS[self.family].params:
             out[name] = getattr(self, name)
         return out
 
@@ -98,88 +181,26 @@ class FamilyInstance:
     polygon: LdpPolygon
 
 
-def _constraints(fp: FamilyParams) -> list[tuple[str, bool]]:
-    p, q, r, s, t = fp.p, fp.q, fp.r, fp.s, fp.t
-    if fp.family in ("dais1", "dais2", "dais3"):
-        return [("p >= 1", p >= 1)]
-    if fp.family == "two1":
-        return [
-            ("p >= 2", p >= 2),
-            ("q >= 2", q >= 2),
-            ("gcd(p, q) == 1", math.gcd(p, q) == 1),
-        ]
-    if fp.family == "two2":
-        return [
-            ("p <= 1", p <= 1),
-            ("r <= -p*q - 2", r <= -p * q - 2),
-            ("r <= -2", r <= -2),
-            ("r <= -q - 1", r <= -q - 1),
-            ("r <= q - p*q - 1", r <= q - p * q - 1),
-            ("gcd(q, r) == 1", math.gcd(q, r) == 1),
-        ]
-    if fp.family == "two3":
-        return [
-            ("p <= 0", p <= 0),
-            ("q >= 1", q >= 1),
-            ("q <= -r - 1", q <= -r - 1),
-            ("gcd(q, r) == 1", math.gcd(q, r) == 1),
-        ]
-    # three5
-    return [
-        ("p <= 1", p <= 1),
-        ("r <= -1", r <= -1),
-        ("r <= -p*q - 2", r <= -p * q - 2),
-        ("r <= q - p*q - 1", r <= q - p * q - 1),
-        (
-            "r <= -p*q + q*t - r*s + p*s + t - 1",
-            r <= -p * q + q * t - r * s + p * s + t - 1,
-        ),
-        ("t <= -2", t <= -2),
-        ("t <= -s - 1", t <= -s - 1),
-        ("t <= q*t - r*s + r - 1", t <= q * t - r * s + r - 1),
-        ("q*t - r*s >= 2", q * t - r * s >= 2),
-        ("gcd(q, r) == 1", math.gcd(q, r) == 1),
-        ("gcd(s, t) == 1", math.gcd(s, t) == 1),
-    ]
-
-
 def check_params(fp: FamilyParams) -> bool:
     """True iff the parameters satisfy every constraint of their family."""
-    return all(ok for _, ok in _constraints(fp))
-
-
-def _family_vertices(fp: FamilyParams) -> list[tuple[int, int]]:
-    p, q, r, s, t = fp.p, fp.q, fp.r, fp.s, fp.t
-    if fp.family == "dais1":
-        return [(1, -1), (p, 1), (-1, 0)]
-    if fp.family == "dais2":
-        return [(1, -1), (p, 1), (p - 1, 1), (-1, 0)]
-    if fp.family == "dais3":
-        return [(1, -1), (p, 1), (p - 1, 1), (-1, 0), (0, -1)]
-    if fp.family == "two1":
-        return [(1, 0), (0, 1), (-p, -q)]
-    if fp.family == "two2":
-        return [(1, 0), (0, 1), (-1, p), (q, r)]
-    if fp.family == "two3":
-        return [(1, 0), (0, 1), (-1, p + 1), (-1, p), (q, r)]
-    return [(1, 0), (0, 1), (-1, p), (q, r), (s, t)]
+    return all(ok for _, ok in FAMILY_SPECS[fp.family].constraints(*fp.as_tuple()))
 
 
 def generate(fp: FamilyParams) -> FamilyInstance:
     """Build and validate the family polygon; raise InvalidParams naming the
     first violated constraint when the parameters fall outside the family."""
-    for name, ok in _constraints(fp):
+    spec = FAMILY_SPECS[fp.family]
+    for name, ok in spec.constraints(*fp.as_tuple()):
         if not ok:
             raise InvalidParams(fp.family, name)
-    polygon = validate_ldp_polygon(_family_vertices(fp))
+    polygon = validate_ldp_polygon(spec.vertices(*fp.as_tuple()))
     report = analyze(polygon.cycle)
     # The constraint systems are exactly the family membership conditions, so
     # a wrong singular count here is an internal error, not bad input.
-    expected = _EXPECTED_SINGULAR[fp.family]
-    if not report.is_log_del_pezzo or report.singular_count != expected:
+    if not report.is_log_del_pezzo or report.singular_count != spec.singular:
         raise AssertionError(
             f"family {fp.family}{fp.as_tuple()} produced singular count "
-            f"{report.singular_count}, expected {expected}"
+            f"{report.singular_count}, expected {spec.singular}"
         )
     return FamilyInstance(fp, polygon)
 
@@ -188,48 +209,22 @@ _E1 = RayVector(1, 0)
 _E2 = RayVector(0, 1)
 
 
-def _basis_readings(poly: LdpPolygon) -> list[tuple[RayVector, ...]]:
+def _basis_readings(poly: LdpPolygon) -> list[tuple[tuple[int, int], ...]]:
     """Vertex cycles of `poly` remapped so the leading two rays become the
     standard basis: one reading per adjacent determinant-1 ray pair, in both
-    cycle orientations.  Every equivalence onto a polygon whose list starts
-    (1,0), (0,1) shows up among these readings."""
-    mirrored = tuple(RayVector(v.x, -v.y) for v in reversed(poly.vertices))
-    readings: list[tuple[RayVector, ...]] = []
-    for cyc in (poly.vertices, mirrored):
-        d = len(cyc)
-        for shift in range(d):
+    cycle orientations.  Each reading is the image of `poly` under a
+    determinant +-1 map, and every equivalence onto a polygon whose list
+    starts (1,0), (0,1) shows up among them."""
+    readings = []
+    for cyc in (poly.vertices, mirrored_cycle(poly.vertices)):
+        for shift in range(len(cyc)):
             rot = cyc[shift:] + cyc[:shift]
             if det2(rot[0], rot[1]) != 1:
                 continue
             m = solve_map(rot[0], rot[1], _E1, _E2)
             assert m is not None  # determinant-1 pair onto a basis is always integral
-            readings.append(tuple(apply_map(m, v) for v in rot))
+            readings.append(tuple(apply_map(m, v).as_tuple() for v in rot))
     return readings
-
-
-def _template_candidates(poly: LdpPolygon, tag: str) -> set[FamilyParams]:
-    out: set[FamilyParams] = set()
-    for rd in _basis_readings(poly):
-        if tag == "two1":
-            out.add(FamilyParams("two1", p=-rd[2].x, q=-rd[2].y))
-        elif tag == "two2":
-            if rd[2].x == -1:
-                out.add(FamilyParams("two2", p=rd[2].y, q=rd[3].x, r=rd[3].y))
-        elif tag == "two3":
-            if rd[2].x == -1 and rd[3].x == -1 and rd[2].y == rd[3].y + 1:
-                out.add(FamilyParams("two3", p=rd[3].y, q=rd[4].x, r=rd[4].y))
-        elif tag == "three5":
-            if rd[2].x == -1:
-                out.add(
-                    FamilyParams(
-                        "three5", p=rd[2].y, q=rd[3].x, r=rd[3].y, s=rd[4].x, t=rd[4].y
-                    )
-                )
-    return out
-
-
-def _within_bound(fp: FamilyParams, bound: int) -> bool:
-    return all(abs(v) <= bound for v in fp.as_tuple())
 
 
 def identify(poly: LdpPolygon, bound: int | None = None) -> FamilyParams | None:
@@ -240,33 +235,30 @@ def identify(poly: LdpPolygon, bound: int | None = None) -> FamilyParams | None:
     among all matching tuples the lexicographically smallest wins.  Singular
     counts outside 1..3, or a 3-singular polygon with d != 5, yield None.
     """
-    report = analyze(poly.cycle)
-    sc = report.singular_count
-    d = poly.d
+    tag = _TAG_BY_SHAPE.get((analyze(poly.cycle).singular_count, poly.d))
+    if tag is None:
+        return None
+    spec = FAMILY_SPECS[tag]
     if bound is None:
         bound = twice_area(poly)
-    candidates: set[FamilyParams] = set()
-    if sc == 1 and d in (3, 4, 5):
-        tag = {3: "dais1", 4: "dais2", 5: "dais3"}[d]
+    if spec.read is None:
         # A dais polygon has one cone of determinant p + 1 and d - 1 smooth
         # cones, so its twice-area is p + d and p is forced.
-        p = twice_area(poly) - d
-        if p >= 1:
-            candidates.add(FamilyParams(tag, p=p))
-    elif sc == 2 and d in (3, 4, 5):
-        tag = {3: "two1", 4: "two2", 5: "two3"}[d]
-        candidates = _template_candidates(poly, tag)
-    elif sc == 3 and d == 5:
-        candidates = _template_candidates(poly, "three5")
+        candidates = {(twice_area(poly) - poly.d,)}
     else:
-        return None
-    viable = sorted(
-        (fp for fp in candidates if check_params(fp) and _within_bound(fp, bound)),
-        key=lambda fp: fp.as_tuple(),
-    )
-    for fp in viable:
-        instance = generate(fp)
-        if are_equivalent(instance.polygon, poly) is not None:
+        # Each reading is the image of `poly` under a determinant +-1 map, so
+        # one that equals the family polygon proves the equivalence itself.
+        candidates = set()
+        for rd in _basis_readings(poly):
+            values = spec.read(rd)
+            if spec.vertices(*values) == rd:
+                candidates.add(values)
+    for values in sorted(candidates):
+        fp = FamilyParams(tag, **dict(zip(spec.params, values)))
+        if not check_params(fp) or any(abs(v) > bound for v in values):
+            continue
+        # Only the area-derived dais candidate still needs an equivalence test.
+        if spec.read is not None or are_equivalent(generate(fp).polygon, poly) is not None:
             return fp
     return None
 

@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
-from ldptoric import enumerate_ldp
+from ldptoric import classify_catalog, enumerate_ldp
 from ldptoric.cli import entry_from_dict, entry_to_dict, main, read_catalog, write_catalog
-from ldptoric.enumeration import VerificationReport
+from ldptoric.enumeration import CHECKS, VerificationReport
 
 
 def run(capsys, *argv):
@@ -60,6 +61,24 @@ def test_analyze_validation_error(capsys):
     code, out, err = run(capsys, "analyze", "1,0;0,2;-1,-1")
     assert code == 2
     assert "NonPrimitiveRay(2)" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("analyze", "9223372036854775808,1;0,1;-1,-1"), "x coordinate 9223372036854775808"),
+        (("analyze", "3037000500,1;-1,3037000500;-1,-1"), "det2 product"),
+        (("family", "--family", "two1", "--p", "9223372036854775807", "--q", "2"), "diff x"),
+    ],
+)
+def test_overflow_is_bad_input(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert message in err
+    assert "exceeds the signed 64-bit range" in err
+    assert err.count("\n") == 1
 
 
 def test_analyze_parse_error_names_token(capsys):
@@ -203,7 +222,9 @@ def test_check_clean_catalog(tmp_path, capsys):
 def test_check_exit_one_on_counterexamples(tmp_path, capsys, monkeypatch):
     raw = tmp_path / "raw.jsonl"
     run(capsys, "enumerate", "--box", "1", "--jobs", "1", "--out", str(raw))
-    bad = VerificationReport(1, [((1, 0), (0, 1), (-1, -1))], [], [], [], [], [])
+    found = {name: [] for name in CHECKS}
+    found["one_singular_unmatched"].append(((1, 0), (0, 1), (-1, -1)))
+    bad = VerificationReport(1, found)
     monkeypatch.setattr("ldptoric.cli.verify_catalog", lambda entries: bad)
     code, out, err = run(capsys, "check", "--in", str(raw))
     assert code == 1
@@ -259,8 +280,6 @@ def test_svg_rejects_non_polygon(tmp_path, capsys):
 
 
 def test_entry_serialization_roundtrip():
-    from ldptoric import classify_catalog
-
     entries = classify_catalog(enumerate_ldp(1))
     for entry in entries:
         assert entry_from_dict(entry_to_dict(entry)) == entry
@@ -271,3 +290,27 @@ def test_write_read_catalog_roundtrip(tmp_path):
     path = tmp_path / "cat.jsonl"
     write_catalog(entries, str(path))
     assert read_catalog(str(path)) == entries
+
+
+# sha256 of the write_catalog bytes of the box-n catalog, raw and classified.
+CATALOG_SHA256 = {
+    1: (
+        "0d83b58204ce52d17c158bc99a43723f90dee68937740e905d9a6fc82cce5f21",
+        "50123f45421a1c90bb84f34d9c25fe815e928db9af364d0c001995a64ddf200a",
+    ),
+    2: (
+        "cfd83e29a716aa8f66e3bde566857eb35a5ebb3adb3866e6bf3cdd79dd367cec",
+        "ccb604a14416f4eeeeb9564da7ae4ad9693e8373f4a459fa5152eaefb640f8bc",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_catalog_bytes_pinned(tmp_path, request, n):
+    entries = request.getfixturevalue(f"box{n}_catalog")
+    digests = []
+    for name, catalog in (("raw", entries), ("classified", classify_catalog(entries))):
+        path = tmp_path / f"{name}.jsonl"
+        write_catalog(catalog, str(path))
+        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert tuple(digests) == CATALOG_SHA256[n]

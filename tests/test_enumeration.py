@@ -128,12 +128,13 @@ def test_verify_catalog_box_one(box1_catalog):
     report = verify_catalog(box1_catalog)
     assert report.ok
     assert report.total == 11
-    assert report.one_singular_unmatched == []
-    assert report.two_singular_unmatched == []
-    assert report.three_singular_unclassified == []
-    assert report.alternating_d5 == []
-    assert report.noncontiguous == []
-    assert report.half_plane_violations == []
+    found = report.counterexamples
+    assert found["one_singular_unmatched"] == []
+    assert found["two_singular_unmatched"] == []
+    assert found["three_singular_unclassified"] == []
+    assert found["alternating_d5"] == []
+    assert found["noncontiguous"] == []
+    assert found["half_plane_violations"] == []
 
 
 def test_verify_catalog_box_two(box2_catalog):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -7,6 +8,7 @@ from ldptoric import (
     FamilyParams,
     InvalidParams,
     analyze,
+    apply_to_polygon,
     are_equivalent,
     blow_up,
     canonical_form,
@@ -15,9 +17,11 @@ from ldptoric import (
     generate,
     identify,
     parse_vertices,
+    random_unimodular_map,
     twice_area,
     validate_ldp_polygon,
 )
+from ldptoric.families import FAMILY_SPECS
 
 
 def poly(text: str):
@@ -153,6 +157,34 @@ def test_identify_matches_on_all_small_family_instances():
         assert got is not None, fp
         assert got.family == fp.family
         assert are_equivalent(generate(got).polygon, inst.polygon) is not None
+
+
+def test_identify_agrees_with_are_equivalent_on_box_two(box2_catalog):
+    # identify keeps a template candidate only when a basis reading equals the
+    # family polygon; are_equivalent is the independent reference for that.
+    rng = random.Random(20191001)
+    matched = 0
+    for entry in box2_catalog:
+        if entry.singular_count not in (1, 2, 3):
+            continue
+        base = entry.polygon()
+        fp = identify(base)
+        matched += fp is not None
+        images = [base] + [apply_to_polygon(random_unimodular_map(rng), base) for _ in range(4)]
+        for image in images:
+            assert identify(image) == fp, (entry.vertices, image.vertices)
+            if fp is not None:
+                assert are_equivalent(generate(fp).polygon, image) is not None, (fp, image.vertices)
+    assert matched == 55
+
+
+def test_template_reading_round_trip():
+    templates = [tag for tag, spec in FAMILY_SPECS.items() if spec.read is not None]
+    assert templates == ["two1", "two2", "two3", "three5"]
+    for tag in templates:
+        spec = FAMILY_SPECS[tag]
+        for values in itertools.product(range(-3, 4), repeat=len(spec.params)):
+            assert spec.read(spec.vertices(*values)) == values, (tag, values)
 
 
 def test_identify_bound_is_sufficient_on_sweep():
