@@ -8,7 +8,13 @@ strictly increasing positions find every cycle exactly once.  Consecutive
 determinants >= 1 keep each angular step below a half-turn, which makes the
 once-around winding automatic at closure.  Strict-left-turn pruning is exact:
 the turn at a vertex equals its f-value, so partial chains that already
-violate the log del Pezzo condition are cut immediately.
+violate the log del Pezzo condition are cut immediately.  The DFS runs on
+plain int tuples; every chain it emits is re-validated with checked arithmetic.
+
+The 8 signed permutations of the square (the group D4) lie in GL(2, Z) and map
+the box onto itself, so the raw cycles are closed under D4 and each orbit lies
+in one class.  Each class therefore keeps a cycle whose sorted vertex set is
+the least in its D4 orbit, and only those cycles are canonicalized.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import multiprocessing
 from dataclasses import dataclass, replace
 
 from .lattice import RayVector, det2, is_primitive
-from .polygon import LdpPolygon, angular_sort, validate_ldp_polygon, vertex_turn
+from .polygon import LdpPolygon, angular_sort, validate_ldp_polygon
 from .surface import SurfaceReport, analyze, nonsingular_arc_contiguous
 from .equivalence import canonical_form
 from .families import FamilyParams, classify_three, identify
@@ -73,29 +79,34 @@ def primitive_points(n: int) -> list[RayVector]:
 def _chains_from(points: list[RayVector], start: int) -> list[tuple[RayVector, ...]]:
     """All LDP cycles whose angularly smallest vertex is points[start]."""
     found: list[tuple[RayVector, ...]] = []
-    first = points[start]
-    total = len(points)
+    pts = [v.as_tuple() for v in points]
+    fx, fy = pts[start]
+    total = len(pts)
 
-    def extend(chain: list[RayVector], last_index: int) -> None:
+    def extend(chain: list[int], last_index: int) -> None:
+        # Inline det2 and vertex_turn: (ex, ey) is the last edge of the chain.
+        lx, ly = pts[chain[-1]]
+        px, py = pts[chain[-2]] if len(chain) >= 2 else (lx, ly)
+        ex, ey = lx - px, ly - py
         if len(chain) >= 3:
-            last, prev = chain[-1], chain[-2]
+            sx, sy = pts[chain[1]]
             if (
-                det2(last, first) >= 1
-                and vertex_turn(prev, last, first) >= 1
-                and vertex_turn(last, first, chain[1]) >= 1
+                lx * fy - fx * ly >= 1
+                and ex * (fy - ly) - (fx - lx) * ey >= 1
+                and (fx - lx) * (sy - fy) - (sx - fx) * (fy - ly) >= 1
             ):
-                found.append(tuple(chain))
+                found.append(tuple(points[j] for j in chain))
         for nxt in range(last_index + 1, total):
-            cand = points[nxt]
-            if det2(chain[-1], cand) < 1:
+            cx, cy = pts[nxt]
+            if lx * cy - cx * ly < 1:
                 continue
-            if len(chain) >= 2 and vertex_turn(chain[-2], chain[-1], cand) < 1:
+            if len(chain) >= 2 and ex * (cy - ly) - (cx - lx) * ey < 1:
                 continue
-            chain.append(cand)
+            chain.append(nxt)
             extend(chain, nxt)
             chain.pop()
 
-    extend([first], start)
+    extend([start], start)
     return found
 
 
@@ -111,12 +122,24 @@ def enumerate_raw(n: int) -> list[tuple[RayVector, ...]]:
     return cycles
 
 
+# The signed permutations of the square other than the identity, as
+# (a, b, c, d) for (x, y) -> (a*x + b*y, c*x + d*y).
+_SQUARE_SYMMETRIES = (
+    (-1, 0, 0, 1), (1, 0, 0, -1), (-1, 0, 0, -1),
+    (0, 1, 1, 0), (0, -1, 1, 0), (0, 1, -1, 0), (0, -1, -1, 0),
+)
+
+
 def _shard_worker(args: tuple[int, int]) -> set[tuple[tuple[int, int], ...]]:
     n, start = args
     points = primitive_points(n)
     out: set[tuple[tuple[int, int], ...]] = set()
     for chain in _chains_from(points, start):
         poly = validate_ldp_polygon(chain)
+        # Only the D4-orbit-least vertex set of each orbit needs a form.
+        key = sorted(v.as_tuple() for v in chain)
+        if any(sorted((a * x + b * y, c * x + d * y) for x, y in key) < key for a, b, c, d in _SQUARE_SYMMETRIES):
+            continue
         form = canonical_form(poly)
         out.add(tuple(v.as_tuple() for v in form.vertices))
     return out

@@ -12,6 +12,11 @@ that sends its leading vertex to (1, 0) and its second vertex to (k, D) with
 0 <= k < D; the lexicographically least normalized vertex list wins.  The
 candidate set depends only on the equivalence class, never on the input
 coordinates or starting vertex, which makes the form a valid dedup key.
+The pair (k, D) depends only on the anchor pair (D is their determinant, k
+the Bezout row applied to the second vertex, reduced mod D), so it is
+computed for every anchor first and only the anchors tied for the least
+pair are normalized in full.  This runs on exact int tuples; the 64-bit
+contract is enforced once, when the winning vertices become RayVectors.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from .lattice import (
     UnimodularMap,
     apply_map,
     compose_maps,
-    det2,
     solve_map,
 )
 from .polygon import LdpPolygon, format_vertices, twice_area, validate_ldp_polygon
@@ -59,25 +63,6 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _map_to_first_axis(v: RayVector) -> UnimodularMap:
-    """A determinant +1 map sending the primitive vector v to (1, 0)."""
-    g, s, t = _ext_gcd(v.x, v.y)
-    if g != 1:
-        raise ValueError(f"{v} is not primitive")
-    # Second row (-y, x) keeps the determinant at s*x + t*y == 1.
-    return UnimodularMap(s, t, -v.y, v.x)
-
-
-def _normalize_anchored(rays: tuple[RayVector, ...]) -> tuple[RayVector, ...]:
-    # Unique det +1 image with rays[0] -> (1, 0) and rays[1] -> (k, D), 0 <= k < D.
-    to_axis = _map_to_first_axis(rays[0])
-    second = apply_map(to_axis, rays[1])
-    span = second.y
-    shear = UnimodularMap(1, (second.x % span - second.x) // span, 0, 1)
-    full = compose_maps(shear, to_axis)
-    return tuple(apply_map(full, v) for v in rays)
-
-
 def mirrored_cycle(vertices: tuple[RayVector, ...]) -> tuple[RayVector, ...]:
     # Reflect across the x axis and reverse the reading to restore ccw order.
     return tuple(RayVector(v.x, -v.y) for v in reversed(vertices))
@@ -92,17 +77,28 @@ def canonical_form(poly: LdpPolygon, orientation_preserving: bool = False) -> Ca
     cycles = [poly.vertices]
     if not orientation_preserving:
         cycles.append(mirrored_cycle(poly.vertices))
-    best: tuple[RayVector, ...] | None = None
-    best_key: tuple[tuple[int, int], ...] | None = None
+    anchors = []
     for cyc in cycles:
-        d = len(cyc)
-        for shift in range(d):
-            candidate = _normalize_anchored(cyc[shift:] + cyc[:shift])
-            key = tuple(v.as_tuple() for v in candidate)
-            if best_key is None or key < best_key:
-                best, best_key = candidate, key
+        pts = [v.as_tuple() for v in cyc]
+        for i, (x0, y0) in enumerate(pts):
+            x1, y1 = pts[(i + 1) % len(pts)]
+            _, s, t = _ext_gcd(x0, y0)
+            span = x0 * y1 - x1 * y0
+            anchors.append(((s * x1 + t * y1) % span, span, s, t, pts, i))
+    least = min(anchor[:2] for anchor in anchors)
+    best: list[tuple[int, int]] | None = None
+    for k, span, s, t, pts, i in anchors:
+        if (k, span) == least:
+            # Row (s, t) plus the shear that reduces the second vertex mod span.
+            rot = pts[i:] + pts[:i]
+            (x0, y0), (x1, y1) = rot[0], rot[1]
+            q = (s * x1 + t * y1) // span
+            a, b = s + q * y0, t - q * x0
+            candidate = [(a * x + b * y, x0 * y - y0 * x) for x, y in rot]
+            if best is None or candidate < best:
+                best = candidate
     assert best is not None
-    return CanonicalForm(best)
+    return CanonicalForm(tuple(RayVector(x, y) for x, y in best))
 
 
 def are_equivalent(

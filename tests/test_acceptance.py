@@ -6,6 +6,7 @@ build their own artifacts inside the measured window instead of using shared
 session fixtures.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -33,6 +34,7 @@ from ldptoric import (
     validate_ldp_polygon,
     verify_catalog,
 )
+from ldptoric.cli import write_catalog
 from ldptoric.enumeration import _is_alternating_d5
 
 from oracles import brute_force_classes, random_fan, random_ldp_polygon
@@ -225,3 +227,19 @@ def test_criterion_11_blow_up_laws(box2_entries):
         if down.rays != poly.cycle.rays or format_vertices(down.rays) != format_vertices(poly.cycle.rays):
             failures += 1
     _report(11, failures == 0, f"1000 random LDP fans with a smooth cone: {failures} blow-up law failures")
+
+
+def test_box_three_catalog_bytes_pinned(box3_pipeline, tmp_path):
+    """Not a scored criterion: the box-3 raw and classified catalogs keep
+    their write_catalog bytes (sha256 as in perfbench/expected.py)."""
+    entries, classified, _, _ = box3_pipeline
+    assert len(entries) == 13660
+    digests = []
+    for name, catalog in (("raw", entries), ("classified", classified)):
+        path = tmp_path / f"{name}.jsonl"
+        write_catalog(catalog, str(path))
+        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert digests == [
+        "1965ac4133bec9f91e2ccde2afd79254b2818be073d3cad34b3b507fb84539bb",
+        "f47ce14a08c225b8e9e63238ff473ba56e9d0f666c6d3113a3118e9aa339662e",
+    ]

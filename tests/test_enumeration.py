@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from ldptoric import (
@@ -12,7 +14,7 @@ from ldptoric import (
     validate_ldp_polygon,
     verify_catalog,
 )
-from ldptoric.enumeration import _is_alternating_d5
+from ldptoric.enumeration import _SQUARE_SYMMETRIES, _is_alternating_d5
 
 from oracles import brute_force_classes
 
@@ -65,9 +67,32 @@ def test_box_two_matches_brute_force_oracle(box2_catalog):
 
 def test_entries_sorted_and_deterministic(box1_catalog):
     again = enumerate_ldp(BoxSpec(1), jobs=2)
-    assert [e.vertices for e in box1_catalog] == [e.vertices for e in again]
+    assert again == box1_catalog
     keys = [(e.d, e.vertices) for e in box1_catalog]
     assert keys == sorted(keys)
+
+
+def test_box_orbit_pruning_is_sound(box2_catalog):
+    # D4, built here: the 8 signed permutation matrices (a, b, c, d).
+    d4 = {(a, b, c, d) for a, b, c, d in itertools.product((-1, 0, 1), repeat=4)
+          if abs(a) + abs(b) == abs(c) + abs(d) == abs(a) + abs(c) == 1}
+    assert len(d4) == 8 and len(_SQUARE_SYMMETRIES) == 7
+    assert set(_SQUARE_SYMMETRIES) == d4 - {(1, 0, 0, 1)}
+
+    def image(g, vs):
+        a, b, c, d = g
+        return frozenset((a * x + b * y, c * x + d * y) for x, y in vs)
+
+    raw = {frozenset(v.as_tuple() for v in c): c for c in enumerate_raw(2)}
+    assert all(image(g, vs) in raw for vs in raw for g in d4)
+    least = [vs for vs in raw if all(sorted(vs) <= sorted(image(g, vs)) for g in d4)]
+    assert len(least) == 219
+
+    def form(chain):
+        return tuple(v.as_tuple() for v in canonical_form(validate_ldp_polygon(chain)).vertices)
+
+    everything = {form(c) for c in raw.values()}
+    assert {e.vertices for e in box2_catalog} == everything == {form(raw[vs]) for vs in least}
 
 
 def test_box_monotonicity(box1_catalog, box2_catalog):

@@ -5,18 +5,21 @@ import pytest
 
 from ldptoric import (
     IDENTITY_MAP,
+    LatticeOverflowError,
     UnimodularMap,
     analyze,
     apply_map,
     apply_to_polygon,
     are_equivalent,
     canonical_form,
+    compose_maps,
     enumerate_raw,
     parse_vertices,
     random_unimodular_map,
     twice_area,
     validate_ldp_polygon,
 )
+from ldptoric.lattice import I64_MAX, I64_MIN
 
 
 def poly(text: str):
@@ -169,3 +172,107 @@ def test_random_unimodular_map_properties():
         m = random_unimodular_map(rng)
         assert m.det() in (1, -1)
         assert max(abs(e) for e in (m.a, m.b, m.c, m.d)) <= 5
+
+
+def _oracle_bezout(a: int, b: int) -> tuple[int, int]:
+    # (s, t) with s*a + t*b == 1 for a primitive (a, b).
+    if b == 0:
+        assert a in (1, -1)
+        return a, 0
+    q, r = divmod(a, b)
+    s, t = _oracle_bezout(b, r)
+    return t, s - q * t
+
+
+def _oracle_form(vertices, orientation_preserving: bool):
+    """Brute-force canonical form: every anchor of the cycle (and of its
+    mirror) fully normalized, lexicographic minimum.  No library helpers."""
+    pts = [(v.x, v.y) for v in vertices]
+    cycles = [pts]
+    if not orientation_preserving:
+        cycles.append([(x, -y) for x, y in reversed(pts)])
+    best = None
+    for cyc in cycles:
+        for i in range(len(cyc)):
+            rot = cyc[i:] + cyc[:i]
+            (x0, y0), (x1, y1) = rot[0], rot[1]
+            s, t = _oracle_bezout(x0, y0)
+            # Rows (s, t) and (-y0, x0) send rot[0] to (1, 0); the shear then
+            # reduces the second image (u, span) to 0 <= u < span.
+            u, span = s * x1 + t * y1, x0 * y1 - x1 * y0
+            shift = -(u // span)
+            form = [(s * x + t * y + shift * (x0 * y - y0 * x), x0 * y - y0 * x) for x, y in rot]
+            assert form[0] == (1, 0) and 0 <= form[1][0] < form[1][1]
+            if best is None or form < best:
+                best = form
+    return tuple(best)
+
+
+def _form_tuples(p, orientation_preserving: bool = False):
+    return tuple(v.as_tuple() for v in canonical_form(p, orientation_preserving).vertices)
+
+
+def test_canonical_form_matches_brute_force_oracle():
+    rng = random.Random(44)
+    polys = [validate_ldp_polygon(c) for c in enumerate_raw(2)]
+    assert len(polys) == 1533
+    polys += [apply_to_polygon(random_unimodular_map(rng), rng.choice(polys)) for _ in range(500)]
+    for p in polys:
+        for flag in (False, True):
+            assert _form_tuples(p, flag) == _oracle_form(p.vertices, flag)
+
+
+def test_canonical_form_has_no_spurious_overflow():
+    # Valid and equivalent to a box-2 class, but intermediate products of the
+    # normalization pass the 64-bit range.
+    big = poly(
+        "-434756865,-199614667;-677606117,-311116696;"
+        "4692301180,2154427481;2467575216,1132964755"
+    )
+    small = poly("1,0;0,1;-3,-5;-1,-3")
+    assert are_equivalent(big, small) is not None
+    assert canonical_form(big).vertices == canonical_form(small).vertices
+
+
+def _large_shear_product(rng: random.Random, cap: int = 2**31) -> UnimodularMap:
+    # Product of shears with multipliers up to 64, stopped before an entry passes cap.
+    m = IDENTITY_MAP
+    for _ in range(12):
+        a = rng.randint(-64, 64)
+        shear = UnimodularMap(1, a, 0, 1) if rng.random() < 0.5 else UnimodularMap(1, 0, a, 1)
+        candidate = compose_maps(shear, m)
+        if max(abs(e) for e in (candidate.a, candidate.b, candidate.c, candidate.d)) > cap:
+            break
+        m = candidate
+    return m
+
+
+def test_canonical_form_on_large_images_of_box_two(box2_catalog):
+    # Images with coordinates near 2**32: the checked-arithmetic normalization
+    # this replaced raised LatticeOverflowError on 6 of these valid images.
+    rng = random.Random(2024)
+    valid = 0
+    for entry in box2_catalog:
+        base = entry.polygon()
+        for _ in range(20):
+            try:
+                image = apply_to_polygon(_large_shear_product(rng), base)
+            except LatticeOverflowError:
+                continue
+            valid += 1
+            form = canonical_form(image).vertices
+            assert tuple(v.as_tuple() for v in form) == entry.vertices
+            assert all(I64_MIN <= c <= I64_MAX for v in form for c in v.as_tuple())
+    assert valid == 3113
+
+
+def test_canonical_form_out_of_range_raises():
+    # A valid near-regular octagon of radius m: every consecutive product fits
+    # 64 bits, but each normalization has det(v_i, v_i+2) ~ m**2 > I64_MAX.
+    m, a = 3_200_000_000, 2_262_741_700
+    octagon = poly(
+        f"{m},1;{a},{a + 1};-1,{m};{-a - 1},{a};"
+        f"{-m},-1;{-a},{-a - 1};1,{-m};{a + 1},{-a}"
+    )
+    with pytest.raises(LatticeOverflowError):
+        canonical_form(octagon)
