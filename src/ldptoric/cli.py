@@ -6,13 +6,15 @@ Vertex lists are always passed as "x,y;x,y;...".  Exit codes: 0 success,
 validation errors).
 
 Data outputs are deterministic: identical flags give byte-identical JSON and
-SVG.  Run metadata (timestamps, worker counts) goes to a sidecar file next to
-the catalog, never into the data itself.
+SVG.  Run metadata (timestamps, worker counts, the package version and the
+sha256 of the catalog bytes) goes to a sidecar file next to the catalog,
+never into the data itself.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -20,6 +22,7 @@ import time
 from fractions import Fraction
 from typing import Sequence
 
+from . import __version__
 from .lattice import LatticeOverflowError
 from .polygon import (
     LdpPolygon,
@@ -203,12 +206,16 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             print(_dump(entry_to_dict(entry)))
     else:
         write_catalog(entries, args.out)
+        with open(args.out, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
         sidecar = {
             "box": args.box,
             "jobs": args.jobs,
             "classes": len(entries),
             "elapsed_seconds": round(time.time() - started, 3),
             "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "version": __version__,
+            "sha256": digest,
         }
         with open(args.out + ".meta.json", "w", encoding="ascii") as fh:
             fh.write(json.dumps(sidecar, indent=2) + "\n")

@@ -26,7 +26,7 @@ from .lattice import RayVector, det2, is_primitive
 from .polygon import LdpPolygon, angular_sort, validate_ldp_polygon
 from .surface import SurfaceReport, analyze, nonsingular_arc_contiguous
 from .equivalence import canonical_form
-from .families import FamilyParams, classify_three, identify
+from .families import FamilyParams, _three_case, identify
 
 BOX_CAVEAT = (
     "classes whose every representative needs coordinates beyond the box are absent; "
@@ -76,10 +76,12 @@ def primitive_points(n: int) -> list[RayVector]:
     return angular_sort(pts)
 
 
-def _chains_from(points: list[RayVector], start: int) -> list[tuple[RayVector, ...]]:
-    """All LDP cycles whose angularly smallest vertex is points[start]."""
+def _chains_from(
+    points: list[RayVector], pts: list[tuple[int, int]], start: int
+) -> list[tuple[RayVector, ...]]:
+    """All LDP cycles whose angularly smallest vertex is points[start]; the
+    search runs on pts, the same points as int tuples."""
     found: list[tuple[RayVector, ...]] = []
-    pts = [v.as_tuple() for v in points]
     fx, fy = pts[start]
     total = len(pts)
 
@@ -110,13 +112,20 @@ def _chains_from(points: list[RayVector], start: int) -> list[tuple[RayVector, .
     return found
 
 
+def _box_points(n: int) -> tuple[list[RayVector], list[tuple[int, int]]]:
+    """primitive_points(n) and the same points as int tuples, computed once
+    per enumeration and shared by every shard."""
+    points = primitive_points(n)
+    return points, [v.as_tuple() for v in points]
+
+
 def enumerate_raw(n: int) -> list[tuple[RayVector, ...]]:
     """Every LDP polygon cycle with vertices in the box, one rotation each
     (starting at the angularly smallest vertex), all re-validated."""
-    points = primitive_points(n)
+    points, pts = _box_points(n)
     cycles: list[tuple[RayVector, ...]] = []
     for start in range(len(points)):
-        for chain in _chains_from(points, start):
+        for chain in _chains_from(points, pts, start):
             validate_ldp_polygon(chain)
             cycles.append(chain)
     return cycles
@@ -130,11 +139,12 @@ _SQUARE_SYMMETRIES = (
 )
 
 
-def _shard_worker(args: tuple[int, int]) -> set[tuple[tuple[int, int], ...]]:
-    n, start = args
-    points = primitive_points(n)
+def _shard_worker(
+    args: tuple[list[RayVector], list[tuple[int, int]], int]
+) -> set[tuple[tuple[int, int], ...]]:
+    points, pts, start = args
     out: set[tuple[tuple[int, int], ...]] = set()
-    for chain in _chains_from(points, start):
+    for chain in _chains_from(points, pts, start):
         poly = validate_ldp_polygon(chain)
         # Only the D4-orbit-least vertex set of each orbit needs a form.
         key = sorted(v.as_tuple() for v in chain)
@@ -166,8 +176,8 @@ def enumerate_ldp(box: BoxSpec | int, jobs: int | None = 1) -> list[CatalogEntry
     """
     if isinstance(box, int):
         box = BoxSpec(box)
-    points = primitive_points(box.n)
-    shard_args = [(box.n, s) for s in range(len(points))]
+    points, pts = _box_points(box.n)
+    shard_args = [(points, pts, s) for s in range(len(points))]
     canon: set[tuple[tuple[int, int], ...]] = set()
     if jobs == 1:
         for args in shard_args:
@@ -187,7 +197,7 @@ def _classify(poly: LdpPolygon) -> tuple[SurfaceReport, FamilyParams | None, str
     surf = analyze(poly.cycle)
     sc = surf.singular_count
     family = identify(poly) if sc in (1, 2, 3) else None
-    three_case = classify_three(poly) if sc == 3 else None
+    three_case = _three_case(poly, sc, family) if sc == 3 else None
     return surf, family, three_case
 
 

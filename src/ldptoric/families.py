@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .lattice import RayVector, apply_map, det2, solve_map
+from .lattice import RayVector, apply_map, det2, solve_map, within_kernel_bound
 from .polygon import (
     FanValidationError,
     LdpPolygon,
@@ -215,6 +215,21 @@ def _basis_readings(poly: LdpPolygon) -> list[tuple[tuple[int, int], ...]]:
     cycle orientations.  Each reading is the image of `poly` under a
     determinant +-1 map, and every equivalence onto a polygon whose list
     starts (1,0), (0,1) shows up among them."""
+    pts = [(v.x, v.y) for v in poly.vertices]
+    if within_kernel_bound(pts):
+        # The inverse of the matrix with columns a, b and determinant D = +-1
+        # sends v to D * (det(v, b), det(a, v)).  Read backwards with D = -1,
+        # this gives the readings of the mirrored cycle: reflecting all
+        # vertices first changes neither the pairs nor their readings.
+        readings = []
+        for cyc, sign in ((pts, 1), (pts[::-1], -1)):
+            for shift in range(len(cyc)):
+                rot = cyc[shift:] + cyc[:shift]
+                (ax, ay), (bx, by) = rot[0], rot[1]
+                if ax * by - bx * ay == sign:
+                    reading = tuple((sign * (x * by - bx * y), sign * (ax * y - x * ay)) for x, y in rot)
+                    readings.append(reading)
+        return readings
     readings = []
     for cyc in (poly.vertices, mirrored_cycle(poly.vertices)):
         for shift in range(len(cyc)):
@@ -272,16 +287,21 @@ def classify_three(poly: LdpPolygon) -> str:
     none otherwise (no log del Pezzo class with three singular points has
     d >= 7).
     """
-    report = analyze(poly.cycle)
-    if report.singular_count != 3:
-        raise ValueError(
-            f"classify_three needs exactly 3 singular cones, got {report.singular_count}"
-        )
+    singular_count = analyze(poly.cycle).singular_count
+    family = identify(poly) if singular_count == 3 and poly.d == 5 else None
+    return _three_case(poly, singular_count, family)
+
+
+def _three_case(poly: LdpPolygon, singular_count: int, family: FamilyParams | None) -> str:
+    """classify_three from the singular count of `poly` and, at d = 5, its
+    identify() result, for callers that have both already."""
+    if singular_count != 3:
+        raise ValueError(f"classify_three needs exactly 3 singular cones, got {singular_count}")
     d = poly.d
     if d <= 4:
         return "picard_le_two"
     if d == 5:
-        return "family_d5" if identify(poly) is not None else "none"
+        return "family_d5" if family is not None else "none"
     if d == 6:
         for i in blow_down_candidates(poly.cycle):
             smaller = blow_down(poly.cycle, i)

@@ -1,9 +1,18 @@
-"""Exact 2x2 integer lattice primitives with checked 64-bit arithmetic.
+"""Exact 2x2 integer lattice primitives and the 64-bit contract.
 
 Everything downstream (fans, polygons, equivalence, enumeration) reduces to
 the handful of operations here: signed 2x2 determinants, primitivity tests,
-and integer matrix maps.  All arithmetic is exact; any intermediate or final
-value outside the signed 64-bit range raises instead of silently growing.
+and integer matrix maps.  All arithmetic is exact, and every value the
+package computes lies in the signed 64-bit range or raises
+LatticeOverflowError.  That contract is enforced in two places:
+
+- `within_kernel_bound`: validation, surface analysis, twice the area and
+  the family basis readings run on plain int tuples when every coordinate
+  is below 2**30 in absolute value, a bound under which no intermediate can
+  leave the range (the proof is in its docstring), so nothing is checked;
+- the checked RayVector arithmetic below (`checked_i64` on every product,
+  sum and coordinate), which runs at or above that bound and is the only
+  path that raises.
 """
 
 from __future__ import annotations
@@ -17,6 +26,30 @@ I64_MAX = 2**63 - 1
 
 class LatticeOverflowError(OverflowError):
     """A lattice computation left the signed 64-bit range."""
+
+
+KERNEL_BOUND = 2**30
+
+
+def within_kernel_bound(points) -> bool:
+    """True when every coordinate of the (x, y) pairs has absolute value
+    below KERNEL_BOUND = 2**30.
+
+    Proof that the unchecked int-tuple kernels then stay in the signed 64-bit
+    range, so the checked arithmetic could not raise on such input: every
+    coordinate is at most 2**30 - 1 in absolute value, so
+    - a product of two coordinates is below 2**60, and a vertex determinant
+      x1*y2 - x2*y1 is below 2**61;
+    - an edge-vector difference b - a has coordinates below 2**31, so each
+      product in a vertex turn det(b - a, c - b) is below 2**62 and the turn
+      is below 2**63 - 1;
+    - an f-value, a sum of three vertex determinants, is below 3 * 2**61,
+      which is below 2**63 - 1;
+    - a basis reading (the image of a vertex under the inverse of a
+      determinant-1 vertex pair) is a pair of vertex determinants.
+    """
+    bound = KERNEL_BOUND
+    return all(-bound < x < bound and -bound < y < bound for x, y in points)
 
 
 def checked_i64(value: int, context: str = "value") -> int:

@@ -6,7 +6,10 @@ An LdpPolygon additionally has every ray a strictly convex vertex of the hull,
 which is exactly the log del Pezzo condition on the associated surface.
 
 All validation-error indices reported here are 1-based, matching the cyclic
-convention used by every external surface of the package.
+convention used by every external surface of the package.  The turn and
+convexity checks and twice_area run on plain int tuples when the coordinates
+are within lattice.within_kernel_bound, and on checked RayVector arithmetic
+otherwise; both give the same results and errors in the same order.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Iterable, Sequence
 
-from .lattice import RayVector, det2, is_primitive
+from .lattice import RayVector, det2, is_primitive, within_kernel_bound
 
 
 class FanValidationError(ValueError):
@@ -135,6 +138,44 @@ def same_cycle(a: FanCycle, b: FanCycle) -> bool:
     return all(a.rays[i] == b.rays[(k + i) % b.d] for i in range(a.d))
 
 
+def _validate_fan(points: Sequence) -> tuple[tuple[RayVector, ...], list[tuple[int, int]], bool]:
+    """validate_fan's checks; returns the rays, their int tuples and whether
+    they are within the kernel bound, for validate_ldp_polygon to reuse."""
+    rays = tuple(_coerce(p) for p in points)
+    d = len(rays)
+    if d < 3:
+        raise ValueError(f"a complete fan needs at least 3 rays, got {d}")
+    for i, v in enumerate(rays, start=1):
+        if not is_primitive(v):
+            raise NonPrimitiveRay(i)
+    pts = [(v.x, v.y) for v in rays]
+    seen: set[tuple[int, int]] = set()
+    for i, p in enumerate(pts, start=1):
+        if p in seen:
+            raise DuplicateRay(i)
+        seen.add(p)
+    small = within_kernel_bound(pts)
+    if small:
+        for i, ((x0, y0), (x1, y1)) in enumerate(zip(pts, pts[1:] + pts[:1]), start=1):
+            if x0 * y1 - x1 * y0 <= 0:
+                raise NotCounterclockwise(i)
+        # Each step now turns strictly ccw by less than a half-turn, so it
+        # wraps past the reference axis exactly when it leaves the lower
+        # half-plane (angle_less is False there and only there).
+        lower = [y < 0 or (y == 0 and x < 0) for x, y in pts]
+        winding = sum(1 for a, b in zip(lower, lower[1:] + lower[:1]) if a and not b)
+    else:
+        for i in range(d):
+            if det2(rays[i], rays[(i + 1) % d]) <= 0:
+                raise NotCounterclockwise(i + 1)
+        # Every step is now a strict ccw turn smaller than a half-turn, so the
+        # winding number equals the count of wrap-arounds past the reference axis.
+        winding = sum(1 for i in range(d) if not angle_less(rays[i], rays[(i + 1) % d]))
+    if winding != 1:
+        raise BadWinding(winding)
+    return rays, pts, small
+
+
 def validate_fan(points: Sequence) -> FanCycle:
     """Check the complete-fan conditions and return the validated cycle.
 
@@ -143,27 +184,7 @@ def validate_fan(points: Sequence) -> FanCycle:
     has determinant <= 0), BadWinding (rays wind more than once).  Input order
     is preserved; any starting rotation is accepted.
     """
-    rays = tuple(_coerce(p) for p in points)
-    d = len(rays)
-    if d < 3:
-        raise ValueError(f"a complete fan needs at least 3 rays, got {d}")
-    for i, v in enumerate(rays, start=1):
-        if not is_primitive(v):
-            raise NonPrimitiveRay(i)
-    seen: set[RayVector] = set()
-    for i, v in enumerate(rays, start=1):
-        if v in seen:
-            raise DuplicateRay(i)
-        seen.add(v)
-    for i in range(d):
-        if det2(rays[i], rays[(i + 1) % d]) <= 0:
-            raise NotCounterclockwise(i + 1)
-    # Every step is now a strict ccw turn smaller than a half-turn, so the
-    # winding number equals the count of wrap-arounds past the reference axis.
-    winding = sum(1 for i in range(d) if not angle_less(rays[i], rays[(i + 1) % d]))
-    if winding != 1:
-        raise BadWinding(winding)
-    return FanCycle(rays)
+    return FanCycle(_validate_fan(points)[0])
 
 
 def vertex_turn(a: RayVector, b: RayVector, c: RayVector) -> int:
@@ -177,18 +198,26 @@ def validate_ldp_polygon(points: Sequence) -> LdpPolygon:
     A ray that is a convex combination of its neighbours (collinear boundary
     point or interior point) raises NotStrictlyConvex at its 1-based index.
     """
-    cycle = validate_fan(points)
-    rays = cycle.rays
+    rays, pts, small = _validate_fan(points)
     d = len(rays)
-    for i in range(d):
-        if vertex_turn(rays[i - 1], rays[i], rays[(i + 1) % d]) <= 0:
-            raise NotStrictlyConvex(i + 1)
-    return LdpPolygon(cycle)
+    if small:
+        triples = zip(pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1])
+        for i, ((ax, ay), (bx, by), (cx, cy)) in enumerate(triples, start=1):
+            if (bx - ax) * (cy - by) - (cx - bx) * (by - ay) <= 0:
+                raise NotStrictlyConvex(i)
+    else:
+        for i in range(d):
+            if vertex_turn(rays[i - 1], rays[i], rays[(i + 1) % d]) <= 0:
+                raise NotStrictlyConvex(i + 1)
+    return LdpPolygon(FanCycle(rays))
 
 
 def twice_area(poly: LdpPolygon | FanCycle) -> int:
     """Twice the polygon area: the sum of all cone determinants.  Always positive."""
     cycle = poly.cycle if isinstance(poly, LdpPolygon) else poly
+    pts = [(v.x, v.y) for v in cycle.rays]
+    if within_kernel_bound(pts):
+        return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
     return sum(cycle.cone_det(i) for i in range(1, cycle.d + 1))
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import checked_i64, det2
+from .lattice import checked_i64, det2, within_kernel_bound
 from .polygon import FanCycle, LdpPolygon, validate_fan
 
 
@@ -67,9 +67,20 @@ def analyze(cycle: FanCycle | LdpPolygon) -> SurfaceReport:
     """Full singularity and degree report for the surface of a validated cycle."""
     cycle = _as_cycle(cycle)
     d = cycle.d
-    dets = tuple(cycle.cone_det(i) for i in range(1, d + 1))
+    pts = [(v.x, v.y) for v in cycle.rays]
+    if within_kernel_bound(pts):
+        nxt = pts[1:] + pts[:1]
+        dets = tuple(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, nxt))
+        # f(i) = det(v_{i-1}, v_i) + det(v_i, v_{i+1}) + det(v_{i+1}, v_{i-1}).
+        prv = pts[-1:] + pts[:-1]
+        f_values = tuple(
+            dets[i - 1] + dets[i] + (x1 * y0 - x0 * y1)
+            for i, ((x0, y0), (x1, y1)) in enumerate(zip(prv, nxt))
+        )
+    else:
+        dets = tuple(cycle.cone_det(i) for i in range(1, d + 1))
+        f_values = tuple(f_value(cycle, i) for i in range(1, d + 1))
     cones = tuple(ConeRecord(i, dets[i - 1], dets[i - 1] >= 2) for i in range(1, d + 1))
-    f_values = tuple(f_value(cycle, i) for i in range(1, d + 1))
     degrees = tuple(
         Fraction(f_values[i - 1], dets[i - 2] * dets[i - 1]) for i in range(1, d + 1)
     )

@@ -3,6 +3,14 @@
 The subset oracle enumerates polygons by brute force over point subsets with
 float-angle sorting, sharing nothing with the production depth-first search;
 agreement between the two is asserted exactly.
+
+The checked reference (`ref_validate_fan` ... `ref_identify`) restates the
+package's checked RayVector arithmetic on plain int tuples: every coordinate,
+product, difference and sum is checked against the signed 64-bit range in the
+same order and with the same messages, and the validation checks run in the
+same order with the same typed errors.  It takes no shortcut for small
+coordinates, so it pins what the int-tuple kernels must reproduce below the
+kernel bound and what the checked path must keep doing above it.
 """
 
 from __future__ import annotations
@@ -10,17 +18,32 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 
 from ldptoric import (
+    IDENTITY_MAP,
+    BadWinding,
+    DuplicateRay,
+    FamilyParams,
     FanCycle,
     FanValidationError,
+    LatticeOverflowError,
     LdpPolygon,
+    NonPrimitiveRay,
+    NotCounterclockwise,
+    NotStrictlyConvex,
+    UnimodularMap,
     apply_to_polygon,
+    are_equivalent,
     canonical_form,
+    check_params,
+    compose_maps,
+    generate,
     random_unimodular_map,
     validate_fan,
     validate_ldp_polygon,
 )
+from ldptoric.families import FAMILY_SPECS
 
 
 def brute_force_classes(n: int) -> set[tuple[tuple[int, int], ...]]:
@@ -66,3 +89,168 @@ def random_ldp_polygon(rng: random.Random, seed_polys: list[LdpPolygon]) -> LdpP
     """A random unimodular image of a random seed polygon; stays LDP."""
     base = rng.choice(seed_polys)
     return apply_to_polygon(random_unimodular_map(rng), base)
+
+
+def large_shear_product(rng: random.Random, cap: int = 2**31) -> UnimodularMap:
+    """Product of shears with multipliers up to 64, stopped before an entry passes cap."""
+    m = IDENTITY_MAP
+    for _ in range(12):
+        a = rng.randint(-64, 64)
+        shear = UnimodularMap(1, a, 0, 1) if rng.random() < 0.5 else UnimodularMap(1, 0, a, 1)
+        candidate = compose_maps(shear, m)
+        if max(abs(e) for e in (candidate.a, candidate.b, candidate.c, candidate.d)) > cap:
+            break
+        m = candidate
+    return m
+
+
+Point = tuple[int, int]
+
+
+def _i64(value: int, context: str) -> int:
+    if not -(2**63) <= value <= 2**63 - 1:
+        raise LatticeOverflowError(f"{context} {value} exceeds the signed 64-bit range")
+    return value
+
+
+def _vector(x: int, y: int) -> Point:
+    return (_i64(x, "x coordinate"), _i64(y, "y coordinate"))
+
+
+def _det(u: Point, v: Point) -> int:
+    return _i64(_i64(u[0] * v[1], "det2 product") - _i64(v[0] * u[1], "det2 product"), "det2")
+
+
+def _diff(b: Point, a: Point) -> Point:
+    return _vector(_i64(b[0] - a[0], "diff x"), _i64(b[1] - a[1], "diff y"))
+
+
+def _lower_half(v: Point) -> bool:
+    return v[1] < 0 or (v[1] == 0 and v[0] < 0)
+
+
+def ref_validate_fan(points) -> tuple[Point, ...]:
+    """The validated ray cycle as int tuples, or the package's error."""
+    rays = [_vector(int(x), int(y)) for x, y in points]
+    d = len(rays)
+    if d < 3:
+        raise ValueError(f"a complete fan needs at least 3 rays, got {d}")
+    for i, (x, y) in enumerate(rays, start=1):
+        if math.gcd(x, y) != 1:
+            raise NonPrimitiveRay(i)
+    for i, v in enumerate(rays, start=1):
+        if v in rays[: i - 1]:
+            raise DuplicateRay(i)
+    for i in range(d):
+        if _det(rays[i], rays[(i + 1) % d]) <= 0:
+            raise NotCounterclockwise(i + 1)
+    winding = 0
+    for i in range(d):
+        u, v = rays[i], rays[(i + 1) % d]
+        if _lower_half(u) != _lower_half(v):
+            winding += not _lower_half(v)
+        else:
+            winding += not _det(u, v) > 0
+    if winding != 1:
+        raise BadWinding(winding)
+    return tuple(rays)
+
+
+def ref_validate_ldp_polygon(points) -> tuple[Point, ...]:
+    rays = ref_validate_fan(points)
+    d = len(rays)
+    for i in range(d):
+        a, b, c = rays[i - 1], rays[i], rays[(i + 1) % d]
+        if _det(_diff(b, a), _diff(c, b)) <= 0:
+            raise NotStrictlyConvex(i + 1)
+    return rays
+
+
+def ref_twice_area(rays: tuple[Point, ...]) -> int:
+    d = len(rays)
+    return sum(_det(rays[i], rays[(i + 1) % d]) for i in range(d))
+
+
+def ref_analyze(rays: tuple[Point, ...]) -> dict:
+    """The fields of analyze()'s SurfaceReport for a validated cycle."""
+    d = len(rays)
+    dets = tuple(_det(rays[i], rays[(i + 1) % d]) for i in range(d))
+    f_values = tuple(
+        _i64(
+            _det(rays[i - 1], rays[i]) + _det(rays[i], rays[(i + 1) % d]) + _det(rays[(i + 1) % d], rays[i - 1]),
+            "f value",
+        )
+        for i in range(d)
+    )
+    return {
+        "d": d,
+        "picard_number": d - 2,
+        "dets": dets,
+        "f_values": f_values,
+        "anticanonical_degrees": tuple(Fraction(f_values[i], dets[i - 1] * dets[i]) for i in range(d)),
+        "is_log_del_pezzo": min(f_values) >= 1,
+        "singular_count": sum(1 for det in dets if det >= 2),
+    }
+
+
+def _solve_onto_basis(u1: Point, u2: Point) -> tuple[int, int, int, int]:
+    """solve_map(u1, u2, (1, 0), (0, 1)) for a determinant-1 pair, checked
+    step by step as solve_map does it."""
+    (w1x, w1y), (w2x, w2y) = (1, 0), (0, 1)
+    base = _det(u1, u2)
+    numerators = (
+        _i64(_i64(w1x * u2[1], "solve") - _i64(w2x * u1[1], "solve"), "solve numerator"),
+        _i64(_i64(u1[0] * w2x, "solve") - _i64(u2[0] * w1x, "solve"), "solve numerator"),
+        _i64(_i64(w1y * u2[1], "solve") - _i64(w2y * u1[1], "solve"), "solve numerator"),
+        _i64(_i64(u1[0] * w2y, "solve") - _i64(u2[0] * w1y, "solve"), "solve numerator"),
+    )
+    a, b, c, d = (_i64(num // base, "solve entry") for num in numerators)
+    for name, entry in zip("abcd", (a, b, c, d)):
+        _i64(entry, f"matrix entry {name}")
+    _i64(_i64(a * d, "det term") - _i64(b * c, "det term"), "matrix determinant")
+    return a, b, c, d
+
+
+def _apply(m: tuple[int, int, int, int], v: Point) -> Point:
+    a, b, c, d = m
+    return _vector(
+        _i64(_i64(a * v[0], "map product") + _i64(b * v[1], "map product"), "map image x"),
+        _i64(_i64(c * v[0], "map product") + _i64(d * v[1], "map product"), "map image y"),
+    )
+
+
+def ref_basis_readings(rays: tuple[Point, ...]) -> list[tuple[Point, ...]]:
+    mirrored = tuple(_vector(x, -y) for x, y in reversed(rays))
+    readings = []
+    for cyc in (rays, mirrored):
+        for shift in range(len(cyc)):
+            rot = cyc[shift:] + cyc[:shift]
+            if _det(rot[0], rot[1]) != 1:
+                continue
+            m = _solve_onto_basis(rot[0], rot[1])
+            readings.append(tuple(_apply(m, v) for v in rot))
+    return readings
+
+
+def ref_identify(poly: LdpPolygon) -> FamilyParams | None:
+    """identify(poly) with the default bound, its arithmetic on the checked
+    reference; the family table, constraints and the dais equivalence test
+    are the package's."""
+    rays = tuple(v.as_tuple() for v in poly.vertices)
+    singular = ref_analyze(rays)["singular_count"]
+    tags = [tag for tag, spec in FAMILY_SPECS.items() if (spec.singular, spec.d) == (singular, len(rays))]
+    if not tags:
+        return None
+    spec = FAMILY_SPECS[tags[0]]
+    bound = ref_twice_area(rays)
+    if spec.read is None:
+        candidates = {(ref_twice_area(rays) - len(rays),)}
+    else:
+        candidates = {spec.read(rd) for rd in ref_basis_readings(rays) if spec.vertices(*spec.read(rd)) == rd}
+    for values in sorted(candidates):
+        fp = FamilyParams(tags[0], **dict(zip(spec.params, values)))
+        if not check_params(fp) or any(abs(v) > bound for v in values):
+            continue
+        if spec.read is not None or are_equivalent(generate(fp).polygon, poly) is not None:
+            return fp
+    return None

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import ldptoric
 from ldptoric import classify_catalog, enumerate_ldp
 from ldptoric.cli import entry_from_dict, entry_to_dict, main, read_catalog, write_catalog
 from ldptoric.enumeration import CHECKS, VerificationReport
@@ -174,10 +175,14 @@ def test_enumerate_to_file_with_sidecar(tmp_path, capsys):
     assert meta["jobs"] == 1
     assert meta["classes"] == 11
     assert "elapsed_seconds" in meta and "generated_at" in meta
-    # data bytes contain no timestamps: reruns are byte-identical
+    assert meta["version"] == ldptoric.__version__
     first_bytes = out_path.read_bytes()
+    assert meta["sha256"] == hashlib.sha256(first_bytes).hexdigest()
+    # data bytes contain no timestamps: reruns are byte-identical
     run(capsys, "enumerate", "--box", "1", "--jobs", "2", "--out", str(out_path))
     assert out_path.read_bytes() == first_bytes
+    meta2 = json.loads((tmp_path / "box1.jsonl.meta.json").read_text())
+    assert meta2["sha256"] == meta["sha256"]
 
 
 def test_classify_pipeline(tmp_path, capsys):

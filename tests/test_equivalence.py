@@ -12,7 +12,6 @@ from ldptoric import (
     apply_to_polygon,
     are_equivalent,
     canonical_form,
-    compose_maps,
     enumerate_raw,
     parse_vertices,
     random_unimodular_map,
@@ -20,6 +19,8 @@ from ldptoric import (
     validate_ldp_polygon,
 )
 from ldptoric.lattice import I64_MAX, I64_MIN
+
+from oracles import large_shear_product
 
 
 def poly(text: str):
@@ -234,19 +235,6 @@ def test_canonical_form_has_no_spurious_overflow():
     assert canonical_form(big).vertices == canonical_form(small).vertices
 
 
-def _large_shear_product(rng: random.Random, cap: int = 2**31) -> UnimodularMap:
-    # Product of shears with multipliers up to 64, stopped before an entry passes cap.
-    m = IDENTITY_MAP
-    for _ in range(12):
-        a = rng.randint(-64, 64)
-        shear = UnimodularMap(1, a, 0, 1) if rng.random() < 0.5 else UnimodularMap(1, 0, a, 1)
-        candidate = compose_maps(shear, m)
-        if max(abs(e) for e in (candidate.a, candidate.b, candidate.c, candidate.d)) > cap:
-            break
-        m = candidate
-    return m
-
-
 def test_canonical_form_on_large_images_of_box_two(box2_catalog):
     # Images with coordinates near 2**32: the checked-arithmetic normalization
     # this replaced raised LatticeOverflowError on 6 of these valid images.
@@ -256,7 +244,7 @@ def test_canonical_form_on_large_images_of_box_two(box2_catalog):
         base = entry.polygon()
         for _ in range(20):
             try:
-                image = apply_to_polygon(_large_shear_product(rng), base)
+                image = apply_to_polygon(large_shear_product(rng), base)
             except LatticeOverflowError:
                 continue
             valid += 1
