@@ -112,17 +112,11 @@ def _chains_from(
     return found
 
 
-def _box_points(n: int) -> tuple[list[RayVector], list[tuple[int, int]]]:
-    """primitive_points(n) and the same points as int tuples, computed once
-    per enumeration and shared by every shard."""
-    points = primitive_points(n)
-    return points, [v.as_tuple() for v in points]
-
-
 def enumerate_raw(n: int) -> list[tuple[RayVector, ...]]:
     """Every LDP polygon cycle with vertices in the box, one rotation each
     (starting at the angularly smallest vertex), all re-validated."""
-    points, pts = _box_points(n)
+    points = primitive_points(n)
+    pts = [v.as_tuple() for v in points]
     cycles: list[tuple[RayVector, ...]] = []
     for start in range(len(points)):
         for chain in _chains_from(points, pts, start):
@@ -176,7 +170,9 @@ def enumerate_ldp(box: BoxSpec | int, jobs: int | None = 1) -> list[CatalogEntry
     """
     if isinstance(box, int):
         box = BoxSpec(box)
-    points, pts = _box_points(box.n)
+    # Computed once per call and shared by every shard.
+    points = primitive_points(box.n)
+    pts = [v.as_tuple() for v in points]
     shard_args = [(points, pts, s) for s in range(len(points))]
     canon: set[tuple[tuple[int, int], ...]] = set()
     if jobs == 1:
