@@ -36,6 +36,7 @@ ERROR_KINDS = [
     ([(1, 0), (0, 2), (-1, -1)], NonPrimitiveRay),
     ([(1, 0), (0, 1), (1, 0), (-1, -1)], DuplicateRay),
     ([(1, 0), (-1, -1), (0, 1)], NotCounterclockwise),
+    ([(1, 0), (-1, 0), (0, 1)], NotCounterclockwise),  # a half-turn step, determinant 0
     ([(1, 0), (-1, 1), (0, -1), (1, 1), (-2, -1)], BadWinding),
     ([(1, 0), (0, 1), (-2, -1), (-3, -2)], NotStrictlyConvex),
 ]
