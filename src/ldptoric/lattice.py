@@ -2,17 +2,19 @@
 
 Everything downstream (fans, polygons, equivalence, enumeration) reduces to
 the handful of operations here: signed 2x2 determinants, primitivity tests,
-and integer matrix maps.  All arithmetic is exact, and every value the
-package computes lies in the signed 64-bit range or raises
-LatticeOverflowError.  That contract is enforced in two places:
+and integer matrix maps.  All arithmetic is exact, and every vertex, map
+entry, determinant, vertex turn and f-value the package computes lies in
+the signed 64-bit range, or the call raises LatticeOverflowError.  That
+contract is enforced in two places:
 
 - `within_kernel_bound`: validation, surface analysis, twice the area and
   the family basis readings run on plain int tuples when every coordinate
   is below 2**30 in absolute value, a bound under which no intermediate can
   leave the range (the proof is in its docstring), so nothing is checked;
 - the checked RayVector arithmetic below (`checked_i64` on every product,
-  sum and coordinate), which runs at or above that bound and is the only
-  path that raises.
+  sum and coordinate), which those kernels fall back on at or above that
+  bound and which maps, equivalence and canonical vertices always use; it
+  is the only arithmetic that raises.
 """
 
 from __future__ import annotations
