@@ -7,14 +7,18 @@ entry, determinant, vertex turn and f-value the package computes lies in
 the signed 64-bit range, or the call raises LatticeOverflowError.  That
 contract is enforced in two places:
 
-- `within_kernel_bound`: validation, surface analysis, twice the area and
-  the family basis readings run on plain int tuples when every coordinate
-  is below 2**30 in absolute value, a bound under which no intermediate can
-  leave the range (the proof is in its docstring), so nothing is checked;
+- `within_kernel_bound`: the validation turns, the f-values and the family
+  basis readings run on plain int tuples when every coordinate is below
+  2**30 in absolute value, a bound under which no intermediate can leave
+  the range (the proof is in its docstring), so nothing is checked;
 - the checked RayVector arithmetic below (`checked_i64` on every product,
   sum and coordinate), which those kernels fall back on at or above that
   bound and which maps, equivalence and canonical vertices always use; it
   is the only arithmetic that raises.
+
+The cone determinants of a validated cycle were computed in validation
+under one of the two, so analyze and twice_area recompute them on plain
+ints at any size.
 """
 
 from __future__ import annotations

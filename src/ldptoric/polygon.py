@@ -7,9 +7,9 @@ which is exactly the log del Pezzo condition on the associated surface.
 
 All validation-error indices reported here are 1-based, matching the cyclic
 convention used by every external surface of the package.  The turn and
-convexity checks and twice_area run on plain int tuples when the coordinates
-are within lattice.within_kernel_bound, and on checked RayVector arithmetic
-otherwise; both give the same results and errors in the same order.
+convexity checks run on plain int tuples when the coordinates are within
+lattice.within_kernel_bound, and on checked RayVector arithmetic otherwise;
+both give the same results and errors in the same order.
 """
 
 from __future__ import annotations
@@ -159,18 +159,15 @@ def _validate_fan(points: Sequence) -> tuple[tuple[RayVector, ...], list[tuple[i
         for i, ((x0, y0), (x1, y1)) in enumerate(zip(pts, pts[1:] + pts[:1]), start=1):
             if x0 * y1 - x1 * y0 <= 0:
                 raise NotCounterclockwise(i)
-        # Each step now turns strictly ccw by less than a half-turn, so it
-        # wraps past the reference axis exactly when it leaves the lower
-        # half-plane (angle_less is False there and only there).
-        lower = [y < 0 or (y == 0 and x < 0) for x, y in pts]
-        winding = sum(1 for a, b in zip(lower, lower[1:] + lower[:1]) if a and not b)
     else:
         for i in range(d):
             if det2(rays[i], rays[(i + 1) % d]) <= 0:
                 raise NotCounterclockwise(i + 1)
-        # Every step is now a strict ccw turn smaller than a half-turn, so the
-        # winding number equals the count of wrap-arounds past the reference axis.
-        winding = sum(1 for i in range(d) if not angle_less(rays[i], rays[(i + 1) % d]))
+    # Each step now turns strictly ccw by less than a half-turn, so it wraps
+    # past the reference axis exactly when it leaves the lower half-plane
+    # (angle_less is False there and only there).
+    lower = [y < 0 or (y == 0 and x < 0) for x, y in pts]
+    winding = sum(1 for a, b in zip(lower, lower[1:] + lower[:1]) if a and not b)
     if winding != 1:
         raise BadWinding(winding)
     return rays, pts, small
@@ -213,12 +210,13 @@ def validate_ldp_polygon(points: Sequence) -> LdpPolygon:
 
 
 def twice_area(poly: LdpPolygon | FanCycle) -> int:
-    """Twice the polygon area: the sum of all cone determinants.  Always positive."""
+    """Twice the polygon area: the sum of all cone determinants.  Always positive.
+
+    Plain int arithmetic: validation has already computed every one of these
+    determinants with the checked det2 or under the kernel bound."""
     cycle = poly.cycle if isinstance(poly, LdpPolygon) else poly
     pts = [(v.x, v.y) for v in cycle.rays]
-    if within_kernel_bound(pts):
-        return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
-    return sum(cycle.cone_det(i) for i in range(1, cycle.d + 1))
+    return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
 
 
 def parse_vertices(text: str) -> list[RayVector]:

@@ -68,9 +68,11 @@ def analyze(cycle: FanCycle | LdpPolygon) -> SurfaceReport:
     cycle = _as_cycle(cycle)
     d = cycle.d
     pts = [(v.x, v.y) for v in cycle.rays]
+    nxt = pts[1:] + pts[:1]
+    # Validation has already computed these with the checked det2 or under
+    # the kernel bound.
+    dets = tuple(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, nxt))
     if within_kernel_bound(pts):
-        nxt = pts[1:] + pts[:1]
-        dets = tuple(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, nxt))
         # f(i) = det(v_{i-1}, v_i) + det(v_i, v_{i+1}) + det(v_{i+1}, v_{i-1}).
         prv = pts[-1:] + pts[:-1]
         f_values = tuple(
@@ -78,7 +80,6 @@ def analyze(cycle: FanCycle | LdpPolygon) -> SurfaceReport:
             for i, ((x0, y0), (x1, y1)) in enumerate(zip(prv, nxt))
         )
     else:
-        dets = tuple(cycle.cone_det(i) for i in range(1, d + 1))
         f_values = tuple(f_value(cycle, i) for i in range(1, d + 1))
     cones = tuple(ConeRecord(i, dets[i - 1], dets[i - 1] >= 2) for i in range(1, d + 1))
     degrees = tuple(
