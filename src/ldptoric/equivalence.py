@@ -4,6 +4,10 @@ Two polygons are equivalent when an integer matrix of determinant +-1 maps
 the vertex set of one onto the other.  Any such map carries adjacent vertex
 pairs to adjacent vertex pairs, so equivalence is decidable by solving for
 the map on one fixed pair against every ordered adjacent pair of the target.
+Only targets whose determinant is +-det of that pair can succeed, so only
+those are solved, by Cramer's rule on exact ints, and the image set is
+compared on exact ints; the 64-bit contract is enforced once, when the
+returned UnimodularMap is built.
 
 The canonical form picks a distinguished representative of each class: every
 rotation of the vertex cycle (and of the mirrored, re-reversed cycle, unless
@@ -15,8 +19,9 @@ coordinates or starting vertex, which makes the form a valid dedup key.
 The pair (k, D) depends only on the anchor pair (D is their determinant, k
 the Bezout row applied to the second vertex, reduced mod D), so it is
 computed for every anchor first and only the anchors tied for the least
-pair are normalized in full.  This runs on exact int tuples; the 64-bit
-contract is enforced once, when the winning vertices become RayVectors.
+pair are normalized in full.  This runs on exact int tuples, the mirrored
+cycle included; the 64-bit contract is enforced once, when the winning
+vertices become RayVectors.
 """
 
 from __future__ import annotations
@@ -26,11 +31,11 @@ from dataclasses import dataclass
 
 from .lattice import (
     IDENTITY_MAP,
+    LatticeOverflowError,
     RayVector,
     UnimodularMap,
     apply_map,
     compose_maps,
-    solve_map,
 )
 from .polygon import LdpPolygon, format_vertices, twice_area, validate_ldp_polygon
 
@@ -74,12 +79,11 @@ def canonical_form(poly: LdpPolygon, orientation_preserving: bool = False) -> Ca
     With orientation_preserving=True only determinant +1 maps are allowed, so
     a chiral polygon and its mirror image get distinct forms.
     """
-    cycles = [poly.vertices]
+    cycles = [[v.as_tuple() for v in poly.vertices]]
     if not orientation_preserving:
-        cycles.append(mirrored_cycle(poly.vertices))
+        cycles.append([(x, -y) for x, y in reversed(cycles[0])])
     anchors = []
-    for cyc in cycles:
-        pts = [v.as_tuple() for v in cyc]
+    for pts in cycles:
         for i, (x0, y0) in enumerate(pts):
             x1, y1 = pts[(i + 1) % len(pts)]
             _, s, t = _ext_gcd(x0, y0)
@@ -108,25 +112,43 @@ def are_equivalent(
 
     Complete search: an equivalence must send the adjacent pair (v1, v2) of q
     to an ordered adjacent pair of r (reversed order for determinant -1 maps),
-    so all 2 * d such targets are tried via solve_map.
+    so all 2 * d such targets are tried, in exact ints.  A connecting map
+    with an entry outside the signed 64-bit range raises LatticeOverflowError
+    when no other connecting map fits.
     """
     if q.d != r.d or twice_area(q) != twice_area(r):
         return None
-    v1, v2 = q.vertices[0], q.vertices[1]
-    r_set = set(r.vertices)
-    rv = r.vertices
+    q_pts = [v.as_tuple() for v in q.vertices]
+    r_pts = [v.as_tuple() for v in r.vertices]
+    r_set = set(r_pts)
+    (x1, y1), (x2, y2) = q_pts[0], q_pts[1]
+    base = x1 * y2 - x2 * y1
+    overflow = None
     for j in range(r.d):
-        targets = [(rv[j], rv[(j + 1) % r.d])]
+        w, w_next = r_pts[j], r_pts[(j + 1) % r.d]
+        # A map of determinant +-1 sends (v1, v2) to a pair of determinant
+        # +-base, and only the forward (reversed) pair can have +base (-base).
+        if w[0] * w_next[1] - w_next[0] * w[1] != base:
+            continue
+        targets = [(w, w_next)]
         if not orientation_preserving:
-            targets.append((rv[(j + 1) % r.d], rv[j]))
-        for w1, w2 in targets:
-            m = solve_map(v1, v2, w1, w2)
-            if m is None:
+            targets.append((w_next, w))
+        for (u1, z1), (u2, z2) in targets:
+            # Cramer on the two rows of the map; an integral solution then
+            # has determinant +-1.
+            a, ra = divmod(u1 * y2 - u2 * y1, base)
+            b, rb = divmod(x1 * u2 - x2 * u1, base)
+            c, rc = divmod(z1 * y2 - z2 * y1, base)
+            d, rd = divmod(x1 * z2 - x2 * z1, base)
+            if ra or rb or rc or rd:
                 continue
-            if orientation_preserving and m.det() != 1:
-                continue
-            if {apply_map(m, v) for v in q.vertices} == r_set:
-                return m
+            if {(a * x + b * y, c * x + d * y) for x, y in q_pts} == r_set:
+                try:
+                    return UnimodularMap(a, b, c, d)
+                except LatticeOverflowError as exc:
+                    overflow = overflow or exc
+    if overflow is not None:
+        raise overflow
     return None
 
 

@@ -12,10 +12,16 @@ five-vertex classes with three:
   three5  [(1,0), (0,1), (-1,p), (q,r), (s,t)]         d=5, three singular points
 
 FAMILY_SPECS holds one FamilySpec per tag: parameter names, singular count,
-d, the vertex list above, the named constraints, and (for the four families
-given on the standard basis) how to read the parameters off a polygon.
-identify() decides membership for a concrete polygon; classify_three() sorts
-the three-singular-point classes into the cases that exhaust them for d <= 6.
+d, the vertex list above, the named constraints, an anchor and a reader.  The
+anchor is the index of a fixed determinant-1 vertex pair of the template:
+(1,0), (0,1) at index 0 for two1/two2/two3/three5, (-1,0), (1,-1) at index 2
+for dais1 and 3 for dais2, (-1,0), (0,-1) at index 3 for dais3.  Mapping the
+template so that pair becomes the standard basis gives its reading at the
+anchor, and the reader recovers the parameters from that reading.
+identify() decides all seven families the same way, by comparing the basis
+readings of a polygon with the template's reading at its anchor;
+classify_three() sorts the three-singular-point classes into the cases that
+exhaust them for d <= 6.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .polygon import (
     validate_ldp_polygon,
 )
 from .surface import analyze, blow_down, blow_down_candidates
-from .equivalence import are_equivalent, mirrored_cycle
+from .equivalence import mirrored_cycle
 
 
 @dataclass(frozen=True)
@@ -41,9 +47,10 @@ class FamilySpec:
 
     `constraints` and `vertices` take the parameters in `params` order;
     `constraints` returns (name, holds) pairs in the order generate() reports
-    them.  `read` maps a basis reading (a vertex cycle starting (1, 0),
-    (0, 1)) to the parameters it has if it is the family polygon; the dais
-    families have none, as the area forces their parameter.
+    them.  `anchor` is the index in `vertices` of a determinant-1 pair
+    (vertex anchor and its successor); `read` maps a basis reading (a vertex
+    cycle starting (1, 0), (0, 1)) to the parameters it has if it is the
+    family polygon read on the basis of that pair.
     """
 
     params: tuple[str, ...]
@@ -51,7 +58,8 @@ class FamilySpec:
     d: int
     constraints: Callable[..., list[tuple[str, bool]]]
     vertices: Callable[..., tuple[tuple[int, int], ...]]
-    read: Callable[[tuple[tuple[int, int], ...]], tuple[int, ...]] | None = None
+    read: Callable[[tuple[tuple[int, int], ...]], tuple[int, ...]]
+    anchor: int = 0
 
 
 def _dais_constraints(p):
@@ -102,13 +110,20 @@ def _three5_constraints(p, q, r, s, t):
     ]
 
 
+# The dais readings at their anchors: dais1 ((1,0), (0,1), (-p-1,-1)), dais2
+# the same plus (-p,-1), dais3 ((1,0), (0,1), (-1,1), (-p,-1), (1-p,-1)).
 FAMILY_SPECS = {
-    "dais1": FamilySpec(("p",), 1, 3, _dais_constraints, lambda p: ((1, -1), (p, 1), (-1, 0))),
+    "dais1": FamilySpec(
+        ("p",), 1, 3, _dais_constraints, lambda p: ((1, -1), (p, 1), (-1, 0)),
+        read=lambda rd: (-rd[2][0] - 1,), anchor=2,
+    ),
     "dais2": FamilySpec(
-        ("p",), 1, 4, _dais_constraints, lambda p: ((1, -1), (p, 1), (p - 1, 1), (-1, 0))
+        ("p",), 1, 4, _dais_constraints, lambda p: ((1, -1), (p, 1), (p - 1, 1), (-1, 0)),
+        read=lambda rd: (-rd[2][0] - 1,), anchor=3,
     ),
     "dais3": FamilySpec(
-        ("p",), 1, 5, _dais_constraints, lambda p: ((1, -1), (p, 1), (p - 1, 1), (-1, 0), (0, -1))
+        ("p",), 1, 5, _dais_constraints, lambda p: ((1, -1), (p, 1), (p - 1, 1), (-1, 0), (0, -1)),
+        read=lambda rd: (-rd[3][0],), anchor=3,
     ),
     "two1": FamilySpec(
         ("p", "q"), 2, 3, _two1_constraints, lambda p, q: ((1, 0), (0, 1), (-p, -q)),
@@ -209,6 +224,20 @@ _E1 = RayVector(1, 0)
 _E2 = RayVector(0, 1)
 
 
+def _read_on_pair(rot, sign: int = 1) -> tuple[tuple[int, int], ...]:
+    """The int tuples `rot` mapped by the inverse of the matrix with columns
+    a, b = rot[0], rot[1], whose determinant must be sign = +-1: that inverse
+    sends v to sign * (det(v, b), det(a, v))."""
+    (ax, ay), (bx, by) = rot[0], rot[1]
+    return tuple((sign * (x * by - bx * y), sign * (ax * y - x * ay)) for x, y in rot)
+
+
+def _anchor_reading(spec: FamilySpec, values: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The family polygon with these parameters, read on its anchor pair."""
+    pts = spec.vertices(*values)
+    return _read_on_pair(pts[spec.anchor:] + pts[:spec.anchor])
+
+
 def _basis_readings(poly: LdpPolygon) -> list[tuple[tuple[int, int], ...]]:
     """Vertex cycles of `poly` remapped so the leading two rays become the
     standard basis: one reading per adjacent determinant-1 ray pair, in both
@@ -217,18 +246,16 @@ def _basis_readings(poly: LdpPolygon) -> list[tuple[tuple[int, int], ...]]:
     starts (1,0), (0,1) shows up among them."""
     pts = [(v.x, v.y) for v in poly.vertices]
     if within_kernel_bound(pts):
-        # The inverse of the matrix with columns a, b and determinant D = +-1
-        # sends v to D * (det(v, b), det(a, v)).  Read backwards with D = -1,
-        # this gives the readings of the mirrored cycle: reflecting all
-        # vertices first changes neither the pairs nor their readings.
+        # Read backwards with determinant -1 pairs, this gives the readings of
+        # the mirrored cycle: reflecting all vertices first changes neither
+        # the pairs nor their readings.
         readings = []
         for cyc, sign in ((pts, 1), (pts[::-1], -1)):
             for shift in range(len(cyc)):
                 rot = cyc[shift:] + cyc[:shift]
                 (ax, ay), (bx, by) = rot[0], rot[1]
                 if ax * by - bx * ay == sign:
-                    reading = tuple((sign * (x * by - bx * y), sign * (ax * y - x * ay)) for x, y in rot)
-                    readings.append(reading)
+                    readings.append(_read_on_pair(rot, sign))
         return readings
     readings = []
     for cyc in (poly.vertices, mirrored_cycle(poly.vertices)):
@@ -256,24 +283,18 @@ def identify(poly: LdpPolygon, bound: int | None = None) -> FamilyParams | None:
     spec = FAMILY_SPECS[tag]
     if bound is None:
         bound = twice_area(poly)
-    if spec.read is None:
-        # A dais polygon has one cone of determinant p + 1 and d - 1 smooth
-        # cones, so its twice-area is p + d and p is forced.
-        candidates = {(twice_area(poly) - poly.d,)}
-    else:
-        # Each reading is the image of `poly` under a determinant +-1 map, so
-        # one that equals the family polygon proves the equivalence itself.
-        candidates = set()
-        for rd in _basis_readings(poly):
-            values = spec.read(rd)
-            if spec.vertices(*values) == rd:
-                candidates.add(values)
+    # Each reading is the image of `poly` under a determinant +-1 map, so one
+    # that equals the family polygon's reading at its anchor proves the
+    # equivalence itself; every equivalence sends the anchor pair onto one
+    # of the pairs read.
+    candidates = set()
+    for rd in _basis_readings(poly):
+        values = spec.read(rd)
+        if _anchor_reading(spec, values) == rd:
+            candidates.add(values)
     for values in sorted(candidates):
         fp = FamilyParams(tag, **dict(zip(spec.params, values)))
-        if not check_params(fp) or any(abs(v) > bound for v in values):
-            continue
-        # Only the area-derived dais candidate still needs an equivalence test.
-        if spec.read is not None or are_equivalent(generate(fp).polygon, poly) is not None:
+        if check_params(fp) and all(abs(v) <= bound for v in values):
             return fp
     return None
 

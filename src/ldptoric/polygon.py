@@ -96,7 +96,10 @@ def angular_sort(points: Iterable[RayVector]) -> list[RayVector]:
 
 @dataclass(frozen=True)
 class FanCycle:
-    """Counterclockwise cycle of primitive rays winding once around the origin."""
+    """Counterclockwise cycle of primitive rays winding once around the origin.
+
+    surface.analyze memoizes its report on the cycle as the attribute
+    `_report`, which is no dataclass field: ==, hash and repr ignore it."""
 
     rays: tuple[RayVector, ...]
 

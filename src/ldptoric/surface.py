@@ -6,6 +6,12 @@ more a singular point of that local index.  The f-value at a ray decides the
 log del Pezzo condition: the surface is log del Pezzo iff f >= 1 everywhere,
 and f(i) divided by the two adjacent cone determinants is the exact
 anticanonical degree of the boundary divisor at ray i.
+
+analyze() computes the report of a FanCycle object once and memoizes it on
+that (immutable) cycle, outside its dataclass fields, so the memo takes no
+part in ==, hash or repr.  Callers that pass the same polygon or cycle on,
+such as the tagging path (analyze, identify, classify_three), share one
+computation.
 """
 
 from __future__ import annotations
@@ -64,8 +70,20 @@ def f_value(cycle: FanCycle | LdpPolygon, i: int) -> int:
 
 
 def analyze(cycle: FanCycle | LdpPolygon) -> SurfaceReport:
-    """Full singularity and degree report for the surface of a validated cycle."""
+    """Full singularity and degree report for the surface of a validated cycle.
+
+    Computed on the first call for a cycle object; later calls return the
+    same report object."""
     cycle = _as_cycle(cycle)
+    report = cycle.__dict__.get("_report")
+    if report is None:
+        report = _surface_report(cycle)
+        object.__setattr__(cycle, "_report", report)  # FanCycle is frozen
+    return report
+
+
+def _surface_report(cycle: FanCycle) -> SurfaceReport:
+    """analyze() without the memo."""
     d = cycle.d
     pts = [(v.x, v.y) for v in cycle.rays]
     nxt = pts[1:] + pts[:1]

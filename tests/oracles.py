@@ -4,13 +4,21 @@ The subset oracle enumerates polygons by brute force over point subsets with
 float-angle sorting, sharing nothing with the production depth-first search;
 agreement between the two is asserted exactly.
 
-The checked reference (`ref_validate_fan` ... `ref_identify`) restates the
-package's checked RayVector arithmetic on plain int tuples: every coordinate,
-product, difference and sum is checked against the signed 64-bit range in the
-same order and with the same messages, and the validation checks run in the
-same order with the same typed errors.  It takes no shortcut for small
-coordinates, so it pins what the int-tuple kernels must reproduce below the
-kernel bound and what the checked path must keep doing above it.
+The checked reference (`ref_validate_fan` ... `ref_are_equivalent`) restates
+the package's checked RayVector arithmetic on plain int tuples: every
+coordinate, product, difference and sum is checked against the signed 64-bit
+range in the same order and with the same messages, and the validation checks
+run in the same order with the same typed errors.  It takes no shortcut for
+small coordinates, so it pins what the int-tuple kernels must reproduce below
+the kernel bound and what the checked path must keep doing above it.
+`ref_are_equivalent` is the equivalence search as it ran on that checked
+arithmetic (`solve_map` and `apply_map` on every target pair), before the
+search moved to exact ints.
+
+The brute-force canonical form (`_oracle_form`) normalizes every anchor in
+full with its own Bezout recursion; `ref_identify` decides dais membership
+with it, so it shares no code with the package's equivalence or family
+readings.
 """
 
 from __future__ import annotations
@@ -34,7 +42,6 @@ from ldptoric import (
     NotStrictlyConvex,
     UnimodularMap,
     apply_to_polygon,
-    are_equivalent,
     canonical_form,
     check_params,
     compose_maps,
@@ -193,22 +200,30 @@ def ref_analyze(rays: tuple[Point, ...]) -> dict:
     }
 
 
-def _solve_onto_basis(u1: Point, u2: Point) -> tuple[int, int, int, int]:
-    """solve_map(u1, u2, (1, 0), (0, 1)) for a determinant-1 pair, checked
-    step by step as solve_map does it."""
-    (w1x, w1y), (w2x, w2y) = (1, 0), (0, 1)
+def _solve_map(u1: Point, u2: Point, w1: Point, w2: Point) -> tuple[int, int, int, int] | None:
+    """solve_map(u1, u2, w1, w2) as (a, b, c, d), checked step by step as
+    solve_map does it."""
     base = _det(u1, u2)
     numerators = (
-        _i64(_i64(w1x * u2[1], "solve") - _i64(w2x * u1[1], "solve"), "solve numerator"),
-        _i64(_i64(u1[0] * w2x, "solve") - _i64(u2[0] * w1x, "solve"), "solve numerator"),
-        _i64(_i64(w1y * u2[1], "solve") - _i64(w2y * u1[1], "solve"), "solve numerator"),
-        _i64(_i64(u1[0] * w2y, "solve") - _i64(u2[0] * w1y, "solve"), "solve numerator"),
+        _i64(_i64(w1[0] * u2[1], "solve") - _i64(w2[0] * u1[1], "solve"), "solve numerator"),
+        _i64(_i64(u1[0] * w2[0], "solve") - _i64(u2[0] * w1[0], "solve"), "solve numerator"),
+        _i64(_i64(w1[1] * u2[1], "solve") - _i64(w2[1] * u1[1], "solve"), "solve numerator"),
+        _i64(_i64(u1[0] * w2[1], "solve") - _i64(u2[0] * w1[1], "solve"), "solve numerator"),
     )
-    a, b, c, d = (_i64(num // base, "solve entry") for num in numerators)
-    for name, entry in zip("abcd", (a, b, c, d)):
+    entries = []
+    for num in numerators:
+        quot, rem = divmod(num, base)
+        if rem:
+            return None
+        entries.append(_i64(quot, "solve entry"))
+    for name, entry in zip("abcd", entries):
         _i64(entry, f"matrix entry {name}")
-    _i64(_i64(a * d, "det term") - _i64(b * c, "det term"), "matrix determinant")
-    return a, b, c, d
+    return tuple(entries) if _map_det(tuple(entries)) in (1, -1) else None
+
+
+def _map_det(m: tuple[int, int, int, int]) -> int:
+    a, b, c, d = m
+    return _i64(_i64(a * d, "det term") - _i64(b * c, "det term"), "matrix determinant")
 
 
 def _apply(m: tuple[int, int, int, int], v: Point) -> Point:
@@ -227,30 +242,98 @@ def ref_basis_readings(rays: tuple[Point, ...]) -> list[tuple[Point, ...]]:
             rot = cyc[shift:] + cyc[:shift]
             if _det(rot[0], rot[1]) != 1:
                 continue
-            m = _solve_onto_basis(rot[0], rot[1])
+            m = _solve_map(rot[0], rot[1], (1, 0), (0, 1))
             readings.append(tuple(_apply(m, v) for v in rot))
     return readings
 
 
+def ref_are_equivalent(
+    q: LdpPolygon, r: LdpPolygon, orientation_preserving: bool = False
+) -> tuple[int, int, int, int] | None:
+    """The checked equivalence search: the map (a, b, c, d) of the first
+    target pair, in search order, that carries q's vertex set onto r's, or
+    None; LatticeOverflowError wherever the checked arithmetic overflows."""
+    qv = tuple(v.as_tuple() for v in q.vertices)
+    rv = tuple(v.as_tuple() for v in r.vertices)
+    if len(qv) != len(rv) or ref_twice_area(qv) != ref_twice_area(rv):
+        return None
+    d, r_set = len(rv), set(rv)
+    for j in range(d):
+        targets = [(rv[j], rv[(j + 1) % d])]
+        if not orientation_preserving:
+            targets.append((rv[(j + 1) % d], rv[j]))
+        for w1, w2 in targets:
+            m = _solve_map(qv[0], qv[1], w1, w2)
+            if m is None or (orientation_preserving and _map_det(m) != 1):
+                continue
+            if {_apply(m, v) for v in qv} == r_set:
+                return m
+    return None
+
+
+def _oracle_bezout(a: int, b: int) -> tuple[int, int]:
+    # (s, t) with s*a + t*b == 1 for a primitive (a, b).
+    if b == 0:
+        assert a in (1, -1)
+        return a, 0
+    q, r = divmod(a, b)
+    s, t = _oracle_bezout(b, r)
+    return t, s - q * t
+
+
+def _oracle_form(vertices, orientation_preserving: bool):
+    """Brute-force canonical form: every anchor of the cycle (and of its
+    mirror) fully normalized, lexicographic minimum.  No library helpers."""
+    pts = [(v.x, v.y) for v in vertices]
+    cycles = [pts]
+    if not orientation_preserving:
+        cycles.append([(x, -y) for x, y in reversed(pts)])
+    best = None
+    for cyc in cycles:
+        for i in range(len(cyc)):
+            rot = cyc[i:] + cyc[:i]
+            (x0, y0), (x1, y1) = rot[0], rot[1]
+            s, t = _oracle_bezout(x0, y0)
+            # Rows (s, t) and (-y0, x0) send rot[0] to (1, 0); the shear then
+            # reduces the second image (u, span) to 0 <= u < span.
+            u, span = s * x1 + t * y1, x0 * y1 - x1 * y0
+            shift = -(u // span)
+            form = [(s * x + t * y + shift * (x0 * y - y0 * x), x0 * y - y0 * x) for x, y in rot]
+            assert form[0] == (1, 0) and 0 <= form[1][0] < form[1][1]
+            if best is None or form < best:
+                best = form
+    return tuple(best)
+
+
+DAIS_TAGS = ("dais1", "dais2", "dais3")
+
+
 def ref_identify(poly: LdpPolygon) -> FamilyParams | None:
     """identify(poly) with the default bound, its arithmetic on the checked
-    reference; the family table, constraints and the dais equivalence test
-    are the package's."""
+    reference; the family table and constraints are the package's.  The
+    checked basis readings are taken for every family, as identify takes
+    them, so both raise alike.  The template families are read off them; a
+    dais polygon's parameter is forced by its area (one cone of determinant
+    p + 1 and d - 1 smooth cones), and its membership decided by equal
+    brute-force forms of the family polygon and `poly`."""
     rays = tuple(v.as_tuple() for v in poly.vertices)
     singular = ref_analyze(rays)["singular_count"]
     tags = [tag for tag, spec in FAMILY_SPECS.items() if (spec.singular, spec.d) == (singular, len(rays))]
     if not tags:
         return None
-    spec = FAMILY_SPECS[tags[0]]
+    tag, spec = tags[0], FAMILY_SPECS[tags[0]]
     bound = ref_twice_area(rays)
-    if spec.read is None:
+    readings = ref_basis_readings(rays)
+    if tag in DAIS_TAGS:
         candidates = {(ref_twice_area(rays) - len(rays),)}
     else:
-        candidates = {spec.read(rd) for rd in ref_basis_readings(rays) if spec.vertices(*spec.read(rd)) == rd}
+        candidates = {spec.read(rd) for rd in readings if spec.vertices(*spec.read(rd)) == rd}
     for values in sorted(candidates):
-        fp = FamilyParams(tags[0], **dict(zip(spec.params, values)))
+        fp = FamilyParams(tag, **dict(zip(spec.params, values)))
         if not check_params(fp) or any(abs(v) > bound for v in values):
             continue
-        if spec.read is not None or are_equivalent(generate(fp).polygon, poly) is not None:
+        if tag not in DAIS_TAGS:
+            return fp
+        if _oracle_form(generate(fp).polygon.vertices, False) == _oracle_form(poly.vertices, False):
             return fp
     return None

@@ -129,6 +129,20 @@ def test_equiv_swap_matrix(capsys):
     assert out.strip() == "[[0,1],[1,0]]"
 
 
+def test_equiv_large_images_get_a_matrix(capsys):
+    # Two images of the class 1,0;0,1;-5,-3 with coordinates below 2**30;
+    # the checked search overflowed in an intermediate product on this pair.
+    a = "1400443,-114818367;156038,-12793115;-7470329,612471180"
+    b = "275397,-22910;-10484716,872213;30077163,-2502089"
+    code, out, err = run(capsys, "equiv", "--a", a, "--b", b)
+    assert code == 0 and err == ""
+    (m11, m12), (m21, m22) = json.loads(out)
+    assert m11 * m22 - m12 * m21 in (1, -1)
+    va = [tuple(map(int, t.split(","))) for t in a.split(";")]
+    vb = {tuple(map(int, t.split(","))) for t in b.split(";")}
+    assert {(m11 * x + m12 * y, m21 * x + m22 * y) for x, y in va} == vb
+
+
 def test_equiv_inequivalent(capsys):
     code, out, err = run(capsys, "equiv", "--a", "1,0;0,1;-1,-1", "--b", "1,0;0,1;-1,-2")
     assert code == 0

@@ -1,5 +1,6 @@
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
+from fractions import Fraction
 
 import pytest
 
@@ -20,7 +21,7 @@ from ldptoric import (
 )
 from ldptoric.lattice import I64_MAX, I64_MIN
 
-from oracles import large_shear_product
+from oracles import _oracle_form, large_shear_product, ref_are_equivalent
 
 
 def poly(text: str):
@@ -175,40 +176,6 @@ def test_random_unimodular_map_properties():
         assert max(abs(e) for e in (m.a, m.b, m.c, m.d)) <= 5
 
 
-def _oracle_bezout(a: int, b: int) -> tuple[int, int]:
-    # (s, t) with s*a + t*b == 1 for a primitive (a, b).
-    if b == 0:
-        assert a in (1, -1)
-        return a, 0
-    q, r = divmod(a, b)
-    s, t = _oracle_bezout(b, r)
-    return t, s - q * t
-
-
-def _oracle_form(vertices, orientation_preserving: bool):
-    """Brute-force canonical form: every anchor of the cycle (and of its
-    mirror) fully normalized, lexicographic minimum.  No library helpers."""
-    pts = [(v.x, v.y) for v in vertices]
-    cycles = [pts]
-    if not orientation_preserving:
-        cycles.append([(x, -y) for x, y in reversed(pts)])
-    best = None
-    for cyc in cycles:
-        for i in range(len(cyc)):
-            rot = cyc[i:] + cyc[:i]
-            (x0, y0), (x1, y1) = rot[0], rot[1]
-            s, t = _oracle_bezout(x0, y0)
-            # Rows (s, t) and (-y0, x0) send rot[0] to (1, 0); the shear then
-            # reduces the second image (u, span) to 0 <= u < span.
-            u, span = s * x1 + t * y1, x0 * y1 - x1 * y0
-            shift = -(u // span)
-            form = [(s * x + t * y + shift * (x0 * y - y0 * x), x0 * y - y0 * x) for x, y in rot]
-            assert form[0] == (1, 0) and 0 <= form[1][0] < form[1][1]
-            if best is None or form < best:
-                best = form
-    return tuple(best)
-
-
 def _form_tuples(p, orientation_preserving: bool = False):
     return tuple(v.as_tuple() for v in canonical_form(p, orientation_preserving).vertices)
 
@@ -264,3 +231,120 @@ def test_canonical_form_out_of_range_raises():
     )
     with pytest.raises(LatticeOverflowError):
         canonical_form(octagon)
+
+
+def _assert_maps_onto(m, q, r, orientation_preserving: bool) -> None:
+    # Re-applied in plain ints, m carries q's vertex set onto r's.
+    det = m.a * m.d - m.b * m.c
+    assert det == 1 if orientation_preserving else det in (1, -1)
+    images = {(m.a * v.x + m.b * v.y, m.c * v.x + m.d * v.y) for v in q.vertices}
+    assert images == {v.as_tuple() for v in r.vertices}
+
+
+def _image_pairs(catalog, seed: int, cap: int, per_class: int):
+    """(A.P, B.P) for each class P and per_class seeded shear products A, B
+    with entries up to cap; both have determinant 1."""
+    rng = random.Random(seed)
+    for entry in catalog:
+        base = entry.polygon()
+        for _ in range(per_class):
+            a, b = large_shear_product(rng, cap), large_shear_product(rng, cap)
+            yield apply_to_polygon(a, base), apply_to_polygon(b, base)
+
+
+def _connecting_maps(q, r) -> set[tuple[int, int, int, int]]:
+    """Every integer matrix carrying q's vertex set onto r's: Cramer in
+    Fractions against every ordered adjacent pair of r."""
+    (x1, y1), (x2, y2) = q.vertices[0].as_tuple(), q.vertices[1].as_tuple()
+    base = x1 * y2 - x2 * y1
+    rv = [v.as_tuple() for v in r.vertices]
+    found = set()
+    for j in range(len(rv)):
+        for w1, w2 in ((rv[j - 1], rv[j]), (rv[j], rv[j - 1])):
+            entries = (
+                Fraction(w1[0] * y2 - w2[0] * y1, base), Fraction(x1 * w2[0] - x2 * w1[0], base),
+                Fraction(w1[1] * y2 - w2[1] * y1, base), Fraction(x1 * w2[1] - x2 * w1[1], base),
+            )
+            if any(e.denominator != 1 for e in entries):
+                continue
+            a, b, c, d = map(int, entries)
+            if {(a * v.x + b * v.y, c * v.x + d * v.y) for v in q.vertices} == set(rv):
+                found.add((a, b, c, d))
+    return found
+
+
+def test_no_spurious_overflow_below_the_kernel_bound(box2_catalog):
+    # Map entries up to 2**27 keep every coordinate below 2**30, and every
+    # connecting map fits 64 bits; the checked search overflowed on most of
+    # these pairs in an intermediate product.
+    pairs = list(_image_pairs(box2_catalog, 7, 2**27, 4))
+    assert len(pairs) == 624
+    for q, r in pairs:
+        assert all(abs(c) < 2**30 for p in (q, r) for v in p.vertices for c in v.as_tuple())
+        for flag in (False, True):
+            m = are_equivalent(q, r, orientation_preserving=flag)
+            assert m is not None, (q.vertices, r.vertices)
+            _assert_maps_onto(m, q, r, flag)
+
+
+def test_overflow_exactly_when_no_connecting_map_fits(box2_catalog):
+    # One side sheared along x, the other along y, by about 2**40: a
+    # connecting map B g A^-1 then has an entry near 2**80 unless the
+    # automorphism g cancels it.  Where the first map found is out of range
+    # the search goes on; it raises only when no connecting map fits.
+    shear_x, shear_y = UnimodularMap(1, 2**40 + 3, 0, 1), UnimodularMap(1, 0, 5 - 2**40, 1)
+    seen = Counter()
+    for entry in box2_catalog:
+        q = apply_to_polygon(shear_x, entry.polygon())
+        r = apply_to_polygon(shear_y, entry.polygon())
+        maps = _connecting_maps(q, r)
+        for flag in (False, True):
+            allowed = [m for m in maps if not flag or m[0] * m[3] - m[1] * m[2] == 1]
+            if all(max(map(abs, m)) > I64_MAX for m in allowed):
+                with pytest.raises(LatticeOverflowError):
+                    are_equivalent(q, r, orientation_preserving=flag)
+                seen["raised"] += 1
+            else:
+                m = are_equivalent(q, r, orientation_preserving=flag)
+                _assert_maps_onto(m, q, r, flag)
+                seen["map"] += 1
+    assert seen == {"raised": 301, "map": 11}
+
+
+def test_search_matches_the_checked_reference(box2_catalog):
+    # Images of each class under small maps (either determinant) and under
+    # shear products with entries up to 2**27, plus an image of a different
+    # class with the same d and area.
+    rng = random.Random(11)
+    polys = [entry.polygon() for entry in box2_catalog]
+    by_shape = defaultdict(list)
+    for p in polys:
+        by_shape[p.d, twice_area(p)].append(p)
+    cases = []
+    for base in polys:
+        small = [apply_to_polygon(random_unimodular_map(rng), base) for _ in range(2)]
+        large = [apply_to_polygon(large_shear_product(rng, 2**27), base) for _ in range(2)]
+        cases += [tuple(small), tuple(large), (small[0], large[0])]
+        others = [p for p in by_shape[base.d, twice_area(base)] if p is not base]
+        if others:
+            other = rng.choice(others)
+            cases.append((small[1], apply_to_polygon(random_unimodular_map(rng), other)))
+            cases.append((large[1], apply_to_polygon(large_shear_product(rng, 2**27), other)))
+    seen = Counter()
+    for q, r in cases:
+        for flag in (False, True):
+            try:
+                want = ref_are_equivalent(q, r, flag)
+            except LatticeOverflowError:
+                got = are_equivalent(q, r, flag)
+                if _oracle_form(q.vertices, flag) == _oracle_form(r.vertices, flag):
+                    _assert_maps_onto(got, q, r, flag)
+                    seen["reference raised, map"] += 1
+                else:
+                    assert got is None
+                    seen["reference raised, none"] += 1
+                continue
+            got = are_equivalent(q, r, flag)
+            assert (got if got is None else (got.a, got.b, got.c, got.d)) == want
+            seen["same map" if want is not None else "both none"] += 1
+    assert min(seen[k] for k in ("reference raised, map", "reference raised, none", "same map", "both none")) > 0

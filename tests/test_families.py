@@ -23,6 +23,8 @@ from ldptoric import (
 )
 from ldptoric.families import FAMILY_SPECS
 
+from oracles import _apply, _solve_map
+
 
 def poly(text: str):
     return validate_ldp_polygon(parse_vertices(text))
@@ -179,12 +181,25 @@ def test_identify_agrees_with_are_equivalent_on_box_two(box2_catalog):
 
 
 def test_template_reading_round_trip():
-    templates = [tag for tag, spec in FAMILY_SPECS.items() if spec.read is not None]
+    # The families given on the standard basis are read at anchor 0, where
+    # the reading is the vertex list itself.
+    templates = [tag for tag, spec in FAMILY_SPECS.items() if spec.anchor == 0]
     assert templates == ["two1", "two2", "two3", "three5"]
     for tag in templates:
         spec = FAMILY_SPECS[tag]
         for values in itertools.product(range(-3, 4), repeat=len(spec.params)):
             assert spec.read(spec.vertices(*values)) == values, (tag, values)
+    # Every family: `read` inverts the template's reading at its anchor, taken
+    # here with the checked reference solve and apply.
+    assert list(FAMILY_SPECS) == list(FAMILY_TAGS) and len(FAMILY_TAGS) == 7
+    for tag, spec in FAMILY_SPECS.items():
+        for values in itertools.product(range(-3, 4), repeat=len(spec.params)):
+            pts = spec.vertices(*values)
+            rot = pts[spec.anchor:] + pts[:spec.anchor]
+            assert rot[0][0] * rot[1][1] - rot[1][0] * rot[0][1] == 1, (tag, values)
+            m = _solve_map(rot[0], rot[1], (1, 0), (0, 1))
+            reading = tuple(_apply(m, v) for v in rot)
+            assert spec.read(reading) == values, (tag, values)
 
 
 def test_identify_bound_is_sufficient_on_sweep():

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -6,6 +7,9 @@ import pytest
 from ldptoric import (
     ConeSingular,
     analyze,
+    classify_catalog,
+    classify_three,
+    identify,
     blow_down,
     blow_down_candidates,
     blow_up,
@@ -16,6 +20,7 @@ from ldptoric import (
     validate_fan,
     validate_ldp_polygon,
 )
+from ldptoric import surface
 
 from oracles import random_fan
 
@@ -210,3 +215,66 @@ def test_alternating_half_plane_fan_is_not_ldp():
     assert rep.f_values[2] == 0
     assert not rep.is_log_del_pezzo
     assert not nonsingular_arc_contiguous(rep)
+
+
+def test_analyze_is_memoized_on_the_cycle():
+    poly = validate_ldp_polygon(parse_vertices("1,0;0,1;-1,0;1,-3;2,-3"))
+    cyc = fan("1,0;0,1;-2,-3")
+    assert analyze(cyc) is analyze(cyc)
+    assert analyze(poly) is analyze(poly) is analyze(poly.cycle)
+    # An equal cycle built separately computes its own, equal report.
+    other = fan("1,0;0,1;-2,-3")
+    assert analyze(other) is not analyze(cyc) and analyze(other) == analyze(cyc)
+
+
+def test_memo_is_invisible_to_eq_hash_repr_and_pickle():
+    for make in (lambda: fan("1,0;0,1;-2,-3"), lambda: validate_ldp_polygon(parse_vertices("1,0;0,1;-2,-3"))):
+        fresh, analyzed = make(), make()
+        analyze(analyzed)
+        assert analyzed == fresh and fresh == analyzed
+        assert hash(analyzed) == hash(fresh)
+        assert repr(analyzed) == repr(fresh)
+        for obj in (fresh, analyzed):
+            copy = pickle.loads(pickle.dumps(obj))
+            assert copy == fresh and hash(copy) == hash(fresh) and repr(copy) == repr(fresh)
+            assert analyze(copy) == analyze(fresh)
+
+
+def _count_reports(monkeypatch) -> list:
+    """Patch the uncached computation behind analyze; returns the list that
+    records the rays of each cycle it runs on."""
+    runs = []
+    uncached = surface._surface_report
+
+    def counting(cycle):
+        runs.append(tuple(v.as_tuple() for v in cycle.rays))
+        return uncached(cycle)
+
+    monkeypatch.setattr(surface, "_surface_report", counting)
+    return runs
+
+
+def test_one_report_per_entry_in_classify_catalog(box2_catalog, monkeypatch):
+    runs = _count_reports(monkeypatch)
+    tagged = classify_catalog(box2_catalog)
+    counts = {entry.vertices: runs.count(entry.vertices) for entry in box2_catalog}
+    assert set(counts.values()) == {1}
+    # The rest are the blow-downs that the d = 6 three-singular case split
+    # analyzes, one for each of those entries at box 2.
+    six = [e for e in tagged if e.d == 6 and e.singular_count == 3]
+    blown_down = {
+        tuple(v.as_tuple() for v in blow_down(e.polygon(), i).rays)
+        for e in six for i in blow_down_candidates(e.polygon())
+    }
+    rest = [rays for rays in runs if rays not in counts]
+    assert len(runs) == len(box2_catalog) + len(rest)
+    assert len(rest) == len(six) == 5 and set(rest) <= blown_down
+
+
+def test_one_report_for_analyze_identify_classify_three(monkeypatch):
+    runs = _count_reports(monkeypatch)
+    poly = validate_ldp_polygon(parse_vertices("1,0;0,1;-1,0;1,-3;2,-3"))
+    assert analyze(poly).singular_count == 3
+    assert identify(poly) is not None
+    assert classify_three(poly) == "family_d5"
+    assert len(runs) == 1
