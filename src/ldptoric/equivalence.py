@@ -112,9 +112,9 @@ def are_equivalent(
 
     Complete search: an equivalence must send the adjacent pair (v1, v2) of q
     to an ordered adjacent pair of r (reversed order for determinant -1 maps),
-    so all 2 * d such targets are tried, in exact ints.  A connecting map
-    with an entry outside the signed 64-bit range raises LatticeOverflowError
-    when no other connecting map fits.
+    so all 2 * d such targets are tried, in exact ints.  Raises
+    LatticeOverflowError when every such map has an entry outside the signed
+    64-bit range.
     """
     if q.d != r.d or twice_area(q) != twice_area(r):
         return None

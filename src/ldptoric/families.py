@@ -232,12 +232,6 @@ def _read_on_pair(rot, sign: int = 1) -> tuple[tuple[int, int], ...]:
     return tuple((sign * (x * by - bx * y), sign * (ax * y - x * ay)) for x, y in rot)
 
 
-def _anchor_reading(spec: FamilySpec, values: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """The family polygon with these parameters, read on its anchor pair."""
-    pts = spec.vertices(*values)
-    return _read_on_pair(pts[spec.anchor:] + pts[:spec.anchor])
-
-
 def _basis_readings(poly: LdpPolygon) -> list[tuple[tuple[int, int], ...]]:
     """Vertex cycles of `poly` remapped so the leading two rays become the
     standard basis: one reading per adjacent determinant-1 ray pair, in both
@@ -290,7 +284,8 @@ def identify(poly: LdpPolygon, bound: int | None = None) -> FamilyParams | None:
     candidates = set()
     for rd in _basis_readings(poly):
         values = spec.read(rd)
-        if _anchor_reading(spec, values) == rd:
+        pts = spec.vertices(*values)
+        if _read_on_pair(pts[spec.anchor:] + pts[:spec.anchor]) == rd:
             candidates.add(values)
     for values in sorted(candidates):
         fp = FamilyParams(tag, **dict(zip(spec.params, values)))

@@ -241,17 +241,6 @@ def _assert_maps_onto(m, q, r, orientation_preserving: bool) -> None:
     assert images == {v.as_tuple() for v in r.vertices}
 
 
-def _image_pairs(catalog, seed: int, cap: int, per_class: int):
-    """(A.P, B.P) for each class P and per_class seeded shear products A, B
-    with entries up to cap; both have determinant 1."""
-    rng = random.Random(seed)
-    for entry in catalog:
-        base = entry.polygon()
-        for _ in range(per_class):
-            a, b = large_shear_product(rng, cap), large_shear_product(rng, cap)
-            yield apply_to_polygon(a, base), apply_to_polygon(b, base)
-
-
 def _connecting_maps(q, r) -> set[tuple[int, int, int, int]]:
     """Every integer matrix carrying q's vertex set onto r's: Cramer in
     Fractions against every ordered adjacent pair of r."""
@@ -274,10 +263,16 @@ def _connecting_maps(q, r) -> set[tuple[int, int, int, int]]:
 
 
 def test_no_spurious_overflow_below_the_kernel_bound(box2_catalog):
-    # Map entries up to 2**27 keep every coordinate below 2**30, and every
-    # connecting map fits 64 bits; the checked search overflowed on most of
-    # these pairs in an intermediate product.
-    pairs = list(_image_pairs(box2_catalog, 7, 2**27, 4))
+    # Pairs A.P, B.P of images of each class P under shear products (so of
+    # determinant 1) with entries up to 2**27: every coordinate stays below
+    # 2**30, and every connecting map fits 64 bits.  The checked search
+    # overflowed on most of these pairs in an intermediate product.
+    rng = random.Random(7)
+    pairs = []
+    for entry in box2_catalog:
+        for _ in range(4):
+            a, b = large_shear_product(rng, 2**27), large_shear_product(rng, 2**27)
+            pairs.append((apply_to_polygon(a, entry.polygon()), apply_to_polygon(b, entry.polygon())))
     assert len(pairs) == 624
     for q, r in pairs:
         assert all(abs(c) < 2**30 for p in (q, r) for v in p.vertices for c in v.as_tuple())

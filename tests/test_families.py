@@ -162,8 +162,9 @@ def test_identify_matches_on_all_small_family_instances():
 
 
 def test_identify_agrees_with_are_equivalent_on_box_two(box2_catalog):
-    # identify keeps a template candidate only when a basis reading equals the
-    # family polygon; are_equivalent is the independent reference for that.
+    # identify keeps a candidate only when a basis reading equals the family
+    # polygon's reading at its anchor; are_equivalent is the independent
+    # reference for that.
     rng = random.Random(20191001)
     matched = 0
     for entry in box2_catalog:
