@@ -123,14 +123,24 @@ def _parse_polygon_lenient(text: str) -> LdpPolygon:
         return validate_ldp_polygon(list(reversed(points)))
 
 
+# emit_svg draws one circle per lattice point of the bounding box, so the
+# file grows with the product of the coordinate spans.
+SVG_MAX_GRID_POINTS = 10_000
+
+
 def emit_svg(poly: LdpPolygon, path: str) -> None:
     """Write a deterministic SVG: lattice grid, origin marker, the polygon,
-    and one determinant label per edge.  Byte-stable for a fixed input."""
+    and one determinant label per edge.  Byte-stable for a fixed input.
+    Raises ValueError, before opening `path`, when the grid would have more
+    than SVG_MAX_GRID_POINTS points."""
     scale = 40
     xs = [v.x for v in poly.vertices]
     ys = [v.y for v in poly.vertices]
     x_lo, x_hi = min(xs) - 1, max(xs) + 1
     y_lo, y_hi = min(ys) - 1, max(ys) + 1
+    grid = (x_hi - x_lo + 1) * (y_hi - y_lo + 1)
+    if grid > SVG_MAX_GRID_POINTS:
+        raise ValueError(f"the SVG grid would have {grid} lattice points, more than {SVG_MAX_GRID_POINTS}")
     width = (x_hi - x_lo) * scale
     height = (y_hi - y_lo) * scale
 

@@ -9,7 +9,7 @@ determinants >= 1 keep each angular step below a half-turn, which makes the
 once-around winding automatic at closure.  Strict-left-turn pruning is exact:
 the turn at a vertex equals its f-value, so partial chains that already
 violate the log del Pezzo condition are cut immediately.  The DFS runs on
-plain int tuples; every chain it emits is re-validated with checked arithmetic.
+plain int tuples; every chain it emits is re-validated by validate_ldp_polygon.
 
 The 8 signed permutations of the square (the group D4) lie in GL(2, Z) and map
 the box onto itself, so the raw cycles are closed under D4 and each orbit lies
@@ -86,7 +86,7 @@ def _chains_from(
     total = len(pts)
 
     def extend(chain: list[int], last_index: int) -> None:
-        # Inline det2 and vertex_turn: (ex, ey) is the last edge of the chain.
+        # Inline det2 and the vertex turn: (ex, ey) is the last edge of the chain.
         lx, ly = pts[chain[-1]]
         px, py = pts[chain[-2]] if len(chain) >= 2 else (lx, ly)
         ex, ey = lx - px, ly - py

@@ -68,11 +68,6 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def mirrored_cycle(vertices: tuple[RayVector, ...]) -> tuple[RayVector, ...]:
-    # Reflect across the x axis and reverse the reading to restore ccw order.
-    return tuple(RayVector(v.x, -v.y) for v in reversed(vertices))
-
-
 def canonical_form(poly: LdpPolygon, orientation_preserving: bool = False) -> CanonicalForm:
     """Deterministic, equivalence-invariant representative of the class of `poly`.
 

@@ -19,9 +19,10 @@ for dais1 and 3 for dais2, (-1,0), (0,-1) at index 3 for dais3.  Mapping the
 template so that pair becomes the standard basis gives its reading at the
 anchor, and the reader recovers the parameters from that reading.
 identify() decides all seven families the same way, by comparing the basis
-readings of a polygon with the template's reading at its anchor;
-classify_three() sorts the three-singular-point classes into the cases that
-exhaust them for d <= 6.
+readings of a polygon with the template's reading at its anchor; the
+readings are exact ints at any size and never range-checked, since they only
+select parameters and never become vertices.  classify_three() sorts the
+three-singular-point classes into the cases that exhaust them for d <= 6.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .lattice import RayVector, apply_map, det2, solve_map, within_kernel_bound
 from .polygon import (
     FanValidationError,
     LdpPolygon,
@@ -38,7 +38,6 @@ from .polygon import (
     validate_ldp_polygon,
 )
 from .surface import analyze, blow_down, blow_down_candidates
-from .equivalence import mirrored_cycle
 
 
 @dataclass(frozen=True)
@@ -220,10 +219,6 @@ def generate(fp: FamilyParams) -> FamilyInstance:
     return FamilyInstance(fp, polygon)
 
 
-_E1 = RayVector(1, 0)
-_E2 = RayVector(0, 1)
-
-
 def _read_on_pair(rot, sign: int = 1) -> tuple[tuple[int, int], ...]:
     """The int tuples `rot` mapped by the inverse of the matrix with columns
     a, b = rot[0], rot[1], whose determinant must be sign = +-1: that inverse
@@ -237,29 +232,18 @@ def _basis_readings(poly: LdpPolygon) -> list[tuple[tuple[int, int], ...]]:
     standard basis: one reading per adjacent determinant-1 ray pair, in both
     cycle orientations.  Each reading is the image of `poly` under a
     determinant +-1 map, and every equivalence onto a polygon whose list
-    starts (1,0), (0,1) shows up among them."""
+    starts (1,0), (0,1) shows up among them.  Exact ints, never range-checked."""
     pts = [(v.x, v.y) for v in poly.vertices]
-    if within_kernel_bound(pts):
-        # Read backwards with determinant -1 pairs, this gives the readings of
-        # the mirrored cycle: reflecting all vertices first changes neither
-        # the pairs nor their readings.
-        readings = []
-        for cyc, sign in ((pts, 1), (pts[::-1], -1)):
-            for shift in range(len(cyc)):
-                rot = cyc[shift:] + cyc[:shift]
-                (ax, ay), (bx, by) = rot[0], rot[1]
-                if ax * by - bx * ay == sign:
-                    readings.append(_read_on_pair(rot, sign))
-        return readings
+    # Read backwards with determinant -1 pairs, this gives the readings of the
+    # mirrored cycle: reflecting all vertices first changes neither the pairs
+    # nor their readings.
     readings = []
-    for cyc in (poly.vertices, mirrored_cycle(poly.vertices)):
+    for cyc, sign in ((pts, 1), (pts[::-1], -1)):
         for shift in range(len(cyc)):
             rot = cyc[shift:] + cyc[:shift]
-            if det2(rot[0], rot[1]) != 1:
-                continue
-            m = solve_map(rot[0], rot[1], _E1, _E2)
-            assert m is not None  # determinant-1 pair onto a basis is always integral
-            readings.append(tuple(apply_map(m, v).as_tuple() for v in rot))
+            (ax, ay), (bx, by) = rot[0], rot[1]
+            if ax * by - bx * ay == sign:
+                readings.append(_read_on_pair(rot, sign))
     return readings
 
 

@@ -6,10 +6,10 @@ An LdpPolygon additionally has every ray a strictly convex vertex of the hull,
 which is exactly the log del Pezzo condition on the associated surface.
 
 All validation-error indices reported here are 1-based, matching the cyclic
-convention used by every external surface of the package.  The turn and
-convexity checks run on plain int tuples when the coordinates are within
-lattice.within_kernel_bound, and on checked RayVector arithmetic otherwise;
-both give the same results and errors in the same order.
+convention used by every external surface of the package.  Validation runs on
+exact int tuples and checks the 64-bit range on the values it produces, the
+cone determinants and the vertex turns, each where the check that uses it
+runs, so the first failing check of either kind wins.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Iterable, Sequence
 
-from .lattice import RayVector, det2, is_primitive, within_kernel_bound
+from .lattice import RayVector, checked_i64, det2, is_primitive
 
 
 class FanValidationError(ValueError):
@@ -58,11 +58,13 @@ class NotStrictlyConvex(FanValidationError):
         super().__init__(f"NotStrictlyConvex({index}): ray {index} is not a strict vertex of the hull")
 
 
-def _coerce(point) -> RayVector:
+def _coerce(index: int, point) -> RayVector:
     if isinstance(point, RayVector):
         return point
     x, y = point
-    return RayVector(int(x), int(y))
+    if type(x) is not int or type(y) is not int:  # rejects bool, float, str
+        raise ValueError(f"vertex {index} {point!r}: coordinates must be integers")
+    return RayVector(x, y)
 
 
 def _lower_half(v: RayVector) -> bool:
@@ -141,10 +143,10 @@ def same_cycle(a: FanCycle, b: FanCycle) -> bool:
     return all(a.rays[i] == b.rays[(k + i) % b.d] for i in range(a.d))
 
 
-def _validate_fan(points: Sequence) -> tuple[tuple[RayVector, ...], list[tuple[int, int]], bool]:
-    """validate_fan's checks; returns the rays, their int tuples and whether
-    they are within the kernel bound, for validate_ldp_polygon to reuse."""
-    rays = tuple(_coerce(p) for p in points)
+def _validate_fan(points: Sequence) -> tuple[tuple[RayVector, ...], list[tuple[int, int]]]:
+    """validate_fan's checks; returns the rays and their int tuples, for
+    validate_ldp_polygon to reuse."""
+    rays = tuple(_coerce(i, p) for i, p in enumerate(points, start=1))
     d = len(rays)
     if d < 3:
         raise ValueError(f"a complete fan needs at least 3 rays, got {d}")
@@ -157,15 +159,9 @@ def _validate_fan(points: Sequence) -> tuple[tuple[RayVector, ...], list[tuple[i
         if p in seen:
             raise DuplicateRay(i)
         seen.add(p)
-    small = within_kernel_bound(pts)
-    if small:
-        for i, ((x0, y0), (x1, y1)) in enumerate(zip(pts, pts[1:] + pts[:1]), start=1):
-            if x0 * y1 - x1 * y0 <= 0:
-                raise NotCounterclockwise(i)
-    else:
-        for i in range(d):
-            if det2(rays[i], rays[(i + 1) % d]) <= 0:
-                raise NotCounterclockwise(i + 1)
+    for i, ((x0, y0), (x1, y1)) in enumerate(zip(pts, pts[1:] + pts[:1]), start=1):
+        if checked_i64(x0 * y1 - x1 * y0, "cone determinant") <= 0:
+            raise NotCounterclockwise(i)
     # Each step now turns strictly ccw by less than a half-turn, so it wraps
     # past the reference axis exactly when it leaves the lower half-plane
     # (angle_less is False there and only there).
@@ -173,7 +169,7 @@ def _validate_fan(points: Sequence) -> tuple[tuple[RayVector, ...], list[tuple[i
     winding = sum(1 for a, b in zip(lower, lower[1:] + lower[:1]) if a and not b)
     if winding != 1:
         raise BadWinding(winding)
-    return rays, pts, small
+    return rays, pts
 
 
 def validate_fan(points: Sequence) -> FanCycle:
@@ -182,41 +178,35 @@ def validate_fan(points: Sequence) -> FanCycle:
     Raises, in checking order: ValueError for fewer than 3 rays,
     NonPrimitiveRay, DuplicateRay, NotCounterclockwise (some consecutive pair
     has determinant <= 0), BadWinding (rays wind more than once).  Input order
-    is preserved; any starting rotation is accepted.
+    is preserved; any starting rotation is accepted.  A coordinate that is not
+    an int raises ValueError naming its vertex, and a coordinate or cone
+    determinant outside the signed 64-bit range LatticeOverflowError.
     """
     return FanCycle(_validate_fan(points)[0])
-
-
-def vertex_turn(a: RayVector, b: RayVector, c: RayVector) -> int:
-    """Cross product of edge vectors (b - a) and (c - b); positive for a strict left turn."""
-    return det2(b - a, c - b)
 
 
 def validate_ldp_polygon(points: Sequence) -> LdpPolygon:
     """Validate as fan, then require a strict left turn at every vertex.
 
-    A ray that is a convex combination of its neighbours (collinear boundary
-    point or interior point) raises NotStrictlyConvex at its 1-based index.
+    The turn at a vertex is the cross product of its incoming and outgoing
+    edge vectors.  A ray that is a convex combination of its neighbours
+    (collinear boundary point or interior point) raises NotStrictlyConvex at
+    its 1-based index; a turn outside the signed 64-bit range raises
+    LatticeOverflowError.
     """
-    rays, pts, small = _validate_fan(points)
-    d = len(rays)
-    if small:
-        triples = zip(pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1])
-        for i, ((ax, ay), (bx, by), (cx, cy)) in enumerate(triples, start=1):
-            if (bx - ax) * (cy - by) - (cx - bx) * (by - ay) <= 0:
-                raise NotStrictlyConvex(i)
-    else:
-        for i in range(d):
-            if vertex_turn(rays[i - 1], rays[i], rays[(i + 1) % d]) <= 0:
-                raise NotStrictlyConvex(i + 1)
+    rays, pts = _validate_fan(points)
+    triples = zip(pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1])
+    for i, ((ax, ay), (bx, by), (cx, cy)) in enumerate(triples, start=1):
+        if checked_i64((bx - ax) * (cy - by) - (cx - bx) * (by - ay), "vertex turn") <= 0:
+            raise NotStrictlyConvex(i)
     return LdpPolygon(FanCycle(rays))
 
 
 def twice_area(poly: LdpPolygon | FanCycle) -> int:
     """Twice the polygon area: the sum of all cone determinants.  Always positive.
 
-    Plain int arithmetic: validation has already computed every one of these
-    determinants with the checked det2 or under the kernel bound."""
+    Not range-checked: validation has already checked every one of these
+    determinants."""
     cycle = poly.cycle if isinstance(poly, LdpPolygon) else poly
     pts = [(v.x, v.y) for v in cycle.rays]
     return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))

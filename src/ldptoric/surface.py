@@ -5,7 +5,9 @@ determinant of its spanning pair.  Determinant 1 means a smooth cone, 2 or
 more a singular point of that local index.  The f-value at a ray decides the
 log del Pezzo condition: the surface is log del Pezzo iff f >= 1 everywhere,
 and f(i) divided by the two adjacent cone determinants is the exact
-anticanonical degree of the boundary divisor at ray i.
+anticanonical degree of the boundary divisor at ray i.  Both are computed on
+exact ints; the f-values are checked against the signed 64-bit range as they
+are produced, and the cone determinants were checked by validation.
 
 analyze() computes the report of a FanCycle object once and memoizes it on
 that (immutable) cycle, outside its dataclass fields, so the memo takes no
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import checked_i64, det2, within_kernel_bound
+from .lattice import checked_i64
 from .polygon import FanCycle, LdpPolygon, validate_fan
 
 
@@ -61,12 +63,12 @@ class SurfaceReport:
 
 
 def f_value(cycle: FanCycle | LdpPolygon, i: int) -> int:
-    """det(v_{i-1}, v_i) + det(v_i, v_{i+1}) + det(v_{i+1}, v_{i-1}) for 1 <= i <= d."""
+    """det(v_{i-1}, v_i) + det(v_i, v_{i+1}) + det(v_{i+1}, v_{i-1}) for 1 <= i <= d,
+    read off analyze()."""
     cycle = _as_cycle(cycle)
     if not 1 <= i <= cycle.d:
         raise IndexError(f"ray index {i} out of range 1..{cycle.d}")
-    prev_ray, ray, next_ray = cycle.ray(i - 1), cycle.ray(i), cycle.ray(i + 1)
-    return checked_i64(det2(prev_ray, ray) + det2(ray, next_ray) + det2(next_ray, prev_ray), "f value")
+    return analyze(cycle).f_values[i - 1]
 
 
 def analyze(cycle: FanCycle | LdpPolygon) -> SurfaceReport:
@@ -86,19 +88,14 @@ def _surface_report(cycle: FanCycle) -> SurfaceReport:
     """analyze() without the memo."""
     d = cycle.d
     pts = [(v.x, v.y) for v in cycle.rays]
-    nxt = pts[1:] + pts[:1]
-    # Validation has already computed these with the checked det2 or under
-    # the kernel bound.
+    prv, nxt = pts[-1:] + pts[:-1], pts[1:] + pts[:1]
+    # Validation has already checked these.
     dets = tuple(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, nxt))
-    if within_kernel_bound(pts):
-        # f(i) = det(v_{i-1}, v_i) + det(v_i, v_{i+1}) + det(v_{i+1}, v_{i-1}).
-        prv = pts[-1:] + pts[:-1]
-        f_values = tuple(
-            dets[i - 1] + dets[i] + (x1 * y0 - x0 * y1)
-            for i, ((x0, y0), (x1, y1)) in enumerate(zip(prv, nxt))
-        )
-    else:
-        f_values = tuple(f_value(cycle, i) for i in range(1, d + 1))
+    # f(i) = det(v_{i-1}, v_i) + det(v_i, v_{i+1}) + det(v_{i+1}, v_{i-1}).
+    f_values = tuple(
+        checked_i64(dets[i - 1] + dets[i] + (x1 * y0 - x0 * y1), "f value")
+        for i, ((x0, y0), (x1, y1)) in enumerate(zip(prv, nxt))
+    )
     cones = tuple(ConeRecord(i, dets[i - 1], dets[i - 1] >= 2) for i in range(1, d + 1))
     degrees = tuple(
         Fraction(f_values[i - 1], dets[i - 2] * dets[i - 1]) for i in range(1, d + 1)

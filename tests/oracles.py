@@ -4,16 +4,17 @@ The subset oracle enumerates polygons by brute force over point subsets with
 float-angle sorting, sharing nothing with the production depth-first search;
 agreement between the two is asserted exactly.
 
-The checked reference (`ref_validate_fan` ... `ref_are_equivalent`) restates
-the package's checked RayVector arithmetic on plain int tuples: every
-coordinate, product, difference and sum is checked against the signed 64-bit
-range in the same order and with the same messages, and the validation checks
-run in the same order with the same typed errors.  It takes no shortcut for
-small coordinates, so it pins what the int-tuple kernels must reproduce below
-the kernel bound and what the checked path must keep doing above it.
-`ref_are_equivalent` is the equivalence search as it ran on that checked
-arithmetic (`solve_map` and `apply_map` on every target pair), before the
-search moved to exact ints.
+The checked reference (`ref_validate_fan` ... `ref_basis_readings`) restates
+the package's 64-bit contract on plain int tuples: arithmetic is exact, and
+exactly the values the contract names are checked against the signed 64-bit
+range (vertex coordinates, cone determinants and vertex turns in
+validation, f-values in analysis, map entries and determinants in
+`_solve_map`/`_apply`), in the package's checking order and with its
+messages; the validation checks raise the same typed errors in the same
+order.  Basis readings are never checked.  `ref_are_equivalent` is the
+equivalence search as it ran when every product and sum was checked too
+(`solve_map` and `apply_map` on every target pair), before the search moved
+to exact ints.
 
 The brute-force canonical form (`_oracle_form`) normalizes every anchor in
 full with its own Bezout recursion; `ref_identify` decides dais membership
@@ -125,11 +126,7 @@ def _vector(x: int, y: int) -> Point:
 
 
 def _det(u: Point, v: Point) -> int:
-    return _i64(_i64(u[0] * v[1], "det2 product") - _i64(v[0] * u[1], "det2 product"), "det2")
-
-
-def _diff(b: Point, a: Point) -> Point:
-    return _vector(_i64(b[0] - a[0], "diff x"), _i64(b[1] - a[1], "diff y"))
+    return u[0] * v[1] - v[0] * u[1]
 
 
 def _lower_half(v: Point) -> bool:
@@ -138,7 +135,11 @@ def _lower_half(v: Point) -> bool:
 
 def ref_validate_fan(points) -> tuple[Point, ...]:
     """The validated ray cycle as int tuples, or the package's error."""
-    rays = [_vector(int(x), int(y)) for x, y in points]
+    rays = []
+    for i, (x, y) in enumerate(points, start=1):
+        if type(x) is not int or type(y) is not int:
+            raise ValueError(f"vertex {i} {(x, y)!r}: coordinates must be integers")
+        rays.append(_vector(x, y))
     d = len(rays)
     if d < 3:
         raise ValueError(f"a complete fan needs at least 3 rays, got {d}")
@@ -149,7 +150,7 @@ def ref_validate_fan(points) -> tuple[Point, ...]:
         if v in rays[: i - 1]:
             raise DuplicateRay(i)
     for i in range(d):
-        if _det(rays[i], rays[(i + 1) % d]) <= 0:
+        if _i64(_det(rays[i], rays[(i + 1) % d]), "cone determinant") <= 0:
             raise NotCounterclockwise(i + 1)
     winding = 0
     for i in range(d):
@@ -168,7 +169,8 @@ def ref_validate_ldp_polygon(points) -> tuple[Point, ...]:
     d = len(rays)
     for i in range(d):
         a, b, c = rays[i - 1], rays[i], rays[(i + 1) % d]
-        if _det(_diff(b, a), _diff(c, b)) <= 0:
+        turn = _det((b[0] - a[0], b[1] - a[1]), (c[0] - b[0], c[1] - b[1]))
+        if _i64(turn, "vertex turn") <= 0:
             raise NotStrictlyConvex(i + 1)
     return rays
 
@@ -201,9 +203,62 @@ def ref_analyze(rays: tuple[Point, ...]) -> dict:
 
 
 def _solve_map(u1: Point, u2: Point, w1: Point, w2: Point) -> tuple[int, int, int, int] | None:
-    """solve_map(u1, u2, w1, w2) as (a, b, c, d), checked step by step as
-    solve_map does it."""
-    base = _det(u1, u2)
+    """solve_map(u1, u2, w1, w2) as (a, b, c, d): Cramer on exact ints, with
+    the determinant of (u1, u2) and the entries checked as solve_map checks
+    them."""
+    base = _i64(_det(u1, u2), "det2")
+    numerators = (
+        w1[0] * u2[1] - w2[0] * u1[1],
+        u1[0] * w2[0] - u2[0] * w1[0],
+        w1[1] * u2[1] - w2[1] * u1[1],
+        u1[0] * w2[1] - u2[0] * w1[1],
+    )
+    entries = []
+    for num in numerators:
+        quot, rem = divmod(num, base)
+        if rem:
+            return None
+        entries.append(quot)
+    for name, entry in zip("abcd", entries):
+        _i64(entry, f"matrix entry {name}")
+    return tuple(entries) if _map_det(tuple(entries)) in (1, -1) else None
+
+
+def _map_det(m: tuple[int, int, int, int]) -> int:
+    a, b, c, d = m
+    return _i64(a * d - b * c, "matrix determinant")
+
+
+def _apply(m: tuple[int, int, int, int], v: Point) -> Point:
+    a, b, c, d = m
+    return _vector(a * v[0] + b * v[1], c * v[0] + d * v[1])
+
+
+def ref_basis_readings(rays: tuple[Point, ...]) -> list[tuple[Point, ...]]:
+    """Unchecked exact ints: the inverse of the matrix with determinant-1
+    columns a, b sends v to (det(v, b), det(a, v))."""
+    mirrored = tuple((x, -y) for x, y in reversed(rays))
+    readings = []
+    for cyc in (rays, mirrored):
+        for shift in range(len(cyc)):
+            rot = cyc[shift:] + cyc[:shift]
+            a, b = rot[0], rot[1]
+            if _det(a, b) == 1:
+                readings.append(tuple((_det(v, b), _det(a, v)) for v in rot))
+    return readings
+
+
+# The equivalence search as it ran when every product and sum was checked,
+# before it moved to exact ints: ref_are_equivalent pins that the exact
+# search returns the same map wherever that search did not raise.
+
+
+def _checked_det(u: Point, v: Point) -> int:
+    return _i64(_i64(u[0] * v[1], "det2 product") - _i64(v[0] * u[1], "det2 product"), "det2")
+
+
+def _checked_solve_map(u1: Point, u2: Point, w1: Point, w2: Point) -> tuple[int, int, int, int] | None:
+    base = _checked_det(u1, u2)
     numerators = (
         _i64(_i64(w1[0] * u2[1], "solve") - _i64(w2[0] * u1[1], "solve"), "solve numerator"),
         _i64(_i64(u1[0] * w2[0], "solve") - _i64(u2[0] * w1[0], "solve"), "solve numerator"),
@@ -218,15 +273,15 @@ def _solve_map(u1: Point, u2: Point, w1: Point, w2: Point) -> tuple[int, int, in
         entries.append(_i64(quot, "solve entry"))
     for name, entry in zip("abcd", entries):
         _i64(entry, f"matrix entry {name}")
-    return tuple(entries) if _map_det(tuple(entries)) in (1, -1) else None
+    return tuple(entries) if _checked_map_det(tuple(entries)) in (1, -1) else None
 
 
-def _map_det(m: tuple[int, int, int, int]) -> int:
+def _checked_map_det(m: tuple[int, int, int, int]) -> int:
     a, b, c, d = m
     return _i64(_i64(a * d, "det term") - _i64(b * c, "det term"), "matrix determinant")
 
 
-def _apply(m: tuple[int, int, int, int], v: Point) -> Point:
+def _checked_apply(m: tuple[int, int, int, int], v: Point) -> Point:
     a, b, c, d = m
     return _vector(
         _i64(_i64(a * v[0], "map product") + _i64(b * v[1], "map product"), "map image x"),
@@ -234,25 +289,12 @@ def _apply(m: tuple[int, int, int, int], v: Point) -> Point:
     )
 
 
-def ref_basis_readings(rays: tuple[Point, ...]) -> list[tuple[Point, ...]]:
-    mirrored = tuple(_vector(x, -y) for x, y in reversed(rays))
-    readings = []
-    for cyc in (rays, mirrored):
-        for shift in range(len(cyc)):
-            rot = cyc[shift:] + cyc[:shift]
-            if _det(rot[0], rot[1]) != 1:
-                continue
-            m = _solve_map(rot[0], rot[1], (1, 0), (0, 1))
-            readings.append(tuple(_apply(m, v) for v in rot))
-    return readings
-
-
 def ref_are_equivalent(
     q: LdpPolygon, r: LdpPolygon, orientation_preserving: bool = False
 ) -> tuple[int, int, int, int] | None:
-    """The checked equivalence search: the map (a, b, c, d) of the first
-    target pair, in search order, that carries q's vertex set onto r's, or
-    None; LatticeOverflowError wherever the checked arithmetic overflows."""
+    """The product-checked equivalence search: the map (a, b, c, d) of the
+    first target pair, in search order, that carries q's vertex set onto r's,
+    or None; LatticeOverflowError wherever a product or sum overflows."""
     qv = tuple(v.as_tuple() for v in q.vertices)
     rv = tuple(v.as_tuple() for v in r.vertices)
     if len(qv) != len(rv) or ref_twice_area(qv) != ref_twice_area(rv):
@@ -263,10 +305,10 @@ def ref_are_equivalent(
         if not orientation_preserving:
             targets.append((rv[(j + 1) % d], rv[j]))
         for w1, w2 in targets:
-            m = _solve_map(qv[0], qv[1], w1, w2)
-            if m is None or (orientation_preserving and _map_det(m) != 1):
+            m = _checked_solve_map(qv[0], qv[1], w1, w2)
+            if m is None or (orientation_preserving and _checked_map_det(m) != 1):
                 continue
-            if {_apply(m, v) for v in qv} == r_set:
+            if {_checked_apply(m, v) for v in qv} == r_set:
                 return m
     return None
 
@@ -309,13 +351,12 @@ DAIS_TAGS = ("dais1", "dais2", "dais3")
 
 
 def ref_identify(poly: LdpPolygon) -> FamilyParams | None:
-    """identify(poly) with the default bound, its arithmetic on the checked
+    """identify(poly) with the default bound, its arithmetic on the
     reference; the family table and constraints are the package's.  The
-    checked basis readings are taken for every family, as identify takes
-    them, so both raise alike.  The template families are read off them; a
-    dais polygon's parameter is forced by its area (one cone of determinant
-    p + 1 and d - 1 smooth cones), and its membership decided by equal
-    brute-force forms of the family polygon and `poly`."""
+    template families are read off the exact basis readings; a dais
+    polygon's parameter is forced by its area (one cone of determinant p + 1
+    and d - 1 smooth cones), and its membership decided by equal brute-force
+    forms of the family polygon and `poly`."""
     rays = tuple(v.as_tuple() for v in poly.vertices)
     singular = ref_analyze(rays)["singular_count"]
     tags = [tag for tag, spec in FAMILY_SPECS.items() if (spec.singular, spec.d) == (singular, len(rays))]
@@ -323,11 +364,10 @@ def ref_identify(poly: LdpPolygon) -> FamilyParams | None:
         return None
     tag, spec = tags[0], FAMILY_SPECS[tags[0]]
     bound = ref_twice_area(rays)
-    readings = ref_basis_readings(rays)
     if tag in DAIS_TAGS:
-        candidates = {(ref_twice_area(rays) - len(rays),)}
+        candidates = {(bound - len(rays),)}
     else:
-        candidates = {spec.read(rd) for rd in readings if spec.vertices(*spec.read(rd)) == rd}
+        candidates = {spec.read(rd) for rd in ref_basis_readings(rays) if spec.vertices(*spec.read(rd)) == rd}
     for values in sorted(candidates):
         fp = FamilyParams(tag, **dict(zip(spec.params, values)))
         if not check_params(fp) or any(abs(v) > bound for v in values):

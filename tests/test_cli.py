@@ -5,7 +5,14 @@ import pytest
 
 import ldptoric
 from ldptoric import classify_catalog, enumerate_ldp
-from ldptoric.cli import entry_from_dict, entry_to_dict, main, read_catalog, write_catalog
+from ldptoric.cli import (
+    SVG_MAX_GRID_POINTS,
+    entry_from_dict,
+    entry_to_dict,
+    main,
+    read_catalog,
+    write_catalog,
+)
 from ldptoric.enumeration import CHECKS, VerificationReport
 
 
@@ -68,8 +75,8 @@ def test_analyze_validation_error(capsys):
     "argv, message",
     [
         (("analyze", "9223372036854775808,1;0,1;-1,-1"), "x coordinate 9223372036854775808"),
-        (("analyze", "3037000500,1;-1,3037000500;-1,-1"), "det2 product"),
-        (("family", "--family", "two1", "--p", "9223372036854775807", "--q", "2"), "diff x"),
+        (("analyze", "3037000500,1;-1,3037000500;-1,-1"), "cone determinant"),
+        (("family", "--family", "two1", "--p", "9223372036854775807", "--q", "2"), "vertex turn"),
     ],
 )
 def test_overflow_is_bad_input(capsys, argv, message):
@@ -261,6 +268,24 @@ def test_bad_catalog_line(tmp_path, capsys):
     assert "bad catalog line 3" in err
 
 
+@pytest.mark.parametrize("bad", [1.7, float("inf")])
+def test_non_integer_catalog_coordinate_is_bad_input(tmp_path, capsys, bad):
+    # json writes these as 1.7 and Infinity and reads both back as floats.
+    raw = tmp_path / "raw.jsonl"
+    run(capsys, "enumerate", "--box", "1", "--jobs", "1", "--out", str(raw))
+    lines = raw.read_text().splitlines()
+    data = json.loads(lines[0])
+    data["vertices"][0][0] = bad
+    lines[0] = json.dumps(data)
+    raw.write_text("\n".join(lines) + "\n")
+    for command in ("check", "classify"):
+        code, out, err = run(capsys, command, "--in", str(raw))
+        assert code == 2
+        assert out == ""
+        assert "vertex 1" in err and "coordinates must be integers" in err
+        assert err.count("\n") == 1
+
+
 def test_missing_catalog_file(capsys):
     code, out, err = run(capsys, "check", "--in", "/nonexistent/catalog.jsonl")
     assert code == 2
@@ -288,6 +313,16 @@ def test_svg_byte_stable(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().count(">3</text>") == 3
     assert a.read_text().count(">1</text>") == 2
+
+
+def test_svg_refuses_a_large_grid(tmp_path, capsys):
+    # One grid circle per lattice point of the box [-1001, 2] x [-1000, 2].
+    out_path = tmp_path / "big.svg"
+    code, out, err = run(capsys, "svg", "--vertices", "1,0;0,1;-1000,-999", "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert f"1007012 lattice points, more than {SVG_MAX_GRID_POINTS}" in err
+    assert not out_path.exists()
 
 
 def test_svg_rejects_non_polygon(tmp_path, capsys):

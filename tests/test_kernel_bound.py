@@ -1,6 +1,10 @@
-"""Validation and surface analysis agree with the checked plain-int reference
-on both sides of the kernel bound (coordinates below 2**30 in absolute value
-run on unchecked int tuples, the rest on checked RayVector arithmetic)."""
+"""Validation, surface analysis and identify agree with the plain-int
+reference of the 64-bit contract on both sides of 2**30.
+
+Below 2**30 in absolute value no product of two coordinates can leave the
+signed 64-bit range, so there nothing may raise LatticeOverflowError.  Above
+it only a named value (a coordinate, a cone determinant, a vertex turn or an
+f-value) outside that range raises, never an intermediate product."""
 
 import random
 from collections import Counter
@@ -8,6 +12,7 @@ from collections import Counter
 from ldptoric import (
     BadWinding,
     DuplicateRay,
+    LatticeOverflowError,
     NonPrimitiveRay,
     NotCounterclockwise,
     NotStrictlyConvex,
@@ -17,7 +22,6 @@ from ldptoric import (
     validate_fan,
     validate_ldp_polygon,
 )
-from ldptoric.lattice import KERNEL_BOUND
 
 from oracles import (
     large_shear_product,
@@ -29,7 +33,7 @@ from oracles import (
     ref_validate_ldp_polygon,
 )
 
-B = KERNEL_BOUND
+B = 2**30
 
 # One input of each validation error kind, and the error it must raise.
 ERROR_KINDS = [
@@ -42,16 +46,29 @@ ERROR_KINDS = [
 ]
 
 # The three inputs of test_cli.py::test_overflow_is_bad_input, as vertex
-# lists, with the context their error message names.
+# lists, with the value their error message names.
 OVERFLOW_INPUTS = [
     ([(9223372036854775808, 1), (0, 1), (-1, -1)], "x coordinate 9223372036854775808"),
-    ([(3037000500, 1), (-1, 3037000500), (-1, -1)], "det2 product"),
-    ([(1, 0), (0, 1), (-9223372036854775807, -2)], "diff x"),
+    ([(3037000500, 1), (-1, 3037000500), (-1, -1)], "cone determinant 9223372037000250001"),
+    ([(1, 0), (0, 1), (-9223372036854775807, -2)], "vertex turn 9223372036854775810"),
 ]
 
-# Polygons at the bound: the kernel products of the rotated squares are near
-# their worst case (cone determinants near 2**61, f-values near 2**62).  The
-# last two triangles straddle the largest vertex turn that fits 64 bits.
+# The triangle (1,0), (0,1), (x,y) has cone determinants 1, -x and -y, and its
+# every vertex turn and f-value is 1 - x - y.  Each input puts one of these
+# named values at I64_MAX or just past it; the first has intermediate
+# products beyond 64 bits while every named value fits.
+I64_MAX = 2**63 - 1
+CONTRACT_INPUTS = [
+    ([(1, 0), (0, 1), (-3037000500, -3037000499)], None),
+    ([(1, 0), (0, 1), (-(2**62) - 1, 3 - 2**62)], None),  # turns I64_MAX
+    ([(1, 0), (0, 1), (-(2**63), -1)], f"cone determinant {I64_MAX + 1}"),
+    ([(1, 0), (0, 1), (-(2**62), 1 - 2**62)], f"vertex turn {I64_MAX + 1}"),
+]
+
+# Polygons at 2**30: the products of the rotated squares are near their
+# worst case below it (cone determinants near 2**61, f-values near 2**62).
+# The last two triangles straddle the coordinate at which the products in
+# their vertex turns pass 64 bits; the turns themselves fit either way.
 EDGE_INPUTS = [
     [(B - 1, 2 - B), (B - 2, B - 1), (1 - B, B - 2), (2 - B, 1 - B)],
     [(B, 1 - B), (B - 1, B), (-B, B - 1), (1 - B, -B)],
@@ -115,7 +132,7 @@ def _agree(points) -> list[str]:
 
 
 def test_random_fans_agree_with_reference():
-    # Coordinates up to 1.5 * 2**30 straddle the bound and keep every
+    # Coordinates up to 1.5 * 2**30 straddle 2**30 and keep every
     # determinant of the sampled fans inside 64 bits.
     rng = random.Random(4)
     for coord in (20, 3 * B // 2):
@@ -138,17 +155,18 @@ def test_large_images_of_box_two_agree_with_reference(box2_catalog):
             points = [(m.a * x + m.b * y, m.c * x + m.d * y) for x, y in entry.vertices]
             below = _small(points)
             seen.update((below, kind) for kind in _agree(points))
-    # 3,113 valid images, as in the canonical-form test, on both sides of the bound.
+    # 3,120 valid images, as in the canonical-form test, on both sides of
+    # 2**30; no named value of any image leaves 64 bits.
     assert seen[True, "validate:ok"] == 2058
-    assert seen[False, "validate:ok"] == 1055
-    assert seen[False, "validate:LatticeOverflowError"] == 7
-    assert seen[False, "analyze:LatticeOverflowError"] == 1
-    assert seen[True, "identify:ok"] == 2058 and seen[False, "identify:ok"] == 1055
+    assert seen[False, "validate:ok"] == 1062
+    assert seen[False, "validate:LatticeOverflowError"] == 0
+    assert seen[False, "analyze:LatticeOverflowError"] == 0
+    assert seen[True, "identify:ok"] == 2058 and seen[False, "identify:ok"] == 1062
 
 
 def test_error_kinds_agree_with_reference_on_both_sides():
     # An image under a determinant-1 map with entries near 2**30 has the same
-    # defect at the same index, now checked above the bound.
+    # defect at the same index, above 2**30.
     a, b, c, d = B + 1, B, 1, 1
     for points, error in ERROR_KINDS:
         image = [(a * x + b * y, c * x + d * y) for x, y in points]
@@ -171,9 +189,25 @@ def test_inputs_at_the_bound_agree_with_reference():
     seen = []
     for points in EDGE_INPUTS:
         seen += _agree(points)
-    # Just below the bound nothing overflows: the kernels' range proof.
+    # Just below 2**30 nothing overflows.
     for points in EDGE_INPUTS:
         if _small(points):
             for fn in (ref_validate_ldp_polygon, lambda p: ref_analyze(ref_validate_fan(p))):
                 assert _outcome(fn, points)[0] == "ok"
-    assert seen.count("validate:LatticeOverflowError") == 1
+    assert seen.count("validate:LatticeOverflowError") == 0
+
+
+def test_named_values_decide_overflow():
+    for points, message in CONTRACT_INPUTS:
+        seen = _agree(points)
+        outcome = _outcome(validate_ldp_polygon, points)
+        if message is None:
+            assert seen == ["validate:ok", "analyze:ok", "identify:ok"], points
+        else:
+            assert outcome[1] is LatticeOverflowError, points
+            assert outcome[3] == f"{message} exceeds the signed 64-bit range"
+    # As a fan the last triangle validates, and its f-values are the turns.
+    fan = validate_fan(CONTRACT_INPUTS[-1][0])
+    outcome = _outcome(analyze, fan)
+    assert outcome[1] is LatticeOverflowError
+    assert outcome[3] == f"f value {I64_MAX + 1} exceeds the signed 64-bit range"

@@ -195,6 +195,16 @@ def test_same_cycle():
     assert not same_cycle(a, square)
 
 
+def test_non_integer_coordinates_rejected():
+    # int() would truncate 1.9 to 1 and raise OverflowError on infinity.
+    for bad in (1.9, float("inf"), True, "1"):
+        with pytest.raises(ValueError, match=r"^vertex 1 \(.*\): coordinates must be integers$"):
+            validate_ldp_polygon([(bad, 0), (0, 1), (-1, -1)])
+    with pytest.raises(ValueError, match=r"^vertex 3 \(-1, -1.0\): coordinates must be integers$"):
+        validate_fan([(1, 0), (0, 1), (-1, -1.0)])
+    assert validate_fan([(1, 0), (0, 1), (-1, -1)]).rays == tuple(V((1, 0), (0, 1), (-1, -1)))
+
+
 def test_parse_vertices():
     assert parse_vertices("1,0;0,1;-2,-3") == V((1, 0), (0, 1), (-2, -3))
     assert parse_vertices(" 1 , 0 ; 0 , 1 ; -2 , -3 ") == V((1, 0), (0, 1), (-2, -3))
