@@ -62,7 +62,7 @@ def _coerce(index: int, point) -> RayVector:
     if isinstance(point, RayVector):
         return point
     x, y = point
-    if type(x) is not int or type(y) is not int:  # rejects bool, float, str
+    if type(x) is not int or type(y) is not int:  # not isinstance: bool is an int
         raise ValueError(f"vertex {index} {point!r}: coordinates must be integers")
     return RayVector(x, y)
 

@@ -136,9 +136,10 @@ def _lower_half(v: Point) -> bool:
 def ref_validate_fan(points) -> tuple[Point, ...]:
     """The validated ray cycle as int tuples, or the package's error."""
     rays = []
-    for i, (x, y) in enumerate(points, start=1):
+    for i, point in enumerate(points, start=1):
+        x, y = point
         if type(x) is not int or type(y) is not int:
-            raise ValueError(f"vertex {i} {(x, y)!r}: coordinates must be integers")
+            raise ValueError(f"vertex {i} {point!r}: coordinates must be integers")
         rays.append(_vector(x, y))
     d = len(rays)
     if d < 3:

@@ -22,6 +22,7 @@ from ldptoric import (
     validate_fan,
     validate_ldp_polygon,
 )
+from ldptoric.lattice import I64_MAX
 
 from oracles import (
     large_shear_product,
@@ -57,7 +58,6 @@ OVERFLOW_INPUTS = [
 # every vertex turn and f-value is 1 - x - y.  Each input puts one of these
 # named values at I64_MAX or just past it; the first has intermediate
 # products beyond 64 bits while every named value fits.
-I64_MAX = 2**63 - 1
 CONTRACT_INPUTS = [
     ([(1, 0), (0, 1), (-3037000500, -3037000499)], None),
     ([(1, 0), (0, 1), (-(2**62) - 1, 3 - 2**62)], None),  # turns I64_MAX
