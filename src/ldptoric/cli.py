@@ -74,12 +74,18 @@ def entry_to_dict(entry: CatalogEntry) -> dict:
 
 
 def entry_from_dict(data: dict) -> CatalogEntry:
+    """The entry of one catalog line.  Vertex coordinates must be ints (json
+    reads 1.7 and Infinity as floats); nothing else is validated here."""
+    vertices = tuple(tuple(v) for v in data["vertices"])
+    for i, v in enumerate(vertices, start=1):
+        if any(type(c) is not int for c in v):  # not isinstance: bool is an int
+            raise ValueError(f"vertex {i} {v!r}: coordinates must be integers")
     family = None
     if data.get("family") is not None:
         fd = dict(data["family"])
         family = FamilyParams(fd.pop("family"), **fd)
     return CatalogEntry(
-        vertices=tuple(tuple(v) for v in data["vertices"]),
+        vertices=vertices,
         d=data["d"],
         picard_number=data["rho"],
         dets=tuple(data["dets"]),
@@ -172,12 +178,11 @@ def emit_svg(poly: LdpPolygon, path: str) -> None:
         f'<polygon points="{points_attr}" fill="#6699cc" fill-opacity="0.25" stroke="#336699" stroke-width="2"/>'
     )
     parts.append(f'<circle cx="{px(0)}" cy="{py(0)}" r="4" fill="#cc3333"/>')
-    cycle = poly.cycle
     for i in range(1, poly.d + 1):
-        a, b = cycle.ray(i), cycle.ray(i + 1)
+        a, b = poly.ray(i), poly.ray(i + 1)
         parts.append(
             f'<text x="{px(a.x + b.x)}" y="{py(a.y + b.y)}" font-size="14" '
-            f'font-family="monospace" fill="#336699" text-anchor="middle">{cycle.cone_det(i)}</text>'
+            f'font-family="monospace" fill="#336699" text-anchor="middle">{poly.cone_det(i)}</text>'
         )
     parts.append("</svg>")
     with open(path, "w", encoding="ascii") as fh:

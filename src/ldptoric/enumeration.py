@@ -151,7 +151,7 @@ def _shard_worker(
 
 def _entry_for(vertices: tuple[tuple[int, int], ...]) -> CatalogEntry:
     poly = validate_ldp_polygon(vertices)
-    report = analyze(poly.cycle)
+    report = analyze(poly)
     return CatalogEntry(
         vertices=vertices,
         d=report.d,
@@ -190,7 +190,7 @@ def enumerate_ldp(box: BoxSpec | int, jobs: int | None = 1) -> list[CatalogEntry
 def _classify(poly: LdpPolygon) -> tuple[SurfaceReport, FamilyParams | None, str | None]:
     """The one tagging path: analyze the vertices themselves (never a stored
     field), then identify and classify_three as the singular count asks."""
-    surf = analyze(poly.cycle)
+    surf = analyze(poly)
     sc = surf.singular_count
     family = identify(poly) if sc in (1, 2, 3) else None
     three_case = _three_case(poly, sc, family) if sc == 3 else None
@@ -243,11 +243,11 @@ def _is_alternating_d5(singular_indices: tuple[int, ...], d: int) -> bool:
 
 def _violates_half_plane(poly: LdpPolygon, surf: SurfaceReport) -> bool:
     # Check (f): a nonsingular cone sandwiched between two singular ones.
-    d, cyc = surf.d, poly.cycle
+    d = surf.d
     flags = {c.index: c.singular for c in surf.cones}
     for i in range(1, d + 1):
         if flags[(i - 2) % d + 1] and flags[i % d + 1] and not flags[i]:
-            if det2(cyc.ray(i + 2), cyc.ray(i - 1)) < 2 or surf.singular_count < 3:
+            if det2(poly.ray(i + 2), poly.ray(i - 1)) < 2 or surf.singular_count < 3:
                 return True
     return False
 

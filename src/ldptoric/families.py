@@ -31,12 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .polygon import (
-    FanValidationError,
-    LdpPolygon,
-    twice_area,
-    validate_ldp_polygon,
-)
+from .polygon import FanValidationError, LdpPolygon, validate_ldp_polygon
 from .surface import analyze, blow_down, blow_down_candidates
 
 
@@ -208,7 +203,7 @@ def generate(fp: FamilyParams) -> FamilyInstance:
         if not ok:
             raise InvalidParams(fp.family, name)
     polygon = validate_ldp_polygon(spec.vertices(*fp.as_tuple()))
-    report = analyze(polygon.cycle)
+    report = analyze(polygon)
     # The constraint systems are exactly the family membership conditions, so
     # a wrong singular count here is an internal error, not bad input.
     if not report.is_log_del_pezzo or report.singular_count != spec.singular:
@@ -247,20 +242,18 @@ def _basis_readings(poly: LdpPolygon) -> list[tuple[tuple[int, int], ...]]:
     return readings
 
 
-def identify(poly: LdpPolygon, bound: int | None = None) -> FamilyParams | None:
+def identify(poly: LdpPolygon) -> FamilyParams | None:
     """Family parameters of the class of `poly`, or None when no family matches.
 
-    Searches parameters bounded by `bound` (default: twice the polygon area,
-    which dominates every parameter of a matching family).  Deterministic:
-    among all matching tuples the lexicographically smallest wins.  Singular
-    counts outside 1..3, or a 3-singular polygon with d != 5, yield None.
+    The parameters are read off the basis readings of `poly`, so no range of
+    them is searched.  Deterministic: among all matching tuples the
+    lexicographically smallest wins.  Singular counts outside 1..3, or a
+    3-singular polygon with d != 5, yield None.
     """
-    tag = _TAG_BY_SHAPE.get((analyze(poly.cycle).singular_count, poly.d))
+    tag = _TAG_BY_SHAPE.get((analyze(poly).singular_count, poly.d))
     if tag is None:
         return None
     spec = FAMILY_SPECS[tag]
-    if bound is None:
-        bound = twice_area(poly)
     # Each reading is the image of `poly` under a determinant +-1 map, so one
     # that equals the family polygon's reading at its anchor proves the
     # equivalence itself; every equivalence sends the anchor pair onto one
@@ -273,7 +266,7 @@ def identify(poly: LdpPolygon, bound: int | None = None) -> FamilyParams | None:
             candidates.add(values)
     for values in sorted(candidates):
         fp = FamilyParams(tag, **dict(zip(spec.params, values)))
-        if check_params(fp) and all(abs(v) <= bound for v in values):
+        if check_params(fp):
             return fp
     return None
 
@@ -287,7 +280,7 @@ def classify_three(poly: LdpPolygon) -> str:
     none otherwise (no log del Pezzo class with three singular points has
     d >= 7).
     """
-    singular_count = analyze(poly.cycle).singular_count
+    singular_count = analyze(poly).singular_count
     family = identify(poly) if singular_count == 3 and poly.d == 5 else None
     return _three_case(poly, singular_count, family)
 
@@ -303,13 +296,13 @@ def _three_case(poly: LdpPolygon, singular_count: int, family: FamilyParams | No
     if d == 5:
         return "family_d5" if family is not None else "none"
     if d == 6:
-        for i in blow_down_candidates(poly.cycle):
-            smaller = blow_down(poly.cycle, i)
+        for i in blow_down_candidates(poly):
+            smaller = blow_down(poly, i)
             try:
                 sub = validate_ldp_polygon(smaller.rays)
             except FanValidationError:
                 continue
-            if analyze(sub.cycle).singular_count == 3:
+            if analyze(sub).singular_count == 3:
                 return "blowup_of_picard3"
         return "none"
     return "none"

@@ -2,15 +2,18 @@
 
 Everything downstream (fans, polygons, equivalence, enumeration) reduces to
 the handful of operations here: signed 2x2 determinants, primitivity tests,
-and integer matrix maps.  All arithmetic runs on exact Python ints, so no
-intermediate step can overflow.  The 64-bit contract names values instead:
-every vertex coordinate, map entry, determinant, vertex turn and f-value the
-package produces lies in the signed 64-bit range, or the call raises
-LatticeOverflowError naming it.  Each named value is checked once, where it
-is produced, with `checked_i64`: here the RayVector coordinates, the
-UnimodularMap entries and the results of det2 and UnimodularMap.det;
-validation checks its cone determinants and vertex turns, and analyze its
-f-values.
+and applying, composing and inverting integer matrix maps.  Solving for the
+map that sends one ray pair onto another is part of the equivalence decision
+and lives in equivalence.are_equivalent.  A RayVector coordinate must be an
+int (a bool or float raises ValueError naming it), and all arithmetic runs
+on exact Python ints, so no intermediate step can overflow.  The 64-bit
+contract names values instead: every vertex coordinate, map entry,
+determinant, vertex turn and f-value the package produces lies in the signed
+64-bit range, or the call raises LatticeOverflowError naming it.  Each named
+value is checked once, where it is produced, with `checked_i64`: here the
+RayVector coordinates, the UnimodularMap entries and the results of det2 and
+UnimodularMap.det; validation checks its cone determinants and vertex turns,
+and analyze its f-values.
 """
 
 from __future__ import annotations
@@ -41,8 +44,12 @@ class RayVector:
     y: int
 
     def __post_init__(self) -> None:
-        checked_i64(self.x, "x coordinate")
-        checked_i64(self.y, "y coordinate")
+        x, y = self.x, self.y
+        if type(x) is not int or type(y) is not int:  # not isinstance: bool is an int
+            name, value = ("x", x) if type(x) is not int else ("y", y)
+            raise ValueError(f"{name} coordinate {value!r} is not an integer")
+        checked_i64(x, "x coordinate")
+        checked_i64(y, "y coordinate")
 
     def __add__(self, other: "RayVector") -> "RayVector":
         return RayVector(self.x + other.x, self.y + other.y)
@@ -88,9 +95,6 @@ class UnimodularMap:
             return UnimodularMap(-self.d, self.b, self.c, -self.a)
         raise ValueError(f"matrix with determinant {det} has no integer inverse")
 
-    def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.a, self.b), (self.c, self.d))
-
 
 IDENTITY_MAP = UnimodularMap(1, 0, 0, 1)
 
@@ -117,30 +121,3 @@ def compose_maps(m: UnimodularMap, n: UnimodularMap) -> UnimodularMap:
         m.c * n.a + m.d * n.c,
         m.c * n.b + m.d * n.d,
     )
-
-
-def solve_map(u1: RayVector, u2: RayVector, w1: RayVector, w2: RayVector) -> UnimodularMap | None:
-    """The unique integral unimodular map sending u1 -> w1 and u2 -> w2, or None.
-
-    (u1, u2) must be linearly independent (ValueError otherwise); the rational
-    solution is then unique, and None is returned when it fails to be integral
-    or fails to have determinant +-1.
-    """
-    base = det2(u1, u2)
-    if base == 0:
-        raise ValueError("u1 and u2 must be linearly independent")
-    # Cramer on the two rows of the unknown matrix.
-    numerators = (
-        w1.x * u2.y - w2.x * u1.y,
-        u1.x * w2.x - u2.x * w1.x,
-        w1.y * u2.y - w2.y * u1.y,
-        u1.x * w2.y - u2.x * w1.y,
-    )
-    entries = []
-    for num in numerators:
-        quot, rem = divmod(num, base)
-        if rem:
-            return None
-        entries.append(quot)
-    m = UnimodularMap(*entries)
-    return m if m.is_unimodular() else None

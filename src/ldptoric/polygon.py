@@ -2,8 +2,10 @@
 
 A FanCycle is a counterclockwise cyclic list of pairwise distinct primitive
 rays winding exactly once around the origin; it determines a complete fan.
-An LdpPolygon additionally has every ray a strictly convex vertex of the hull,
-which is exactly the log del Pezzo condition on the associated surface.
+An LdpPolygon is a FanCycle that additionally has every ray a strictly convex
+vertex of the hull, which is exactly the log del Pezzo condition on the
+associated surface.  Being a FanCycle, it goes as is to everything that takes
+one (analyze, blow_up, twice_area, ...); `vertices` is its name for the rays.
 
 All validation-error indices reported here are 1-based, matching the cyclic
 convention used by every external surface of the package.  Validation runs on
@@ -100,8 +102,9 @@ def angular_sort(points: Iterable[RayVector]) -> list[RayVector]:
 class FanCycle:
     """Counterclockwise cycle of primitive rays winding once around the origin.
 
-    surface.analyze memoizes its report on the cycle as the attribute
-    `_report`, which is no dataclass field: ==, hash and repr ignore it."""
+    surface.analyze memoizes its report on the cycle (an LdpPolygon
+    included) as the attribute `_report`, which is no dataclass field: ==,
+    hash and repr ignore it."""
 
     rays: tuple[RayVector, ...]
 
@@ -119,18 +122,12 @@ class FanCycle:
 
 
 @dataclass(frozen=True)
-class LdpPolygon:
+class LdpPolygon(FanCycle):
     """A FanCycle whose rays are strict vertices of their convex hull."""
-
-    cycle: FanCycle
 
     @property
     def vertices(self) -> tuple[RayVector, ...]:
-        return self.cycle.rays
-
-    @property
-    def d(self) -> int:
-        return self.cycle.d
+        return self.rays
 
 
 def same_cycle(a: FanCycle, b: FanCycle) -> bool:
@@ -199,15 +196,14 @@ def validate_ldp_polygon(points: Sequence) -> LdpPolygon:
     for i, ((ax, ay), (bx, by), (cx, cy)) in enumerate(triples, start=1):
         if checked_i64((bx - ax) * (cy - by) - (cx - bx) * (by - ay), "vertex turn") <= 0:
             raise NotStrictlyConvex(i)
-    return LdpPolygon(FanCycle(rays))
+    return LdpPolygon(rays)
 
 
-def twice_area(poly: LdpPolygon | FanCycle) -> int:
+def twice_area(cycle: FanCycle) -> int:
     """Twice the polygon area: the sum of all cone determinants.  Always positive.
 
     Not range-checked: validation has already checked every one of these
     determinants."""
-    cycle = poly.cycle if isinstance(poly, LdpPolygon) else poly
     pts = [(v.x, v.y) for v in cycle.rays]
     return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
 

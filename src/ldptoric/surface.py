@@ -11,9 +11,9 @@ are produced, and the cone determinants were checked by validation.
 
 analyze() computes the report of a FanCycle object once and memoizes it on
 that (immutable) cycle, outside its dataclass fields, so the memo takes no
-part in ==, hash or repr.  Callers that pass the same polygon or cycle on,
-such as the tagging path (analyze, identify, classify_three), share one
-computation.
+part in ==, hash or repr.  An LdpPolygon is a FanCycle, so the memo sits on
+the polygon itself, and callers that pass the same polygon on, such as the
+tagging path (analyze, identify, classify_three), share one computation.
 """
 
 from __future__ import annotations
@@ -22,11 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import checked_i64
-from .polygon import FanCycle, LdpPolygon, validate_fan
-
-
-def _as_cycle(fan: FanCycle | LdpPolygon) -> FanCycle:
-    return fan.cycle if isinstance(fan, LdpPolygon) else fan
+from .polygon import FanCycle, validate_fan
 
 
 class ConeSingular(ValueError):
@@ -62,21 +58,19 @@ class SurfaceReport:
         return tuple(c.index for c in self.cones if c.singular)
 
 
-def f_value(cycle: FanCycle | LdpPolygon, i: int) -> int:
+def f_value(cycle: FanCycle, i: int) -> int:
     """det(v_{i-1}, v_i) + det(v_i, v_{i+1}) + det(v_{i+1}, v_{i-1}) for 1 <= i <= d,
     read off analyze()."""
-    cycle = _as_cycle(cycle)
     if not 1 <= i <= cycle.d:
         raise IndexError(f"ray index {i} out of range 1..{cycle.d}")
     return analyze(cycle).f_values[i - 1]
 
 
-def analyze(cycle: FanCycle | LdpPolygon) -> SurfaceReport:
+def analyze(cycle: FanCycle) -> SurfaceReport:
     """Full singularity and degree report for the surface of a validated cycle.
 
     Computed on the first call for a cycle object; later calls return the
     same report object."""
-    cycle = _as_cycle(cycle)
     report = cycle.__dict__.get("_report")
     if report is None:
         report = _surface_report(cycle)
@@ -111,14 +105,13 @@ def _surface_report(cycle: FanCycle) -> SurfaceReport:
     )
 
 
-def blow_up(cycle: FanCycle | LdpPolygon, i: int) -> FanCycle:
+def blow_up(cycle: FanCycle, i: int) -> FanCycle:
     """Subdivide the smooth cone i by inserting the primitive ray v_i + v_{i+1}.
 
     Raises ConeSingular(i) when the cone determinant is not 1.  The result has
     d + 1 rays and the same multiset of singular cone determinants: the
     determinant-1 cone is replaced by two determinant-1 cones.
     """
-    cycle = _as_cycle(cycle)
     if not 1 <= i <= cycle.d:
         raise IndexError(f"cone index {i} out of range 1..{cycle.d}")
     if cycle.cone_det(i) != 1:
@@ -128,21 +121,19 @@ def blow_up(cycle: FanCycle | LdpPolygon, i: int) -> FanCycle:
     return FanCycle(rays)
 
 
-def blow_down_candidates(cycle: FanCycle | LdpPolygon) -> list[int]:
+def blow_down_candidates(cycle: FanCycle) -> list[int]:
     """1-based indices i with v_i == v_{i-1} + v_{i+1}; requires d >= 4.
 
     Removing such a ray always leaves a valid fan with d - 1 rays; whether the
     smaller fan is log del Pezzo is not checked here.
     """
-    cycle = _as_cycle(cycle)
     if cycle.d < 4:
         raise ValueError("blow-down needs at least 4 rays")
     return [i for i in range(1, cycle.d + 1) if cycle.ray(i) == cycle.ray(i - 1) + cycle.ray(i + 1)]
 
 
-def blow_down(cycle: FanCycle | LdpPolygon, i: int) -> FanCycle:
+def blow_down(cycle: FanCycle, i: int) -> FanCycle:
     """Remove ray i, which must equal the sum of its neighbours.  Exact inverse of blow_up."""
-    cycle = _as_cycle(cycle)
     if cycle.d < 4:
         raise ValueError("blow-down needs at least 4 rays")
     if not 1 <= i <= cycle.d:

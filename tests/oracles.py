@@ -204,9 +204,9 @@ def ref_analyze(rays: tuple[Point, ...]) -> dict:
 
 
 def _solve_map(u1: Point, u2: Point, w1: Point, w2: Point) -> tuple[int, int, int, int] | None:
-    """solve_map(u1, u2, w1, w2) as (a, b, c, d): Cramer on exact ints, with
-    the determinant of (u1, u2) and the entries checked as solve_map checks
-    them."""
+    """The unimodular map sending u1 -> w1 and u2 -> w2 as (a, b, c, d), or
+    None: Cramer on exact ints, with the determinant of (u1, u2) checked as
+    det2 checks it and the entries as UnimodularMap checks them."""
     base = _i64(_det(u1, u2), "det2")
     numerators = (
         w1[0] * u2[1] - w2[0] * u1[1],
@@ -352,8 +352,9 @@ DAIS_TAGS = ("dais1", "dais2", "dais3")
 
 
 def ref_identify(poly: LdpPolygon) -> FamilyParams | None:
-    """identify(poly) with the default bound, its arithmetic on the
-    reference; the family table and constraints are the package's.  The
+    """identify(poly) with its arithmetic on the reference and its
+    parameters bounded by twice the area (a bound every family instance
+    meets); the family table and constraints are the package's.  The
     template families are read off the exact basis readings; a dais
     polygon's parameter is forced by its area (one cone of determinant p + 1
     and d - 1 smooth cones), and its membership decided by equal brute-force

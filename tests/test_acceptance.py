@@ -130,7 +130,7 @@ def test_criterion_06_no_alternating_d5(box2_entries, box3_pipeline):
     scanned = 0
     for entry in list(enumerate_ldp(1)) + list(box2_entries) + list(entries3):
         scanned += 1
-        surf = analyze(entry.polygon().cycle)
+        surf = analyze(entry.polygon())
         if _is_alternating_d5(surf.singular_indices(), entry.d):
             offenders.append(entry.vertices)
     ok = not offenders
@@ -140,7 +140,7 @@ def test_criterion_06_no_alternating_d5(box2_entries, box3_pipeline):
 def test_criterion_07_contiguity(box3_pipeline):
     entries, classified, report, elapsed = box3_pipeline
     noncontiguous = [
-        e.vertices for e in entries if not nonsingular_arc_contiguous(analyze(e.polygon().cycle))
+        e.vertices for e in entries if not nonsingular_arc_contiguous(analyze(e.polygon()))
     ]
     witness = validate_fan(parse_vertices("1,0;0,1;-2,-1;-3,-2"))
     witness_rep = analyze(witness)
@@ -213,18 +213,18 @@ def test_criterion_11_blow_up_laws(box2_entries):
     checked = 0
     while checked < 1_000:
         poly = random_ldp_polygon(rng, seeds)
-        rep = analyze(poly.cycle)
+        rep = analyze(poly)
         smooth = [c.index for c in rep.cones if not c.singular]
         if not smooth:
             continue  # criterion demands a nonsingular cone, keep drawing
         checked += 1
         i = rng.choice(smooth)
-        up = blow_up(poly.cycle, i)
+        up = blow_up(poly, i)
         if analyze(up).singular_count != rep.singular_count:
             failures += 1
             continue
         down = blow_down(up, i + 1)
-        if down.rays != poly.cycle.rays or format_vertices(down.rays) != format_vertices(poly.cycle.rays):
+        if down.rays != poly.rays or format_vertices(down.rays) != format_vertices(poly.rays):
             failures += 1
     _report(11, failures == 0, f"1000 random LDP fans with a smooth cone: {failures} blow-up law failures")
 

@@ -282,7 +282,7 @@ def test_non_integer_catalog_coordinate_is_bad_input(tmp_path, capsys, bad):
         code, out, err = run(capsys, command, "--in", str(raw))
         assert code == 2
         assert out == ""
-        assert "vertex 1" in err and "coordinates must be integers" in err
+        assert "line 1" in err and "vertex 1" in err and "coordinates must be integers" in err
         assert err.count("\n") == 1
 
 

@@ -104,7 +104,7 @@ def test_box_monotonicity(box1_catalog, box2_catalog):
 def test_entry_data_matches_reanalysis(box1_catalog):
     for entry in box1_catalog:
         poly = validate_ldp_polygon(entry.vertices)
-        rep = analyze(poly.cycle)
+        rep = analyze(poly)
         assert entry.d == rep.d
         assert entry.picard_number == rep.picard_number
         assert entry.dets == rep.dets

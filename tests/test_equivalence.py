@@ -158,8 +158,8 @@ def test_apply_to_polygon_validates_and_preserves_data():
         image = apply_to_polygon(m, PENTAGON)
         assert image.d == PENTAGON.d
         assert twice_area(image) == twice_area(PENTAGON)
-        rep_a = analyze(PENTAGON.cycle)
-        rep_b = analyze(image.cycle)
+        rep_a = analyze(PENTAGON)
+        rep_b = analyze(image)
         assert sorted(rep_a.dets) == sorted(rep_b.dets)
 
 

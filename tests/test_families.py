@@ -203,15 +203,21 @@ def test_template_reading_round_trip():
             assert spec.read(reading) == values, (tag, values)
 
 
-def test_identify_bound_is_sufficient_on_sweep():
-    # matches found with the default bound never differ from a 2x sweep
-    for p, q in itertools.product(range(2, 6), range(2, 6)):
-        fp = FamilyParams("two1", p=p, q=q)
-        if not check_params(fp):
-            continue
-        q_poly = generate(fp).polygon
-        b = twice_area(q_poly)
-        assert identify(q_poly, bound=b) == identify(q_poly, bound=2 * b)
+def test_family_params_within_twice_area_on_sweep():
+    # identify searches no parameter range: twice the area bounds every
+    # parameter of a family polygon, and each family polygon is identified.
+    checked = 0
+    for tag, spec in FAMILY_SPECS.items():
+        span = range(-5, 6) if tag == "three5" else range(-9, 10)
+        for values in itertools.product(span, repeat=len(spec.params)):
+            fp = FamilyParams(tag, **dict(zip(spec.params, values)))
+            if not check_params(fp):
+                continue
+            q_poly = generate(fp).polygon
+            assert max(map(abs, values)) <= twice_area(q_poly), fp
+            assert identify(q_poly) is not None, fp
+            checked += 1
+    assert checked == 1297
 
 
 def test_soundness_sweep_small():

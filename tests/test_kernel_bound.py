@@ -114,7 +114,7 @@ def _agree(points) -> list[str]:
     seen = []
     fan = _outcome(lambda: _rays(validate_fan(points)))
     assert fan == _outcome(ref_validate_fan, points), points
-    poly = _outcome(lambda: _rays(validate_ldp_polygon(points).cycle))
+    poly = _outcome(lambda: _rays(validate_ldp_polygon(points)))
     assert poly == _outcome(ref_validate_ldp_polygon, points), points
     seen.append(f"validate:{poly[0] if poly[0] == 'ok' else poly[1].__name__}")
     if fan[0] == "ok":

@@ -11,7 +11,6 @@ from ldptoric import (
     compose_maps,
     det2,
     is_primitive,
-    solve_map,
 )
 
 coords = st.integers(min_value=-10**6, max_value=10**6)
@@ -95,35 +94,6 @@ def test_compose_order():
     v = RayVector(1, 2)
     assert apply_map(compose_maps(shear, swap), v) == apply_map(shear, apply_map(swap, v))
     assert compose_maps(shear, swap) != compose_maps(swap, shear)
-
-
-def test_solve_map_examples():
-    u1, u2 = RayVector(1, 0), RayVector(0, 1)
-    m = solve_map(u1, u2, RayVector(0, 1), RayVector(1, 0))
-    assert m == UnimodularMap(0, 1, 1, 0)
-
-    # target pair spans a sublattice of index 2: no unimodular map
-    assert solve_map(u1, u2, RayVector(1, 0), RayVector(0, 2)) is None
-
-    # the unique linear map exists but is not integral
-    assert solve_map(RayVector(2, 1), RayVector(0, 1), RayVector(1, 0), RayVector(0, 1)) is None
-
-    with pytest.raises(ValueError):
-        solve_map(RayVector(1, 1), RayVector(2, 2), u1, u2)
-
-
-@given(vectors, vectors, st.sampled_from([
-    UnimodularMap(1, 0, 0, 1),
-    UnimodularMap(0, -1, 1, 0),
-    UnimodularMap(1, 2, 0, 1),
-    UnimodularMap(3, 2, 1, 1),
-    UnimodularMap(1, 0, 0, -1),
-]))
-def test_solve_map_recovers_unimodular(u1, u2, m):
-    if det2(u1, u2) == 0:
-        return
-    got = solve_map(u1, u2, apply_map(m, u1), apply_map(m, u2))
-    assert got == m
 
 
 def test_overflow_detection():

