@@ -45,7 +45,6 @@ from .surface import (
     nonsingular_arc_contiguous,
 )
 from .equivalence import (
-    CanonicalForm,
     apply_to_polygon,
     are_equivalent,
     canonical_form,
@@ -107,7 +106,6 @@ __all__ = [
     "blow_up",
     "f_value",
     "nonsingular_arc_contiguous",
-    "CanonicalForm",
     "apply_to_polygon",
     "are_equivalent",
     "canonical_form",

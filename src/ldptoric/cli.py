@@ -27,6 +27,7 @@ from .lattice import LatticeOverflowError
 from .polygon import (
     LdpPolygon,
     NotCounterclockwise,
+    _coerce,
     format_vertices,
     parse_vertices,
     validate_fan,
@@ -75,11 +76,9 @@ def entry_to_dict(entry: CatalogEntry) -> dict:
 
 def entry_from_dict(data: dict) -> CatalogEntry:
     """The entry of one catalog line.  Vertex coordinates must be ints (json
-    reads 1.7 and Infinity as floats); nothing else is validated here."""
-    vertices = tuple(tuple(v) for v in data["vertices"])
-    for i, v in enumerate(vertices, start=1):
-        if any(type(c) is not int for c in v):  # not isinstance: bool is an int
-            raise ValueError(f"vertex {i} {v!r}: coordinates must be integers")
+    reads 1.7 and Infinity as floats) in the signed 64-bit range, as polygon
+    validation checks them; nothing else is validated here."""
+    vertices = tuple(_coerce(i, v).as_tuple() for i, v in enumerate(data["vertices"], start=1))
     family = None
     if data.get("family") is not None:
         fd = dict(data["family"])
@@ -115,7 +114,7 @@ def read_catalog(path: str) -> list[CatalogEntry]:
                 continue
             try:
                 entries.append(entry_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, LatticeOverflowError) as exc:
                 raise ValueError(f"bad catalog line {line_no}: {exc}") from None
     return entries
 

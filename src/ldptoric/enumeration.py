@@ -9,12 +9,14 @@ determinants >= 1 keep each angular step below a half-turn, which makes the
 once-around winding automatic at closure.  Strict-left-turn pruning is exact:
 the turn at a vertex equals its f-value, so partial chains that already
 violate the log del Pezzo condition are cut immediately.  The DFS runs on
-plain int tuples; every chain it emits is re-validated by validate_ldp_polygon.
+one list of plain int tuples and emits int-tuple chains.
 
 The 8 signed permutations of the square (the group D4) lie in GL(2, Z) and map
 the box onto itself, so the raw cycles are closed under D4 and each orbit lies
 in one class.  Each class therefore keeps a cycle whose sorted vertex set is
-the least in its D4 orbit, and only those cycles are canonicalized.
+the least in its D4 orbit, and only those cycles are validated and
+canonicalized: D4 preserves validity, so every class keeps a validated
+representative.  enumerate_raw validates every raw cycle.
 """
 
 from __future__ import annotations
@@ -76,12 +78,10 @@ def primitive_points(n: int) -> list[RayVector]:
     return angular_sort(pts)
 
 
-def _chains_from(
-    points: list[RayVector], pts: list[tuple[int, int]], start: int
-) -> list[tuple[RayVector, ...]]:
-    """All LDP cycles whose angularly smallest vertex is points[start]; the
-    search runs on pts, the same points as int tuples."""
-    found: list[tuple[RayVector, ...]] = []
+def _chains_from(pts: list[tuple[int, int]], start: int) -> list[tuple[tuple[int, int], ...]]:
+    """All LDP cycles, as int tuples, whose angularly smallest vertex is
+    pts[start]; pts is primitive_points as int tuples."""
+    found: list[tuple[tuple[int, int], ...]] = []
     fx, fy = pts[start]
     total = len(pts)
 
@@ -97,7 +97,7 @@ def _chains_from(
                 and ex * (fy - ly) - (fx - lx) * ey >= 1
                 and (fx - lx) * (sy - fy) - (sx - fx) * (fy - ly) >= 1
             ):
-                found.append(tuple(points[j] for j in chain))
+                found.append(tuple(pts[j] for j in chain))
         for nxt in range(last_index + 1, total):
             cx, cy = pts[nxt]
             if lx * cy - cx * ly < 1:
@@ -114,15 +114,10 @@ def _chains_from(
 
 def enumerate_raw(n: int) -> list[tuple[RayVector, ...]]:
     """Every LDP polygon cycle with vertices in the box, one rotation each
-    (starting at the angularly smallest vertex), all re-validated."""
-    points = primitive_points(n)
-    pts = [v.as_tuple() for v in points]
-    cycles: list[tuple[RayVector, ...]] = []
-    for start in range(len(points)):
-        for chain in _chains_from(points, pts, start):
-            validate_ldp_polygon(chain)
-            cycles.append(chain)
-    return cycles
+    (starting at the angularly smallest vertex), each one validated."""
+    pts = [v.as_tuple() for v in primitive_points(n)]
+    chains = (chain for start in range(len(pts)) for chain in _chains_from(pts, start))
+    return [validate_ldp_polygon(chain).vertices for chain in chains]
 
 
 # The signed permutations of the square other than the identity, as
@@ -133,18 +128,15 @@ _SQUARE_SYMMETRIES = (
 )
 
 
-def _shard_worker(
-    args: tuple[list[RayVector], list[tuple[int, int]], int]
-) -> set[tuple[tuple[int, int], ...]]:
-    points, pts, start = args
+def _shard_worker(args: tuple[list[tuple[int, int]], int]) -> set[tuple[tuple[int, int], ...]]:
+    pts, start = args
     out: set[tuple[tuple[int, int], ...]] = set()
-    for chain in _chains_from(points, pts, start):
-        poly = validate_ldp_polygon(chain)
-        # Only the D4-orbit-least vertex set of each orbit needs a form.
-        key = sorted(v.as_tuple() for v in chain)
+    for chain in _chains_from(pts, start):
+        # Validate and canonicalize only the D4-orbit-least vertex set of each orbit.
+        key = sorted(chain)
         if any(sorted((a * x + b * y, c * x + d * y) for x, y in key) < key for a, b, c, d in _SQUARE_SYMMETRIES):
             continue
-        form = canonical_form(poly)
+        form = canonical_form(validate_ldp_polygon(chain))
         out.add(tuple(v.as_tuple() for v in form.vertices))
     return out
 
@@ -171,9 +163,8 @@ def enumerate_ldp(box: BoxSpec | int, jobs: int | None = 1) -> list[CatalogEntry
     if isinstance(box, int):
         box = BoxSpec(box)
     # Computed once per call and shared by every shard.
-    points = primitive_points(box.n)
-    pts = [v.as_tuple() for v in points]
-    shard_args = [(points, pts, s) for s in range(len(points))]
+    pts = [v.as_tuple() for v in primitive_points(box.n)]
+    shard_args = [(pts, s) for s in range(len(pts))]
     canon: set[tuple[tuple[int, int], ...]] = set()
     if jobs == 1:
         for args in shard_args:

@@ -20,14 +20,15 @@ The pair (k, D) depends only on the anchor pair (D is their determinant, k
 the Bezout row applied to the second vertex, reduced mod D), so it is
 computed for every anchor first and only the anchors tied for the least
 pair are normalized in full.  This runs on exact int tuples, the mirrored
-cycle included; the 64-bit contract is enforced once, when the winning
-vertices become RayVectors.
+cycle included.  The form is an LdpPolygon, not re-validated: a determinant
++-1 map carries the validated input onto it, so its cone determinants and
+vertex turns are the input's, already held to the 64-bit contract.  Its
+coordinates are checked when they become RayVectors.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .lattice import (
     IDENTITY_MAP,
@@ -37,20 +38,7 @@ from .lattice import (
     apply_map,
     compose_maps,
 )
-from .polygon import LdpPolygon, format_vertices, twice_area, validate_ldp_polygon
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Distinguished vertex list of an equivalence class; itself a valid polygon."""
-
-    vertices: tuple[RayVector, ...]
-
-    def text(self) -> str:
-        return format_vertices(self.vertices)
-
-    def as_polygon(self) -> LdpPolygon:
-        return validate_ldp_polygon(self.vertices)
+from .polygon import LdpPolygon, twice_area, validate_ldp_polygon
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -68,7 +56,7 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def canonical_form(poly: LdpPolygon, orientation_preserving: bool = False) -> CanonicalForm:
+def canonical_form(poly: LdpPolygon, orientation_preserving: bool = False) -> LdpPolygon:
     """Deterministic, equivalence-invariant representative of the class of `poly`.
 
     With orientation_preserving=True only determinant +1 maps are allowed, so
@@ -97,7 +85,7 @@ def canonical_form(poly: LdpPolygon, orientation_preserving: bool = False) -> Ca
             if best is None or candidate < best:
                 best = candidate
     assert best is not None
-    return CanonicalForm(tuple(RayVector(x, y) for x, y in best))
+    return LdpPolygon(tuple(RayVector(x, y) for x, y in best))
 
 
 def are_equivalent(

@@ -8,6 +8,7 @@ session fixtures.
 
 import hashlib
 import itertools
+import math
 import random
 import time
 
@@ -24,6 +25,7 @@ from ldptoric import (
     check_params,
     classify_catalog,
     enumerate_ldp,
+    enumerate_raw,
     f_value,
     format_vertices,
     generate,
@@ -243,3 +245,30 @@ def test_box_three_catalog_bytes_pinned(box3_pipeline, tmp_path):
         "1965ac4133bec9f91e2ccde2afd79254b2818be073d3cad34b3b507fb84539bb",
         "f47ce14a08c225b8e9e63238ff473ba56e9d0f666c6d3113a3118e9aa339662e",
     ]
+
+
+def test_box_three_raw_chains_all_validate():
+    """Not a scored criterion: enumerate_raw validates every raw chain that
+    the shards' D4 orbit test skips."""
+    assert len(enumerate_raw(3)) == 137295
+
+
+def test_box_three_gorenstein_index_counts(box3_pipeline):
+    """Not a scored criterion: the Gorenstein index (lcm of the lattice
+    heights det(v_i, v_i+1) / gcd(v_i+1 - v_i) of the edges), read from the
+    vertices alone.  Kasprzyk-Kreuzer-Nill (LMS J. Comput. Math. 2010) list
+    16, 30 and 99 toric log del Pezzo surfaces of index 1, 2 and 3; a box
+    can hold fewer, never more."""
+    entries, _, _, _ = box3_pipeline
+    counts = {1: 0, 2: 0, 3: 0}
+    for entry in entries:
+        vs = entry.vertices
+        index = 1
+        for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]):
+            height, rem = divmod(x0 * y1 - x1 * y0, math.gcd(x1 - x0, y1 - y0))
+            assert rem == 0
+            index = math.lcm(index, height)
+        if index in counts:
+            counts[index] += 1
+    assert counts == {1: 16, 2: 28, 3: 76}
+    assert counts[2] <= 30 and counts[3] <= 99

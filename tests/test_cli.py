@@ -268,9 +268,7 @@ def test_bad_catalog_line(tmp_path, capsys):
     assert "bad catalog line 3" in err
 
 
-@pytest.mark.parametrize("bad", [1.7, float("inf")])
-def test_non_integer_catalog_coordinate_is_bad_input(tmp_path, capsys, bad):
-    # json writes these as 1.7 and Infinity and reads both back as floats.
+def _catalog_with_first_coordinate(tmp_path, capsys, bad):
     raw = tmp_path / "raw.jsonl"
     run(capsys, "enumerate", "--box", "1", "--jobs", "1", "--out", str(raw))
     lines = raw.read_text().splitlines()
@@ -278,11 +276,29 @@ def test_non_integer_catalog_coordinate_is_bad_input(tmp_path, capsys, bad):
     data["vertices"][0][0] = bad
     lines[0] = json.dumps(data)
     raw.write_text("\n".join(lines) + "\n")
+    return raw
+
+
+@pytest.mark.parametrize("bad", [1.7, float("inf")])
+def test_non_integer_catalog_coordinate_is_bad_input(tmp_path, capsys, bad):
+    # json writes these as 1.7 and Infinity and reads both back as floats.
+    raw = _catalog_with_first_coordinate(tmp_path, capsys, bad)
     for command in ("check", "classify"):
         code, out, err = run(capsys, command, "--in", str(raw))
         assert code == 2
         assert out == ""
         assert "line 1" in err and "vertex 1" in err and "coordinates must be integers" in err
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad", [2**64, -(2**63) - 1])
+def test_out_of_range_catalog_coordinate_is_bad_input(tmp_path, capsys, bad):
+    raw = _catalog_with_first_coordinate(tmp_path, capsys, bad)
+    for command in ("check", "classify"):
+        code, out, err = run(capsys, command, "--in", str(raw))
+        assert code == 2
+        assert out == ""
+        assert f"bad catalog line 1: x coordinate {bad} exceeds the signed 64-bit range" in err
         assert err.count("\n") == 1
 
 

@@ -14,9 +14,9 @@ from ldptoric import (
     validate_ldp_polygon,
     verify_catalog,
 )
-from ldptoric.enumeration import _SQUARE_SYMMETRIES, _is_alternating_d5
+from ldptoric.enumeration import _SQUARE_SYMMETRIES, _chains_from, _is_alternating_d5
 
-from oracles import brute_force_classes
+from oracles import brute_force_classes, ref_validate_ldp_polygon
 
 
 def test_box_spec_rejects_nonpositive():
@@ -120,6 +120,16 @@ def test_raw_cycles_are_rotations_of_valid_polygons():
     assert len(raws) == 64
     for chain in raws:
         validate_ldp_polygon(chain)
+
+
+def test_every_box_two_dfs_chain_passes_the_reference_validation():
+    # The shards validate only D4-orbit-least chains; this checks all of them,
+    # with a validation that shares no code with the package.
+    pts = [v.as_tuple() for v in primitive_points(2)]
+    chains = [chain for start in range(len(pts)) for chain in _chains_from(pts, start)]
+    assert len(chains) == 1533
+    for chain in chains:
+        assert ref_validate_ldp_polygon(chain) == chain
 
 
 def test_classify_catalog_fills_expected_fields(box2_catalog):

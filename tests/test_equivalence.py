@@ -14,6 +14,7 @@ from ldptoric import (
     are_equivalent,
     canonical_form,
     enumerate_raw,
+    format_vertices,
     parse_vertices,
     random_unimodular_map,
     twice_area,
@@ -81,10 +82,11 @@ def test_orientation_preserving_still_finds_rotations():
 def test_canonical_form_is_valid_and_idempotent():
     for base in (P2, P112, CHIRAL, PENTAGON):
         form = canonical_form(base)
-        again = canonical_form(form.as_polygon())
+        assert validate_ldp_polygon(form.vertices) == form
+        again = canonical_form(form)
         assert form.vertices == again.vertices
-        assert form.as_polygon().d == base.d
-        assert twice_area(form.as_polygon()) == twice_area(base)
+        assert form.d == base.d
+        assert twice_area(form) == twice_area(base)
 
 
 def test_canonical_form_invariance_under_random_maps():
@@ -106,7 +108,7 @@ def test_canonical_form_invariant_under_rotation_of_input():
 
 def test_canonical_text_roundtrip():
     form = canonical_form(PENTAGON)
-    assert poly(form.text()).vertices == form.vertices
+    assert poly(format_vertices(form.vertices)).vertices == form.vertices
 
 
 def test_orientation_preserving_form_splits_mirror_pair():

@@ -240,7 +240,7 @@ def test_soundness_sweep_small():
 
 
 def test_distinct_tuples_give_distinct_classes_for_dais():
-    forms = {canonical_form(generate(FamilyParams("dais1", p=p)).polygon).text()
+    forms = {canonical_form(generate(FamilyParams("dais1", p=p)).polygon).vertices
              for p in range(1, 9)}
     assert len(forms) == 8
 
