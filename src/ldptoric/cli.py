@@ -27,7 +27,6 @@ from .lattice import LatticeOverflowError
 from .polygon import (
     LdpPolygon,
     NotCounterclockwise,
-    _coerce,
     format_vertices,
     parse_vertices,
     validate_fan,
@@ -61,38 +60,41 @@ def report_to_dict(report: SurfaceReport) -> dict:
     }
 
 
+def _catalog_surface(report: SurfaceReport) -> dict:
+    """The five surface keys of a catalog line, in catalog order."""
+    return {
+        "d": report.d,
+        "rho": report.picard_number,
+        "dets": list(report.dets),
+        "f": list(report.f_values),
+        "singular": report.singular_count,
+    }
+
+
 def entry_to_dict(entry: CatalogEntry) -> dict:
     return {
         "vertices": [list(v) for v in entry.vertices],
-        "d": entry.d,
-        "rho": entry.picard_number,
-        "dets": list(entry.dets),
-        "f": list(entry.f_values),
-        "singular": entry.singular_count,
+        **_catalog_surface(analyze(entry.poly)),
         "family": entry.family.to_dict() if entry.family is not None else None,
         "three_case": entry.three_case,
     }
 
 
 def entry_from_dict(data: dict) -> CatalogEntry:
-    """The entry of one catalog line.  Vertex coordinates must be ints (json
-    reads 1.7 and Infinity as floats) in the signed 64-bit range, as polygon
-    validation checks them; nothing else is validated here."""
-    vertices = tuple(_coerce(i, v).as_tuple() for i, v in enumerate(data["vertices"], start=1))
+    """The entry of one catalog line.  Its vertices must pass
+    validate_ldp_polygon (int coordinates in the signed 64-bit range), and
+    each stored surface key must equal analyze()'s value, else ValueError
+    names the key; canonical form and tags are not checked."""
+    poly = validate_ldp_polygon(data["vertices"])
+    for key, derived in _catalog_surface(analyze(poly)).items():
+        # repr, not ==: true and 1.0 equal 1 but are not what was written.
+        if repr(data[key]) != repr(derived):
+            raise ValueError(f"{key} {data[key]!r} does not match the vertices, which give {derived}")
     family = None
     if data.get("family") is not None:
         fd = dict(data["family"])
         family = FamilyParams(fd.pop("family"), **fd)
-    return CatalogEntry(
-        vertices=vertices,
-        d=data["d"],
-        picard_number=data["rho"],
-        dets=tuple(data["dets"]),
-        f_values=tuple(data["f"]),
-        singular_count=data["singular"],
-        family=family,
-        three_case=data.get("three_case"),
-    )
+    return CatalogEntry(poly, family, data.get("three_case"))
 
 
 def _dump(obj) -> str:
@@ -189,16 +191,11 @@ def emit_svg(poly: LdpPolygon, path: str) -> None:
 
 
 def _print_report_text(report: SurfaceReport) -> None:
-    rows = [
-        ("d", str(report.d)),
-        ("rho", str(report.picard_number)),
-        ("dets", " ".join(map(str, report.dets))),
-        ("f", " ".join(map(str, report.f_values))),
-        ("degrees", " ".join(_fraction_str(x) for x in report.anticanonical_degrees)),
-        ("ldp", "yes" if report.is_log_del_pezzo else "no"),
-        ("singular", str(report.singular_count)),
-    ]
-    for key, value in rows:
+    for key, value in report_to_dict(report).items():
+        if isinstance(value, bool):
+            value = "yes" if value else "no"
+        elif isinstance(value, list):
+            value = " ".join(map(str, value))
         print(f"{key:<10}{value}")
 
 

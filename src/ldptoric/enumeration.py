@@ -16,7 +16,9 @@ the box onto itself, so the raw cycles are closed under D4 and each orbit lies
 in one class.  Each class therefore keeps a cycle whose sorted vertex set is
 the least in its D4 orbit, and only those cycles are validated and
 canonicalized: D4 preserves validity, so every class keeps a validated
-representative.  enumerate_raw validates every raw cycle.
+representative.  enumerate_raw validates every raw cycle.  Each catalog
+entry keeps its validated polygon, so an in-process enumerate, classify and
+verify validates and analyzes each class once.
 """
 
 from __future__ import annotations
@@ -49,22 +51,25 @@ class BoxSpec:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One equivalence class: its canonical vertex list plus analyze() data.
+    """One equivalence class: its validated canonical polygon plus two tags.
 
     family and three_case stay None until a classification pass fills them.
-    """
+    The vertices and the surface data are read-only properties of the
+    polygon and of analyze(poly), which memoizes its report on the polygon."""
 
-    vertices: tuple[tuple[int, int], ...]
-    d: int
-    picard_number: int
-    dets: tuple[int, ...]
-    f_values: tuple[int, ...]
-    singular_count: int
+    poly: LdpPolygon
     family: FamilyParams | None = None
     three_case: str | None = None
 
-    def polygon(self):
-        return validate_ldp_polygon(self.vertices)
+    vertices = property(lambda self: tuple(v.as_tuple() for v in self.poly.vertices))
+    d = property(lambda self: self.poly.d)
+    picard_number = property(lambda self: analyze(self.poly).picard_number)
+    dets = property(lambda self: analyze(self.poly).dets)
+    f_values = property(lambda self: analyze(self.poly).f_values)
+    singular_count = property(lambda self: analyze(self.poly).singular_count)
+
+    def polygon(self) -> LdpPolygon:
+        return self.poly
 
 
 def primitive_points(n: int) -> list[RayVector]:
@@ -141,19 +146,6 @@ def _shard_worker(args: tuple[list[tuple[int, int]], int]) -> set[tuple[tuple[in
     return out
 
 
-def _entry_for(vertices: tuple[tuple[int, int], ...]) -> CatalogEntry:
-    poly = validate_ldp_polygon(vertices)
-    report = analyze(poly)
-    return CatalogEntry(
-        vertices=vertices,
-        d=report.d,
-        picard_number=report.picard_number,
-        dets=report.dets,
-        f_values=report.f_values,
-        singular_count=report.singular_count,
-    )
-
-
 def enumerate_ldp(box: BoxSpec | int, jobs: int | None = 1) -> list[CatalogEntry]:
     """All equivalence classes with a representative inside the box.
 
@@ -173,14 +165,14 @@ def enumerate_ldp(box: BoxSpec | int, jobs: int | None = 1) -> list[CatalogEntry
         with multiprocessing.Pool(processes=jobs) as pool:
             for part in pool.map(_shard_worker, shard_args):
                 canon |= part
-    entries = [_entry_for(vertices) for vertices in canon]
+    entries = [CatalogEntry(validate_ldp_polygon(vertices)) for vertices in canon]
     entries.sort(key=lambda e: (e.d, e.vertices))
     return entries
 
 
 def _classify(poly: LdpPolygon) -> tuple[SurfaceReport, FamilyParams | None, str | None]:
-    """The one tagging path: analyze the vertices themselves (never a stored
-    field), then identify and classify_three as the singular count asks."""
+    """The one tagging path: analyze the polygon, then identify and
+    classify_three as the singular count asks."""
     surf = analyze(poly)
     sc = surf.singular_count
     family = identify(poly) if sc in (1, 2, 3) else None
@@ -192,7 +184,7 @@ def classify_catalog(entries: list[CatalogEntry]) -> list[CatalogEntry]:
     """Fill family and three_case for every entry (a separate, pure pass)."""
     out = []
     for entry in entries:
-        _, family, three_case = _classify(entry.polygon())
+        _, family, three_case = _classify(entry.poly)
         out.append(replace(entry, family=family, three_case=three_case))
     return out
 
@@ -258,8 +250,7 @@ def verify_catalog(entries: list[CatalogEntry]) -> VerificationReport:
     """
     found: dict[str, list] = {name: [] for name in CHECKS}
     for entry in entries:
-        poly = entry.polygon()
-        surf, family, three_case = _classify(poly)
+        surf, family, three_case = _classify(entry.poly)
         sc, d = surf.singular_count, surf.d
         verdicts = {
             "one_singular_unmatched": sc == 1 and family is None,
@@ -267,7 +258,7 @@ def verify_catalog(entries: list[CatalogEntry]) -> VerificationReport:
             "three_singular_unclassified": sc == 3 and (three_case == "none" or d > 6),
             "alternating_d5": _is_alternating_d5(surf.singular_indices(), d),
             "noncontiguous": not nonsingular_arc_contiguous(surf),
-            "half_plane_violations": d >= 4 and _violates_half_plane(poly, surf),
+            "half_plane_violations": d >= 4 and _violates_half_plane(entry.poly, surf),
         }
         for name, failed in verdicts.items():
             if failed:

@@ -173,6 +173,8 @@ class FamilyParams:
                 raise ValueError(f"family {self.family} requires parameter {name}")
             if name not in required and value is not None:
                 raise ValueError(f"family {self.family} takes no parameter {name}")
+            if value is not None and type(value) is not int:  # not isinstance: bool is an int
+                raise ValueError(f"family {self.family} parameter {name} {value!r} is not an integer")
 
     def as_tuple(self) -> tuple[int, ...]:
         return tuple(getattr(self, name) for name in FAMILY_SPECS[self.family].params)

@@ -36,7 +36,7 @@ def checked_i64(value: int, context: str = "value") -> int:
     return value
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class RayVector:
     """An integer lattice vector.  Ordering is (x, then y), used for canonical forms."""
 

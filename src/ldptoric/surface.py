@@ -31,7 +31,7 @@ class ConeSingular(ValueError):
         super().__init__(f"ConeSingular({index}): cone {index} has determinant >= 2, cannot subdivide by ray sum")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConeRecord:
     """Local data of one cone: 1-based index, determinant, singularity flag."""
 

@@ -268,15 +268,26 @@ def test_bad_catalog_line(tmp_path, capsys):
     assert "bad catalog line 3" in err
 
 
-def _catalog_with_first_coordinate(tmp_path, capsys, bad):
-    raw = tmp_path / "raw.jsonl"
+def _catalog_with_first_line(tmp_path, capsys, edit):
+    """A classified box-1 catalog whose first line, a dais1 triangle, went
+    through `edit`."""
+    raw, tagged = tmp_path / "raw.jsonl", tmp_path / "tagged.jsonl"
     run(capsys, "enumerate", "--box", "1", "--jobs", "1", "--out", str(raw))
-    lines = raw.read_text().splitlines()
+    run(capsys, "classify", "--in", str(raw), "--out", str(tagged))
+    lines = tagged.read_text().splitlines()
     data = json.loads(lines[0])
-    data["vertices"][0][0] = bad
+    assert data["vertices"] == [[1, 0], [0, 1], [-2, -1]] and data["family"]["family"] == "dais1"
+    edit(data)
     lines[0] = json.dumps(data)
-    raw.write_text("\n".join(lines) + "\n")
-    return raw
+    tagged.write_text("\n".join(lines) + "\n")
+    return tagged
+
+
+def _catalog_with_first_coordinate(tmp_path, capsys, bad):
+    def edit(data):
+        data["vertices"][0][0] = bad
+
+    return _catalog_with_first_line(tmp_path, capsys, edit)
 
 
 @pytest.mark.parametrize("bad", [1.7, float("inf")])
@@ -300,6 +311,33 @@ def test_out_of_range_catalog_coordinate_is_bad_input(tmp_path, capsys, bad):
         assert out == ""
         assert f"bad catalog line 1: x coordinate {bad} exceeds the signed 64-bit range" in err
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("d", 4, "d 4 does not match the vertices, which give 3"),
+        ("d", 3.0, "d 3.0 does not match the vertices, which give 3"),
+        ("rho", 2, "rho 2 does not match the vertices, which give 1"),
+        ("rho", "1", "rho '1' does not match the vertices, which give 1"),
+        ("dets", [9, 9, 9], "dets [9, 9, 9] does not match the vertices, which give [1, 2, 1]"),
+        ("f", [4, 4, 5], "f [4, 4, 5] does not match the vertices, which give [4, 4, 4]"),
+        ("singular", True, "singular True does not match the vertices, which give 1"),
+        ("vertices", [[1, 0], [0, 1], [-2, -1], [-3, -2]], "NotStrictlyConvex(3): ray 3 is not a strict vertex of the hull"),
+        ("family", {"family": "dais1", "p": 2.5}, "family dais1 parameter p 2.5 is not an integer"),
+    ],
+    ids=["d", "d-float", "rho", "rho-str", "dets", "f", "singular-bool", "vertices", "family-p"],
+)
+def test_tampered_catalog_line_is_bad_input(tmp_path, capsys, key, value, message):
+    def edit(data):
+        data[key] = value
+
+    raw = _catalog_with_first_line(tmp_path, capsys, edit)
+    for command in ("check", "classify"):
+        code, out, err = run(capsys, command, "--in", str(raw))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: bad catalog line 1: {message}\n"
 
 
 def test_missing_catalog_file(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -40,6 +41,12 @@ def test_family_params_field_discipline():
         FamilyParams("two1", p=2, q=3, r=1)
     with pytest.raises(ValueError, match="unknown family tag"):
         FamilyParams("dais4", p=1)
+    # Rejected before any constraint runs: math.gcd and >= raise an untyped TypeError.
+    for bad in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match=rf"^family two1 parameter p {re.escape(repr(bad))} is not an integer$"):
+            generate(FamilyParams("two1", p=bad, q=3))
+    with pytest.raises(ValueError, match="^family dais1 parameter p '3' is not an integer$"):
+        FamilyParams("dais1", p="3")
 
 
 def test_family_params_tuple_and_dict():

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import re
 
@@ -217,6 +218,16 @@ def test_non_integer_ray_vector_rejected():
         with pytest.raises(ValueError, match=rf"^y coordinate {re.escape(repr(bad))} is not an integer$"):
             RayVector(0, bad)
     assert RayVector(-1, 2).as_tuple() == (-1, 2)
+
+
+def test_slotted_ray_vector_and_polygon_pickle():
+    # Pool workers may receive either one; RayVector has slots and no __dict__.
+    v = RayVector(-3, 2)
+    assert not hasattr(v, "__dict__")
+    assert pickle.loads(pickle.dumps(v)) == v
+    poly = validate_ldp_polygon([(1, 0), (0, 1), (-2, -3)])
+    copy = pickle.loads(pickle.dumps(poly))
+    assert copy == poly and type(copy) is type(poly) and copy.vertices[2] == RayVector(-2, -3)
 
 
 def test_parse_vertices():

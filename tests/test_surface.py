@@ -9,6 +9,7 @@ from ldptoric import (
     analyze,
     classify_catalog,
     classify_three,
+    enumerate_ldp,
     identify,
     blow_down,
     blow_down_candidates,
@@ -19,6 +20,7 @@ from ldptoric import (
     same_cycle,
     validate_fan,
     validate_ldp_polygon,
+    verify_catalog,
 )
 from ldptoric import surface
 
@@ -254,21 +256,25 @@ def _count_reports(monkeypatch) -> list:
     return runs
 
 
-def test_one_report_per_entry_in_classify_catalog(box2_catalog, monkeypatch):
+def test_one_report_per_entry_in_classify_catalog(monkeypatch):
+    # A fresh catalog: the session fixture's polygons may be analyzed already.
     runs = _count_reports(monkeypatch)
-    tagged = classify_catalog(box2_catalog)
-    counts = {entry.vertices: runs.count(entry.vertices) for entry in box2_catalog}
+    entries = enumerate_ldp(2)
+    tagged = classify_catalog(entries)
+    assert verify_catalog(tagged).ok
+    counts = {entry.vertices: runs.count(entry.vertices) for entry in entries}
     assert set(counts.values()) == {1}
     # The rest are the blow-downs that the d = 6 three-singular case split
-    # analyzes, one for each of those entries at box 2.
+    # analyzes, one for each of those entries at box 2, in each tagging pass.
     six = [e for e in tagged if e.d == 6 and e.singular_count == 3]
     blown_down = {
         tuple(v.as_tuple() for v in blow_down(e.polygon(), i).rays)
         for e in six for i in blow_down_candidates(e.polygon())
     }
     rest = [rays for rays in runs if rays not in counts]
-    assert len(runs) == len(box2_catalog) + len(rest)
-    assert len(rest) == len(six) == 5 and set(rest) <= blown_down
+    assert len(runs) == len(entries) + len(rest)
+    assert len(six) == len(set(rest)) == 5 and set(rest) <= blown_down
+    assert len(rest) == 2 * len(six)
 
 
 def test_one_report_for_analyze_identify_classify_three(monkeypatch):
