@@ -40,11 +40,13 @@ BOX_CAVEAT = (
 
 @dataclass(frozen=True)
 class BoxSpec:
-    """Search box [-n, n] x [-n, n]; n must be at least 1."""
+    """Search box [-n, n] x [-n, n]; n must be an int of at least 1."""
 
     n: int
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:  # not isinstance: bool is an int
+            raise ValueError(f"box size {self.n!r} is not an integer")
         if self.n < 1:
             raise ValueError("box size must be at least 1")
 
@@ -133,13 +135,25 @@ _SQUARE_SYMMETRIES = (
 )
 
 
+def _is_orbit_least(key: list[tuple[int, int]]) -> bool:
+    """True iff the sorted vertex list `key` is least in its D4 orbit.  Sorted
+    lists compare by their least vertex first, so an image is sorted only
+    when its least vertex ties with key[0]."""
+    first = key[0]
+    for a, b, c, d in _SQUARE_SYMMETRIES:
+        image = [(a * x + b * y, c * x + d * y) for x, y in key]
+        least = min(image)
+        if least < first or (least == first and sorted(image) < key):
+            return False
+    return True
+
+
 def _shard_worker(args: tuple[list[tuple[int, int]], int]) -> set[tuple[tuple[int, int], ...]]:
     pts, start = args
     out: set[tuple[tuple[int, int], ...]] = set()
     for chain in _chains_from(pts, start):
         # Validate and canonicalize only the D4-orbit-least vertex set of each orbit.
-        key = sorted(chain)
-        if any(sorted((a * x + b * y, c * x + d * y) for x, y in key) < key for a, b, c, d in _SQUARE_SYMMETRIES):
+        if not _is_orbit_least(sorted(chain)):
             continue
         form = canonical_form(validate_ldp_polygon(chain))
         out.add(tuple(v.as_tuple() for v in form.vertices))
@@ -152,7 +166,7 @@ def enumerate_ldp(box: BoxSpec | int, jobs: int | None = 1) -> list[CatalogEntry
     Dedup by canonical form; the returned list is sorted by (d, vertices) and
     identical for every worker count.  jobs=None uses all logical cores.
     """
-    if isinstance(box, int):
+    if not isinstance(box, BoxSpec):
         box = BoxSpec(box)
     # Computed once per call and shared by every shard.
     pts = [v.as_tuple() for v in primitive_points(box.n)]
@@ -227,9 +241,9 @@ def _is_alternating_d5(singular_indices: tuple[int, ...], d: int) -> bool:
 def _violates_half_plane(poly: LdpPolygon, surf: SurfaceReport) -> bool:
     # Check (f): a nonsingular cone sandwiched between two singular ones.
     d = surf.d
-    flags = {c.index: c.singular for c in surf.cones}
+    singular = [det >= 2 for det in surf.dets]  # singular[i - 1]: cone i
     for i in range(1, d + 1):
-        if flags[(i - 2) % d + 1] and flags[i % d + 1] and not flags[i]:
+        if singular[i - 2] and singular[i % d] and not singular[i - 1]:
             if det2(poly.ray(i + 2), poly.ray(i - 1)) < 2 or surf.singular_count < 3:
                 return True
     return False

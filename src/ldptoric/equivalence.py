@@ -10,20 +10,29 @@ compared on exact ints; the 64-bit contract is enforced once, when the
 returned UnimodularMap is built.
 
 The canonical form picks a distinguished representative of each class: every
-rotation of the vertex cycle (and of the mirrored, re-reversed cycle, unless
-restricted to determinant +1) is normalized by the unique determinant-one map
-that sends its leading vertex to (1, 0) and its second vertex to (k, D) with
+rotation of the vertex cycle (and of the mirrored cycle, unless restricted to
+determinant +1) is normalized by the unique determinant-one map that sends
+its leading vertex to (1, 0) and its second vertex to (k, D) with
 0 <= k < D; the lexicographically least normalized vertex list wins.  The
 candidate set depends only on the equivalence class, never on the input
 coordinates or starting vertex, which makes the form a valid dedup key.
+The mirrored cycle is the cycle read backwards with the sign of every
+determinant flipped (_orientations), the one mirror convention here.
+
 The pair (k, D) depends only on the anchor pair (D is their determinant, k
-the Bezout row applied to the second vertex, reduced mod D), so it is
-computed for every anchor first and only the anchors tied for the least
-pair are normalized in full.  This runs on exact int tuples, the mirrored
-cycle included.  The form is an LdpPolygon, not re-validated: a determinant
-+-1 map carries the validated input onto it, so its cone determinants and
-vertex turns are the input's, already held to the 64-bit contract.  Its
-coordinates are checked when they become RayVectors.
+the Bezout row applied to the second vertex, reduced mod D), so the least
+pair is found first and only the anchors tied for it are normalized in full.
+With a smooth cone the least pair is (0, 1), held by exactly the
+determinant-1 pairs, and the normalization of such a pair is its basis
+reading: the form is the least of basis_readings(), the ccw ones alone when
+orientation_preserving.  basis_readings() is memoized on the polygon, like
+analyze's report, and families.identify() reads the families off the same
+readings.  Without a smooth cone, each vertex gets one Bezout row, shared by
+both orientations.  This runs on exact int tuples.  The form is an
+LdpPolygon, not re-validated: a determinant +-1 map carries the validated
+input onto it, so its cone determinants and vertex turns are the input's,
+already held to the 64-bit contract.  Its coordinates are checked when they
+become RayVectors.
 """
 
 from __future__ import annotations
@@ -56,32 +65,84 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+Reading = tuple[tuple[int, int], ...]
+
+
+def _read_on_pair(rot, sign: int = 1) -> Reading:
+    """The int tuples `rot` mapped by the inverse of the matrix with columns
+    a, b = rot[0], rot[1], whose determinant must be sign = +-1: that inverse
+    sends v to sign * (det(v, b), det(a, v))."""
+    (ax, ay), (bx, by) = rot[0], rot[1]
+    return tuple((sign * (x * by - bx * y), sign * (ax * y - x * ay)) for x, y in rot)
+
+
+def _orientations(pts: list[tuple[int, int]]):
+    """The cycle read forwards with sign 1 and backwards with sign -1, the one
+    mirror convention: the backwards cycle's pairs have determinant -det, and
+    normalizing it with the sign flipped gives exactly the normalizations of
+    the mirrored cycle [(x, -y) for (x, y) in reversed(pts)]."""
+    return ((pts, 1), (pts[::-1], -1))
+
+
+def basis_readings(poly: LdpPolygon) -> tuple[tuple[Reading, ...], tuple[Reading, ...]]:
+    """(ccw, mirrored): the vertex cycles of `poly` remapped so the leading
+    two rays become the standard basis, one reading per adjacent
+    determinant-1 ray pair, read forwards and backwards (_orientations).
+
+    Each reading is the image of `poly` under a determinant +-1 map (+1 for
+    the ccw readings), and every such equivalence onto a polygon whose list
+    starts (1,0), (0,1) shows up among them.  Exact ints, never range-checked.
+    Computed on the first call for a polygon object and memoized on it as
+    `_readings`, like analyze's report."""
+    readings = poly.__dict__.get("_readings")
+    if readings is None:
+        pts = [v.as_tuple() for v in poly.vertices]
+        readings = tuple(
+            tuple(
+                _read_on_pair(cyc[i:] + cyc[:i], sign)
+                for i, ((ax, ay), (bx, by)) in enumerate(zip(cyc, cyc[1:] + cyc[:1]))
+                if ax * by - bx * ay == sign
+            )
+            for cyc, sign in _orientations(pts)
+        )
+        object.__setattr__(poly, "_readings", readings)  # FanCycle is frozen
+    return readings
+
+
 def canonical_form(poly: LdpPolygon, orientation_preserving: bool = False) -> LdpPolygon:
     """Deterministic, equivalence-invariant representative of the class of `poly`.
 
     With orientation_preserving=True only determinant +1 maps are allowed, so
     a chiral polygon and its mirror image get distinct forms.
     """
-    cycles = [[v.as_tuple() for v in poly.vertices]]
-    if not orientation_preserving:
-        cycles.append([(x, -y) for x, y in reversed(cycles[0])])
+    ccw, mirrored = basis_readings(poly)
+    if ccw:
+        # A smooth cone: the least key is (0, 1), held by exactly the
+        # determinant-1 pairs, and each of them normalizes to its reading.
+        best = min(ccw if orientation_preserving else ccw + mirrored)
+        return LdpPolygon(tuple(RayVector(x, y) for x, y in best))
+    pts = [v.as_tuple() for v in poly.vertices]
+    # One Bezout row per vertex, shared by both orientations: k is reduced
+    # mod the span, so any row gives the same key and the same normalization.
+    rows = {p: _ext_gcd(*p)[1:] for p in pts}
+    orientations = _orientations(pts)
     anchors = []
-    for pts in cycles:
-        for i, (x0, y0) in enumerate(pts):
-            x1, y1 = pts[(i + 1) % len(pts)]
-            _, s, t = _ext_gcd(x0, y0)
-            span = x0 * y1 - x1 * y0
-            anchors.append(((s * x1 + t * y1) % span, span, s, t, pts, i))
+    for cyc, sign in orientations[:1] if orientation_preserving else orientations:
+        for i, (x0, y0) in enumerate(cyc):
+            x1, y1 = cyc[(i + 1) % len(cyc)]
+            s, t = rows[x0, y0]
+            span = sign * (x0 * y1 - x1 * y0)
+            anchors.append(((s * x1 + t * y1) % span, span, s, t, cyc, sign, i))
     least = min(anchor[:2] for anchor in anchors)
     best: list[tuple[int, int]] | None = None
-    for k, span, s, t, pts, i in anchors:
+    for k, span, s, t, cyc, sign, i in anchors:
         if (k, span) == least:
             # Row (s, t) plus the shear that reduces the second vertex mod span.
-            rot = pts[i:] + pts[:i]
+            rot = cyc[i:] + cyc[:i]
             (x0, y0), (x1, y1) = rot[0], rot[1]
             q = (s * x1 + t * y1) // span
-            a, b = s + q * y0, t - q * x0
-            candidate = [(a * x + b * y, x0 * y - y0 * x) for x, y in rot]
+            a, b = s + sign * q * y0, t - sign * q * x0
+            candidate = [(a * x + b * y, sign * (x0 * y - y0 * x)) for x, y in rot]
             if best is None or candidate < best:
                 best = candidate
     assert best is not None

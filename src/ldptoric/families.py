@@ -19,9 +19,10 @@ for dais1 and 3 for dais2, (-1,0), (0,-1) at index 3 for dais3.  Mapping the
 template so that pair becomes the standard basis gives its reading at the
 anchor, and the reader recovers the parameters from that reading.
 identify() decides all seven families the same way, by comparing the basis
-readings of a polygon with the template's reading at its anchor; the
-readings are exact ints at any size and never range-checked, since they only
-select parameters and never become vertices.  classify_three() sorts the
+readings of a polygon (equivalence.basis_readings, memoized on the polygon
+and shared with canonical_form) with the template's reading at its anchor;
+the readings are exact ints at any size and never range-checked here, since
+they only select parameters and never become vertices.  classify_three() sorts the
 three-singular-point classes into the cases that exhaust them for d <= 6.
 """
 
@@ -31,6 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from .equivalence import _read_on_pair, basis_readings
 from .polygon import FanValidationError, LdpPolygon, validate_ldp_polygon
 from .surface import analyze, blow_down, blow_down_candidates
 
@@ -216,34 +218,6 @@ def generate(fp: FamilyParams) -> FamilyInstance:
     return FamilyInstance(fp, polygon)
 
 
-def _read_on_pair(rot, sign: int = 1) -> tuple[tuple[int, int], ...]:
-    """The int tuples `rot` mapped by the inverse of the matrix with columns
-    a, b = rot[0], rot[1], whose determinant must be sign = +-1: that inverse
-    sends v to sign * (det(v, b), det(a, v))."""
-    (ax, ay), (bx, by) = rot[0], rot[1]
-    return tuple((sign * (x * by - bx * y), sign * (ax * y - x * ay)) for x, y in rot)
-
-
-def _basis_readings(poly: LdpPolygon) -> list[tuple[tuple[int, int], ...]]:
-    """Vertex cycles of `poly` remapped so the leading two rays become the
-    standard basis: one reading per adjacent determinant-1 ray pair, in both
-    cycle orientations.  Each reading is the image of `poly` under a
-    determinant +-1 map, and every equivalence onto a polygon whose list
-    starts (1,0), (0,1) shows up among them.  Exact ints, never range-checked."""
-    pts = [(v.x, v.y) for v in poly.vertices]
-    # Read backwards with determinant -1 pairs, this gives the readings of the
-    # mirrored cycle: reflecting all vertices first changes neither the pairs
-    # nor their readings.
-    readings = []
-    for cyc, sign in ((pts, 1), (pts[::-1], -1)):
-        for shift in range(len(cyc)):
-            rot = cyc[shift:] + cyc[:shift]
-            (ax, ay), (bx, by) = rot[0], rot[1]
-            if ax * by - bx * ay == sign:
-                readings.append(_read_on_pair(rot, sign))
-    return readings
-
-
 def identify(poly: LdpPolygon) -> FamilyParams | None:
     """Family parameters of the class of `poly`, or None when no family matches.
 
@@ -261,7 +235,8 @@ def identify(poly: LdpPolygon) -> FamilyParams | None:
     # equivalence itself; every equivalence sends the anchor pair onto one
     # of the pairs read.
     candidates = set()
-    for rd in _basis_readings(poly):
+    ccw, mirrored = basis_readings(poly)
+    for rd in ccw + mirrored:
         values = spec.read(rd)
         pts = spec.vertices(*values)
         if _read_on_pair(pts[spec.anchor:] + pts[:spec.anchor]) == rd:

@@ -103,8 +103,9 @@ class FanCycle:
     """Counterclockwise cycle of primitive rays winding once around the origin.
 
     surface.analyze memoizes its report on the cycle (an LdpPolygon
-    included) as the attribute `_report`, which is no dataclass field: ==,
-    hash and repr ignore it."""
+    included) as the attribute `_report`, and equivalence.basis_readings
+    memoizes a polygon's readings as `_readings`; neither is a dataclass
+    field, so ==, hash and repr ignore both."""
 
     rays: tuple[RayVector, ...]
 

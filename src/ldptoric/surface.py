@@ -9,6 +9,12 @@ anticanonical degree of the boundary divisor at ray i.  Both are computed on
 exact ints; the f-values are checked against the signed 64-bit range as they
 are produced, and the cone determinants were checked by validation.
 
+A SurfaceReport stores d, the cone determinants, the f-values and the
+singular count.  picard_number and is_log_del_pezzo are read off them on
+every access; cones and anticanonical_degrees are built on first access and
+cached on the report, which keeps them out of ==, hash and repr.  The
+catalog, tagging and query paths read only the stored fields.
+
 analyze() computes the report of a FanCycle object once and memoizes it on
 that (immutable) cycle, outside its dataclass fields, so the memo takes no
 part in ==, hash or repr.  An LdpPolygon is a FanCycle, so the memo sits on
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .lattice import checked_i64
 from .polygon import FanCycle, validate_fan
@@ -42,20 +49,33 @@ class ConeRecord:
 
 @dataclass(frozen=True)
 class SurfaceReport:
+    """The stored fields d, dets, f_values and singular_count; the rest is
+    derived from them, cones and anticanonical_degrees once, on first access."""
+
     d: int
-    picard_number: int
-    cones: tuple[ConeRecord, ...]
+    dets: tuple[int, ...]
     f_values: tuple[int, ...]
-    anticanonical_degrees: tuple[Fraction, ...]
-    is_log_del_pezzo: bool
     singular_count: int
 
     @property
-    def dets(self) -> tuple[int, ...]:
-        return tuple(c.det for c in self.cones)
+    def picard_number(self) -> int:
+        return self.d - 2
+
+    @property
+    def is_log_del_pezzo(self) -> bool:
+        return min(self.f_values) >= 1
+
+    @cached_property
+    def cones(self) -> tuple[ConeRecord, ...]:
+        return tuple(ConeRecord(i, det, det >= 2) for i, det in enumerate(self.dets, start=1))
+
+    @cached_property
+    def anticanonical_degrees(self) -> tuple[Fraction, ...]:
+        dets = self.dets
+        return tuple(Fraction(f, dets[i - 1] * dets[i]) for i, f in enumerate(self.f_values))
 
     def singular_indices(self) -> tuple[int, ...]:
-        return tuple(c.index for c in self.cones if c.singular)
+        return tuple(i for i, det in enumerate(self.dets, start=1) if det >= 2)
 
 
 def f_value(cycle: FanCycle, i: int) -> int:
@@ -90,19 +110,7 @@ def _surface_report(cycle: FanCycle) -> SurfaceReport:
         checked_i64(dets[i - 1] + dets[i] + (x1 * y0 - x0 * y1), "f value")
         for i, ((x0, y0), (x1, y1)) in enumerate(zip(prv, nxt))
     )
-    cones = tuple(ConeRecord(i, dets[i - 1], dets[i - 1] >= 2) for i in range(1, d + 1))
-    degrees = tuple(
-        Fraction(f_values[i - 1], dets[i - 2] * dets[i - 1]) for i in range(1, d + 1)
-    )
-    return SurfaceReport(
-        d=d,
-        picard_number=d - 2,
-        cones=cones,
-        f_values=f_values,
-        anticanonical_degrees=degrees,
-        is_log_del_pezzo=min(f_values) >= 1,
-        singular_count=sum(1 for c in cones if c.singular),
-    )
+    return SurfaceReport(d, dets, f_values, sum(1 for det in dets if det >= 2))
 
 
 def blow_up(cycle: FanCycle, i: int) -> FanCycle:
@@ -149,7 +157,7 @@ def nonsingular_arc_contiguous(report: SurfaceReport) -> bool:
     All-singular and all-nonsingular both count as contiguous.  Equivalent
     check: at most two singular/nonsingular boundaries around the cycle.
     """
-    flags = [c.singular for c in report.cones]
+    flags = [det >= 2 for det in report.dets]
     d = len(flags)
     boundaries = sum(1 for i in range(d) if flags[i] != flags[(i + 1) % d])
     return boundaries <= 2

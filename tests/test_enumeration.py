@@ -14,6 +14,7 @@ from ldptoric import (
     validate_ldp_polygon,
     verify_catalog,
 )
+from ldptoric import enumeration
 from ldptoric.enumeration import _SQUARE_SYMMETRIES, _chains_from, _is_alternating_d5
 
 from oracles import brute_force_classes, ref_validate_ldp_polygon
@@ -25,6 +26,12 @@ def test_box_spec_rejects_nonpositive():
     with pytest.raises(ValueError):
         BoxSpec(-2)
     assert BoxSpec(3).n == 3
+
+
+@pytest.mark.parametrize("box", [2.5, "2", True, "BoxSpec(1.5)"])
+def test_box_that_is_not_an_int_is_a_value_error(box):
+    with pytest.raises(ValueError, match="is not an integer"):
+        enumerate_ldp(BoxSpec(1.5) if box == "BoxSpec(1.5)" else box)
 
 
 def test_primitive_points_box_one():
@@ -93,6 +100,18 @@ def test_box_orbit_pruning_is_sound(box2_catalog):
 
     everything = {form(c) for c in raw.values()}
     assert {e.vertices for e in box2_catalog} == everything == {form(raw[vs]) for vs in least}
+
+
+def test_box_two_canonicalizes_only_orbit_least_chains(monkeypatch):
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return canonical_form(p)
+
+    monkeypatch.setattr(enumeration, "canonical_form", counting)
+    assert len(enumerate_ldp(2)) == 156
+    assert len(calls) == 219
 
 
 def test_box_monotonicity(box1_catalog, box2_catalog):

@@ -1,3 +1,4 @@
+import pickle
 import random
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -20,6 +21,8 @@ from ldptoric import (
     twice_area,
     validate_ldp_polygon,
 )
+from ldptoric import equivalence
+from ldptoric.equivalence import basis_readings
 from ldptoric.lattice import I64_MAX, I64_MIN
 
 from oracles import _oracle_form, large_shear_product, ref_are_equivalent
@@ -346,3 +349,54 @@ def test_search_matches_the_checked_reference(box2_catalog):
             assert (got if got is None else (got.a, got.b, got.c, got.d)) == want
             seen["same map" if want is not None else "both none"] += 1
     assert min(seen[k] for k in ("reference raised, map", "reference raised, none", "same map", "both none")) > 0
+
+
+def test_basis_readings_are_memoized_on_the_polygon():
+    assert basis_readings(PENTAGON) is basis_readings(PENTAGON)
+    # An equal polygon built separately computes its own, equal readings.
+    other = poly("1,0;0,1;-1,0;1,-3;2,-3")
+    assert basis_readings(other) is not basis_readings(PENTAGON)
+    assert basis_readings(other) == basis_readings(PENTAGON)
+
+
+def test_readings_memo_is_invisible_to_eq_hash_repr_and_pickle():
+    fresh, read = poly("1,0;0,1;-2,-3"), poly("1,0;0,1;-2,-3")
+    basis_readings(read)
+    assert "_readings" in read.__dict__ and "_readings" not in fresh.__dict__
+    assert read == fresh and fresh == read
+    assert hash(read) == hash(fresh) and repr(read) == repr(fresh)
+    for obj in (fresh, read):
+        copy = pickle.loads(pickle.dumps(obj))
+        assert copy == fresh and hash(copy) == hash(fresh) and repr(copy) == repr(fresh)
+        assert basis_readings(copy) == basis_readings(fresh)
+
+
+def test_smooth_cone_form_uses_no_bezout_row(monkeypatch):
+    calls = []
+    ext_gcd = equivalence._ext_gcd
+
+    def counting(a, b):
+        calls.append((a, b))
+        return ext_gcd(a, b)
+
+    monkeypatch.setattr(equivalence, "_ext_gcd", counting)
+    for p in (P2, CHIRAL, PENTAGON, apply_to_polygon(UnimodularMap(3, 2, 1, 1), PENTAGON)):
+        assert p.cone_det(1) == 1
+        for flag in (False, True):
+            assert _form_tuples(p, flag) == _oracle_form(p.vertices, flag)
+    assert calls == []
+    # A polygon with no smooth cone takes the Bezout rows.
+    no_smooth = poly("1,1;-1,1;-1,-1;1,-1")
+    assert _form_tuples(no_smooth) == _oracle_form(no_smooth.vertices, False)
+    assert len(calls) == 4
+
+
+def test_forms_without_a_smooth_cone_match_the_oracle(box2_catalog):
+    rng = random.Random(12)
+    polys = [e.polygon() for e in box2_catalog if min(e.dets) >= 2]
+    assert len(polys) > 10
+    polys += [apply_to_polygon(random_unimodular_map(rng), p) for p in polys for _ in range(3)]
+    for p in polys:
+        assert basis_readings(p) == ((), ())
+        for flag in (False, True):
+            assert _form_tuples(p, flag) == _oracle_form(p.vertices, flag)

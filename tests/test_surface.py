@@ -24,7 +24,7 @@ from ldptoric import (
 )
 from ldptoric import surface
 
-from oracles import random_fan
+from oracles import random_fan, ref_analyze
 
 
 def fan(text: str):
@@ -284,3 +284,20 @@ def test_one_report_for_analyze_identify_classify_three(monkeypatch):
     assert identify(poly) is not None
     assert classify_three(poly) == "family_d5"
     assert len(runs) == 1
+
+
+def test_report_stores_only_dets_and_f_values():
+    rep = analyze(fan("1,0;0,1;-1,0;1,-3;2,-3"))
+    assert surface.SurfaceReport(rep.d, rep.dets, rep.f_values, rep.singular_count) == rep
+    assert "cones" not in rep.__dict__ and "anticanonical_degrees" not in rep.__dict__
+    assert rep.cones is rep.cones and rep.anticanonical_degrees is rep.anticanonical_degrees
+    assert repr(rep) == "SurfaceReport(d=5, dets=(1, 1, 3, 3, 3), f_values=(2, 2, 5, 3, 3), singular_count=3)"
+
+
+def test_lazy_fields_match_the_oracle_report(box2_catalog):
+    for entry in box2_catalog:
+        rep, ref = analyze(entry.polygon()), ref_analyze(entry.vertices)
+        assert rep.anticanonical_degrees == ref["anticanonical_degrees"]
+        want = tuple((i, det, det >= 2) for i, det in enumerate(ref["dets"], start=1))
+        assert tuple((c.index, c.det, c.singular) for c in rep.cones) == want
+        assert rep.singular_indices() == tuple(i for i, det, singular in want if singular)
