@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -28,10 +29,15 @@ def test_box_spec_rejects_nonpositive():
     assert BoxSpec(3).n == 3
 
 
-@pytest.mark.parametrize("box", [2.5, "2", True, "BoxSpec(1.5)"])
+@pytest.mark.parametrize("box", [2.5, "2", True])
 def test_box_that_is_not_an_int_is_a_value_error(box):
-    with pytest.raises(ValueError, match="is not an integer"):
-        enumerate_ldp(BoxSpec(1.5) if box == "BoxSpec(1.5)" else box)
+    with pytest.raises(ValueError, match=re.escape(f"box size {box!r} is not an integer")):
+        enumerate_ldp(box)
+
+
+def test_box_spec_rejects_a_non_int():
+    with pytest.raises(ValueError, match=re.escape("box size 1.5 is not an integer")):
+        BoxSpec(1.5)
 
 
 def test_primitive_points_box_one():
