@@ -6,9 +6,9 @@ Vertex lists are always passed as "x,y;x,y;...".  Exit codes: 0 success,
 validation errors).
 
 Data outputs are deterministic: identical flags give byte-identical JSON and
-SVG.  Run metadata (timestamps, worker counts, the package version and the
-sha256 of the catalog bytes) goes to a sidecar file next to the catalog,
-never into the data itself.
+SVG.  Run metadata (timestamps, worker counts, the package version, the
+sha256 of the catalog bytes and the enumeration's EnumerationStats) goes to
+a sidecar file next to the catalog, never into the data itself.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .equivalence import are_equivalent
 from .enumeration import (
     BoxSpec,
     CatalogEntry,
+    EnumerationStats,
     classify_catalog,
     enumerate_ldp,
     verify_catalog,
@@ -211,7 +212,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     started = time.time()
-    entries = enumerate_ldp(BoxSpec(args.box), jobs=args.jobs)
+    stats = EnumerationStats()
+    entries = enumerate_ldp(BoxSpec(args.box), jobs=args.jobs, stats=stats)
     if args.out is None:
         for entry in entries:
             print(_dump(entry_to_dict(entry)))
@@ -227,6 +229,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "version": __version__,
             "sha256": digest,
+            "stats": vars(stats),
         }
         with open(args.out + ".meta.json", "w", encoding="ascii") as fh:
             fh.write(json.dumps(sidecar, indent=2) + "\n")

@@ -28,16 +28,19 @@ reading: the form is the least of basis_readings(), the ccw ones alone when
 orientation_preserving.  basis_readings() is memoized on the polygon, like
 analyze's report, and families.identify() reads the families off the same
 readings.  Without a smooth cone, each vertex gets one Bezout row, shared by
-both orientations.  This runs on exact int tuples.  The form is an
-LdpPolygon, not re-validated: a determinant +-1 map carries the validated
-input onto it, so its cone determinants and vertex turns are the input's,
-already held to the 64-bit contract.  Its coordinates are checked when they
-become RayVectors.
+both orientations (_bezout_key).  This runs on exact int tuples:
+_canonical_key is the form's vertex list computed from a cycle's int tuples
+(the enumeration shards' dedup key), and canonical_form is the same two
+helpers on a polygon's memoized readings.  The form is an LdpPolygon, not
+re-validated: a determinant +-1 map carries the validated input onto it, so
+its cone determinants and vertex turns are the input's, already held to the
+64-bit contract.  Its coordinates are checked when they become RayVectors.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from .lattice import (
     IDENTITY_MAP,
@@ -76,12 +79,24 @@ def _read_on_pair(rot, sign: int = 1) -> Reading:
     return tuple((sign * (x * by - bx * y), sign * (ax * y - x * ay)) for x, y in rot)
 
 
-def _orientations(pts: list[tuple[int, int]]):
+def _orientations(pts: Sequence[tuple[int, int]]):
     """The cycle read forwards with sign 1 and backwards with sign -1, the one
     mirror convention: the backwards cycle's pairs have determinant -det, and
     normalizing it with the sign flipped gives exactly the normalizations of
     the mirrored cycle [(x, -y) for (x, y) in reversed(pts)]."""
     return ((pts, 1), (pts[::-1], -1))
+
+
+def _readings(pts: Sequence[tuple[int, int]]) -> tuple[tuple[Reading, ...], tuple[Reading, ...]]:
+    """basis_readings of the int-tuple cycle `pts`, without the memo."""
+    return tuple(
+        tuple(
+            _read_on_pair(cyc[i:] + cyc[:i], sign)
+            for i, ((ax, ay), (bx, by)) in enumerate(zip(cyc, cyc[1:] + cyc[:1]))
+            if ax * by - bx * ay == sign
+        )
+        for cyc, sign in _orientations(pts)
+    )
 
 
 def basis_readings(poly: LdpPolygon) -> tuple[tuple[Reading, ...], tuple[Reading, ...]]:
@@ -96,32 +111,14 @@ def basis_readings(poly: LdpPolygon) -> tuple[tuple[Reading, ...], tuple[Reading
     `_readings`, like analyze's report."""
     readings = poly.__dict__.get("_readings")
     if readings is None:
-        pts = [v.as_tuple() for v in poly.vertices]
-        readings = tuple(
-            tuple(
-                _read_on_pair(cyc[i:] + cyc[:i], sign)
-                for i, ((ax, ay), (bx, by)) in enumerate(zip(cyc, cyc[1:] + cyc[:1]))
-                if ax * by - bx * ay == sign
-            )
-            for cyc, sign in _orientations(pts)
-        )
+        readings = _readings([v.as_tuple() for v in poly.vertices])
         object.__setattr__(poly, "_readings", readings)  # FanCycle is frozen
     return readings
 
 
-def canonical_form(poly: LdpPolygon, orientation_preserving: bool = False) -> LdpPolygon:
-    """Deterministic, equivalence-invariant representative of the class of `poly`.
-
-    With orientation_preserving=True only determinant +1 maps are allowed, so
-    a chiral polygon and its mirror image get distinct forms.
-    """
-    ccw, mirrored = basis_readings(poly)
-    if ccw:
-        # A smooth cone: the least key is (0, 1), held by exactly the
-        # determinant-1 pairs, and each of them normalizes to its reading.
-        best = min(ccw if orientation_preserving else ccw + mirrored)
-        return LdpPolygon(tuple(RayVector(x, y) for x, y in best))
-    pts = [v.as_tuple() for v in poly.vertices]
+def _bezout_key(pts: Sequence[tuple[int, int]], orientation_preserving: bool) -> Reading:
+    """The least normalization of the int-tuple cycle `pts`, for a cycle
+    without a smooth cone."""
     # One Bezout row per vertex, shared by both orientations: k is reduced
     # mod the span, so any row gives the same key and the same normalization.
     rows = {p: _ext_gcd(*p)[1:] for p in pts}
@@ -134,7 +131,7 @@ def canonical_form(poly: LdpPolygon, orientation_preserving: bool = False) -> Ld
             span = sign * (x0 * y1 - x1 * y0)
             anchors.append(((s * x1 + t * y1) % span, span, s, t, cyc, sign, i))
     least = min(anchor[:2] for anchor in anchors)
-    best: list[tuple[int, int]] | None = None
+    best: Reading | None = None
     for k, span, s, t, cyc, sign, i in anchors:
         if (k, span) == least:
             # Row (s, t) plus the shear that reduces the second vertex mod span.
@@ -142,10 +139,36 @@ def canonical_form(poly: LdpPolygon, orientation_preserving: bool = False) -> Ld
             (x0, y0), (x1, y1) = rot[0], rot[1]
             q = (s * x1 + t * y1) // span
             a, b = s + sign * q * y0, t - sign * q * x0
-            candidate = [(a * x + b * y, sign * (x0 * y - y0 * x)) for x, y in rot]
+            candidate = tuple((a * x + b * y, sign * (x0 * y - y0 * x)) for x, y in rot)
             if best is None or candidate < best:
                 best = candidate
     assert best is not None
+    return best
+
+
+def _canonical_key(pts: Sequence[tuple[int, int]], orientation_preserving: bool = False) -> Reading:
+    """The vertices of canonical_form, as int tuples, straight from the int
+    tuples of a valid LDP cycle: no validation, no RayVectors, no memo."""
+    ccw, mirrored = _readings(pts)
+    if ccw:
+        return min(ccw if orientation_preserving else ccw + mirrored)
+    return _bezout_key(pts, orientation_preserving)
+
+
+def canonical_form(poly: LdpPolygon, orientation_preserving: bool = False) -> LdpPolygon:
+    """Deterministic, equivalence-invariant representative of the class of `poly`.
+
+    With orientation_preserving=True only determinant +1 maps are allowed, so
+    a chiral polygon and its mirror image get distinct forms.  _canonical_key
+    on the polygon's int tuples, with the readings memoized on `poly`.
+    """
+    ccw, mirrored = basis_readings(poly)
+    if ccw:
+        # A smooth cone: the least key is (0, 1), held by exactly the
+        # determinant-1 pairs, and each of them normalizes to its reading.
+        best = min(ccw if orientation_preserving else ccw + mirrored)
+    else:
+        best = _bezout_key([v.as_tuple() for v in poly.vertices], orientation_preserving)
     return LdpPolygon(tuple(RayVector(x, y) for x, y in best))
 
 

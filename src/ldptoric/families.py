@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .equivalence import _read_on_pair, basis_readings
-from .polygon import FanValidationError, LdpPolygon, validate_ldp_polygon
+from .polygon import LdpPolygon, NotStrictlyConvex, polygon_from_fan, validate_ldp_polygon
 from .surface import analyze, blow_down, blow_down_candidates
 
 
@@ -274,10 +274,10 @@ def _three_case(poly: LdpPolygon, singular_count: int, family: FamilyParams | No
         return "family_d5" if family is not None else "none"
     if d == 6:
         for i in blow_down_candidates(poly):
-            smaller = blow_down(poly, i)
+            # blow_down returns a validated fan; only convexity is left to check.
             try:
-                sub = validate_ldp_polygon(smaller.rays)
-            except FanValidationError:
+                sub = polygon_from_fan(blow_down(poly, i))
+            except NotStrictlyConvex:
                 continue
             if analyze(sub).singular_count == 3:
                 return "blowup_of_picard3"

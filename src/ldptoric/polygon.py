@@ -193,11 +193,22 @@ def validate_ldp_polygon(points: Sequence) -> LdpPolygon:
     LatticeOverflowError.
     """
     rays, pts = _validate_fan(points)
+    _check_turns(pts)
+    return LdpPolygon(rays)
+
+
+def polygon_from_fan(fan: FanCycle) -> LdpPolygon:
+    """validate_ldp_polygon for a cycle that validate_fan returned: only the
+    strict-turn check runs, since the fan checks already hold."""
+    _check_turns([(v.x, v.y) for v in fan.rays])
+    return LdpPolygon(fan.rays)
+
+
+def _check_turns(pts: list[tuple[int, int]]) -> None:
     triples = zip(pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1])
     for i, ((ax, ay), (bx, by), (cx, cy)) in enumerate(triples, start=1):
         if checked_i64((bx - ax) * (cy - by) - (cx - bx) * (by - ay), "vertex turn") <= 0:
             raise NotStrictlyConvex(i)
-    return LdpPolygon(rays)
 
 
 def twice_area(cycle: FanCycle) -> int:

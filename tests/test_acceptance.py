@@ -37,7 +37,7 @@ from ldptoric import (
     verify_catalog,
 )
 from ldptoric.cli import write_catalog
-from ldptoric.enumeration import _is_alternating_d5
+from ldptoric.enumeration import EnumerationStats, _is_alternating_d5
 
 from oracles import brute_force_classes, random_fan, random_ldp_polygon
 
@@ -56,10 +56,16 @@ def box2_entries():
 
 
 @pytest.fixture(scope="module")
-def box3_pipeline():
+def box3_stats():
+    """The EnumerationStats that box3_pipeline fills."""
+    return EnumerationStats()
+
+
+@pytest.fixture(scope="module")
+def box3_pipeline(box3_stats):
     """Full n=3 pipeline, timed: enumerate, classify, verify."""
     started = time.perf_counter()
-    entries = enumerate_ldp(3)
+    entries = enumerate_ldp(3, stats=box3_stats)
     classified = classify_catalog(entries)
     report = verify_catalog(entries)
     elapsed = time.perf_counter() - started
@@ -245,6 +251,15 @@ def test_box_three_catalog_bytes_pinned(box3_pipeline, tmp_path):
         "1965ac4133bec9f91e2ccde2afd79254b2818be073d3cad34b3b507fb84539bb",
         "f47ce14a08c225b8e9e63238ff473ba56e9d0f666c6d3113a3118e9aa339662e",
     ]
+
+
+def test_box_three_enumeration_stats(box3_pipeline, box3_stats):
+    """Not a scored criterion: the rooted walk's work at box 3, as the
+    library reports it.  The unrooted walk finds 137,295 raw chains."""
+    entries, _, _, _ = box3_pipeline
+    stats = box3_stats
+    assert (stats.roots, sum(stats.raw_chains), stats.canonicalizations, stats.classes) == (5, 36797, 17410, 13660)
+    assert stats.classes == len(entries)
 
 
 def test_box_three_raw_chains_all_validate():

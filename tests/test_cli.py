@@ -197,6 +197,11 @@ def test_enumerate_to_file_with_sidecar(tmp_path, capsys):
     assert meta["classes"] == 11
     assert "elapsed_seconds" in meta and "generated_at" in meta
     assert meta["version"] == ldptoric.__version__
+    stats = meta["stats"]
+    assert list(stats) == ["roots", "raw_chains", "canonicalizations", "classes", "seconds"]
+    assert (stats["roots"], stats["canonicalizations"], stats["classes"]) == (2, 14, 11)
+    assert len(stats["raw_chains"]) == 4 and sum(stats["raw_chains"]) == 32
+    assert list(stats["seconds"]) == ["dfs", "orbit_test", "canonical_key", "shard_loop", "entries"]
     first_bytes = out_path.read_bytes()
     assert meta["sha256"] == hashlib.sha256(first_bytes).hexdigest()
     # data bytes contain no timestamps: reruns are byte-identical
@@ -204,6 +209,8 @@ def test_enumerate_to_file_with_sidecar(tmp_path, capsys):
     assert out_path.read_bytes() == first_bytes
     meta2 = json.loads((tmp_path / "box1.jsonl.meta.json").read_text())
     assert meta2["sha256"] == meta["sha256"]
+    assert meta2["stats"]["raw_chains"] == stats["raw_chains"]
+    assert meta2["stats"]["canonicalizations"] == 14
 
 
 def test_classify_pipeline(tmp_path, capsys):

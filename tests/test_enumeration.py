@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import pytest
@@ -6,19 +7,46 @@ import pytest
 from ldptoric import (
     BoxSpec,
     CatalogEntry,
+    RayVector,
     analyze,
     canonical_form,
     classify_catalog,
+    det2,
     enumerate_ldp,
     enumerate_raw,
     primitive_points,
     validate_ldp_polygon,
     verify_catalog,
 )
-from ldptoric import enumeration
-from ldptoric.enumeration import _SQUARE_SYMMETRIES, _chains_from, _is_alternating_d5
+from ldptoric.enumeration import (
+    _SQUARE_SYMMETRIES,
+    EnumerationStats,
+    _chains_from,
+    _is_alternating_d5,
+    _is_orbit_least,
+    _shards,
+)
+from ldptoric.equivalence import _canonical_key, apply_to_polygon, random_unimodular_map
 
-from oracles import brute_force_classes, ref_validate_ldp_polygon
+from oracles import _oracle_form, brute_force_classes, ref_validate_ldp_polygon
+
+# D4, built here: the 8 signed permutation matrices (a, b, c, d).
+D4 = {(a, b, c, d) for a, b, c, d in itertools.product((-1, 0, 1), repeat=4)
+      if abs(a) + abs(b) == abs(c) + abs(d) == abs(a) + abs(c) == 1}
+
+
+def _d4_image(g, vs):
+    a, b, c, d = g
+    return [(a * x + b * y, c * x + d * y) for x, y in vs]
+
+
+def _box_tuples(n):
+    return [v.as_tuple() for v in primitive_points(n)]
+
+
+def _unrooted_chains(n):
+    pts = _box_tuples(n)
+    return [chain for start in range(len(pts)) for chain in _chains_from(pts, [start])]
 
 
 def test_box_spec_rejects_nonpositive():
@@ -86,19 +114,16 @@ def test_entries_sorted_and_deterministic(box1_catalog):
 
 
 def test_box_orbit_pruning_is_sound(box2_catalog):
-    # D4, built here: the 8 signed permutation matrices (a, b, c, d).
-    d4 = {(a, b, c, d) for a, b, c, d in itertools.product((-1, 0, 1), repeat=4)
-          if abs(a) + abs(b) == abs(c) + abs(d) == abs(a) + abs(c) == 1}
-    assert len(d4) == 8 and len(_SQUARE_SYMMETRIES) == 7
-    assert set(_SQUARE_SYMMETRIES) == d4 - {(1, 0, 0, 1)}
+    assert len(D4) == 8 and len(_SQUARE_SYMMETRIES) == 7
+    assert set(_SQUARE_SYMMETRIES) == D4 - {(1, 0, 0, 1)}
 
     def image(g, vs):
         a, b, c, d = g
         return frozenset((a * x + b * y, c * x + d * y) for x, y in vs)
 
     raw = {frozenset(v.as_tuple() for v in c): c for c in enumerate_raw(2)}
-    assert all(image(g, vs) in raw for vs in raw for g in d4)
-    least = [vs for vs in raw if all(sorted(vs) <= sorted(image(g, vs)) for g in d4)]
+    assert all(image(g, vs) in raw for vs in raw for g in D4)
+    least = [vs for vs in raw if all(sorted(vs) <= sorted(image(g, vs)) for g in D4)]
     assert len(least) == 219
 
     def form(chain):
@@ -108,16 +133,76 @@ def test_box_orbit_pruning_is_sound(box2_catalog):
     assert {e.vertices for e in box2_catalog} == everything == {form(raw[vs]) for vs in least}
 
 
-def test_box_two_canonicalizes_only_orbit_least_chains(monkeypatch):
-    calls = []
+def test_box_two_canonicalizes_only_orbit_least_chains():
+    stats = EnumerationStats()
+    assert len(enumerate_ldp(2, stats=stats)) == 156
+    assert stats.canonicalizations == 219
+    assert (stats.roots, len(stats.raw_chains), sum(stats.raw_chains), stats.classes) == (3, 11, 533, 156)
 
-    def counting(p):
-        calls.append(p)
-        return canonical_form(p)
 
-    monkeypatch.setattr(enumeration, "canonical_form", counting)
-    assert len(enumerate_ldp(2)) == 156
-    assert len(calls) == 219
+@pytest.mark.parametrize("n, roots, raw, kept", [(1, 2, 32, 14), (2, 3, 533, 219)])
+def test_stats_are_the_same_for_every_worker_count(n, roots, raw, kept):
+    one, two = EnumerationStats(), EnumerationStats()
+    assert enumerate_ldp(n, jobs=1, stats=one) == enumerate_ldp(n, jobs=2, stats=two)
+    for stats in (one, two):
+        assert (stats.roots, sum(stats.raw_chains), stats.canonicalizations) == (roots, raw, kept)
+        assert list(stats.seconds) == ["dfs", "orbit_test", "canonical_key", "shard_loop", "entries"]
+    assert one.raw_chains == two.raw_chains
+
+
+@pytest.mark.parametrize("n, roots", [(1, 2), (2, 3), (3, 5)])
+def test_each_root_is_its_own_orbit_minimum(n, roots):
+    pts = _box_tuples(n)
+
+    def orbit_min(p):
+        return min(_d4_image(g, [p])[0] for g in D4)
+
+    shards = _shards(pts)
+    lists = list({cands[0]: cands for cands, _ in shards}.values())
+    assert [cands[0] for cands in lists] == [p for p in pts if orbit_min(p) == p]
+    assert len(lists) == roots
+    for cands in lists:
+        s = cands[0]
+        assert all(_d4_image(g, [s])[0] >= s for g in D4)
+        # Every point whose orbit stays at or above s, in angular order from s.
+        i = pts.index(s)
+        assert cands == [p for p in pts[i:] + pts[:i] if orbit_min(p) >= s]
+        # One shard per second vertex at determinant >= 1.
+        seconds = [prefix for c, prefix in shards if c is cands]
+        assert seconds == [[0, j] for j, p in enumerate(cands) if det2(RayVector(*s), RayVector(*p)) >= 1]
+
+
+def test_rooted_kept_set_equals_the_unrooted_kept_set():
+    def orbit_least(chain):
+        key = sorted(chain)
+        return all(sorted(_d4_image(g, chain)) >= key for g in D4)
+
+    unrooted = {frozenset(c) for c in _unrooted_chains(2) if orbit_least(c)}
+    rooted = [c for cands, prefix in _shards(_box_tuples(2)) for c in _chains_from(cands, prefix)]
+    assert len(rooted) == 533
+    # _is_orbit_least's shortcut agrees with the full test on every rooted chain.
+    assert [c for c in rooted if _is_orbit_least(c)] == [c for c in rooted if orbit_least(c)]
+    kept = [frozenset(c) for c in rooted if _is_orbit_least(c)]
+    assert len(kept) == len(unrooted) == 219
+    assert set(kept) == unrooted
+
+
+@pytest.mark.parametrize("flag", [False, True])
+def test_canonical_key_matches_canonical_form(flag):
+    rng = random.Random(11)
+
+    def form(p):
+        return tuple(v.as_tuple() for v in canonical_form(p, flag).vertices)
+
+    chains = _unrooted_chains(2)
+    assert len(chains) == 1533
+    for chain in chains:
+        poly = validate_ldp_polygon(chain)
+        assert _canonical_key(chain, flag) == form(poly)
+    for chain in rng.sample(chains, 200):
+        image = apply_to_polygon(random_unimodular_map(rng, max_entry=40), validate_ldp_polygon(chain))
+        pts = [v.as_tuple() for v in image.vertices]
+        assert _canonical_key(pts, flag) == form(image) == _oracle_form(image.vertices, flag)
 
 
 def test_box_monotonicity(box1_catalog, box2_catalog):
@@ -150,8 +235,7 @@ def test_raw_cycles_are_rotations_of_valid_polygons():
 def test_every_box_two_dfs_chain_passes_the_reference_validation():
     # The shards validate only D4-orbit-least chains; this checks all of them,
     # with a validation that shares no code with the package.
-    pts = [v.as_tuple() for v in primitive_points(2)]
-    chains = [chain for start in range(len(pts)) for chain in _chains_from(pts, start)]
+    chains = _unrooted_chains(2)
     assert len(chains) == 1533
     for chain in chains:
         assert ref_validate_ldp_polygon(chain) == chain

@@ -7,10 +7,13 @@ import pytest
 from ldptoric import (
     FAMILY_TAGS,
     FamilyParams,
+    FanValidationError,
     InvalidParams,
     analyze,
     apply_to_polygon,
     are_equivalent,
+    blow_down,
+    blow_down_candidates,
     blow_up,
     canonical_form,
     check_params,
@@ -22,6 +25,7 @@ from ldptoric import (
     twice_area,
     validate_ldp_polygon,
 )
+from ldptoric import polygon
 from ldptoric.families import FAMILY_SPECS
 
 from oracles import _apply, _solve_map
@@ -271,6 +275,31 @@ def test_classify_three_blowup():
     six = validate_ldp_polygon(blow_up(pent, 2).rays)
     assert analyze(six).singular_count == 3
     assert classify_three(six) == "blowup_of_picard3"
+
+
+def test_classify_three_d6_validates_each_blow_down_fan_once(box2_catalog, monkeypatch):
+    # Each blow-down's fan is checked once, by blow_down; the outcomes are
+    # those of a full validate_ldp_polygon of every blow-down.
+    def reference(p):
+        for i in blow_down_candidates(p):
+            try:
+                sub = validate_ldp_polygon(blow_down(p, i).rays)
+            except FanValidationError:
+                continue
+            if analyze(sub).singular_count == 3:
+                return "blowup_of_picard3", blow_down_candidates(p).index(i) + 1
+        return "none", len(blow_down_candidates(p))
+
+    calls = []
+    fan_checks = polygon._validate_fan
+    monkeypatch.setattr(polygon, "_validate_fan", lambda pts: calls.append(1) or fan_checks(pts))
+    sixes = [e.poly for e in box2_catalog if e.d == 6 and e.singular_count == 3]
+    assert sixes
+    for six in sixes:
+        want, tried = reference(six)
+        del calls[:]
+        assert classify_three(six) == want
+        assert len(calls) == tried
 
 
 def test_classify_three_rejects_wrong_singular_count():
