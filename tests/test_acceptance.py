@@ -263,8 +263,8 @@ def test_box_three_enumeration_stats(box3_pipeline, box3_stats):
 
 
 def test_box_three_raw_chains_all_validate():
-    """Not a scored criterion: enumerate_raw validates every raw chain that
-    the shards' D4 orbit test skips."""
+    """Not a scored criterion: enumerate_raw validates every raw chain of
+    the unrooted walk, most of which the rooted shards never visit."""
     assert len(enumerate_raw(3)) == 137295
 
 

@@ -233,8 +233,9 @@ def test_raw_cycles_are_rotations_of_valid_polygons():
 
 
 def test_every_box_two_dfs_chain_passes_the_reference_validation():
-    # The shards validate only D4-orbit-least chains; this checks all of them,
-    # with a validation that shares no code with the package.
+    # The shards validate no chain, only each class's entry; this checks every
+    # chain of the unrooted walk, with a validation that shares no code with
+    # the package.
     chains = _unrooted_chains(2)
     assert len(chains) == 1533
     for chain in chains:
