@@ -235,11 +235,14 @@ def enumerate_ldp(
     """All equivalence classes with a representative inside the box.
 
     Dedup by canonical form; the returned list is sorted by (d, vertices) and
-    identical for every worker count.  jobs=None uses all logical cores.
-    `stats`, when given, is filled in with this call's work.
+    identical for every worker count.  jobs is None, for all logical cores,
+    or an int of at least 1.  `stats`, when given, is filled in with this
+    call's work.
     """
     if not isinstance(box, BoxSpec):
         box = BoxSpec(box)
+    if jobs is not None and (type(jobs) is not int or jobs < 1):  # not isinstance: bool is an int
+        raise ValueError(f"jobs {jobs!r} is not None or an integer of at least 1")
     t0 = time.perf_counter()
     shards = _shards([v.as_tuple() for v in primitive_points(box.n)])
     canon: set[Chain] = set()

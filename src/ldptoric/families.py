@@ -19,10 +19,11 @@ for dais1 and 3 for dais2, (-1,0), (0,-1) at index 3 for dais3.  Mapping the
 template so that pair becomes the standard basis gives its reading at the
 anchor, and the reader recovers the parameters from that reading.
 identify() decides all seven families the same way, by comparing the basis
-readings of a polygon (equivalence.basis_readings, memoized on the polygon
-and shared with canonical_form) with the template's reading at its anchor;
-the readings are exact ints at any size and never range-checked here, since
-they only select parameters and never become vertices.  classify_three() sorts the
+readings of a polygon (the normalizations of its determinant-1 anchors, which
+equivalence memoizes on the polygon for canonical_form and are_equivalent
+too) with the template's reading at its anchor; the readings are exact ints
+at any size and never range-checked here, since they only select parameters
+and never become vertices.  classify_three() sorts the
 three-singular-point classes into the cases that exhaust them for d <= 6.
 """
 
@@ -32,9 +33,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .equivalence import _read_on_pair, basis_readings
-from .polygon import LdpPolygon, NotStrictlyConvex, polygon_from_fan, validate_ldp_polygon
-from .surface import analyze, blow_down, blow_down_candidates
+from .equivalence import _normalizations, _read_on_pair
+from .polygon import LdpPolygon, NotStrictlyConvex, validate_ldp_polygon
+from .surface import analyze, blow_down_candidates
 
 
 @dataclass(frozen=True)
@@ -230,13 +231,13 @@ def identify(poly: LdpPolygon) -> FamilyParams | None:
     if tag is None:
         return None
     spec = FAMILY_SPECS[tag]
-    # Each reading is the image of `poly` under a determinant +-1 map, so one
-    # that equals the family polygon's reading at its anchor proves the
-    # equivalence itself; every equivalence sends the anchor pair onto one
-    # of the pairs read.
+    # Every tag has fewer singular cones than vertices, so `poly` has a smooth
+    # cone and its tied normalizations are its basis readings.  Each is the
+    # image of `poly` under a determinant +-1 map, so one that equals the
+    # family polygon's reading at its anchor proves the equivalence itself;
+    # every equivalence sends the anchor pair onto one of the pairs read.
     candidates = set()
-    ccw, mirrored = basis_readings(poly)
-    for rd in ccw + mirrored:
+    for rd, _ in _normalizations(poly, False):
         values = spec.read(rd)
         pts = spec.vertices(*values)
         if _read_on_pair(pts[spec.anchor:] + pts[:spec.anchor]) == rd:
@@ -274,9 +275,10 @@ def _three_case(poly: LdpPolygon, singular_count: int, family: FamilyParams | No
         return "family_d5" if family is not None else "none"
     if d == 6:
         for i in blow_down_candidates(poly):
-            # blow_down returns a validated fan; only convexity is left to check.
+            # Removing a sum-of-neighbours ray leaves a valid fan, so only
+            # convexity can fail.
             try:
-                sub = polygon_from_fan(blow_down(poly, i))
+                sub = validate_ldp_polygon(poly.rays[: i - 1] + poly.rays[i:])
             except NotStrictlyConvex:
                 continue
             if analyze(sub).singular_count == 3:

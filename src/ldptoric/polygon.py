@@ -103,9 +103,9 @@ class FanCycle:
     """Counterclockwise cycle of primitive rays winding once around the origin.
 
     surface.analyze memoizes its report on the cycle (an LdpPolygon
-    included) as the attribute `_report`, and equivalence.basis_readings
-    memoizes a polygon's readings as `_readings`; neither is a dataclass
-    field, so ==, hash and repr ignore both."""
+    included) as the attribute `_report`, and equivalence memoizes a
+    polygon's tied normalizations as `_normalizations`; neither is a
+    dataclass field, so ==, hash and repr ignore both."""
 
     rays: tuple[RayVector, ...]
 
@@ -193,22 +193,11 @@ def validate_ldp_polygon(points: Sequence) -> LdpPolygon:
     LatticeOverflowError.
     """
     rays, pts = _validate_fan(points)
-    _check_turns(pts)
-    return LdpPolygon(rays)
-
-
-def polygon_from_fan(fan: FanCycle) -> LdpPolygon:
-    """validate_ldp_polygon for a cycle that validate_fan returned: only the
-    strict-turn check runs, since the fan checks already hold."""
-    _check_turns([(v.x, v.y) for v in fan.rays])
-    return LdpPolygon(fan.rays)
-
-
-def _check_turns(pts: list[tuple[int, int]]) -> None:
     triples = zip(pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1])
     for i, ((ax, ay), (bx, by), (cx, cy)) in enumerate(triples, start=1):
         if checked_i64((bx - ax) * (cy - by) - (cx - bx) * (by - ay), "vertex turn") <= 0:
             raise NotStrictlyConvex(i)
+    return LdpPolygon(rays)
 
 
 def twice_area(cycle: FanCycle) -> int:

@@ -136,6 +136,16 @@ def test_equiv_swap_matrix(capsys):
     assert out.strip() == "[[0,1],[1,0]]"
 
 
+def test_equiv_picks_the_first_of_eight_maps(capsys):
+    # The square has eight automorphisms, so eight maps carry it onto this
+    # image of it; the first in search order is printed.
+    code, out, err = run(
+        capsys, "equiv", "--a", "1,1;-1,1;-1,-1;1,-1", "--b", "3,1;1,1;-3,-1;-1,-1",
+    )
+    assert code == 0 and err == ""
+    assert out.strip() == "[[1,2],[0,1]]"
+
+
 def test_equiv_large_images_get_a_matrix(capsys):
     # Two images of the class 1,0;0,1;-5,-3 with coordinates below 2**30;
     # the checked search overflowed in an intermediate product on this pair.

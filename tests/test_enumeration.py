@@ -18,6 +18,7 @@ from ldptoric import (
     validate_ldp_polygon,
     verify_catalog,
 )
+from ldptoric import enumeration
 from ldptoric.enumeration import (
     _SQUARE_SYMMETRIES,
     EnumerationStats,
@@ -61,6 +62,16 @@ def test_box_spec_rejects_nonpositive():
 def test_box_that_is_not_an_int_is_a_value_error(box):
     with pytest.raises(ValueError, match=re.escape(f"box size {box!r} is not an integer")):
         enumerate_ldp(box)
+
+
+@pytest.mark.parametrize("jobs", [2.5, "2", True, False, 0, -1])
+def test_bad_jobs_is_a_value_error_before_any_pool(jobs, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was built")
+
+    monkeypatch.setattr(enumeration.multiprocessing, "Pool", no_pool)
+    with pytest.raises(ValueError, match=re.escape(f"jobs {jobs!r} is not None or an integer of at least 1")):
+        enumerate_ldp(1, jobs=jobs)
 
 
 def test_box_spec_rejects_a_non_int():

@@ -16,13 +16,13 @@ from ldptoric import (
     canonical_form,
     enumerate_raw,
     format_vertices,
+    identify,
     parse_vertices,
     random_unimodular_map,
     twice_area,
     validate_ldp_polygon,
 )
 from ldptoric import equivalence
-from ldptoric.equivalence import basis_readings
 from ldptoric.lattice import I64_MAX, I64_MIN
 
 from oracles import _oracle_form, large_shear_product, ref_are_equivalent
@@ -239,6 +239,31 @@ def test_canonical_form_out_of_range_raises():
         canonical_form(octagon)
 
 
+def test_are_equivalent_where_the_form_is_out_of_range():
+    # The octagon of test_canonical_form_out_of_range_raises: its maps come
+    # from the same normalization, which never becomes RayVectors.  The
+    # maps are those the search over r's target pairs returned, so they also
+    # pin the order: the first by the index in r of the image of q's first
+    # vertex (determinant 1) or second vertex (determinant -1).
+    m, a = 3_200_000_000, 2_262_741_700
+    octagon = poly(
+        f"{m},1;{a},{a + 1};-1,{m};{-a - 1},{a};"
+        f"{-m},-1;{-a},{-a - 1};1,{-m};{a + 1},{-a}"
+    )
+    one, quarter = UnimodularMap(1, 0, 0, 1), UnimodularMap(0, -1, 1, 0)
+    half, three_quarters = UnimodularMap(-1, 0, 0, -1), UnimodularMap(0, 1, -1, 0)
+    rotated = [one, quarter, quarter, half, half, three_quarters, three_quarters, one]
+    negated = [half, three_quarters, three_quarters, one, one, quarter, quarter, half]
+    vs, neg = octagon.vertices, tuple(-v for v in octagon.vertices)
+    for k in range(8):
+        for flag in (False, True):
+            assert are_equivalent(octagon, validate_ldp_polygon(vs[k:] + vs[:k]), flag) == rotated[k]
+            assert are_equivalent(octagon, validate_ldp_polygon(neg[k:] + neg[:k]), flag) == negated[k]
+    swapped = apply_to_polygon(UnimodularMap(0, 1, 1, 0), octagon)
+    assert are_equivalent(octagon, swapped) == UnimodularMap(-1, 0, 0, 1)
+    assert are_equivalent(octagon, swapped, orientation_preserving=True) is None
+
+
 def _assert_maps_onto(m, q, r, orientation_preserving: bool) -> None:
     # Re-applied in plain ints, m carries q's vertex set onto r's.
     det = m.a * m.d - m.b * m.c
@@ -351,24 +376,39 @@ def test_search_matches_the_checked_reference(box2_catalog):
     assert min(seen[k] for k in ("reference raised, map", "reference raised, none", "same map", "both none")) > 0
 
 
-def test_basis_readings_are_memoized_on_the_polygon():
-    assert basis_readings(PENTAGON) is basis_readings(PENTAGON)
-    # An equal polygon built separately computes its own, equal readings.
+def test_basis_readings_are_memoized_on_the_polygon(monkeypatch):
+    # One memo per polygon object and flag serves canonical_form, identify
+    # and are_equivalent: the tied anchors are computed once for each.
+    want = {flag: canonical_form(PENTAGON, flag) for flag in (False, True)}
+    calls = []
+    tied_anchors = equivalence._tied_anchors
+    monkeypatch.setattr(
+        equivalence, "_tied_anchors", lambda pts, flag: calls.append(flag) or tied_anchors(pts, flag)
+    )
+    p = poly("1,0;0,1;-1,0;1,-3;2,-3")
+    for _ in range(2):
+        for flag in (False, True):
+            assert canonical_form(p, flag) == want[flag]
+            assert are_equivalent(p, p, flag) == IDENTITY_MAP
+        assert identify(p) is not None
+    assert sorted(calls) == [False, True]
+    # An equal polygon built separately computes its own, equal normalizations.
     other = poly("1,0;0,1;-1,0;1,-3;2,-3")
-    assert basis_readings(other) is not basis_readings(PENTAGON)
-    assert basis_readings(other) == basis_readings(PENTAGON)
+    assert canonical_form(other) == canonical_form(p)
+    assert sorted(calls) == [False, False, True]
 
 
 def test_readings_memo_is_invisible_to_eq_hash_repr_and_pickle():
     fresh, read = poly("1,0;0,1;-2,-3"), poly("1,0;0,1;-2,-3")
-    basis_readings(read)
-    assert "_readings" in read.__dict__ and "_readings" not in fresh.__dict__
+    canonical_form(read)
+    assert "_normalizations" in read.__dict__ and "_normalizations" not in fresh.__dict__
     assert read == fresh and fresh == read
     assert hash(read) == hash(fresh) and repr(read) == repr(fresh)
     for obj in (fresh, read):
         copy = pickle.loads(pickle.dumps(obj))
         assert copy == fresh and hash(copy) == hash(fresh) and repr(copy) == repr(fresh)
-        assert basis_readings(copy) == basis_readings(fresh)
+        assert canonical_form(copy) == canonical_form(fresh)
+        assert are_equivalent(copy, fresh) == IDENTITY_MAP
 
 
 def test_smooth_cone_form_uses_no_bezout_row(monkeypatch):
@@ -397,6 +437,6 @@ def test_forms_without_a_smooth_cone_match_the_oracle(box2_catalog):
     assert len(polys) > 10
     polys += [apply_to_polygon(random_unimodular_map(rng), p) for p in polys for _ in range(3)]
     for p in polys:
-        assert basis_readings(p) == ((), ())
         for flag in (False, True):
+            assert all(rd[1] != (0, 1) for rd, _ in equivalence._normalizations(p, flag))
             assert _form_tuples(p, flag) == _oracle_form(p.vertices, flag)
