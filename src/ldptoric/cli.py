@@ -98,8 +98,7 @@ def entry_from_dict(data: dict) -> CatalogEntry:
     return CatalogEntry(poly, family, data.get("three_case"))
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+_dump = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def write_catalog(entries: list[CatalogEntry], path: str) -> None:
@@ -110,14 +109,14 @@ def write_catalog(entries: list[CatalogEntry], path: str) -> None:
 
 def read_catalog(path: str) -> list[CatalogEntry]:
     entries = []
-    with open(path, "r", encoding="ascii") as fh:
+    # latin-1 decodes any byte, so a non-ASCII one fails in its line's try.
+    with open(path, "r", encoding="latin-1") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
-                entries.append(entry_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, LatticeOverflowError) as exc:
+                line = line.encode("latin-1").decode("ascii").strip()
+                if line:
+                    entries.append(entry_from_dict(json.loads(line)))
+            except (KeyError, TypeError, ValueError, LatticeOverflowError, RecursionError) as exc:
                 raise ValueError(f"bad catalog line {line_no}: {exc}") from None
     return entries
 

@@ -16,8 +16,10 @@ candidate set depends only on the equivalence class, never on the input
 coordinates or starting vertex, which makes it a valid dedup key.  With a
 smooth cone the least pair is (0, 1), held by exactly the determinant-1
 pairs, and each of them normalizes to its basis reading with no Bezout row;
-families.identify() reads the families off these readings.  Without a smooth
-cone, each vertex gets one Bezout row, shared by both orientations.
+families.identify() reads the families off these readings.  Each is read
+once, forwards: the backward reading is the forward one with every point
+swapped, read backwards from the second point.  Without a smooth cone, each
+vertex gets one Bezout row, shared by both orientations.
 
 _canonical_key is the least normalization of a cycle's int tuples (the
 enumeration shards' dedup key, no memo).  canonical_form, identify and
@@ -72,12 +74,12 @@ Reading = tuple[tuple[int, int], ...]
 Anchor = tuple[int, int]
 
 
-def _read_on_pair(rot, sign: int = 1) -> Reading:
+def _read_on_pair(rot) -> Reading:
     """The int tuples `rot` mapped by the inverse of the matrix with columns
-    a, b = rot[0], rot[1], whose determinant must be sign = +-1: that inverse
-    sends v to sign * (det(v, b), det(a, v))."""
+    a, b = rot[0], rot[1], whose determinant must be 1: that inverse sends v
+    to (det(v, b), det(a, v))."""
     (ax, ay), (bx, by) = rot[0], rot[1]
-    return tuple((sign * (x * by - bx * y), sign * (ax * y - x * ay)) for x, y in rot)
+    return tuple([(x * by - bx * y, ax * y - x * ay) for x, y in rot])
 
 
 def _orientations(pts: Sequence[tuple[int, int]]):
@@ -92,17 +94,26 @@ def _tied_anchors(pts: Sequence[tuple[int, int]], orientation_preserving: bool) 
     """(normalization, anchor) for every anchor of the int-tuple cycle `pts`
     tied at the least (k, D), over the forward anchors only when
     orientation_preserving and over both orientations together otherwise."""
-    orientations = _orientations(pts)[: 1 if orientation_preserving else 2]
     # A smooth cone: the least (k, D) is (0, 1), held by exactly the
     # determinant-1 pairs, and each of them normalizes to its basis reading.
     tied = [
-        (_read_on_pair(cyc[i:] + cyc[:i], sign), (i, sign))
-        for cyc, sign in orientations
-        for i, ((ax, ay), (bx, by)) in enumerate(zip(cyc, cyc[1:] + cyc[:1]))
-        if ax * by - bx * ay == sign
+        (_read_on_pair(pts[i:] + pts[:i]), (i, 1))
+        for i, ((ax, ay), (bx, by)) in enumerate(zip(pts, pts[1:] + pts[:1]))
+        if ax * by - bx * ay == 1
     ]
     if tied:
-        return tied
+        if orientation_preserving:
+            return tied
+        # Backwards, anchor (d - 2 - j) % d is forward anchor j reversed.  Its
+        # reading is j's reading F, each point swapped, in the order F[1], F[0],
+        # F[d - 1], ..., F[2].  By index: j falling, then j = d - 1 (index d - 1).
+        d = len(pts)
+        back = [(tuple([(y, x) for x, y in rd[1::-1] + rd[:1:-1]]), ((d - 2 - j) % d, -1))
+                for rd, (j, _) in reversed(tied)]
+        if back[0][1][0] == d - 1:
+            back.append(back.pop(0))
+        return tied + back
+    orientations = _orientations(pts)[: 1 if orientation_preserving else 2]
     # One Bezout row per vertex, shared by both orientations: k is reduced
     # mod the span, so any row gives the same key and the same normalization.
     rows = {p: _ext_gcd(*p)[1:] for p in pts}

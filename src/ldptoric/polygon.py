@@ -12,15 +12,21 @@ convention used by every external surface of the package.  Validation runs on
 exact int tuples and checks the 64-bit range on the values it produces, the
 cone determinants and the vertex turns, each where the check that uses it
 runs, so the first failing check of either kind wins.
+
+The turn at a vertex is its f-value, so validation checks exactly the data
+of a SurfaceReport: _surface_data computes it for validation and for
+surface._surface_report alike, and validate_ldp_polygon leaves the report it
+checked on the polygon as analyze's memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
+from fractions import Fraction
+from functools import cached_property, cmp_to_key
 from typing import Iterable, Sequence
 
-from .lattice import RayVector, checked_i64, det2, is_primitive
+from .lattice import I64_MAX, RayVector, checked_i64, det2, is_primitive
 
 
 class FanValidationError(ValueError):
@@ -102,10 +108,11 @@ def angular_sort(points: Iterable[RayVector]) -> list[RayVector]:
 class FanCycle:
     """Counterclockwise cycle of primitive rays winding once around the origin.
 
-    surface.analyze memoizes its report on the cycle (an LdpPolygon
-    included) as the attribute `_report`, and equivalence memoizes a
-    polygon's tied normalizations as `_normalizations`; neither is a
-    dataclass field, so ==, hash and repr ignore both."""
+    surface.analyze memoizes its report on the cycle as the attribute
+    `_report`; validate_ldp_polygon sets it on every polygon it returns.
+    equivalence memoizes a polygon's tied normalizations as
+    `_normalizations`.  Neither is a dataclass field, so ==, hash and repr
+    ignore both."""
 
     rays: tuple[RayVector, ...]
 
@@ -141,9 +148,69 @@ def same_cycle(a: FanCycle, b: FanCycle) -> bool:
     return all(a.rays[i] == b.rays[(k + i) % b.d] for i in range(a.d))
 
 
-def _validate_fan(points: Sequence) -> tuple[tuple[RayVector, ...], list[tuple[int, int]]]:
-    """validate_fan's checks; returns the rays and their int tuples, for
-    validate_ldp_polygon to reuse."""
+@dataclass(frozen=True, slots=True)
+class ConeRecord:
+    """Local data of one cone: 1-based index, determinant, singularity flag."""
+
+    index: int
+    det: int
+    singular: bool
+
+
+@dataclass(frozen=True)
+class SurfaceReport:
+    """The stored fields d, dets, f_values and singular_count; the rest is
+    derived from them, cones and anticanonical_degrees once, on first access."""
+
+    d: int
+    dets: tuple[int, ...]
+    f_values: tuple[int, ...]
+    singular_count: int
+
+    @property
+    def picard_number(self) -> int:
+        return self.d - 2
+
+    @property
+    def is_log_del_pezzo(self) -> bool:
+        return min(self.f_values) >= 1
+
+    @cached_property
+    def cones(self) -> tuple[ConeRecord, ...]:
+        return tuple(ConeRecord(i, det, det >= 2) for i, det in enumerate(self.dets, start=1))
+
+    @cached_property
+    def anticanonical_degrees(self) -> tuple[Fraction, ...]:
+        dets = self.dets
+        return tuple(Fraction(f, dets[i - 1] * dets[i]) for i, f in enumerate(self.f_values))
+
+    def singular_indices(self) -> tuple[int, ...]:
+        return tuple(i for i, det in enumerate(self.dets, start=1) if det >= 2)
+
+
+def _surface_data(pts: list[tuple[int, int]]) -> SurfaceReport:
+    """The report of the int-tuple cycle `pts`, exact and unchecked: its cone
+    determinants det(v_i, v_{i+1}) and its vertex turns, which are its f-values."""
+    prv, nxt = pts[-1:] + pts[:-1], pts[1:] + pts[:1]
+    dets = tuple([x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, nxt)])
+    # The turn at b between a and c, (b - a) x (c - b), is det(a, b) + det(b, c) + det(c, a).
+    turns = tuple([ab + bc + cx * ay - ax * cy
+                   for ab, bc, (ax, ay), (cx, cy) in zip((dets[-1],) + dets, dets, prv, nxt)])
+    return SurfaceReport(len(pts), dets, turns, len([det for det in dets if det >= 2]))
+
+
+def _check_positive(values: tuple[int, ...], context: str, error: type[FanValidationError]) -> None:
+    """At the first value outside 1..I64_MAX, raise LatticeOverflowError
+    naming `context` if it is outside the 64-bit range, else error(index)."""
+    for i, value in enumerate(values, start=1):
+        if not 0 < value <= I64_MAX:
+            checked_i64(value, context)
+            raise error(i)
+
+
+def _validate_fan(points: Sequence) -> tuple[tuple[RayVector, ...], SurfaceReport]:
+    """validate_fan's checks; returns the rays and their unchecked report,
+    whose turns validate_ldp_polygon checks."""
     rays = tuple(_coerce(i, p) for i, p in enumerate(points, start=1))
     d = len(rays)
     if d < 3:
@@ -157,9 +224,8 @@ def _validate_fan(points: Sequence) -> tuple[tuple[RayVector, ...], list[tuple[i
         if p in seen:
             raise DuplicateRay(i)
         seen.add(p)
-    for i, ((x0, y0), (x1, y1)) in enumerate(zip(pts, pts[1:] + pts[:1]), start=1):
-        if checked_i64(x0 * y1 - x1 * y0, "cone determinant") <= 0:
-            raise NotCounterclockwise(i)
+    report = _surface_data(pts)
+    _check_positive(report.dets, "cone determinant", NotCounterclockwise)
     # Each step now turns strictly ccw by less than a half-turn, so it wraps
     # past the reference axis exactly when it leaves the lower half-plane
     # (angle_less is False there and only there).
@@ -167,7 +233,7 @@ def _validate_fan(points: Sequence) -> tuple[tuple[RayVector, ...], list[tuple[i
     winding = sum(1 for a, b in zip(lower, lower[1:] + lower[:1]) if a and not b)
     if winding != 1:
         raise BadWinding(winding)
-    return rays, pts
+    return rays, report
 
 
 def validate_fan(points: Sequence) -> FanCycle:
@@ -190,14 +256,14 @@ def validate_ldp_polygon(points: Sequence) -> LdpPolygon:
     edge vectors.  A ray that is a convex combination of its neighbours
     (collinear boundary point or interior point) raises NotStrictlyConvex at
     its 1-based index; a turn outside the signed 64-bit range raises
-    LatticeOverflowError.
+    LatticeOverflowError.  The returned polygon carries the checked
+    determinants and turns as its analyze() report.
     """
-    rays, pts = _validate_fan(points)
-    triples = zip(pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1])
-    for i, ((ax, ay), (bx, by), (cx, cy)) in enumerate(triples, start=1):
-        if checked_i64((bx - ax) * (cy - by) - (cx - bx) * (by - ay), "vertex turn") <= 0:
-            raise NotStrictlyConvex(i)
-    return LdpPolygon(rays)
+    rays, report = _validate_fan(points)
+    _check_positive(report.f_values, "vertex turn", NotStrictlyConvex)
+    poly = LdpPolygon(rays)
+    object.__setattr__(poly, "_report", report)  # analyze's memo; FanCycle is frozen
+    return poly
 
 
 def twice_area(cycle: FanCycle) -> int:

@@ -6,76 +6,33 @@ more a singular point of that local index.  The f-value at a ray decides the
 log del Pezzo condition: the surface is log del Pezzo iff f >= 1 everywhere,
 and f(i) divided by the two adjacent cone determinants is the exact
 anticanonical degree of the boundary divisor at ray i.  Both are computed on
-exact ints; the f-values are checked against the signed 64-bit range as they
-are produced, and the cone determinants were checked by validation.
+exact ints, and the f-value at a ray is the vertex turn there.
 
-A SurfaceReport stores d, the cone determinants, the f-values and the
-singular count.  picard_number and is_log_del_pezzo are read off them on
-every access; cones and anticanonical_degrees are built on first access and
-cached on the report, which keeps them out of ==, hash and repr.  The
-catalog, tagging and query paths read only the stored fields.
+A SurfaceReport (defined in polygon, next to the validation that fills it)
+stores d, the cone determinants, the f-values and the singular count.
+picard_number and is_log_del_pezzo are read off them on every access; cones
+and anticanonical_degrees are built on first access and cached on the
+report, which keeps them out of ==, hash and repr.
 
-analyze() computes the report of a FanCycle object once and memoizes it on
-that (immutable) cycle, outside its dataclass fields, so the memo takes no
-part in ==, hash or repr.  An LdpPolygon is a FanCycle, so the memo sits on
-the polygon itself, and callers that pass the same polygon on, such as the
-tagging path (analyze, identify, classify_three), share one computation.
+analyze() returns the report memoized on a FanCycle object, outside its
+dataclass fields.  validate_ldp_polygon sets that memo from the values it
+has just checked, so analyze on a validated polygon computes nothing, and
+the tagging path (analyze, identify, classify_three) reads that one report.
+Any other cycle (validate_fan's, blow_up's, a canonical form) gets its report
+from _surface_report on the first call: polygon._surface_data, the one
+formula for both, with the f-values checked against the 64-bit range.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
-
 from .lattice import checked_i64
-from .polygon import FanCycle, validate_fan
+from .polygon import ConeRecord, FanCycle, SurfaceReport, _surface_data, validate_fan  # noqa: F401
 
 
 class ConeSingular(ValueError):
     def __init__(self, index: int):
         self.index = index
         super().__init__(f"ConeSingular({index}): cone {index} has determinant >= 2, cannot subdivide by ray sum")
-
-
-@dataclass(frozen=True, slots=True)
-class ConeRecord:
-    """Local data of one cone: 1-based index, determinant, singularity flag."""
-
-    index: int
-    det: int
-    singular: bool
-
-
-@dataclass(frozen=True)
-class SurfaceReport:
-    """The stored fields d, dets, f_values and singular_count; the rest is
-    derived from them, cones and anticanonical_degrees once, on first access."""
-
-    d: int
-    dets: tuple[int, ...]
-    f_values: tuple[int, ...]
-    singular_count: int
-
-    @property
-    def picard_number(self) -> int:
-        return self.d - 2
-
-    @property
-    def is_log_del_pezzo(self) -> bool:
-        return min(self.f_values) >= 1
-
-    @cached_property
-    def cones(self) -> tuple[ConeRecord, ...]:
-        return tuple(ConeRecord(i, det, det >= 2) for i, det in enumerate(self.dets, start=1))
-
-    @cached_property
-    def anticanonical_degrees(self) -> tuple[Fraction, ...]:
-        dets = self.dets
-        return tuple(Fraction(f, dets[i - 1] * dets[i]) for i, f in enumerate(self.f_values))
-
-    def singular_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, det in enumerate(self.dets, start=1) if det >= 2)
 
 
 def f_value(cycle: FanCycle, i: int) -> int:
@@ -99,18 +56,13 @@ def analyze(cycle: FanCycle) -> SurfaceReport:
 
 
 def _surface_report(cycle: FanCycle) -> SurfaceReport:
-    """analyze() without the memo."""
-    d = cycle.d
-    pts = [(v.x, v.y) for v in cycle.rays]
-    prv, nxt = pts[-1:] + pts[:-1], pts[1:] + pts[:1]
-    # Validation has already checked these.
-    dets = tuple(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, nxt))
-    # f(i) = det(v_{i-1}, v_i) + det(v_i, v_{i+1}) + det(v_{i+1}, v_{i-1}).
-    f_values = tuple(
-        checked_i64(dets[i - 1] + dets[i] + (x1 * y0 - x0 * y1), "f value")
-        for i, ((x0, y0), (x1, y1)) in enumerate(zip(prv, nxt))
-    )
-    return SurfaceReport(d, dets, f_values, sum(1 for det in dets if det >= 2))
+    """analyze() without the memo, for a cycle that validate_ldp_polygon did
+    not build.  Validation has already checked the cone determinants; the
+    f-values are checked here."""
+    report = _surface_data([(v.x, v.y) for v in cycle.rays])
+    for f in report.f_values:
+        checked_i64(f, "f value")
+    return report
 
 
 def blow_up(cycle: FanCycle, i: int) -> FanCycle:

@@ -22,6 +22,11 @@ def box2_catalog():
     return enumerate_ldp(2)
 
 
+@pytest.fixture(scope="session")
+def box3_catalog():
+    return enumerate_ldp(3)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not _scorecard.LINES:
         return

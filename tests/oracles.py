@@ -16,6 +16,9 @@ equivalence search as it ran when every product and sum was checked too
 (`solve_map` and `apply_map` on every target pair), before the search moved
 to exact ints.
 
+`ref_tied_anchors` is equivalence._tied_anchors as it ran when it read every
+smooth cone once per orientation, with its own extended gcd.
+
 The brute-force canonical form (`_oracle_form`) normalizes every anchor in
 full with its own Bezout recursion; `ref_identify` decides dais membership
 with it, so it shares no code with the package's equivalence or family
@@ -346,6 +349,49 @@ def _oracle_form(vertices, orientation_preserving: bool):
             if best is None or form < best:
                 best = form
     return tuple(best)
+
+
+def _ref_ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    old_r, r, old_s, s, old_t, t = a, b, 1, 0, 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return (-old_r, -old_s, -old_t) if old_r < 0 else (old_r, old_s, old_t)
+
+
+def ref_tied_anchors(pts: list[Point], orientation_preserving: bool) -> list:
+    """equivalence._tied_anchors as it ran when it read every smooth cone once
+    per orientation: the forward cycle with sign 1, then the reversed cycle
+    with sign -1, each pair's determinant compared with the sign."""
+    orientations = ((pts, 1), (pts[::-1], -1))[: 1 if orientation_preserving else 2]
+    tied = []
+    for cyc, sign in orientations:
+        for i in range(len(cyc)):
+            rot = cyc[i:] + cyc[:i]
+            (ax, ay), (bx, by) = rot[0], rot[1]
+            if ax * by - bx * ay == sign:
+                reading = tuple((sign * (x * by - bx * y), sign * (ax * y - x * ay)) for x, y in rot)
+                tied.append((reading, (i, sign)))
+    if tied:
+        return tied
+    rows = {p: _ref_ext_gcd(*p)[1:] for p in pts}
+    anchors = []
+    for cyc, sign in orientations:
+        for i, ((x0, y0), (x1, y1)) in enumerate(zip(cyc, cyc[1:] + cyc[:1])):
+            s, t = rows[x0, y0]
+            span = sign * (x0 * y1 - x1 * y0)
+            anchors.append(((s * x1 + t * y1) % span, span, s, t, cyc, sign, i))
+    least = min(anchor[:2] for anchor in anchors)
+    for k, span, s, t, cyc, sign, i in anchors:
+        if (k, span) == least:
+            rot = cyc[i:] + cyc[:i]
+            (x0, y0), (x1, y1) = rot[0], rot[1]
+            q = (s * x1 + t * y1) // span
+            a, b = s + sign * q * y0, t - sign * q * x0
+            tied.append((tuple((a * x + b * y, sign * (x0 * y - y0 * x)) for x, y in rot), (i, sign)))
+    return tied
 
 
 DAIS_TAGS = ("dais1", "dais2", "dais3")

@@ -285,6 +285,27 @@ def test_bad_catalog_line(tmp_path, capsys):
     assert "bad catalog line 3" in err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda line: b"[" * 200_000, "maximum recursion depth exceeded while decoding a JSON array"),
+        (lambda line: line[:5] + b"\xc3\xa9" + line[5:], "'ascii' codec can't decode byte 0xc3 in position 5"),
+    ],
+    ids=["deep-nesting", "non-ascii"],
+)
+def test_malformed_catalog_line_is_bad_input(tmp_path, capsys, edit, message):
+    raw = tmp_path / "raw.jsonl"
+    run(capsys, "enumerate", "--box", "1", "--jobs", "1", "--out", str(raw))
+    lines = raw.read_bytes().splitlines()
+    lines[2] = edit(lines[2])
+    raw.write_bytes(b"\n".join(lines) + b"\n")
+    for command in ("check", "classify"):
+        code, out, err = run(capsys, command, "--in", str(raw))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: bad catalog line 3: {message}") and err.count("\n") == 1
+
+
 def _catalog_with_first_line(tmp_path, capsys, edit):
     """A classified box-1 catalog whose first line, a dais1 triangle, went
     through `edit`."""

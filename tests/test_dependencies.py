@@ -1,5 +1,6 @@
 """The package runs on the standard library alone."""
 
+import pkgutil
 import re
 import subprocess
 import sys
@@ -38,3 +39,18 @@ def test_package_imports_only_the_standard_library():
     allowed = sys.stdlib_module_names | {"ldptoric", "__mp_main__"}
     foreign = [m for m in out if m.split(".")[0] not in allowed]
     assert foreign == []
+
+
+SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(ldptoric.__path__, "ldptoric."))
+
+
+def test_each_submodule_imports_first_in_a_fresh_interpreter():
+    # Importing any submodule first runs the package's own import order from
+    # that entry point; a cycle between two modules would fail one of these.
+    src = str(Path(ldptoric.__file__).resolve().parent.parent)
+    assert "ldptoric.polygon" in SUBMODULES and "ldptoric.surface" in SUBMODULES
+    for name in SUBMODULES:
+        probe = f"import sys; sys.path.insert(0, {src!r}); import {name}; print({name}.__name__)"
+        out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True)
+        assert (out.returncode, out.stdout, out.stderr) == (0, name + "\n", "")
+

@@ -25,7 +25,7 @@ from ldptoric import (
 from ldptoric import equivalence
 from ldptoric.lattice import I64_MAX, I64_MIN
 
-from oracles import _oracle_form, large_shear_product, ref_are_equivalent
+from oracles import _oracle_form, large_shear_product, ref_are_equivalent, ref_tied_anchors
 
 
 def poly(text: str):
@@ -440,3 +440,25 @@ def test_forms_without_a_smooth_cone_match_the_oracle(box2_catalog):
         for flag in (False, True):
             assert all(rd[1] != (0, 1) for rd, _ in equivalence._normalizations(p, flag))
             assert _form_tuples(p, flag) == _oracle_form(p.vertices, flag)
+
+
+def test_tied_anchors_match_the_two_orientation_reading(box3_catalog):
+    # Each smooth cone is read once, forwards, and its backward anchor is
+    # derived from that reading: the same readings and anchors, in the same
+    # order, as reading both orientations, under both flags.  On every box-3
+    # class and on a rotated unimodular image of each, which moves the
+    # anchor indices.
+    rng = random.Random(13)
+    seen = Counter()
+    for entry in box3_catalog:
+        image = apply_to_polygon(random_unimodular_map(rng, 9), entry.poly)
+        shift = rng.randrange(image.d)
+        rotated = image.vertices[shift:] + image.vertices[:shift]
+        for pts in (list(entry.vertices), [v.as_tuple() for v in rotated]):
+            for flag in (False, True):
+                assert equivalence._tied_anchors(pts, flag) == ref_tied_anchors(pts, flag)
+            d = len(pts)
+            smooth = [i for i in range(d) if pts[i][0] * pts[(i + 1) % d][1] - pts[(i + 1) % d][0] * pts[i][1] == 1]
+            seen["smooth" if smooth else "no smooth cone"] += 1
+            seen["smooth cone at d - 1"] += d - 1 in smooth
+    assert min(seen.values()) > 100, seen

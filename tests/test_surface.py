@@ -22,9 +22,10 @@ from ldptoric import (
     validate_ldp_polygon,
     verify_catalog,
 )
-from ldptoric import surface
+from ldptoric import LatticeOverflowError, NotCounterclockwise, surface
+from ldptoric.lattice import I64_MAX, I64_MIN
 
-from oracles import random_fan, ref_analyze
+from oracles import random_fan, ref_analyze, ref_validate_ldp_polygon
 
 
 def fan(text: str):
@@ -260,30 +261,77 @@ def test_one_report_per_entry_in_classify_catalog(monkeypatch):
     # A fresh catalog: the session fixture's polygons may be analyzed already.
     runs = _count_reports(monkeypatch)
     entries = enumerate_ldp(2)
+    # Validation leaves each entry's report on its polygon, before any analyze.
+    reports = {entry.vertices: entry.poly.__dict__["_report"] for entry in entries}
     tagged = classify_catalog(entries)
     assert verify_catalog(tagged).ok
-    counts = {entry.vertices: runs.count(entry.vertices) for entry in entries}
-    assert set(counts.values()) == {1}
-    # The rest are the blow-downs that the d = 6 three-singular case split
-    # analyzes, one for each of those entries at box 2, in each tagging pass.
+    assert all(analyze(entry.poly) is reports[entry.vertices] for entry in tagged)
+    # The d = 6 three-singular case split validates the blow-downs it
+    # analyzes, so their reports come from validation too.
     six = [e for e in tagged if e.d == 6 and e.singular_count == 3]
-    blown_down = {
-        tuple(v.as_tuple() for v in blow_down(e.polygon(), i).rays)
-        for e in six for i in blow_down_candidates(e.polygon())
-    }
-    rest = [rays for rays in runs if rays not in counts]
-    assert len(runs) == len(entries) + len(rest)
-    assert len(six) == len(set(rest)) == 5 and set(rest) <= blown_down
-    assert len(rest) == 2 * len(six)
+    assert len(six) == 5 and all(blow_down_candidates(e.poly) for e in six)
+    assert runs == []
 
 
 def test_one_report_for_analyze_identify_classify_three(monkeypatch):
     runs = _count_reports(monkeypatch)
     poly = validate_ldp_polygon(parse_vertices("1,0;0,1;-1,0;1,-3;2,-3"))
-    assert analyze(poly).singular_count == 3
+    report = poly.__dict__["_report"]
+    assert analyze(poly) is report and report.singular_count == 3
     assert identify(poly) is not None
     assert classify_three(poly) == "family_d5"
-    assert len(runs) == 1
+    assert analyze(poly) is report and runs == []
+    # A cycle that validate_ldp_polygon did not build computes its report
+    # once, on the first analyze.
+    cycle = validate_fan(parse_vertices("1,0;0,1;-1,0;1,-3;2,-3"))
+    assert analyze(cycle) is analyze(cycle) and analyze(cycle) == report
+    assert runs == [tuple(v.as_tuple() for v in cycle.rays)]
+
+
+# The triangle (1,0), (0,1), (x,y) has cone determinants 1, -x and -y, and
+# every vertex turn 1 - x - y: these turn I64_MAX and I64_MAX - 2.
+EDGE_TRIANGLES = [
+    [(1, 0), (0, 1), (-(2**62) - 1, 3 - 2**62)],
+    [(1, 0), (0, 1), (-(2**62) - 1, 5 - 2**62)],
+]
+
+
+def test_validated_report_equals_the_computed_one(box3_catalog):
+    # validate_ldp_polygon's report is _surface_report's, field for field and
+    # in type, on every box-3 class, on random fans that are LDP polygons and
+    # at the top of the 64-bit range.
+    rng = random.Random(11)
+    fans = [random_fan(rng) for _ in range(3000)]
+    polys = [[v.as_tuple() for v in c.rays] for c in fans if min(analyze(c).f_values) > 0]
+    assert len(polys) > 300
+    for pts in [list(e.vertices) for e in box3_catalog] + polys + EDGE_TRIANGLES:
+        poly = validate_ldp_polygon(pts)
+        report = analyze(poly)
+        assert report == surface._surface_report(poly) == surface._surface_report(validate_fan(pts))
+        assert type(report.dets) is type(report.f_values) is tuple
+        ref = ref_analyze(tuple(pts))
+        assert (report.dets, report.f_values, report.singular_count) == (ref["dets"], ref["f_values"], ref["singular_count"])
+    assert analyze(validate_ldp_polygon(EDGE_TRIANGLES[0])).f_values == (I64_MAX,) * 3
+    assert analyze(validate_ldp_polygon(EDGE_TRIANGLES[1])).f_values == (I64_MAX - 2,) * 3
+
+
+def test_validation_reports_the_first_failing_value():
+    # A cone determinant below I64_MIN raises LatticeOverflowError, not
+    # NotCounterclockwise, with the reference's message; so does a turn just
+    # past I64_MAX.  A negative determinant in range is NotCounterclockwise.
+    big = 3037000500
+    for pts, error in [
+        ([(big, -1), (-1, -big), (0, 1)], f"cone determinant {-(big * big) - 1} exceeds the signed 64-bit range"),
+        ([(1, 0), (0, 1), (-(2**62), 1 - 2**62)], f"vertex turn {I64_MAX + 1} exceeds the signed 64-bit range"),
+    ]:
+        assert -(big * big) - 1 < I64_MIN
+        for validate in (validate_ldp_polygon, ref_validate_ldp_polygon):
+            with pytest.raises(LatticeOverflowError) as exc:
+                validate(pts)
+            assert str(exc.value) == error
+    with pytest.raises(NotCounterclockwise) as exc:
+        validate_ldp_polygon([(1, 0), (0, 1), (2**62, I64_MIN + 1), (-1, -1)])
+    assert exc.value.index == 2
 
 
 def test_report_stores_only_dets_and_f_values():
