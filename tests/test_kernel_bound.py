@@ -57,11 +57,14 @@ OVERFLOW_INPUTS = [
 # The triangle (1,0), (0,1), (x,y) has cone determinants 1, -x and -y, and its
 # every vertex turn and f-value is 1 - x - y.  Each input puts one of these
 # named values at I64_MAX or just past it; the first has intermediate
-# products beyond 64 bits while every named value fits.
+# products beyond 64 bits while every named value fits.  The fourth has a
+# first cone determinant below I64_MIN, which overflows rather than failing
+# the counterclockwise check.
 CONTRACT_INPUTS = [
     ([(1, 0), (0, 1), (-3037000500, -3037000499)], None),
     ([(1, 0), (0, 1), (-(2**62) - 1, 3 - 2**62)], None),  # turns I64_MAX
     ([(1, 0), (0, 1), (-(2**63), -1)], f"cone determinant {I64_MAX + 1}"),
+    ([(3037000500, -1), (-1, -3037000500), (0, 1)], f"cone determinant {-(3037000500**2) - 1}"),
     ([(1, 0), (0, 1), (-(2**62), 1 - 2**62)], f"vertex turn {I64_MAX + 1}"),
 ]
 
@@ -125,6 +128,8 @@ def _agree(points) -> list[str]:
         seen.append(f"analyze:{report[0] if report[0] == 'ok' else report[1].__name__}")
     if poly[0] == "ok":
         p = validate_ldp_polygon(points)
+        # The report that validation leaves on the polygon.
+        assert _outcome(_report, p) == _outcome(ref_analyze, poly[1]), points
         family = _outcome(identify, p)
         assert family == _outcome(ref_identify, p), points
         seen.append(f"identify:{family[0] if family[0] == 'ok' else family[1].__name__}")
