@@ -46,8 +46,8 @@ def f_value(cycle: FanCycle, i: int) -> int:
 def analyze(cycle: FanCycle) -> SurfaceReport:
     """Full singularity and degree report for the surface of a validated cycle.
 
-    Computed on the first call for a cycle object; later calls return the
-    same report object."""
+    The one validate_ldp_polygon left on a polygon, or computed on the first
+    call for any other cycle object; later calls return the same object."""
     report = cycle.__dict__.get("_report")
     if report is None:
         report = _surface_report(cycle)
