@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from typing import Sequence
 
 from . import __version__
@@ -27,6 +26,7 @@ from .lattice import LatticeOverflowError
 from .polygon import (
     LdpPolygon,
     NotCounterclockwise,
+    NotStrictlyConvex,
     format_vertices,
     parse_vertices,
     validate_fan,
@@ -45,17 +45,13 @@ from .enumeration import (
 from .families import FamilyParams, generate
 
 
-def _fraction_str(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-
-
 def report_to_dict(report: SurfaceReport) -> dict:
     return {
         "d": report.d,
         "rho": report.picard_number,
         "dets": list(report.dets),
         "f": list(report.f_values),
-        "degrees": [_fraction_str(x) for x in report.anticanonical_degrees],
+        "degrees": [str(x) for x in report.anticanonical_degrees],
         "ldp": report.is_log_del_pezzo,
         "singular": report.singular_count,
     }
@@ -122,12 +118,18 @@ def read_catalog(path: str) -> list[CatalogEntry]:
 
 
 def _parse_polygon_lenient(text: str) -> LdpPolygon:
-    """Parse a polygon, also accepting a clockwise vertex listing."""
+    """Parse a polygon, also accepting a clockwise vertex listing; an error
+    names the rays by their index in the listing as given."""
     points = parse_vertices(text)
     try:
         return validate_ldp_polygon(points)
-    except NotCounterclockwise:
-        return validate_ldp_polygon(list(reversed(points)))
+    except NotCounterclockwise as first:
+        try:
+            return validate_ldp_polygon(points[::-1])
+        except NotCounterclockwise:
+            raise first from None
+        except NotStrictlyConvex as exc:
+            raise NotStrictlyConvex(len(points) + 1 - exc.index) from None
 
 
 # emit_svg draws one circle per lattice point of the bounding box, so the

@@ -43,7 +43,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
-from .lattice import RayVector, det2, is_primitive
+from .lattice import RayVector, checked_i64, det2, is_primitive
 from .polygon import LdpPolygon, angular_sort, validate_ldp_polygon
 from .surface import SurfaceReport, analyze, nonsingular_arc_contiguous
 from .equivalence import _canonical_key
@@ -57,14 +57,12 @@ BOX_CAVEAT = (
 
 @dataclass(frozen=True)
 class BoxSpec:
-    """Search box [-n, n] x [-n, n]; n must be an int of at least 1."""
+    """Search box [-n, n] x [-n, n]; n must be an int in 1..I64_MAX."""
 
     n: int
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int:  # not isinstance: bool is an int
-            raise ValueError(f"box size {self.n!r} is not an integer")
-        if self.n < 1:
+        if checked_i64(self.n, "box size") < 1:
             raise ValueError("box size must be at least 1")
 
 
@@ -114,13 +112,8 @@ class EnumerationStats:
 
 def primitive_points(n: int) -> list[RayVector]:
     """Primitive vectors of the box, sorted by exact angular order."""
-    pts = [
-        RayVector(x, y)
-        for x in range(-n, n + 1)
-        for y in range(-n, n + 1)
-        if (x, y) != (0, 0) and is_primitive(RayVector(x, y))
-    ]
-    return angular_sort(pts)
+    grid = (RayVector(x, y) for x in range(-n, n + 1) for y in range(-n, n + 1))
+    return angular_sort(filter(is_primitive, grid))
 
 
 Chain = tuple[tuple[int, int], ...]
@@ -304,7 +297,7 @@ class VerificationReport:
 
     total: int
     counterexamples: dict[str, list]
-    note: str = BOX_CAVEAT
+    note = BOX_CAVEAT  # a class constant, not a field
 
     @property
     def ok(self) -> bool:

@@ -7,19 +7,23 @@ forwards, or backwards with the sign of every determinant flipped
 (_orientations, the one mirror convention).  Its normalization is the cycle
 read from the anchor under the unique map, of determinant the anchor's sign,
 that sends its first vertex to (1, 0) and its second to (k, D) with
-0 <= k < D.  The pair (k, D) depends only on the anchor pair (D is their
-determinant, k a Bezout row applied to the second vertex, reduced mod D), so
-the least pair is found first and only the anchors tied for it are
-normalized in full (_tied_anchors; the forward anchors alone when
-orientation_preserving).  The least normalization is the canonical form: its
-candidate set depends only on the equivalence class, never on the input
-coordinates or starting vertex, which makes it a valid dedup key.  With a
-smooth cone the least pair is (0, 1), held by exactly the determinant-1
-pairs, and each of them normalizes to its basis reading with no Bezout row;
-families.identify() reads the families off these readings.  Each is read
-once, forwards: the backward reading is the forward one with every point
-swapped, read backwards from the second point.  Without a smooth cone, each
-vertex gets one Bezout row, shared by both orientations.
+0 <= k < D.  The pair (k, D) depends only on the anchor pair (x0, y0),
+(x1, y1): D is their determinant, and k is s*x1 + t*y1 reduced mod D, for a
+Bezout row (s, t) of the first vertex (_bezout_row).  Any row will do: two
+rows differ by a multiple of (y0, -x0), which shifts k by a multiple of D,
+and the map's first row is the one row (a, b) with a*x0 + b*y0 = 1 and
+a*x1 + b*y1 = k, whichever row gave k.  So the least pair is found first
+and only the anchors tied for it are normalized in full (_tied_anchors; the
+forward anchors alone when orientation_preserving).  The least
+normalization is the canonical form: its candidate set depends only on the
+equivalence class, never on the input coordinates or starting vertex, which
+makes it a valid dedup key.  With a smooth cone the least pair is (0, 1),
+held by exactly the determinant-1 pairs, and each of them normalizes to its
+basis reading with no Bezout row; families.identify() reads the families
+off these readings.  Each is read once, forwards: the backward reading is
+the forward one with every point swapped, read backwards from the second
+point.  Without a smooth cone, each vertex gets one Bezout row, shared by
+both orientations.
 
 _canonical_key is the least normalization of a cycle's int tuples (the
 enumeration shards' dedup key, no memo).  canonical_form, identify and
@@ -53,19 +57,12 @@ from .lattice import (
 from .polygon import LdpPolygon, validate_ldp_polygon
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b == g and g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        return -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+def _bezout_row(x: int, y: int) -> tuple[int, int]:
+    """A row (s, t) with s*x + t*y == 1, for a primitive (x, y)."""
+    if y == 0:
+        return x, 0  # x is +-1
+    s = pow(x, -1, abs(y))
+    return s, (1 - s * x) // y
 
 
 Reading = tuple[tuple[int, int], ...]
@@ -114,9 +111,8 @@ def _tied_anchors(pts: Sequence[tuple[int, int]], orientation_preserving: bool) 
             back.append(back.pop(0))
         return tied + back
     orientations = _orientations(pts)[: 1 if orientation_preserving else 2]
-    # One Bezout row per vertex, shared by both orientations: k is reduced
-    # mod the span, so any row gives the same key and the same normalization.
-    rows = {p: _ext_gcd(*p)[1:] for p in pts}
+    # One Bezout row per vertex, shared by both orientations.
+    rows = {p: _bezout_row(*p) for p in pts}
     anchors = []
     for cyc, sign in orientations:
         for i, ((x0, y0), (x1, y1)) in enumerate(zip(cyc, cyc[1:] + cyc[:1])):

@@ -4,15 +4,16 @@ Everything downstream (fans, polygons, equivalence, enumeration) reduces to
 the handful of operations here: signed 2x2 determinants, primitivity tests,
 and applying, composing and inverting integer matrix maps.  Solving for the
 map that sends one ray pair onto another is part of the equivalence decision
-and lives in equivalence.are_equivalent.  A RayVector coordinate must be an
-int (a bool or float raises ValueError naming it), and all arithmetic runs
-on exact Python ints, so no intermediate step can overflow.  The 64-bit
-contract names values instead: every vertex coordinate, map entry,
-determinant, vertex turn and f-value the package produces lies in the signed
-64-bit range, or the call raises LatticeOverflowError naming it.  Each named
-value is checked once, where it is produced, with `checked_i64`: here the
-RayVector coordinates, the UnimodularMap entries and the results of det2 and
-UnimodularMap.det; validation checks its cone determinants and vertex turns,
+and lives in equivalence.are_equivalent.  All arithmetic runs on exact
+Python ints, so no intermediate step can overflow.  The 64-bit contract
+names values instead: every vertex coordinate, map entry, determinant,
+vertex turn and f-value the package produces lies in the signed 64-bit
+range.  `checked_i64` is the one gate for that range and for the int type:
+it raises ValueError naming a value that is not an int (a bool, float or
+str), and LatticeOverflowError naming an int outside the range.  Each named
+value passes it once, where it is produced: here the RayVector coordinates,
+the UnimodularMap entries and the results of det2 and UnimodularMap.det;
+BoxSpec its box size, validation its cone determinants and vertex turns,
 and analyze its f-values.
 """
 
@@ -30,7 +31,10 @@ class LatticeOverflowError(OverflowError):
 
 
 def checked_i64(value: int, context: str = "value") -> int:
-    """Pass `value` through unchanged, or raise if it needs more than 64 bits."""
+    """Pass `value` through if it is an int in the signed 64-bit range; else
+    raise ValueError (not an int, bools included) or LatticeOverflowError."""
+    if type(value) is not int:  # not isinstance: bool is an int
+        raise ValueError(f"{context} {value!r} is not an integer")
     if value < I64_MIN or value > I64_MAX:
         raise LatticeOverflowError(f"{context} {value} exceeds the signed 64-bit range")
     return value
@@ -44,12 +48,8 @@ class RayVector:
     y: int
 
     def __post_init__(self) -> None:
-        x, y = self.x, self.y
-        if type(x) is not int or type(y) is not int:  # not isinstance: bool is an int
-            name, value = ("x", x) if type(x) is not int else ("y", y)
-            raise ValueError(f"{name} coordinate {value!r} is not an integer")
-        checked_i64(x, "x coordinate")
-        checked_i64(y, "y coordinate")
+        checked_i64(self.x, "x coordinate")
+        checked_i64(self.y, "y coordinate")
 
     def __add__(self, other: "RayVector") -> "RayVector":
         return RayVector(self.x + other.x, self.y + other.y)

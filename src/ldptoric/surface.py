@@ -93,12 +93,11 @@ def blow_down_candidates(cycle: FanCycle) -> list[int]:
 
 
 def blow_down(cycle: FanCycle, i: int) -> FanCycle:
-    """Remove ray i, which must equal the sum of its neighbours.  Exact inverse of blow_up."""
-    if cycle.d < 4:
-        raise ValueError("blow-down needs at least 4 rays")
+    """Remove ray i, which must be one of blow_down_candidates.  Exact inverse of blow_up."""
+    candidates = blow_down_candidates(cycle)
     if not 1 <= i <= cycle.d:
         raise IndexError(f"ray index {i} out of range 1..{cycle.d}")
-    if cycle.ray(i) != cycle.ray(i - 1) + cycle.ray(i + 1):
+    if i not in candidates:
         raise ValueError(f"ray {i} is not the sum of its neighbours")
     return validate_fan(cycle.rays[: i - 1] + cycle.rays[i:])
 

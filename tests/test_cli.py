@@ -160,6 +160,22 @@ def test_equiv_large_images_get_a_matrix(capsys):
     assert {(m11 * x + m12 * y, m21 * x + m22 * y) for x, y in va} == vb
 
 
+@pytest.mark.parametrize(
+    "a, message",
+    [
+        # Clockwise with (1, 0), ray 2 as given, on the hull's edge.
+        ("1,1;1,0;1,-1;-1,-1;-1,1", "NotStrictlyConvex(2): ray 2 is not"),
+        # Rays 1 and 2 turn counterclockwise, rays 2 and 3 do not, and the
+        # reversed listing is no better.
+        ("1,0;0,1;1,1;-1,-1", "NotCounterclockwise(2): consecutive rays 2 and 3 do not"),
+    ],
+)
+def test_equiv_errors_name_the_rays_as_given(capsys, a, message):
+    code, out, err = run(capsys, "equiv", "--a", a, "--b", "1,0;0,1;-1,-1")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+
+
 def test_equiv_inequivalent(capsys):
     code, out, err = run(capsys, "equiv", "--a", "1,0;0,1;-1,-1", "--b", "1,0;0,1;-1,-2")
     assert code == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -7,6 +8,7 @@ import pytest
 from ldptoric import (
     BoxSpec,
     CatalogEntry,
+    LatticeOverflowError,
     RayVector,
     analyze,
     canonical_form,
@@ -21,7 +23,9 @@ from ldptoric import (
 from ldptoric import enumeration
 from ldptoric.enumeration import (
     _SQUARE_SYMMETRIES,
+    BOX_CAVEAT,
     EnumerationStats,
+    VerificationReport,
     _chains_from,
     _is_alternating_d5,
     _is_orbit_least,
@@ -77,6 +81,13 @@ def test_bad_jobs_is_a_value_error_before_any_pool(jobs, monkeypatch):
 def test_box_spec_rejects_a_non_int():
     with pytest.raises(ValueError, match=re.escape("box size 1.5 is not an integer")):
         BoxSpec(1.5)
+
+
+def test_box_spec_above_the_64_bit_range_is_an_overflow():
+    # Construction only: a box this size would never finish enumerating.
+    with pytest.raises(LatticeOverflowError, match="^box size 9223372036854775808 exceeds"):
+        BoxSpec(2**63)
+    assert BoxSpec(2**63 - 1).n == 2**63 - 1
 
 
 def test_primitive_points_box_one():
@@ -300,7 +311,8 @@ def test_verify_catalog_box_two(box2_catalog):
 
 
 def test_verification_report_serialization(box1_catalog):
-    data = verify_catalog(box1_catalog).to_dict()
+    report = verify_catalog(box1_catalog)
+    data = report.to_dict()
     assert list(data) == [
         "total",
         "one_singular_unmatched",
@@ -314,7 +326,10 @@ def test_verification_report_serialization(box1_catalog):
     ]
     assert data["ok"] is True
     assert data["total"] == 11
-    assert "box" in data["note"]
+    assert data["note"] == BOX_CAVEAT and "box" in data["note"]
+    # The caveat is a class constant, not a field.
+    assert [f.name for f in dataclasses.fields(VerificationReport)] == ["total", "counterexamples"]
+    assert "note" not in repr(report)
 
 
 def test_alternating_pattern_detector():

@@ -1,3 +1,4 @@
+import math
 import pickle
 import random
 from collections import Counter, defaultdict
@@ -413,13 +414,13 @@ def test_readings_memo_is_invisible_to_eq_hash_repr_and_pickle():
 
 def test_smooth_cone_form_uses_no_bezout_row(monkeypatch):
     calls = []
-    ext_gcd = equivalence._ext_gcd
+    bezout_row = equivalence._bezout_row
 
-    def counting(a, b):
-        calls.append((a, b))
-        return ext_gcd(a, b)
+    def counting(x, y):
+        calls.append((x, y))
+        return bezout_row(x, y)
 
-    monkeypatch.setattr(equivalence, "_ext_gcd", counting)
+    monkeypatch.setattr(equivalence, "_bezout_row", counting)
     for p in (P2, CHIRAL, PENTAGON, apply_to_polygon(UnimodularMap(3, 2, 1, 1), PENTAGON)):
         assert p.cone_det(1) == 1
         for flag in (False, True):
@@ -429,6 +430,19 @@ def test_smooth_cone_form_uses_no_bezout_row(monkeypatch):
     no_smooth = poly("1,1;-1,1;-1,-1;1,-1")
     assert _form_tuples(no_smooth) == _oracle_form(no_smooth.vertices, False)
     assert len(calls) == 4
+
+
+def test_bezout_row_inverts_every_primitive_point():
+    rng = random.Random(14)
+    points = [(x, y) for x in range(-4, 5) for y in range(-4, 5) if math.gcd(x, y) == 1]
+    points += [(0, 1), (0, -1), (1, 0), (-1, 0)]
+    while len(points) < 250:
+        x, y = (rng.choice((1, -1)) * (2**62 - rng.randrange(2**40)) for _ in range(2))
+        if math.gcd(x, y) == 1:
+            points.append((x, y))
+    for x, y in points:
+        s, t = equivalence._bezout_row(x, y)
+        assert s * x + t * y == 1, (x, y)
 
 
 def test_forms_without_a_smooth_cone_match_the_oracle(box2_catalog):

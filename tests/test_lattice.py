@@ -1,3 +1,6 @@
+import math
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from ldptoric import (
     det2,
     is_primitive,
 )
+from ldptoric.lattice import checked_i64
 
 coords = st.integers(min_value=-10**6, max_value=10**6)
 vectors = st.builds(RayVector, coords, coords)
@@ -115,3 +119,30 @@ def test_boundary_values_accepted():
     lo = -(2**63)
     assert RayVector(hi, lo).as_tuple() == (hi, lo)
     assert det2(RayVector(1, 0), RayVector(0, hi)) == hi
+
+
+@pytest.mark.parametrize("bad", [0.5, True, math.nan, "a"])
+@pytest.mark.parametrize("slot", range(4))
+def test_unimodular_map_rejects_a_non_int_entry(bad, slot):
+    entries = [1, 0, 0, 1]
+    entries[slot] = bad
+    name = "abcd"[slot]
+    with pytest.raises(ValueError, match=f"^matrix entry {name} {re.escape(repr(bad))} is not an integer$"):
+        UnimodularMap(*entries)
+
+
+def test_checked_i64_is_the_one_integer_gate():
+    assert checked_i64(-(2**63), "v") == -(2**63) and checked_i64(2**63 - 1, "v") == 2**63 - 1
+    for bad in (False, 1.0, "1", None):
+        with pytest.raises(ValueError, match=f"^v {re.escape(repr(bad))} is not an integer$"):
+            checked_i64(bad, "v")
+    with pytest.raises(LatticeOverflowError, match="^v 9223372036854775808 exceeds"):
+        checked_i64(2**63, "v")
+
+
+def test_ray_vector_checks_x_in_full_before_y():
+    # x is out of range and y is not an int: x's range check comes first.
+    with pytest.raises(LatticeOverflowError, match="^x coordinate"):
+        RayVector(2**64, 1.5)
+    with pytest.raises(ValueError, match="^x coordinate 1.5 is not an integer$"):
+        RayVector(1.5, 2**64)
