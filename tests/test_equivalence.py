@@ -434,8 +434,8 @@ def test_smooth_cone_form_uses_no_bezout_row(monkeypatch):
 
 def test_bezout_row_inverts_every_primitive_point():
     rng = random.Random(14)
+    # [-4, 4]^2 includes the unit vectors (0, +-1) and (+-1, 0).
     points = [(x, y) for x in range(-4, 5) for y in range(-4, 5) if math.gcd(x, y) == 1]
-    points += [(0, 1), (0, -1), (1, 0), (-1, 0)]
     while len(points) < 250:
         x, y = (rng.choice((1, -1)) * (2**62 - rng.randrange(2**40)) for _ in range(2))
         if math.gcd(x, y) == 1:
