@@ -1,9 +1,9 @@
 """Command line interface and serialization formats.
 
 Subcommands: analyze, enumerate, classify, family, equiv, blowup, check, svg.
-Vertex lists are always passed as "x,y;x,y;...".  Exit codes: 0 success,
-1 catalog verification found counterexamples, 2 bad input (parse or
-validation errors).
+Vertex lists are always passed as "x,y;x,y;...", a leading minus sign
+included.  Exit codes: 0 success, 1 catalog verification found
+counterexamples, 2 bad input (parse or validation errors).
 
 Data outputs are deterministic: identical flags give byte-identical JSON and
 SVG.  Run metadata (timestamps, worker counts, the package version, the
@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from typing import Sequence
@@ -143,8 +144,7 @@ def emit_svg(poly: LdpPolygon, path: str) -> None:
     Raises ValueError, before opening `path`, when the grid would have more
     than SVG_MAX_GRID_POINTS points."""
     scale = 40
-    xs = [v.x for v in poly.vertices]
-    ys = [v.y for v in poly.vertices]
+    xs, ys = zip(*poly.vertices)
     x_lo, x_hi = min(xs) - 1, max(xs) + 1
     y_lo, y_hi = min(ys) - 1, max(ys) + 1
     grid = (x_hi - x_lo + 1) * (y_hi - y_lo + 1)
@@ -176,15 +176,15 @@ def emit_svg(poly: LdpPolygon, path: str) -> None:
     for gx in range(x_lo, x_hi + 1):
         for gy in range(y_lo, y_hi + 1):
             parts.append(f'<circle cx="{px(2 * gx)}" cy="{py(2 * gy)}" r="2" fill="#bbbbbb"/>')
-    points_attr = " ".join(f"{px(2 * v.x)},{py(2 * v.y)}" for v in poly.vertices)
+    points_attr = " ".join(f"{px(2 * x)},{py(2 * y)}" for x, y in poly.vertices)
     parts.append(
         f'<polygon points="{points_attr}" fill="#6699cc" fill-opacity="0.25" stroke="#336699" stroke-width="2"/>'
     )
     parts.append(f'<circle cx="{px(0)}" cy="{py(0)}" r="4" fill="#cc3333"/>')
     for i in range(1, poly.d + 1):
-        a, b = poly.ray(i), poly.ray(i + 1)
+        (ax, ay), (bx, by) = poly.ray(i), poly.ray(i + 1)
         parts.append(
-            f'<text x="{px(a.x + b.x)}" y="{py(a.y + b.y)}" font-size="14" '
+            f'<text x="{px(ax + bx)}" y="{py(ay + by)}" font-size="14" '
             f'font-family="monospace" fill="#336699" text-anchor="middle">{poly.cone_det(i)}</text>'
         )
     parts.append("</svg>")
@@ -348,7 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse reads a token that begins with "-" as an option unless it is a
+    # negative number or holds a space, so a vertex list such as "-1,-1;1,0"
+    # gets a leading space, which parse_vertices strips.
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args([" " + arg if re.match(r"-\d+\s*,", arg) else arg for arg in argv])
     # Validation errors (FanValidationError, ConeSingular, ...) are ValueErrors.
     try:
         return args.func(args)

@@ -78,7 +78,7 @@ class CatalogEntry:
     family: FamilyParams | None = None
     three_case: str | None = None
 
-    vertices = property(lambda self: tuple(v.as_tuple() for v in self.poly.vertices))
+    vertices = property(lambda self: self.poly.vertices)
     d = property(lambda self: self.poly.d)
     picard_number = property(lambda self: analyze(self.poly).picard_number)
     dets = property(lambda self: analyze(self.poly).dets)
@@ -162,7 +162,7 @@ def enumerate_raw(n: int) -> list[tuple[RayVector, ...]]:
     """Every LDP polygon cycle with vertices in the box, one rotation each
     (starting at the angularly smallest vertex), each one validated: the
     unrooted walk."""
-    pts = [v.as_tuple() for v in primitive_points(n)]
+    pts = list(map(tuple, primitive_points(n)))
     chains = (chain for start in range(len(pts)) for chain in _chains_from(pts, [start]))
     return [validate_ldp_polygon(chain).vertices for chain in chains]
 
@@ -237,7 +237,7 @@ def enumerate_ldp(
     if jobs is not None and (type(jobs) is not int or jobs < 1):  # not isinstance: bool is an int
         raise ValueError(f"jobs {jobs!r} is not None or an integer of at least 1")
     t0 = time.perf_counter()
-    shards = _shards([v.as_tuple() for v in primitive_points(box.n)])
+    shards = _shards(list(map(tuple, primitive_points(box.n))))
     canon: set[Chain] = set()
     raw = [0] * len(shards)
     kept = 0

@@ -53,6 +53,7 @@ from .lattice import (
     UnimodularMap,
     apply_map,
     compose_maps,
+    pair_rays,
 )
 from .polygon import LdpPolygon, validate_ldp_polygon
 
@@ -113,21 +114,23 @@ def _tied_anchors(pts: Sequence[tuple[int, int]], orientation_preserving: bool) 
     orientations = _orientations(pts)[: 1 if orientation_preserving else 2]
     # One Bezout row per vertex, shared by both orientations.
     rows = {p: _bezout_row(*p) for p in pts}
-    anchors = []
+    least = None
     for cyc, sign in orientations:
         for i, ((x0, y0), (x1, y1)) in enumerate(zip(cyc, cyc[1:] + cyc[:1])):
             s, t = rows[x0, y0]
             span = sign * (x0 * y1 - x1 * y0)
-            anchors.append(((s * x1 + t * y1) % span, span, s, t, cyc, sign, i))
-    least = min(anchor[:2] for anchor in anchors)
-    for k, span, s, t, cyc, sign, i in anchors:
-        if (k, span) == least:
-            # Row (s, t) plus the shear that reduces the second vertex mod span.
-            rot = cyc[i:] + cyc[:i]
-            (x0, y0), (x1, y1) = rot[0], rot[1]
-            q = (s * x1 + t * y1) // span
-            a, b = s + sign * q * y0, t - sign * q * x0
-            tied.append((tuple((a * x + b * y, sign * (x0 * y - y0 * x)) for x, y in rot), (i, sign)))
+            key = ((s * x1 + t * y1) % span, span)
+            if least is None or key < least:
+                least, ties = key, [(s, t, cyc, sign, i)]
+            elif key == least:
+                ties.append((s, t, cyc, sign, i))
+    for s, t, cyc, sign, i in ties:
+        # Row (s, t) plus the shear that reduces the second vertex mod span.
+        rot = cyc[i:] + cyc[:i]
+        (x0, y0), (x1, y1) = rot[0], rot[1]
+        q = (s * x1 + t * y1) // least[1]
+        a, b = s + sign * q * y0, t - sign * q * x0
+        tied.append((tuple([(a * x + b * y, sign * (x0 * y - y0 * x)) for x, y in rot]), (i, sign)))
     return tied
 
 
@@ -138,9 +141,7 @@ def _normalizations(poly: LdpPolygon, orientation_preserving: bool) -> list[tupl
     memo = poly.__dict__.setdefault("_normalizations", {})  # FanCycle is frozen
     tied = memo.get(orientation_preserving)
     if tied is None:
-        tied = memo[orientation_preserving] = _tied_anchors(
-            [v.as_tuple() for v in poly.vertices], orientation_preserving
-        )
+        tied = memo[orientation_preserving] = _tied_anchors(poly.vertices, orientation_preserving)
     return tied
 
 
@@ -157,7 +158,8 @@ def canonical_form(poly: LdpPolygon, orientation_preserving: bool = False) -> Ld
     a chiral polygon and its mirror image get distinct forms.  _canonical_key
     on the polygon's int tuples, read off the normalizations memoized on `poly`.
     """
-    return LdpPolygon(tuple(RayVector(x, y) for x, y in min(_normalizations(poly, orientation_preserving))[0]))
+    form = min(_normalizations(poly, orientation_preserving))[0]
+    return LdpPolygon(pair_rays(form, lambda _, p: RayVector(*p)))
 
 
 def are_equivalent(
@@ -174,8 +176,7 @@ def are_equivalent(
     """
     form, (i, s) = min(_normalizations(q, orientation_preserving))
     n = q.d
-    q_pts = [v.as_tuple() for v in q.vertices]
-    r_pts = [v.as_tuple() for v in r.vertices]
+    q_pts, r_pts = q.vertices, r.vertices
     i = i if s == 1 else n - 1 - i  # the anchor's first vertex in the list of q
     (x1, y1), (x2, y2) = q_pts[i], q_pts[(i + s) % n]
     base = x1 * y2 - x2 * y1

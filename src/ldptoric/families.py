@@ -25,6 +25,8 @@ too) with the template's reading at its anchor; the readings are exact ints
 at any size and never range-checked here, since they only select parameters
 and never become vertices.  classify_three() sorts the
 three-singular-point classes into the cases that exhaust them for d <= 6.
+identify() memoizes its result on the polygon as `_family`, like analyze's
+`_report`, so classify_three and a later verification read it for free.
 """
 
 from __future__ import annotations
@@ -225,8 +227,12 @@ def identify(poly: LdpPolygon) -> FamilyParams | None:
     The parameters are read off the basis readings of `poly`, so no range of
     them is searched.  Deterministic: among all matching tuples the
     lexicographically smallest wins.  Singular counts outside 1..3, or a
-    3-singular polygon with d != 5, yield None.
+    3-singular polygon with d != 5, yield None.  What the readings give is
+    memoized on the polygon object as `_family`.
     """
+    memo = poly.__dict__  # FanCycle is frozen; _family is no dataclass field
+    if "_family" in memo:
+        return memo["_family"]
     tag = _TAG_BY_SHAPE.get((analyze(poly).singular_count, poly.d))
     if tag is None:
         return None
@@ -236,17 +242,18 @@ def identify(poly: LdpPolygon) -> FamilyParams | None:
     # image of `poly` under a determinant +-1 map, so one that equals the
     # family polygon's reading at its anchor proves the equivalence itself;
     # every equivalence sends the anchor pair onto one of the pairs read.
-    candidates = set()
+    best = None
     for rd, _ in _normalizations(poly, False):
         values = spec.read(rd)
+        if best is not None and values >= best:
+            continue
         pts = spec.vertices(*values)
-        if _read_on_pair(pts[spec.anchor:] + pts[:spec.anchor]) == rd:
-            candidates.add(values)
-    for values in sorted(candidates):
-        fp = FamilyParams(tag, **dict(zip(spec.params, values)))
-        if check_params(fp):
-            return fp
-    return None
+        if _read_on_pair(pts[spec.anchor:] + pts[:spec.anchor]) == rd and all(
+            ok for _, ok in spec.constraints(*values)
+        ):
+            best = values
+    memo["_family"] = None if best is None else FamilyParams(tag, **dict(zip(spec.params, best)))
+    return memo["_family"]
 
 
 def classify_three(poly: LdpPolygon) -> str:

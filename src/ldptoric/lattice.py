@@ -5,22 +5,28 @@ the handful of operations here: signed 2x2 determinants, primitivity tests,
 and applying, composing and inverting integer matrix maps.  Solving for the
 map that sends one ray pair onto another is part of the equivalence decision
 and lives in equivalence.are_equivalent.  All arithmetic runs on exact
-Python ints, so no intermediate step can overflow.  The 64-bit contract
-names values instead: every vertex coordinate, map entry, determinant,
-vertex turn and f-value the package produces lies in the signed 64-bit
-range.  `checked_i64` is the one gate for that range and for the int type:
-it raises ValueError naming a value that is not an int (a bool, float or
-str), and LatticeOverflowError naming an int outside the range.  Each named
-value passes it once, where it is produced: here the RayVector coordinates,
-the UnimodularMap entries and the results of det2 and UnimodularMap.det;
+Python ints, so no intermediate step can overflow; a ray, RayVector, is
+the int pair (x, y) itself.  The 64-bit contract names values instead:
+every vertex coordinate, map entry, determinant, vertex turn and f-value
+the package produces lies in the signed 64-bit range.  `checked_i64` is the
+one gate for that range and for the int type, and words all its errors: it
+raises ValueError naming a value that is not an int (a bool, float or str),
+and LatticeOverflowError naming an int outside the range.  Each named value
+passes it once, where it is produced: here the RayVector coordinates, the
+UnimodularMap entries and the results of det2 and UnimodularMap.det;
 BoxSpec its box size, validation its cone determinants and vertex turns,
-and analyze its f-values.
+and analyze its f-values.  pair_rays screens a polygon's coordinates in one
+pass and builds its rays with no call per vertex; at a coordinate that
+fails, the caller's per-vertex path raises through `checked_i64`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
+from typing import Callable, Sequence
 
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
@@ -40,31 +46,57 @@ def checked_i64(value: int, context: str = "value") -> int:
     return value
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class RayVector:
-    """An integer lattice vector.  Ordering is (x, then y), used for canonical forms."""
+class RayVector(tuple):
+    """An integer lattice vector, the int pair (x, y) itself: it equals,
+    hashes and orders as that pair (x, then y, used for canonical forms)."""
 
-    x: int
-    y: int
+    __slots__ = ()
+    x = property(itemgetter(0))
+    y = property(itemgetter(1))
 
-    def __post_init__(self) -> None:
-        checked_i64(self.x, "x coordinate")
-        checked_i64(self.y, "y coordinate")
+    def __new__(cls, x: int, y: int) -> "RayVector":
+        return tuple.__new__(cls, (checked_i64(x, "x coordinate"), checked_i64(y, "y coordinate")))
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return tuple(self)
 
     def __add__(self, other: "RayVector") -> "RayVector":
-        return RayVector(self.x + other.x, self.y + other.y)
+        return RayVector(self[0] + other[0], self[1] + other[1])
 
     def __sub__(self, other: "RayVector") -> "RayVector":
-        return RayVector(self.x - other.x, self.y - other.y)
+        return RayVector(self[0] - other[0], self[1] - other[1])
 
     def __neg__(self) -> "RayVector":
-        return RayVector(-self.x, -self.y)
+        return RayVector(-self[0], -self[1])
+
+    def __mul__(self, other):  # a vector, not a sequence to repeat
+        return NotImplemented
+
+    __rmul__ = __mul__
 
     def as_tuple(self) -> tuple[int, int]:
-        return (self.x, self.y)
+        return self
+
+    def __repr__(self) -> str:
+        return "RayVector(x=%r, y=%r)" % self
 
     def __str__(self) -> str:
-        return f"{self.x},{self.y}"
+        return "%d,%d" % self
+
+
+_ray = partial(tuple.__new__, RayVector)  # the RayVector of a screened pair, unchecked
+
+
+def pair_rays(points: Sequence, coerce: Callable[[int, object], RayVector]) -> tuple[RayVector, ...]:
+    """The rays of the int pairs `points`, screened in one pass that stops at
+    a coordinate that is not an int in the signed 64-bit range; from there
+    they are coerce(index, point) for every point, 1-based, which raises.  A
+    point that is not a pair raises as it unpacks, as in coerce."""
+    lo, hi = I64_MIN, I64_MAX
+    for x, y in points:
+        if type(x) is not int or type(y) is not int or not (lo <= x <= hi and lo <= y <= hi):
+            return tuple(coerce(i, p) for i, p in enumerate(points, start=1))
+    return tuple(map(_ray, points))
 
 
 @dataclass(frozen=True)
@@ -101,16 +133,16 @@ IDENTITY_MAP = UnimodularMap(1, 0, 0, 1)
 
 def det2(u: RayVector, v: RayVector) -> int:
     """Signed determinant of the pair (u, v): u.x * v.y - v.x * u.y."""
-    return checked_i64(u.x * v.y - v.x * u.y, "det2")
+    return checked_i64(u[0] * v[1] - v[0] * u[1], "det2")
 
 
 def is_primitive(v: RayVector) -> bool:
     """True iff gcd(|x|, |y|) == 1.  The origin has gcd 0 and is not primitive."""
-    return math.gcd(v.x, v.y) == 1
+    return math.gcd(*v) == 1
 
 
 def apply_map(m: UnimodularMap, v: RayVector) -> RayVector:
-    return RayVector(m.a * v.x + m.b * v.y, m.c * v.x + m.d * v.y)
+    return RayVector(m.a * v[0] + m.b * v[1], m.c * v[0] + m.d * v[1])
 
 
 def compose_maps(m: UnimodularMap, n: UnimodularMap) -> UnimodularMap:

@@ -21,12 +21,14 @@ checked on the polygon as analyze's memo.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
+from itertools import starmap
 from typing import Iterable, Sequence
 
-from .lattice import I64_MAX, RayVector, checked_i64, det2, is_primitive
+from .lattice import I64_MAX, RayVector, checked_i64, det2, pair_rays
 
 
 class FanValidationError(ValueError):
@@ -78,7 +80,7 @@ def _coerce(index: int, point) -> RayVector:
 def _lower_half(v: RayVector) -> bool:
     # Angular half-plane split: False covers angles in [0, pi) starting at the
     # positive x axis, True covers [pi, 2*pi).
-    return v.y < 0 or (v.y == 0 and v.x < 0)
+    return v[1] < 0 or (v[1] == 0 and v[0] < 0)
 
 
 def angle_less(u: RayVector, v: RayVector) -> bool:
@@ -108,13 +110,16 @@ def angular_sort(points: Iterable[RayVector]) -> list[RayVector]:
 class FanCycle:
     """Counterclockwise cycle of primitive rays winding once around the origin.
 
-    surface.analyze memoizes its report on the cycle as the attribute
-    `_report`; validate_ldp_polygon sets it on every polygon it returns.
-    equivalence memoizes a polygon's tied normalizations as
-    `_normalizations`.  Neither is a dataclass field, so ==, hash and repr
-    ignore both."""
+    Three memos live on the cycle as attributes: surface.analyze's report as
+    `_report`, which validate_ldp_polygon sets on every polygon it returns;
+    equivalence's tied normalizations of a polygon as `_normalizations`; and
+    families.identify's result as `_family`.  None is a dataclass field, so
+    ==, hash and repr ignore them, and pickling keeps only the rays."""
 
     rays: tuple[RayVector, ...]
+
+    def __reduce__(self):
+        return type(self), (self.rays,)
 
     @property
     def d(self) -> int:
@@ -188,8 +193,8 @@ class SurfaceReport:
         return tuple(i for i, det in enumerate(self.dets, start=1) if det >= 2)
 
 
-def _surface_data(pts: list[tuple[int, int]]) -> SurfaceReport:
-    """The report of the int-tuple cycle `pts`, exact and unchecked: its cone
+def _surface_data(pts: tuple[tuple[int, int], ...]) -> SurfaceReport:
+    """The report of the int-pair cycle `pts`, exact and unchecked: its cone
     determinants det(v_i, v_{i+1}) and its vertex turns, which are its f-values."""
     prv, nxt = pts[-1:] + pts[:-1], pts[1:] + pts[:1]
     dets = tuple([x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, nxt)])
@@ -211,25 +216,21 @@ def _check_positive(values: tuple[int, ...], context: str, error: type[FanValida
 def _validate_fan(points: Sequence) -> tuple[tuple[RayVector, ...], SurfaceReport]:
     """validate_fan's checks; returns the rays and their unchecked report,
     whose turns validate_ldp_polygon checks."""
-    rays = tuple(_coerce(i, p) for i, p in enumerate(points, start=1))
+    rays = pair_rays(tuple(points), _coerce)  # a sequence: the screen reads it twice
     d = len(rays)
     if d < 3:
         raise ValueError(f"a complete fan needs at least 3 rays, got {d}")
-    for i, v in enumerate(rays, start=1):
-        if not is_primitive(v):
-            raise NonPrimitiveRay(i)
-    pts = [(v.x, v.y) for v in rays]
-    seen: set[tuple[int, int]] = set()
-    for i, p in enumerate(pts, start=1):
-        if p in seen:
-            raise DuplicateRay(i)
-        seen.add(p)
-    report = _surface_data(pts)
+    gcds = list(starmap(math.gcd, rays))
+    if gcds.count(1) != d:
+        raise NonPrimitiveRay(next(i for i, g in enumerate(gcds, start=1) if g != 1))
+    if len(set(rays)) != d:
+        raise DuplicateRay(next(i for i in range(2, d + 1) if rays[i - 1] in rays[: i - 1]))
+    report = _surface_data(rays)
     _check_positive(report.dets, "cone determinant", NotCounterclockwise)
     # Each step now turns strictly ccw by less than a half-turn, so it wraps
     # past the reference axis exactly when it leaves the lower half-plane
     # (angle_less is False there and only there).
-    lower = [y < 0 or (y == 0 and x < 0) for x, y in pts]
+    lower = [y < 0 or (y == 0 and x < 0) for x, y in rays]
     winding = sum(1 for a, b in zip(lower, lower[1:] + lower[:1]) if a and not b)
     if winding != 1:
         raise BadWinding(winding)
@@ -271,8 +272,8 @@ def twice_area(cycle: FanCycle) -> int:
 
     Not range-checked: validation has already checked every one of these
     determinants."""
-    pts = [(v.x, v.y) for v in cycle.rays]
-    return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
+    rays = cycle.rays
+    return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(rays, rays[1:] + rays[:1]))
 
 
 def parse_vertices(text: str) -> list[RayVector]:
@@ -297,4 +298,4 @@ def parse_vertices(text: str) -> list[RayVector]:
 
 def format_vertices(points: Iterable[RayVector]) -> str:
     """Inverse of parse_vertices: "x,y;x,y;..." with no whitespace."""
-    return ";".join(f"{v.x},{v.y}" for v in points)
+    return ";".join(f"{x},{y}" for x, y in points)

@@ -59,7 +59,7 @@ def _surface_report(cycle: FanCycle) -> SurfaceReport:
     """analyze() without the memo, for a cycle that validate_ldp_polygon did
     not build.  Validation has already checked the cone determinants; the
     f-values are checked here."""
-    report = _surface_data([(v.x, v.y) for v in cycle.rays])
+    report = _surface_data(cycle.rays)
     for f in report.f_values:
         checked_i64(f, "f value")
     return report

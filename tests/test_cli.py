@@ -200,6 +200,44 @@ def test_blowup_cone_out_of_range(capsys):
     assert "out of range" in err
 
 
+# Vertex lists that begin with a minus sign, in each place the CLI takes one.
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["equiv", "--a", "-1,-1;1,0;0,1", "--b", "1,0;0,1;-1,-1"], "[[0,-1],[1,-1]]"),
+        (["equiv", "--a=-1,-1;1,0;0,1", "--b=1,0;0,1;-1,-1"], "[[0,-1],[1,-1]]"),
+        (["equiv", "--a", "1,0;0,1;-1,-1", "--b", "-1,-1;1,0;0,1"], "[[-1,1],[-1,0]]"),
+        (["blowup", "--vertices", "-1,-1;1,0;0,1", "--cone", "2"], "-1,-1;1,0;1,1;0,1"),
+        (["analyze", "-2,-3;1,0;0,1", "--json"], '{"d":3,"rho":1,"dets":[3,1,2],"f":[6,6,6],'
+                                                  '"degrees":["1","2","3"],"ldp":true,"singular":2}'),
+        (["analyze", "--json", "-2,-3;1,0;0,1"], '{"d":3,"rho":1,"dets":[3,1,2],"f":[6,6,6],'
+                                                  '"degrees":["1","2","3"],"ldp":true,"singular":2}'),
+    ],
+)
+def test_vertex_lists_may_begin_with_a_minus_sign(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, expected + "\n", "")
+
+
+def test_analyze_text_of_a_negative_vertex_list(capsys):
+    code, out, err = run(capsys, "analyze", "-2,-3;1,0;0,1")
+    assert code == 0 and err == ""
+    assert out.splitlines()[2] == "dets      3 1 2"
+
+
+def test_negative_vertex_list_errors_are_bad_input(capsys):
+    code, out, err = run(capsys, "analyze", "-1,x;1,0;0,1")
+    assert (code, out) == (2, "")
+    assert err == "error: bad vertex token '-1,x': coordinates must be integers\n"
+
+
+def test_svg_of_a_negative_vertex_list(tmp_path, capsys):
+    path = tmp_path / "tri.svg"
+    code, out, err = run(capsys, "svg", "--vertices", "-2,-3;1,0;0,1", "--out", str(path))
+    assert (code, out, err) == (0, f"{path}\n", "")
+    assert all(f">{det}</text>" in path.read_text() for det in ("1", "2", "3"))
+
+
 def test_enumerate_stdout(capsys):
     code, out, err = run(capsys, "enumerate", "--box", "1", "--jobs", "1")
     assert code == 0

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 import re
 
@@ -25,10 +26,10 @@ from ldptoric import (
     twice_area,
     validate_ldp_polygon,
 )
-from ldptoric import polygon
+from ldptoric import families, polygon
 from ldptoric.families import FAMILY_SPECS
 
-from oracles import _apply, _solve_map
+from oracles import _apply, _solve_map, ref_identify
 
 
 def poly(text: str):
@@ -307,3 +308,39 @@ def test_classify_three_rejects_wrong_singular_count():
         classify_three(poly("1,0;0,1;-1,-1"))
     with pytest.raises(ValueError, match="exactly 3"):
         classify_three(poly("1,0;0,1;-2,-3"))
+
+
+def test_classify_three_reads_the_identify_memo(monkeypatch):
+    pent = poly("1,0;0,1;-1,0;1,-3;2,-3")
+    calls = []
+    readings = families._normalizations
+    monkeypatch.setattr(families, "_normalizations", lambda *a: calls.append(1) or readings(*a))
+    family = identify(pent)
+    assert family is not None and len(calls) == 1
+    assert classify_three(pent) == "family_d5"
+    assert identify(pent) is family and len(calls) == 1
+
+
+def test_identify_memo_is_no_field():
+    p, q = poly("1,0;0,1;-1,0;1,-3;2,-3"), poly("1,0;0,1;-1,0;1,-3;2,-3")
+    family = identify(p)
+    assert p.__dict__["_family"] is family and "_family" not in q.__dict__
+    assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+    copy = pickle.loads(pickle.dumps(p))
+    assert copy == p and "_family" not in copy.__dict__
+    assert identify(copy) == family
+
+
+def test_identify_and_classify_three_match_the_reference_on_box_three(box3_catalog):
+    # Fresh polygons, so no memo of the session catalog is read.
+    rng = random.Random(15)
+    threes = [e for e in box3_catalog if e.singular_count == 3]
+    assert threes
+    for entry in threes:
+        p = validate_ldp_polygon(entry.vertices)
+        image = apply_to_polygon(random_unimodular_map(rng), validate_ldp_polygon(entry.vertices))
+        family, case = identify(p), classify_three(p)
+        assert family == ref_identify(p) == identify(image) == ref_identify(image), entry.vertices
+        assert case == classify_three(image)
+        if p.d == 5:
+            assert (case == "family_d5") == (family is not None)

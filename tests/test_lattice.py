@@ -146,3 +146,28 @@ def test_ray_vector_checks_x_in_full_before_y():
         RayVector(2**64, 1.5)
     with pytest.raises(ValueError, match="^x coordinate 1.5 is not an integer$"):
         RayVector(1.5, 2**64)
+
+
+def test_ray_vector_repr_hash_and_order():
+    v = RayVector(-3, 2)
+    assert repr(v) == "RayVector(x=-3, y=2)"
+    assert hash(v) == hash((v.x, v.y))
+    mixed = [RayVector(1, 0), RayVector(-1, 5), RayVector(0, 0), RayVector(-1, -2), RayVector(1, -1)]
+    assert sorted(mixed) == [RayVector(-1, -2), RayVector(-1, 5), RayVector(0, 0), RayVector(1, -1), RayVector(1, 0)]
+
+
+def test_ray_vector_is_immutable_and_does_not_repeat():
+    v = RayVector(1, 2)
+    with pytest.raises(TypeError):
+        v * 2
+    with pytest.raises(TypeError):
+        2 * v
+    with pytest.raises(AttributeError):
+        v.x = 5
+    assert v == RayVector(1, 2)
+
+
+def test_ray_vector_is_its_int_pair():
+    assert RayVector(1, 0) == (1, 0) and (1, 0) == RayVector(1, 0)
+    assert {(1, 0): "e1"}[RayVector(1, 0)] == "e1"
+    assert RayVector(1, 0) != (0, 1) and RayVector(1, 0) < (1, 1)

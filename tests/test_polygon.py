@@ -12,6 +12,7 @@ from ldptoric import (
     DuplicateRay,
     FanCycle,
     FanValidationError,
+    LatticeOverflowError,
     NonPrimitiveRay,
     NotCounterclockwise,
     NotStrictlyConvex,
@@ -211,6 +212,39 @@ def test_non_integer_coordinates_rejected():
     assert validate_fan([(1, 0), (0, 1), (-1, -1)]).rays == tuple(V((1, 0), (0, 1), (-1, -1)))
 
 
+@pytest.mark.parametrize("validate", [validate_fan, validate_ldp_polygon])
+def test_coordinate_errors_keep_their_vertex_order(validate):
+    # The first failing vertex names the error, whichever kind comes later.
+    with pytest.raises(LatticeOverflowError, match="^x coordinate 9223372036854775808 exceeds"):
+        validate([(2**63, 1), (0.5, 1), (-1, -1)])
+    with pytest.raises(LatticeOverflowError, match="^y coordinate -9223372036854775809 exceeds"):
+        validate([(1, -(2**63) - 1), (0, 1.5), (-1, -1)])
+    with pytest.raises(ValueError, match=r"^vertex 1 \(0.5, 1\): coordinates must be integers$"):
+        validate([(0.5, 1), (2**63, 1), (-1, -1)])
+    with pytest.raises(ValueError, match=r"^vertex 1 \(1, True\): coordinates must be integers$"):
+        validate([(1, True), (0, 1), (-1, -1, 0)])
+    with pytest.raises(ValueError, match=r"^vertex 2 \(0, 1.0\): coordinates must be integers$"):
+        validate([(1, 0), (0, 1.0), (2**63, 0)])
+
+
+@pytest.mark.parametrize("validate", [validate_fan, validate_ldp_polygon])
+def test_duplicate_ray_is_named_at_its_second_index(validate):
+    with pytest.raises(DuplicateRay) as exc:
+        validate([(1, 0), (-1, -1), (0, 1), (-1, -1), (1, 0)])
+    assert exc.value.index == 4
+    # Primitivity is checked on every ray before any duplicate.
+    with pytest.raises(NonPrimitiveRay) as exc:
+        validate([(1, 0), (1, 0), (0, 1), (-2, -2)])
+    assert exc.value.index == 4
+
+
+def test_validation_reads_any_iterable_once():
+    pts = [(1, 0), (0, 1), (-1, -1)]
+    assert validate_ldp_polygon(p for p in pts) == validate_ldp_polygon(pts)
+    with pytest.raises(ValueError, match=r"^vertex 2 \(0, 1.0\): coordinates must be integers$"):
+        validate_fan(iter([(1, 0), (0, 1.0), (-1, -1)]))
+
+
 def test_non_integer_ray_vector_rejected():
     for bad in (1.9, float("inf"), True, "1"):
         with pytest.raises(ValueError, match=rf"^x coordinate {re.escape(repr(bad))} is not an integer$"):
@@ -225,6 +259,9 @@ def test_slotted_ray_vector_and_polygon_pickle():
     v = RayVector(-3, 2)
     assert not hasattr(v, "__dict__")
     assert pickle.loads(pickle.dumps(v)) == v
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(v, protocol))
+        assert type(copy) is RayVector and (copy.x, copy.y) == (-3, 2)
     poly = validate_ldp_polygon([(1, 0), (0, 1), (-2, -3)])
     copy = pickle.loads(pickle.dumps(poly))
     assert copy == poly and type(copy) is type(poly) and copy.vertices[2] == RayVector(-2, -3)
