@@ -221,6 +221,8 @@ def test_coordinate_errors_keep_their_vertex_order(validate):
         validate([(1, -(2**63) - 1), (0, 1.5), (-1, -1)])
     with pytest.raises(ValueError, match=r"^vertex 1 \(0.5, 1\): coordinates must be integers$"):
         validate([(0.5, 1), (2**63, 1), (-1, -1)])
+    with pytest.raises(ValueError, match=r"^vertex 1 \(1.5, 0\): coordinates must be integers$"):
+        validate([(1.5, 0), (0, 1), (-1, -1, 0)])
     with pytest.raises(ValueError, match=r"^vertex 1 \(1, True\): coordinates must be integers$"):
         validate([(1, True), (0, 1), (-1, -1, 0)])
     with pytest.raises(ValueError, match=r"^vertex 2 \(0, 1.0\): coordinates must be integers$"):
