@@ -95,7 +95,7 @@ def entry_from_dict(data: dict) -> CatalogEntry:
     return CatalogEntry(poly, family, data.get("three_case"))
 
 
-_dump = json.JSONEncoder(separators=(",", ":")).encode
+_dump = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode  # no data nests itself
 
 
 def write_catalog(entries: list[CatalogEntry], path: str) -> None:

@@ -192,16 +192,21 @@ def _shards(pts: list[tuple[int, int]]) -> list[tuple[list[tuple[int, int]], lis
     return shards
 
 
-def _is_orbit_least(chain: Chain) -> bool:
+def _root_preimages(s: tuple[int, int]) -> list[tuple[tuple[int, int], tuple[int, int, int, int]]]:
+    """(g^-1 s = g^T s, g) for every g in _SQUARE_SYMMETRIES."""
+    sx, sy = s
+    return [((a * sx + c * sy, b * sx + d * sy), (a, b, c, d)) for a, b, c, d in _SQUARE_SYMMETRIES]
+
+
+def _is_orbit_least(chain: Chain, preimages=None) -> bool:
     """True iff the sorted vertex list of a rooted chain is least in its D4
     orbit.  Every vertex's D4 orbit lies at or above the root s = chain[0],
     so an image ties with the sorted list only when it contains s, that is
-    when g maps the vertex g^-1 s = g^T s onto s; only those images are
-    sorted."""
-    sx, sy = chain[0]
+    when g maps the vertex g^-1 s onto s; only those images are sorted.
+    `preimages` is _root_preimages(s), which a shard computes once."""
     key = None
-    for a, b, c, d in _SQUARE_SYMMETRIES:
-        if (a * sx + c * sy, b * sx + d * sy) in chain:
+    for pre, (a, b, c, d) in preimages or _root_preimages(chain[0]):
+        if pre in chain:
             key = key or sorted(chain)
             if sorted([(a * x + b * y, c * x + d * y) for x, y in chain]) < key:
                 return False
@@ -215,7 +220,8 @@ def _shard_worker(task: tuple[int, tuple[list[tuple[int, int]], list[int]]]):
     t0 = time.perf_counter()
     chains = _chains_from(cands, prefix)
     t1 = time.perf_counter()
-    kept = [chain for chain in chains if _is_orbit_least(chain)]
+    preimages = _root_preimages(cands[prefix[0]])
+    kept = [chain for chain in chains if _is_orbit_least(chain, preimages)]
     t2 = time.perf_counter()
     keys = {_canonical_key(chain) for chain in kept}
     t3 = time.perf_counter()

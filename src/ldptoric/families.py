@@ -12,18 +12,20 @@ five-vertex classes with three:
   three5  [(1,0), (0,1), (-1,p), (q,r), (s,t)]         d=5, three singular points
 
 FAMILY_SPECS holds one FamilySpec per tag: parameter names, singular count,
-d, the vertex list above, the named constraints, an anchor and a reader.  The
-anchor is the index of a fixed determinant-1 vertex pair of the template:
-(1,0), (0,1) at index 0 for two1/two2/two3/three5, (-1,0), (1,-1) at index 2
-for dais1 and 3 for dais2, (-1,0), (0,-1) at index 3 for dais3.  Mapping the
-template so that pair becomes the standard basis gives its reading at the
-anchor, and the reader recovers the parameters from that reading.
-identify() decides all seven families the same way, by comparing the basis
-readings of a polygon (the normalizations of its determinant-1 anchors, which
+d, the vertex list above, the named constraints, an anchor, a reading and a
+reader.  The anchor is the index of a fixed determinant-1 vertex pair of the
+template: (1,0), (0,1) at index 0 for two1/two2/two3/three5, (-1,0), (1,-1)
+at index 2 for dais1 and 3 for dais2, (-1,0), (0,-1) at index 3 for dais3.
+The reading is the template mapped so that pair becomes the standard basis,
+in closed form: the vertex list itself at index 0, ((1,0), (0,1), (-p-1,-1))
+for dais1, the same plus (-p,-1) for dais2, ((1,0), (0,1), (-1,1), (-p,-1),
+(1-p,-1)) for dais3; the reader recovers the parameters from it.  identify()
+decides all seven families the same way, by comparing the basis readings of
+a polygon (the normalizations of its determinant-1 anchors, which
 equivalence memoizes on the polygon for canonical_form and are_equivalent
-too) with the template's reading at its anchor; the readings are exact ints
-at any size and never range-checked here, since they only select parameters
-and never become vertices.  classify_three() sorts the
+too) with the reading at the parameters read off each; the readings are
+exact ints at any size and never range-checked here, since they only select
+parameters and never become vertices.  classify_three() sorts the
 three-singular-point classes into the cases that exhaust them for d <= 6.
 identify() memoizes its result on the polygon as `_family`, like analyze's
 `_report`, so classify_three and a later verification read it for free.
@@ -35,7 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .equivalence import _normalizations, _read_on_pair
+from .equivalence import _normalizations
 from .polygon import LdpPolygon, NotStrictlyConvex, validate_ldp_polygon
 from .surface import analyze, blow_down_candidates
 
@@ -47,9 +49,10 @@ class FamilySpec:
     `constraints` and `vertices` take the parameters in `params` order;
     `constraints` returns (name, holds) pairs in the order generate() reports
     them.  `anchor` is the index in `vertices` of a determinant-1 pair
-    (vertex anchor and its successor); `read` maps a basis reading (a vertex
-    cycle starting (1, 0), (0, 1)) to the parameters it has if it is the
-    family polygon read on the basis of that pair.
+    (vertex anchor and its successor), and `reading` the family polygon read
+    on the basis of that pair (None: `vertices`, for anchor 0); `read` maps a
+    basis reading (a vertex cycle starting (1, 0), (0, 1)) to the parameters
+    it has if it is that reading.
     """
 
     params: tuple[str, ...]
@@ -59,6 +62,7 @@ class FamilySpec:
     vertices: Callable[..., tuple[tuple[int, int], ...]]
     read: Callable[[tuple[tuple[int, int], ...]], tuple[int, ...]]
     anchor: int = 0
+    reading: Callable[..., tuple[tuple[int, int], ...]] | None = None
 
 
 def _dais_constraints(p):
@@ -109,20 +113,21 @@ def _three5_constraints(p, q, r, s, t):
     ]
 
 
-# The dais readings at their anchors: dais1 ((1,0), (0,1), (-p-1,-1)), dais2
-# the same plus (-p,-1), dais3 ((1,0), (0,1), (-1,1), (-p,-1), (1-p,-1)).
 FAMILY_SPECS = {
     "dais1": FamilySpec(
         ("p",), 1, 3, _dais_constraints, lambda p: ((1, -1), (p, 1), (-1, 0)),
         read=lambda rd: (-rd[2][0] - 1,), anchor=2,
+        reading=lambda p: ((1, 0), (0, 1), (-p - 1, -1)),
     ),
     "dais2": FamilySpec(
         ("p",), 1, 4, _dais_constraints, lambda p: ((1, -1), (p, 1), (p - 1, 1), (-1, 0)),
         read=lambda rd: (-rd[2][0] - 1,), anchor=3,
+        reading=lambda p: ((1, 0), (0, 1), (-p - 1, -1), (-p, -1)),
     ),
     "dais3": FamilySpec(
         ("p",), 1, 5, _dais_constraints, lambda p: ((1, -1), (p, 1), (p - 1, 1), (-1, 0), (0, -1)),
         read=lambda rd: (-rd[3][0],), anchor=3,
+        reading=lambda p: ((1, 0), (0, 1), (-1, 1), (-p, -1), (1 - p, -1)),
     ),
     "two1": FamilySpec(
         ("p", "q"), 2, 3, _two1_constraints, lambda p, q: ((1, 0), (0, 1), (-p, -q)),
@@ -242,15 +247,12 @@ def identify(poly: LdpPolygon) -> FamilyParams | None:
     # image of `poly` under a determinant +-1 map, so one that equals the
     # family polygon's reading at its anchor proves the equivalence itself;
     # every equivalence sends the anchor pair onto one of the pairs read.
-    best = None
+    reading, best = spec.reading or spec.vertices, None
     for rd, _ in _normalizations(poly, False):
         values = spec.read(rd)
         if best is not None and values >= best:
             continue
-        pts = spec.vertices(*values)
-        if _read_on_pair(pts[spec.anchor:] + pts[:spec.anchor]) == rd and all(
-            ok for _, ok in spec.constraints(*values)
-        ):
+        if reading(*values) == rd and all(ok for _, ok in spec.constraints(*values)):
             best = values
     memo["_family"] = None if best is None else FamilyParams(tag, **dict(zip(spec.params, best)))
     return memo["_family"]

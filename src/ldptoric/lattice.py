@@ -109,8 +109,9 @@ class UnimodularMap:
     d: int
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "d"):
-            checked_i64(getattr(self, name), f"matrix entry {name}")
+        for value, context in ((self.a, "matrix entry a"), (self.b, "matrix entry b"),
+                               (self.c, "matrix entry c"), (self.d, "matrix entry d")):
+            checked_i64(value, context)
 
     def det(self) -> int:
         return checked_i64(self.a * self.d - self.b * self.c, "matrix determinant")

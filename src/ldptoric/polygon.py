@@ -8,10 +8,17 @@ associated surface.  Being a FanCycle, it goes as is to everything that takes
 one (analyze, blow_up, twice_area, ...); `vertices` is its name for the rays.
 
 All validation-error indices reported here are 1-based, matching the cyclic
-convention used by every external surface of the package.  Validation runs on
-exact int tuples and checks the 64-bit range on the values it produces, the
-cone determinants and the vertex turns, each where the check that uses it
-runs, so the first failing check of either kind wins.
+convention used by every external surface of the package.  Validation runs
+its checks in a fixed order (coordinates, primitivity, duplicates, cone
+determinants, winding, then vertex turns, which validate_fan never computes)
+on exact int tuples, and checks the 64-bit range on the values it produces
+where the check that uses them runs, so the first failing check of either
+kind wins.  Once every cone determinant is at least 1, each step turns
+counterclockwise by less than a half-turn, so the winding number counts the
+steps from y < 0 to y >= 0: each crosses the positive x axis, and none can
+end on the negative one.  A positivity check scans its values in one loop;
+screening them first with min() and max() measured slower at every d up to
+12 on CPython 3.11.
 
 The turn at a vertex is its f-value, so validation checks exactly the data
 of a SurfaceReport: _surface_data computes it for validation and for
@@ -193,15 +200,19 @@ class SurfaceReport:
         return tuple(i for i, det in enumerate(self.dets, start=1) if det >= 2)
 
 
-def _surface_data(pts: tuple[tuple[int, int], ...]) -> SurfaceReport:
-    """The report of the int-pair cycle `pts`, exact and unchecked: its cone
-    determinants det(v_i, v_{i+1}) and its vertex turns, which are its f-values."""
+def _cone_dets(pts: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """The cone determinants det(v_i, v_{i+1}) of the int-pair cycle `pts`."""
+    return tuple([x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])])
+
+
+def _surface_data(pts: tuple[tuple[int, int], ...], dets: tuple[int, ...]) -> SurfaceReport:
+    """The report of the int-pair cycle `pts` with cone determinants `dets`,
+    all at least 1, exact and unchecked: its vertex turns are its f-values."""
     prv, nxt = pts[-1:] + pts[:-1], pts[1:] + pts[:1]
-    dets = tuple([x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, nxt)])
     # The turn at b between a and c, (b - a) x (c - b), is det(a, b) + det(b, c) + det(c, a).
     turns = tuple([ab + bc + cx * ay - ax * cy
                    for ab, bc, (ax, ay), (cx, cy) in zip((dets[-1],) + dets, dets, prv, nxt)])
-    return SurfaceReport(len(pts), dets, turns, len([det for det in dets if det >= 2]))
+    return SurfaceReport(len(pts), dets, turns, len(pts) - dets.count(1))
 
 
 def _check_positive(values: tuple[int, ...], context: str, error: type[FanValidationError]) -> None:
@@ -213,28 +224,26 @@ def _check_positive(values: tuple[int, ...], context: str, error: type[FanValida
             raise error(i)
 
 
-def _validate_fan(points: Sequence) -> tuple[tuple[RayVector, ...], SurfaceReport]:
-    """validate_fan's checks; returns the rays and their unchecked report,
-    whose turns validate_ldp_polygon checks."""
-    rays = pair_rays(tuple(points), _coerce)  # a sequence: the screen reads it twice
+def _validate_fan(points: Sequence) -> tuple[tuple, tuple[RayVector, ...], tuple[int, ...]]:
+    """validate_fan's checks; returns the screened input pairs (equal to the
+    rays, and faster to unpack as exact tuples or lists), rays and dets."""
+    pts = tuple(points)  # a sequence: the screen reads it twice
+    rays = pair_rays(pts, _coerce)
     d = len(rays)
     if d < 3:
         raise ValueError(f"a complete fan needs at least 3 rays, got {d}")
-    gcds = list(starmap(math.gcd, rays))
+    gcds = list(starmap(math.gcd, pts))
     if gcds.count(1) != d:
         raise NonPrimitiveRay(next(i for i, g in enumerate(gcds, start=1) if g != 1))
     if len(set(rays)) != d:
         raise DuplicateRay(next(i for i in range(2, d + 1) if rays[i - 1] in rays[: i - 1]))
-    report = _surface_data(rays)
-    _check_positive(report.dets, "cone determinant", NotCounterclockwise)
-    # Each step now turns strictly ccw by less than a half-turn, so it wraps
-    # past the reference axis exactly when it leaves the lower half-plane
-    # (angle_less is False there and only there).
-    lower = [y < 0 or (y == 0 and x < 0) for x, y in rays]
-    winding = sum(1 for a, b in zip(lower, lower[1:] + lower[:1]) if a and not b)
+    dets = _cone_dets(pts)
+    _check_positive(dets, "cone determinant", NotCounterclockwise)
+    # Every step now turns ccw by less than a half-turn: see the module docstring.
+    winding = sum([ay < 0 <= by for (_, ay), (_, by) in zip(pts, pts[1:] + pts[:1])])
     if winding != 1:
         raise BadWinding(winding)
-    return rays, report
+    return pts, rays, dets
 
 
 def validate_fan(points: Sequence) -> FanCycle:
@@ -247,7 +256,7 @@ def validate_fan(points: Sequence) -> FanCycle:
     an int raises ValueError naming its vertex, and a coordinate or cone
     determinant outside the signed 64-bit range LatticeOverflowError.
     """
-    return FanCycle(_validate_fan(points)[0])
+    return FanCycle(_validate_fan(points)[1])
 
 
 def validate_ldp_polygon(points: Sequence) -> LdpPolygon:
@@ -260,7 +269,8 @@ def validate_ldp_polygon(points: Sequence) -> LdpPolygon:
     LatticeOverflowError.  The returned polygon carries the checked
     determinants and turns as its analyze() report.
     """
-    rays, report = _validate_fan(points)
+    pts, rays, dets = _validate_fan(points)
+    report = _surface_data(pts, dets)
     _check_positive(report.f_values, "vertex turn", NotStrictlyConvex)
     poly = LdpPolygon(rays)
     object.__setattr__(poly, "_report", report)  # analyze's memo; FanCycle is frozen

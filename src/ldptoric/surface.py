@@ -26,7 +26,7 @@ formula for both, with the f-values checked against the 64-bit range.
 from __future__ import annotations
 
 from .lattice import checked_i64
-from .polygon import ConeRecord, FanCycle, SurfaceReport, _surface_data, validate_fan  # noqa: F401
+from .polygon import ConeRecord, FanCycle, SurfaceReport, _cone_dets, _surface_data, validate_fan  # noqa: F401
 
 
 class ConeSingular(ValueError):
@@ -59,7 +59,7 @@ def _surface_report(cycle: FanCycle) -> SurfaceReport:
     """analyze() without the memo, for a cycle that validate_ldp_polygon did
     not build.  Validation has already checked the cone determinants; the
     f-values are checked here."""
-    report = _surface_data(cycle.rays)
+    report = _surface_data(cycle.rays, _cone_dets(cycle.rays))
     for f in report.f_values:
         checked_i64(f, "f value")
     return report

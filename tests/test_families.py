@@ -213,6 +213,9 @@ def test_template_reading_round_trip():
             m = _solve_map(rot[0], rot[1], (1, 0), (0, 1))
             reading = tuple(_apply(m, v) for v in rot)
             assert spec.read(reading) == values, (tag, values)
+            # identify compares against the closed-form reading, never this one.
+            assert (spec.reading or spec.vertices)(*values) == reading, (tag, values)
+    assert [tag for tag, spec in FAMILY_SPECS.items() if spec.reading is not None] == ["dais1", "dais2", "dais3"]
 
 
 def test_family_params_within_twice_area_on_sweep():
