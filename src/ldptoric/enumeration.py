@@ -154,7 +154,10 @@ def _chains_from(pts: list[tuple[int, int]], prefix: list[int]) -> list[Chain]:
             extend(chain, nxt)
             chain.pop()
 
-    extend(list(prefix), prefix[-1])
+    try:
+        extend(list(prefix), prefix[-1])
+    finally:
+        del extend  # it refers to itself through its cell: break that cycle
     return found
 
 

@@ -26,19 +26,23 @@ point.  Without a smooth cone, each vertex gets one Bezout row, shared by
 both orientations.
 
 _canonical_key is the least normalization of a cycle's int tuples (the
-enumeration shards' dedup key, no memo).  canonical_form, identify and
-are_equivalent read the tied anchors memoized on the polygon per flag
-(_normalizations), as analyze memoizes its report.  are_equivalent takes q's
-least normalization and its anchor; each tied anchor of r with the same
-normalization gives one connecting map, by Cramer's rule on exact ints, and
-every connecting map arises so.  So two polygons are equivalent exactly when
-their least normalizations agree.  The 64-bit contract is enforced once, when
-the returned UnimodularMap is built, never on the normalization, so a class
-whose form leaves the 64-bit range still gets its maps.  The form is an
-LdpPolygon, not re-validated: a determinant +-1 map carries the validated
-input onto it, so its cone determinants and vertex turns are the input's,
-already held to the 64-bit contract.  Its coordinates are checked when they
-become RayVectors.
+enumeration shards' dedup key, no memo, no sort).  canonical_form, identify
+and are_equivalent read the tied anchors memoized on the polygon per flag
+(_normalizations), as analyze memoizes its report.  The memo is sorted once,
+least first, so the canonical form and its anchor are entry [0]; its det-1
+test reads the cone determinants that validation left in that report.
+are_equivalent takes q's entry [0]; each tied anchor of r with the same
+normalization gives one connecting map, and every connecting map arises so.
+So two polygons are equivalent exactly when their least normalizations
+agree, and r's anchors that give maps are the first of its memo.  Their
+order keys come from the anchor indices alone, and Cramer's rule on exact
+ints runs once for the returned map, again only after an entry overflows.
+The 64-bit contract is enforced once, when the returned UnimodularMap is
+built, never on the normalization, so a class whose form leaves the 64-bit
+range still gets its maps.  The form is an LdpPolygon, not re-validated: a
+determinant +-1 map carries the validated input onto it, so its cone
+determinants and vertex turns are the input's, already held to the 64-bit
+contract.  Its coordinates are checked when they become RayVectors.
 """
 
 from __future__ import annotations
@@ -88,17 +92,18 @@ def _orientations(pts: Sequence[tuple[int, int]]):
     return ((pts, 1), (pts[::-1], -1))
 
 
-def _tied_anchors(pts: Sequence[tuple[int, int]], orientation_preserving: bool) -> list[tuple[Reading, Anchor]]:
+def _tied_anchors(
+    pts: Sequence[tuple[int, int]], orientation_preserving: bool, dets: Sequence[int] | None = None
+) -> list[tuple[Reading, Anchor]]:
     """(normalization, anchor) for every anchor of the int-tuple cycle `pts`
     tied at the least (k, D), over the forward anchors only when
-    orientation_preserving and over both orientations together otherwise."""
+    orientation_preserving and over both orientations together otherwise.
+    `dets` are the cone determinants of `pts` when the caller has them."""
+    if dets is None:
+        dets = [ax * by - bx * ay for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1])]
     # A smooth cone: the least (k, D) is (0, 1), held by exactly the
     # determinant-1 pairs, and each of them normalizes to its basis reading.
-    tied = [
-        (_read_on_pair(pts[i:] + pts[:i]), (i, 1))
-        for i, ((ax, ay), (bx, by)) in enumerate(zip(pts, pts[1:] + pts[:1]))
-        if ax * by - bx * ay == 1
-    ]
+    tied = [(_read_on_pair(pts[i:] + pts[:i]), (i, 1)) for i, det in enumerate(dets) if det == 1]
     if tied:
         if orientation_preserving:
             return tied
@@ -112,7 +117,8 @@ def _tied_anchors(pts: Sequence[tuple[int, int]], orientation_preserving: bool) 
             back.append(back.pop(0))
         return tied + back
     orientations = _orientations(pts)[: 1 if orientation_preserving else 2]
-    # One Bezout row per vertex, shared by both orientations.
+    # One Bezout row per vertex, shared by both orientations.  Each span is
+    # recomputed here: reading it from `dets` measured slower.
     rows = {p: _bezout_row(*p) for p in pts}
     least = None
     for cyc, sign in orientations:
@@ -135,13 +141,16 @@ def _tied_anchors(pts: Sequence[tuple[int, int]], orientation_preserving: bool) 
 
 
 def _normalizations(poly: LdpPolygon, orientation_preserving: bool) -> list[tuple[Reading, Anchor]]:
-    """_tied_anchors of the vertices of `poly`, computed on the first call
-    for a polygon object and flag and memoized on it as `_normalizations`,
-    like analyze's report.  Exact ints, never range-checked."""
+    """_tied_anchors of the vertices of `poly`, least first, computed and
+    sorted on the first call for a polygon object and flag and memoized on it
+    as `_normalizations`, like analyze's report, whose cone determinants it
+    reads when validation left one.  Exact ints, never range-checked."""
     memo = poly.__dict__.setdefault("_normalizations", {})  # FanCycle is frozen
     tied = memo.get(orientation_preserving)
     if tied is None:
-        tied = memo[orientation_preserving] = _tied_anchors(poly.vertices, orientation_preserving)
+        report = poly.__dict__.get("_report")
+        dets = None if report is None else report.dets
+        tied = memo[orientation_preserving] = sorted(_tied_anchors(poly.vertices, orientation_preserving, dets))
     return tied
 
 
@@ -156,9 +165,10 @@ def canonical_form(poly: LdpPolygon, orientation_preserving: bool = False) -> Ld
 
     With orientation_preserving=True only determinant +1 maps are allowed, so
     a chiral polygon and its mirror image get distinct forms.  _canonical_key
-    on the polygon's int tuples, read off the normalizations memoized on `poly`.
+    on the polygon's int tuples: the first of the normalizations memoized on
+    `poly`.
     """
-    form = min(_normalizations(poly, orientation_preserving))[0]
+    form = _normalizations(poly, orientation_preserving)[0][0]
     return LdpPolygon(pair_rays(form, lambda _, p: RayVector(*p)))
 
 
@@ -174,39 +184,38 @@ def are_equivalent(
     LatticeOverflowError when every connecting map has an entry outside the
     signed 64-bit range.
     """
-    form, (i, s) = min(_normalizations(q, orientation_preserving))
+    form, (i, s) = _normalizations(q, orientation_preserving)[0]
     n = q.d
-    q_pts, r_pts = q.vertices, r.vertices
     i = i if s == 1 else n - 1 - i  # the anchor's first vertex in the list of q
-    (x1, y1), (x2, y2) = q_pts[i], q_pts[(i + s) % n]
-    base = x1 * y2 - x2 * y1
+    # r's normalizations equal to q's least one come first, least first.
     maps = []
     for r_form, (j, e) in _normalizations(r, orientation_preserving):
         if r_form != form:
-            continue
+            break
         j = j if e == 1 else n - 1 - j
-        (u1, z1), (u2, z2) = r_pts[j], r_pts[(j + e) % n]
         # The map sends q_pts[i + s*t] to r_pts[j + e*t] and has determinant
         # e*s, so q_pts[0] goes to r_pts[j - i] when that is +1, and q_pts[1]
-        # to r_pts[j + i - 1] when it is -1.  Cramer on the anchor pairs is
-        # exact, since the map is integral.
-        order = ((j - i) % n, 0) if e == s else ((j + i - 1) % n, 1)
-        entries = (
-            (u1 * y2 - u2 * y1) // base,
-            (x1 * u2 - x2 * u1) // base,
-            (z1 * y2 - z2 * y1) // base,
-            (x1 * z2 - x2 * z1) // base,
-        )
-        maps.append((order, entries))
+        # to r_pts[j + i - 1] when it is -1.  No two maps share this key.
+        maps.append((((j - i) % n, 0) if e == s else ((j + i - 1) % n, 1), j, e))
+    if not maps:
+        return None
+    q_pts, r_pts = q.vertices, r.vertices
+    (x1, y1), (x2, y2) = q_pts[i], q_pts[(i + s) % n]
+    base = x1 * y2 - x2 * y1
     overflow = None
-    for _, entries in sorted(maps):
+    for _, j, e in sorted(maps):
+        # Cramer on the anchor pairs is exact, since the map is integral.
+        (u1, z1), (u2, z2) = r_pts[j], r_pts[(j + e) % n]
         try:
-            return UnimodularMap(*entries)
+            return UnimodularMap(
+                (u1 * y2 - u2 * y1) // base,
+                (x1 * u2 - x2 * u1) // base,
+                (z1 * y2 - z2 * y1) // base,
+                (x1 * z2 - x2 * z1) // base,
+            )
         except LatticeOverflowError as exc:
             overflow = overflow or exc
-    if overflow is not None:
-        raise overflow
-    return None
+    raise overflow
 
 
 def apply_to_polygon(m: UnimodularMap, poly: LdpPolygon) -> LdpPolygon:

@@ -254,7 +254,8 @@ def identify(poly: LdpPolygon) -> FamilyParams | None:
             continue
         if reading(*values) == rd and all(ok for _, ok in spec.constraints(*values)):
             best = values
-    memo["_family"] = None if best is None else FamilyParams(tag, **dict(zip(spec.params, best)))
+    # Every tag's params are a prefix of p, q, r, s, t, the field order.
+    memo["_family"] = None if best is None else FamilyParams(tag, *best)
     return memo["_family"]
 
 

@@ -20,6 +20,13 @@ end on the negative one.  A positivity check scans its values in one loop;
 screening them first with min() and max() measured slower at every d up to
 12 on CPython 3.11.
 
+The duplicate check runs only when the determinant or the winding check
+fails, and then before that failure is raised, so every input gets the error
+of the listed order.  It is not needed otherwise: when every determinant is
+at least 1 and the winding is 1, the d steps turn counterclockwise by angles
+in (0, pi) that sum to one full turn, so the rays point in d distinct
+directions and, being primitive, are pairwise distinct.
+
 The turn at a vertex is its f-value, so validation checks exactly the data
 of a SurfaceReport: _surface_data computes it for validation and for
 surface._surface_report alike, and validate_ldp_polygon leaves the report it
@@ -35,7 +42,7 @@ from functools import cached_property, cmp_to_key
 from itertools import starmap
 from typing import Iterable, Sequence
 
-from .lattice import I64_MAX, RayVector, checked_i64, det2, pair_rays
+from .lattice import I64_MAX, LatticeOverflowError, RayVector, checked_i64, det2, pair_rays
 
 
 class FanValidationError(ValueError):
@@ -235,14 +242,18 @@ def _validate_fan(points: Sequence) -> tuple[tuple, tuple[RayVector, ...], tuple
     gcds = list(starmap(math.gcd, pts))
     if gcds.count(1) != d:
         raise NonPrimitiveRay(next(i for i, g in enumerate(gcds, start=1) if g != 1))
-    if len(set(rays)) != d:
-        raise DuplicateRay(next(i for i in range(2, d + 1) if rays[i - 1] in rays[: i - 1]))
     dets = _cone_dets(pts)
-    _check_positive(dets, "cone determinant", NotCounterclockwise)
-    # Every step now turns ccw by less than a half-turn: see the module docstring.
-    winding = sum([ay < 0 <= by for (_, ay), (_, by) in zip(pts, pts[1:] + pts[:1])])
-    if winding != 1:
-        raise BadWinding(winding)
+    try:
+        _check_positive(dets, "cone determinant", NotCounterclockwise)
+        # Every step now turns ccw by less than a half-turn: see the module docstring.
+        winding = sum([ay < 0 <= by for (_, ay), (_, by) in zip(pts, pts[1:] + pts[:1])])
+        if winding != 1:
+            raise BadWinding(winding)
+    except (FanValidationError, LatticeOverflowError):
+        # Only here can rays repeat, and a repeat is reported first.
+        if len(set(rays)) != d:
+            raise DuplicateRay(next(i for i in range(2, d + 1) if rays[i - 1] in rays[: i - 1])) from None
+        raise
     return pts, rays, dets
 
 

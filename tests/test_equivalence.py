@@ -338,6 +338,36 @@ def test_overflow_exactly_when_no_connecting_map_fits(box2_catalog):
     assert seen == {"raised": 301, "map": 11}
 
 
+def test_overflow_falls_back_to_the_first_map_that_fits(box2_catalog):
+    # The "map" cases of test_overflow_exactly_when_no_connecting_map_fits:
+    # the map returned is the first that fits 64 bits in the documented
+    # order, by the index in r of the image of q's first vertex
+    # (determinant +1) or of its second (determinant -1), +1 first on a tie.
+    shear_x, shear_y = UnimodularMap(1, 2**40 + 3, 0, 1), UnimodularMap(1, 0, 5 - 2**40, 1)
+    seen = Counter()
+    for entry in box2_catalog:
+        q = apply_to_polygon(shear_x, entry.polygon())
+        r = apply_to_polygon(shear_y, entry.polygon())
+        index = {v.as_tuple(): k for k, v in enumerate(r.vertices)}
+        q0, q1 = q.vertices[0], q.vertices[1]
+        for flag in (False, True):
+            ordered = []
+            for m in _connecting_maps(q, r):
+                det = m[0] * m[3] - m[1] * m[2]
+                if flag and det != 1:
+                    continue
+                v = q0 if det == 1 else q1
+                ordered.append(((index[m[0] * v.x + m[1] * v.y, m[2] * v.x + m[3] * v.y], det != 1), m))
+            fitting = [m for _, m in sorted(ordered) if max(map(abs, m)) <= I64_MAX]
+            if not fitting:
+                continue
+            got = are_equivalent(q, r, orientation_preserving=flag)
+            assert (got.a, got.b, got.c, got.d) == fitting[0]
+            seen["first fits" if fitting[0] == min(ordered)[1] else "fallback"] += 1
+    # In every one of them the first map in order overflows.
+    assert seen == {"fallback": 11}
+
+
 def test_search_matches_the_checked_reference(box2_catalog):
     # Images of each class under small maps (either determinant) and under
     # shear products with entries up to 2**27, plus an image of a different
@@ -384,7 +414,7 @@ def test_basis_readings_are_memoized_on_the_polygon(monkeypatch):
     calls = []
     tied_anchors = equivalence._tied_anchors
     monkeypatch.setattr(
-        equivalence, "_tied_anchors", lambda pts, flag: calls.append(flag) or tied_anchors(pts, flag)
+        equivalence, "_tied_anchors", lambda pts, flag, *dets: calls.append(flag) or tied_anchors(pts, flag, *dets)
     )
     p = poly("1,0;0,1;-1,0;1,-3;2,-3")
     for _ in range(2):
@@ -397,6 +427,21 @@ def test_basis_readings_are_memoized_on_the_polygon(monkeypatch):
     other = poly("1,0;0,1;-1,0;1,-3;2,-3")
     assert canonical_form(other) == canonical_form(p)
     assert sorted(calls) == [False, False, True]
+
+
+def test_normalizations_are_memoized_least_first(box2_catalog):
+    # canonical_form and are_equivalent read entry [0] of the memo: it must
+    # be the least tied anchor, and the memo the tied anchors sorted.
+    rng = random.Random(15)
+    polys = [entry.polygon() for entry in box2_catalog]
+    polys += [apply_to_polygon(random_unimodular_map(rng), p) for p in polys]
+    for p in polys:
+        pts = [v.as_tuple() for v in p.vertices]
+        for flag in (False, True):
+            tied = equivalence._tied_anchors(pts, flag)
+            memo = equivalence._normalizations(p, flag)
+            assert memo == sorted(tied)
+            assert memo[0] == min(tied)
 
 
 def test_readings_memo_is_invisible_to_eq_hash_repr_and_pickle():

@@ -46,6 +46,18 @@ ERROR_KINDS = [
     ([(1, 0), (0, 1), (-2, -1), (-3, -2)], NotStrictlyConvex),
 ]
 
+# A repeated ray together with a later defect: validation looks for repeats
+# only once the determinant or winding check fails, and must still report
+# DuplicateRay at the reference's index.  (input, later defect, index)
+PRECEDENCE_INPUTS = [
+    ([(1, 0), (1, 0), (0, 1), (-1, -1)], "non-positive determinant", 2),  # determinant 0
+    ([(1, 0), (0, 1), (-1, -1), (0, 1)], "non-positive determinant", 4),
+    ([(1, 0), (0, 1), (-1, -1), (1, 0), (0, 1), (-1, -1)], "winding 2", 4),
+    ([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 0), (-1, 1), (-1, -1), (1, -1)], "winding 2", 5),
+    ([(3037000500, 1), (-1, 3037000500), (-1, -1), (3037000500, 1)], "determinant beyond 64 bits", 4),
+    ([(3037000500, -1), (-1, -3037000500), (0, 1), (-1, -3037000500)], "determinant beyond 64 bits", 4),
+]
+
 # The three inputs of test_cli.py::test_overflow_is_bad_input, as vertex
 # lists, with the value their error message names.
 OVERFLOW_INPUTS = [
@@ -180,6 +192,23 @@ def test_error_kinds_agree_with_reference_on_both_sides():
             _agree(pts)
             outcome = _outcome(validate_ldp_polygon, pts)
             assert outcome[0] == "error" and outcome[1] is error, (pts, outcome)
+
+
+def test_a_repeat_is_reported_before_a_later_defect():
+    for points, defect, index in PRECEDENCE_INPUTS:
+        d = len(points)
+        dets = [x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(points, points[1:] + points[:1])]
+        if defect == "non-positive determinant":
+            assert min(dets) <= 0 and max(map(abs, dets)) <= I64_MAX
+        elif defect == "winding 2":
+            assert min(dets) >= 1 and sum(points[i][1] < 0 <= points[(i + 1) % d][1] for i in range(d)) == 2
+        else:
+            assert max(map(abs, dets)) > I64_MAX
+        assert _agree(points) == ["validate:DuplicateRay"], points
+        for validate in (validate_fan, validate_ldp_polygon):
+            outcome = _outcome(validate, points)
+            assert outcome[1:3] == (DuplicateRay, index), (points, outcome)
+            assert outcome[3] == f"DuplicateRay({index}): ray {index} repeats an earlier ray"
 
 
 def test_overflow_inputs_agree_with_reference():
