@@ -47,7 +47,7 @@ from .lattice import RayVector, checked_i64, det2, is_primitive
 from .polygon import LdpPolygon, angular_sort, validate_ldp_polygon
 from .surface import SurfaceReport, analyze, nonsingular_arc_contiguous
 from .equivalence import _canonical_key
-from .families import FamilyParams, _three_case, identify
+from .families import FamilyParams, classify_three, identify
 
 BOX_CAVEAT = (
     "classes whose every representative needs coordinates beyond the box are absent; "
@@ -278,7 +278,7 @@ def _classify(poly: LdpPolygon) -> tuple[SurfaceReport, FamilyParams | None, str
     surf = analyze(poly)
     sc = surf.singular_count
     family = identify(poly) if sc in (1, 2, 3) else None
-    three_case = _three_case(poly, sc, family) if sc == 3 else None
+    three_case = classify_three(poly) if sc == 3 else None
     return surf, family, three_case
 
 

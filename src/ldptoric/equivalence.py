@@ -30,7 +30,8 @@ enumeration shards' dedup key, no memo, no sort).  canonical_form, identify
 and are_equivalent read the tied anchors memoized on the polygon per flag
 (_normalizations), as analyze memoizes its report.  The memo is sorted once,
 least first, so the canonical form and its anchor are entry [0]; its det-1
-test reads the cone determinants that validation left in that report.
+test reads the cone determinants of analyze's report: the one validation
+left on the polygon, or for a canonical form the one analyze computes.
 are_equivalent takes q's entry [0]; each tied anchor of r with the same
 normalization gives one connecting map, and every connecting map arises so.
 So two polygons are equivalent exactly when their least normalizations
@@ -53,13 +54,13 @@ from typing import Sequence
 from .lattice import (
     IDENTITY_MAP,
     LatticeOverflowError,
-    RayVector,
     UnimodularMap,
     apply_map,
     compose_maps,
     pair_rays,
 )
-from .polygon import LdpPolygon, validate_ldp_polygon
+from .polygon import LdpPolygon, _cone_dets, validate_ldp_polygon
+from .surface import analyze
 
 
 def _bezout_row(x: int, y: int) -> tuple[int, int]:
@@ -100,7 +101,7 @@ def _tied_anchors(
     orientation_preserving and over both orientations together otherwise.
     `dets` are the cone determinants of `pts` when the caller has them."""
     if dets is None:
-        dets = [ax * by - bx * ay for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1])]
+        dets = _cone_dets(pts)
     # A smooth cone: the least (k, D) is (0, 1), held by exactly the
     # determinant-1 pairs, and each of them normalizes to its basis reading.
     tied = [(_read_on_pair(pts[i:] + pts[:i]), (i, 1)) for i, det in enumerate(dets) if det == 1]
@@ -144,12 +145,11 @@ def _normalizations(poly: LdpPolygon, orientation_preserving: bool) -> list[tupl
     """_tied_anchors of the vertices of `poly`, least first, computed and
     sorted on the first call for a polygon object and flag and memoized on it
     as `_normalizations`, like analyze's report, whose cone determinants it
-    reads when validation left one.  Exact ints, never range-checked."""
+    reads.  Exact ints, never range-checked."""
     memo = poly.__dict__.setdefault("_normalizations", {})  # FanCycle is frozen
     tied = memo.get(orientation_preserving)
     if tied is None:
-        report = poly.__dict__.get("_report")
-        dets = None if report is None else report.dets
+        dets = analyze(poly).dets
         tied = memo[orientation_preserving] = sorted(_tied_anchors(poly.vertices, orientation_preserving, dets))
     return tied
 
@@ -169,7 +169,7 @@ def canonical_form(poly: LdpPolygon, orientation_preserving: bool = False) -> Ld
     `poly`.
     """
     form = _normalizations(poly, orientation_preserving)[0][0]
-    return LdpPolygon(pair_rays(form, lambda _, p: RayVector(*p)))
+    return LdpPolygon(pair_rays(form))
 
 
 def are_equivalent(

@@ -26,9 +26,10 @@ equivalence memoizes on the polygon for canonical_form and are_equivalent
 too) with the reading at the parameters read off each; the readings are
 exact ints at any size and never range-checked here, since they only select
 parameters and never become vertices.  classify_three() sorts the
-three-singular-point classes into the cases that exhaust them for d <= 6.
-identify() memoizes its result on the polygon as `_family`, like analyze's
-`_report`, so classify_three and a later verification read it for free.
+three-singular-point classes into the cases that exhaust them for d <= 6,
+and the catalog tagging calls it for each of them.  identify() memoizes its
+result on the polygon as `_family`, like analyze's `_report`, so
+classify_three at d = 5 and a later verification read it for free.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ def generate(fp: FamilyParams) -> FamilyInstance:
     report = analyze(polygon)
     # The constraint systems are exactly the family membership conditions, so
     # a wrong singular count here is an internal error, not bad input.
-    if not report.is_log_del_pezzo or report.singular_count != spec.singular:
+    if report.singular_count != spec.singular:
         raise AssertionError(
             f"family {fp.family}{fp.as_tuple()} produced singular count "
             f"{report.singular_count}, expected {spec.singular}"
@@ -269,20 +270,13 @@ def classify_three(poly: LdpPolygon) -> str:
     d >= 7).
     """
     singular_count = analyze(poly).singular_count
-    family = identify(poly) if singular_count == 3 and poly.d == 5 else None
-    return _three_case(poly, singular_count, family)
-
-
-def _three_case(poly: LdpPolygon, singular_count: int, family: FamilyParams | None) -> str:
-    """classify_three from the singular count of `poly` and, at d = 5, its
-    identify() result, for callers that have both already."""
     if singular_count != 3:
         raise ValueError(f"classify_three needs exactly 3 singular cones, got {singular_count}")
     d = poly.d
     if d <= 4:
         return "picard_le_two"
     if d == 5:
-        return "family_d5" if family is not None else "none"
+        return "family_d5" if identify(poly) is not None else "none"
     if d == 6:
         for i in blow_down_candidates(poly):
             # Removing a sum-of-neighbours ray leaves a valid fan, so only

@@ -17,7 +17,9 @@ UnimodularMap entries and the results of det2 and UnimodularMap.det;
 BoxSpec its box size, validation its cone determinants and vertex turns,
 and analyze its f-values.  pair_rays screens a polygon's coordinates in one
 pass and builds its rays with no call per vertex; at a coordinate that
-fails, the caller's per-vertex path raises through `checked_i64`.
+fails, it checks each vertex in turn and raises at the first bad one:
+ValueError naming it for a coordinate that is not an int, else through
+RayVector and `checked_i64`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Sequence
 
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
@@ -87,15 +89,22 @@ class RayVector(tuple):
 _ray = partial(tuple.__new__, RayVector)  # the RayVector of a screened pair, unchecked
 
 
-def pair_rays(points: Sequence, coerce: Callable[[int, object], RayVector]) -> tuple[RayVector, ...]:
+def _checked_ray(index: int, point) -> RayVector:
+    x, y = point
+    if type(x) is not int or type(y) is not int:  # not isinstance: bool is an int
+        raise ValueError(f"vertex {index} {point!r}: coordinates must be integers")
+    return RayVector(x, y)
+
+
+def pair_rays(points: Sequence) -> tuple[RayVector, ...]:
     """The rays of the int pairs `points`, screened in one pass that stops at
     a coordinate that is not an int in the signed 64-bit range; from there
-    they are coerce(index, point) for every point, 1-based, which raises.  A
-    point that is not a pair raises as it unpacks, as in coerce."""
+    every point is checked in turn, 1-based, and the first failing one
+    raises.  A point that is not a pair raises as it unpacks."""
     lo, hi = I64_MIN, I64_MAX
     for x, y in points:
         if type(x) is not int or type(y) is not int or not (lo <= x <= hi and lo <= y <= hi):
-            return tuple(coerce(i, p) for i, p in enumerate(points, start=1))
+            return tuple(_checked_ray(i, p) for i, p in enumerate(points, start=1))
     return tuple(map(_ray, points))
 
 

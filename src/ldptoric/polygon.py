@@ -82,15 +82,6 @@ class NotStrictlyConvex(FanValidationError):
         super().__init__(f"NotStrictlyConvex({index}): ray {index} is not a strict vertex of the hull")
 
 
-def _coerce(index: int, point) -> RayVector:
-    if isinstance(point, RayVector):
-        return point
-    x, y = point
-    if type(x) is not int or type(y) is not int:  # not isinstance: bool is an int
-        raise ValueError(f"vertex {index} {point!r}: coordinates must be integers")
-    return RayVector(x, y)
-
-
 def _lower_half(v: RayVector) -> bool:
     # Angular half-plane split: False covers angles in [0, pi) starting at the
     # positive x axis, True covers [pi, 2*pi).
@@ -235,7 +226,7 @@ def _validate_fan(points: Sequence) -> tuple[tuple, tuple[RayVector, ...], tuple
     """validate_fan's checks; returns the screened input pairs (equal to the
     rays, and faster to unpack as exact tuples or lists), rays and dets."""
     pts = tuple(points)  # a sequence: the screen reads it twice
-    rays = pair_rays(pts, _coerce)
+    rays = pair_rays(pts)
     d = len(rays)
     if d < 3:
         raise ValueError(f"a complete fan needs at least 3 rays, got {d}")
@@ -293,8 +284,7 @@ def twice_area(cycle: FanCycle) -> int:
 
     Not range-checked: validation has already checked every one of these
     determinants."""
-    rays = cycle.rays
-    return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(rays, rays[1:] + rays[:1]))
+    return sum(_cone_dets(cycle.rays))
 
 
 def parse_vertices(text: str) -> list[RayVector]:

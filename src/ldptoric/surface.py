@@ -17,7 +17,8 @@ report, which keeps them out of ==, hash and repr.
 analyze() returns the report memoized on a FanCycle object, outside its
 dataclass fields.  validate_ldp_polygon sets that memo from the values it
 has just checked, so analyze on a validated polygon computes nothing, and
-the tagging path (analyze, identify, classify_three) reads that one report.
+the tagging path (analyze, identify, classify_three) and equivalence's
+normalizations read that one report.
 Any other cycle (validate_fan's, blow_up's, a canonical form) gets its report
 from _surface_report on the first call: polygon._surface_data, the one
 formula for both, with the f-values checked against the 64-bit range.
@@ -26,7 +27,7 @@ formula for both, with the f-values checked against the 64-bit range.
 from __future__ import annotations
 
 from .lattice import checked_i64
-from .polygon import ConeRecord, FanCycle, SurfaceReport, _cone_dets, _surface_data, validate_fan  # noqa: F401
+from .polygon import FanCycle, SurfaceReport, _cone_dets, _surface_data, validate_fan
 
 
 class ConeSingular(ValueError):

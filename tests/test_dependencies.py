@@ -1,5 +1,6 @@
 """The package runs on the standard library alone."""
 
+import ast
 import pkgutil
 import re
 import subprocess
@@ -54,3 +55,30 @@ def test_each_submodule_imports_first_in_a_fresh_interpreter():
         out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True)
         assert (out.returncode, out.stdout, out.stderr) == (0, name + "\n", "")
 
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads, leaving out names imported on
+    a line marked `# noqa: F401` (kept there to be re-exported)."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name != "annotations" and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported[name] = alias.lineno
+    # Every module has `from __future__ import annotations`, so no
+    # annotation needs quotes and every read is a Name node.
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"line {line}: {name}" for name, line in imported.items() if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    package = Path(ldptoric.__file__).resolve().parent
+    modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) == len(SUBMODULES)
+    unused = {p.name: _unused_imports(p.read_text()) for p in modules}
+    assert {name: found for name, found in unused.items() if found} == {}
+    # The check sees an unused import.
+    assert _unused_imports("from typing import Callable, Sequence\n\nx: Sequence = ()\n") == ["line 1: Callable"]

@@ -3,6 +3,7 @@ import gc
 import itertools
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -296,6 +297,29 @@ def test_classify_catalog_fills_expected_fields(box2_catalog):
             if entry.d == 5:
                 assert entry.family is not None
                 assert entry.family.family == "three5"
+
+
+def test_tagging_calls_classify_three_once_per_three_singular_entry(box2_catalog, monkeypatch):
+    # classify_catalog and verify_catalog both tag through classify_three,
+    # once for each three-singular entry and never for another.
+    calls = []
+    classify_three = enumeration.classify_three
+
+    def counting(p):
+        calls.append((p, classify_three(p)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(enumeration, "classify_three", counting)
+    threes = [e.poly for e in box2_catalog if e.singular_count == 3]
+    classified = classify_catalog(box2_catalog)
+    tags = [(e.poly, e.three_case) for e in classified if e.singular_count == 3]
+    assert [p for p, _ in calls] == threes and calls == tags
+    assert Counter((p.d, tag) for p, tag in tags) == {
+        (3, "picard_le_two"): 3, (4, "picard_le_two"): 14, (5, "family_d5"): 19, (6, "blowup_of_picard3"): 5,
+    }
+    del calls[:]
+    assert verify_catalog(classified).ok
+    assert calls == tags
 
 
 def test_family_tags_match_vertex_count(box2_catalog):

@@ -23,7 +23,7 @@ from ldptoric import (
     twice_area,
     validate_ldp_polygon,
 )
-from ldptoric import equivalence
+from ldptoric import equivalence, surface
 from ldptoric.lattice import I64_MAX, I64_MIN
 
 from oracles import _oracle_form, large_shear_product, ref_are_equivalent, ref_tied_anchors
@@ -238,6 +238,10 @@ def test_canonical_form_out_of_range_raises():
     )
     with pytest.raises(LatticeOverflowError):
         canonical_form(octagon)
+    message = "^y coordinate 10240000000000000001 exceeds the signed 64-bit range$"
+    for flag in (False, True):
+        with pytest.raises(LatticeOverflowError, match=message):
+            canonical_form(octagon, flag)
 
 
 def test_are_equivalent_where_the_form_is_out_of_range():
@@ -435,13 +439,18 @@ def test_normalizations_are_memoized_least_first(box2_catalog):
     rng = random.Random(15)
     polys = [entry.polygon() for entry in box2_catalog]
     polys += [apply_to_polygon(random_unimodular_map(rng), p) for p in polys]
-    for p in polys:
+    # A canonical form has no report until _normalizations asks analyze.
+    forms = [canonical_form(p) for p in polys]
+    assert not any("_report" in form.__dict__ for form in forms)
+    for p in polys + forms:
         pts = [v.as_tuple() for v in p.vertices]
         for flag in (False, True):
             tied = equivalence._tied_anchors(pts, flag)
             memo = equivalence._normalizations(p, flag)
             assert memo == sorted(tied)
             assert memo[0] == min(tied)
+    for form in forms:
+        assert form.__dict__["_report"] == surface._surface_report(form)
 
 
 def test_readings_memo_is_invisible_to_eq_hash_repr_and_pickle():

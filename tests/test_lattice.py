@@ -14,8 +14,9 @@ from ldptoric import (
     compose_maps,
     det2,
     is_primitive,
+    validate_ldp_polygon,
 )
-from ldptoric.lattice import checked_i64
+from ldptoric.lattice import checked_i64, pair_rays
 
 coords = st.integers(min_value=-10**6, max_value=10**6)
 vectors = st.builds(RayVector, coords, coords)
@@ -171,3 +172,25 @@ def test_ray_vector_is_its_int_pair():
     assert RayVector(1, 0) == (1, 0) and (1, 0) == RayVector(1, 0)
     assert {(1, 0): "e1"}[RayVector(1, 0)] == "e1"
     assert RayVector(1, 0) != (0, 1) and RayVector(1, 0) < (1, 1)
+
+
+BAD_POINTS = {
+    "float": (1.5, 2),
+    "bool": (1, True),
+    "non-pair": (1, 2, 3),
+    "x above the range": (2**63, 1),
+    "y below the range": (1, -(2**63) - 1),
+}
+
+
+@pytest.mark.parametrize("kind", BAD_POINTS)
+@pytest.mark.parametrize("slot", range(4))
+def test_pair_rays_raises_as_validation_does(kind, slot):
+    # pair_rays owns the per-vertex check behind its screen: a bad point at
+    # any position raises there exactly what validation reports for it.
+    points = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    points[slot] = BAD_POINTS[kind]
+    with pytest.raises((ValueError, LatticeOverflowError)) as want:
+        validate_ldp_polygon(points)
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        pair_rays(points)
