@@ -128,37 +128,34 @@ def _chains_from(pts: list[tuple[int, int]], prefix: list[int]) -> list[Chain]:
     the prefix must already be a valid partial chain: increasing positions,
     consecutive determinants >= 1 and strict left turns."""
     found: list[Chain] = []
-    fx, fy = pts[prefix[0]]
-    total = len(pts)
-
-    def extend(chain: list[int], last_index: int) -> None:
-        # Inline det2 and the vertex turn: (ex, ey) is the last edge of the chain.
-        lx, ly = pts[chain[-1]]
-        px, py = pts[chain[-2]] if len(chain) >= 2 else (lx, ly)
-        ex, ey = lx - px, ly - py
-        if len(chain) >= 3:
-            sx, sy = pts[chain[1]]
-            if (
-                lx * fy - fx * ly >= 1
-                and ex * (fy - ly) - (fx - lx) * ey >= 1
-                and (fx - lx) * (sy - fy) - (sx - fx) * (fy - ly) >= 1
-            ):
-                found.append(tuple(pts[j] for j in chain))
-        for nxt in range(last_index + 1, total):
-            cx, cy = pts[nxt]
-            if lx * cy - cx * ly < 1:
-                continue
-            if len(chain) >= 2 and ex * (cy - ly) - (cx - lx) * ey < 1:
-                continue
-            chain.append(nxt)
-            extend(chain, nxt)
-            chain.pop()
-
-    try:
-        extend(list(prefix), prefix[-1])
-    finally:
-        del extend  # it refers to itself through its cell: break that cycle
+    _extend(pts, found, list(prefix), prefix[-1])
     return found
+
+
+def _extend(pts: list[tuple[int, int]], found: list[Chain], chain: list[int], last_index: int) -> None:
+    """_chains_from's step: append to `found` every LDP cycle that extends
+    the partial chain `chain` through positions of `pts` after `last_index`."""
+    # Inline det2 and the vertex turn: (ex, ey) is the last edge of the chain.
+    lx, ly = pts[chain[-1]]
+    px, py = pts[chain[-2]] if len(chain) >= 2 else (lx, ly)
+    ex, ey = lx - px, ly - py
+    if len(chain) >= 3:
+        (fx, fy), (sx, sy) = pts[chain[0]], pts[chain[1]]
+        if (
+            lx * fy - fx * ly >= 1
+            and ex * (fy - ly) - (fx - lx) * ey >= 1
+            and (fx - lx) * (sy - fy) - (sx - fx) * (fy - ly) >= 1
+        ):
+            found.append(tuple(pts[j] for j in chain))
+    for nxt in range(last_index + 1, len(pts)):
+        cx, cy = pts[nxt]
+        if lx * cy - cx * ly < 1:
+            continue
+        if len(chain) >= 2 and ex * (cy - ly) - (cx - lx) * ey < 1:
+            continue
+        chain.append(nxt)
+        _extend(pts, found, chain, nxt)
+        chain.pop()
 
 
 def enumerate_raw(n: int) -> list[tuple[RayVector, ...]]:
@@ -201,14 +198,14 @@ def _root_preimages(s: tuple[int, int]) -> list[tuple[tuple[int, int], tuple[int
     return [((a * sx + c * sy, b * sx + d * sy), (a, b, c, d)) for a, b, c, d in _SQUARE_SYMMETRIES]
 
 
-def _is_orbit_least(chain: Chain, preimages=None) -> bool:
+def _is_orbit_least(chain: Chain, preimages: list) -> bool:
     """True iff the sorted vertex list of a rooted chain is least in its D4
     orbit.  Every vertex's D4 orbit lies at or above the root s = chain[0],
     so an image ties with the sorted list only when it contains s, that is
     when g maps the vertex g^-1 s onto s; only those images are sorted.
     `preimages` is _root_preimages(s), which a shard computes once."""
     key = None
-    for pre, (a, b, c, d) in preimages or _root_preimages(chain[0]):
+    for pre, (a, b, c, d) in preimages:
         if pre in chain:
             key = key or sorted(chain)
             if sorted([(a * x + b * y, c * x + d * y) for x, y in chain]) < key:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .equivalence import _normalizations
-from .polygon import LdpPolygon, NotStrictlyConvex, validate_ldp_polygon
+from .polygon import LdpPolygon, NotStrictlyConvex, _ValuedError, validate_ldp_polygon
 from .surface import analyze, blow_down_candidates
 
 
@@ -156,11 +156,9 @@ FAMILY_TAGS = tuple(FAMILY_SPECS)
 _TAG_BY_SHAPE = {(spec.singular, spec.d): tag for tag, spec in FAMILY_SPECS.items()}
 
 
-class InvalidParams(ValueError):
-    def __init__(self, family: str, constraint: str):
-        self.family = family
-        self.constraint = constraint
-        super().__init__(f"invalid parameters for {family}: violates {constraint}")
+class InvalidParams(_ValuedError):
+    fields = ("family", "constraint")
+    words = lambda family, constraint: f"invalid parameters for {family}: violates {constraint}"
 
 
 @dataclass(frozen=True, order=True)

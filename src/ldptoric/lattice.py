@@ -38,7 +38,7 @@ class LatticeOverflowError(OverflowError):
     """A lattice computation left the signed 64-bit range."""
 
 
-def checked_i64(value: int, context: str = "value") -> int:
+def checked_i64(value: int, context: str) -> int:
     """Pass `value` through if it is an int in the signed 64-bit range; else
     raise ValueError (not an int, bools included) or LatticeOverflowError."""
     if type(value) is not int:  # not isinstance: bool is an int

@@ -8,7 +8,8 @@ associated surface.  Being a FanCycle, it goes as is to everything that takes
 one (analyze, blow_up, twice_area, ...); `vertices` is its name for the rays.
 
 All validation-error indices reported here are 1-based, matching the cyclic
-convention used by every external surface of the package.  Validation runs
+convention used by every external surface of the package; each error keeps
+its values as attributes and args, so it pickles as itself.  Validation runs
 its checks in a fixed order (coordinates, primitivity, duplicates, cone
 determinants, winding, then vertex turns, which validate_fan never computes)
 on exact int tuples, and checks the 64-bit range on the values it produces
@@ -49,37 +50,42 @@ class FanValidationError(ValueError):
     """Base class for fan and polygon validation failures."""
 
 
-class NonPrimitiveRay(FanValidationError):
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"NonPrimitiveRay({index}): ray {index} is not primitive")
+class _ValuedError(ValueError):
+    """An error that carries values: a subclass declares `fields`, the names
+    its values are stored under (`index` unless it says otherwise), and
+    `words`, its message from those values.  args holds the values (set by
+    BaseException.__new__), so it pickles and copies as itself."""
+
+    fields: tuple[str, ...] = ("index",)
+
+    def __init__(self, *values):
+        for name, value in zip(self.fields, values):
+            setattr(self, name, value)
+
+    def __str__(self) -> str:
+        return type(self).words(*self.args)
 
 
-class DuplicateRay(FanValidationError):
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"DuplicateRay({index}): ray {index} repeats an earlier ray")
+class NonPrimitiveRay(_ValuedError, FanValidationError):
+    words = lambda index: f"NonPrimitiveRay({index}): ray {index} is not primitive"
 
 
-class NotCounterclockwise(FanValidationError):
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(
-            f"NotCounterclockwise({index}): consecutive rays {index} and {index + 1} "
-            "do not turn counterclockwise"
-        )
+class DuplicateRay(_ValuedError, FanValidationError):
+    words = lambda index: f"DuplicateRay({index}): ray {index} repeats an earlier ray"
 
 
-class BadWinding(FanValidationError):
-    def __init__(self, winding: int):
-        self.winding = winding
-        super().__init__(f"BadWinding: rays wind {winding} times around the origin, need exactly 1")
+class NotCounterclockwise(_ValuedError, FanValidationError):
+    words = lambda index: (f"NotCounterclockwise({index}): consecutive rays {index} and {index + 1} "
+                           "do not turn counterclockwise")
 
 
-class NotStrictlyConvex(FanValidationError):
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"NotStrictlyConvex({index}): ray {index} is not a strict vertex of the hull")
+class BadWinding(_ValuedError, FanValidationError):
+    fields = ("winding",)
+    words = lambda winding: f"BadWinding: rays wind {winding} times around the origin, need exactly 1"
+
+
+class NotStrictlyConvex(_ValuedError, FanValidationError):
+    words = lambda index: f"NotStrictlyConvex({index}): ray {index} is not a strict vertex of the hull"
 
 
 def _lower_half(v: RayVector) -> bool:

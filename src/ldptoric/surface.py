@@ -27,13 +27,11 @@ formula for both, with the f-values checked against the 64-bit range.
 from __future__ import annotations
 
 from .lattice import checked_i64
-from .polygon import FanCycle, SurfaceReport, _cone_dets, _surface_data, validate_fan
+from .polygon import FanCycle, SurfaceReport, _cone_dets, _surface_data, _ValuedError, validate_fan
 
 
-class ConeSingular(ValueError):
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"ConeSingular({index}): cone {index} has determinant >= 2, cannot subdivide by ray sum")
+class ConeSingular(_ValuedError):
+    words = lambda index: f"ConeSingular({index}): cone {index} has determinant >= 2, cannot subdivide by ray sum"
 
 
 def f_value(cycle: FanCycle, i: int) -> int:

@@ -31,6 +31,7 @@ from ldptoric.enumeration import (
     _chains_from,
     _is_alternating_d5,
     _is_orbit_least,
+    _root_preimages,
     _shards,
 )
 from ldptoric.equivalence import _canonical_key, apply_to_polygon, random_unimodular_map
@@ -205,8 +206,8 @@ def test_rooted_kept_set_equals_the_unrooted_kept_set():
     rooted = [c for cands, prefix in _shards(_box_tuples(2)) for c in _chains_from(cands, prefix)]
     assert len(rooted) == 533
     # _is_orbit_least's shortcut agrees with the full test on every rooted chain.
-    assert [c for c in rooted if _is_orbit_least(c)] == [c for c in rooted if orbit_least(c)]
-    kept = [frozenset(c) for c in rooted if _is_orbit_least(c)]
+    assert [c for c in rooted if _is_orbit_least(c, _root_preimages(c[0]))] == [c for c in rooted if orbit_least(c)]
+    kept = [frozenset(c) for c in rooted if _is_orbit_least(c, _root_preimages(c[0]))]
     assert len(kept) == len(unrooted) == 219
     assert set(kept) == unrooted
 

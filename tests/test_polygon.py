@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 import random
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ldptoric
 from ldptoric import (
     BadWinding,
     DuplicateRay,
@@ -267,6 +269,38 @@ def test_slotted_ray_vector_and_polygon_pickle():
     poly = validate_ldp_polygon([(1, 0), (0, 1), (-2, -3)])
     copy = pickle.loads(pickle.dumps(poly))
     assert copy == poly and type(copy) is type(poly) and copy.vertices[2] == RayVector(-2, -3)
+
+
+# Sample constructor arguments of every exception class the package exports.
+_ERROR_SAMPLES = {
+    "LatticeOverflowError": ("det2 9223372036854775808 exceeds the signed 64-bit range",),
+    "FanValidationError": ("a fan validation failure",),
+    "NonPrimitiveRay": (2,),
+    "DuplicateRay": (3,),
+    "NotCounterclockwise": (4,),
+    "BadWinding": (2,),
+    "NotStrictlyConvex": (5,),
+    "ConeSingular": (1,),
+    "InvalidParams": ("two1", "p >= 1"),
+}
+
+
+def test_error_samples_cover_every_exported_error():
+    exported = {name for name in ldptoric.__all__
+                if isinstance(getattr(ldptoric, name), type) and issubclass(getattr(ldptoric, name), BaseException)}
+    assert exported == set(_ERROR_SAMPLES)
+
+
+@pytest.mark.parametrize("name", sorted(_ERROR_SAMPLES))
+def test_exported_error_pickles_and_copies_as_itself(name):
+    # Pool workers send their errors back pickled; a garbled or failing
+    # rebuild there would hang or mangle the caller's error.
+    error = getattr(ldptoric, name)(*_ERROR_SAMPLES[name])
+    copies = [pickle.loads(pickle.dumps(error, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for copied in copies + [copy.copy(error), copy.deepcopy(error)]:
+        assert type(copied) is type(error)
+        assert str(copied) == str(error)
+        assert (copied.args, vars(copied)) == (error.args, vars(error))
 
 
 def test_parse_vertices():
