@@ -41,9 +41,9 @@ from __future__ import annotations
 import multiprocessing
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .lattice import RayVector, checked_i64, det2, is_primitive
+from .lattice import RayVector, _Record, checked_i64, det2, is_primitive
 from .polygon import LdpPolygon, angular_sort, validate_ldp_polygon
 from .surface import SurfaceReport, analyze, nonsingular_arc_contiguous
 from .equivalence import _canonical_key
@@ -55,28 +55,30 @@ BOX_CAVEAT = (
 )
 
 
-@dataclass(frozen=True)
-class BoxSpec:
+class BoxSpec(_Record):
     """Search box [-n, n] x [-n, n]; n must be an int in 1..I64_MAX."""
 
-    n: int
+    __slots__ = ()
+    _fields = ("n",)
 
-    def __post_init__(self) -> None:
-        if checked_i64(self.n, "box size") < 1:
+    def __new__(cls, n: int) -> "BoxSpec":
+        if checked_i64(n, "box size") < 1:
             raise ValueError("box size must be at least 1")
+        return tuple.__new__(cls, (n,))
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_Record):
     """One equivalence class: its validated canonical polygon plus two tags.
 
     family and three_case stay None until a classification pass fills them.
     The vertices and the surface data are read-only properties of the
     polygon and of analyze(poly), which memoizes its report on the polygon."""
 
-    poly: LdpPolygon
-    family: FamilyParams | None = None
-    three_case: str | None = None
+    __slots__ = ()
+    _fields = ("poly", "family", "three_case")
+
+    def __new__(cls, poly: LdpPolygon, family: FamilyParams | None = None, three_case: str | None = None):
+        return tuple.__new__(cls, (poly, family, three_case))
 
     vertices = property(lambda self: self.poly.vertices)
     d = property(lambda self: self.poly.d)
@@ -99,8 +101,9 @@ class EnumerationStats:
     seconds per stage: "dfs", "orbit_test" and "canonical_key" summed over
     the shards (inside the workers when jobs > 1), then the wall times
     "shard_loop" and "entries" (validating and sorting the entries).
-    vars(stats) is the record as a dict.  Not a dataclass: creating the
-    class would add about 0.7 ms, some 4% of the package's import time."""
+    vars(stats) is the record as a dict.  Not a dataclass: the dataclass()
+    call would compile its methods at import, about 0.7 ms, a third of the
+    package's import time with bytecode present."""
 
     def __init__(self) -> None:
         self.roots = 0
@@ -284,7 +287,7 @@ def classify_catalog(entries: list[CatalogEntry]) -> list[CatalogEntry]:
     out = []
     for entry in entries:
         _, family, three_case = _classify(entry.poly)
-        out.append(replace(entry, family=family, three_case=three_case))
+        out.append(CatalogEntry(entry.poly, family, three_case))
     return out
 
 

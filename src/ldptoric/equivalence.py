@@ -146,7 +146,7 @@ def _normalizations(poly: LdpPolygon, orientation_preserving: bool) -> list[tupl
     sorted on the first call for a polygon object and flag and memoized on it
     as `_normalizations`, like analyze's report, whose cone determinants it
     reads.  Exact ints, never range-checked."""
-    memo = poly.__dict__.setdefault("_normalizations", {})  # FanCycle is frozen
+    memo = poly.__dict__.setdefault("_normalizations", {})  # the polygon's memos; FanCycle is frozen
     tied = memo.get(orientation_preserving)
     if tied is None:
         dets = analyze(poly).dets

@@ -35,16 +35,14 @@ classify_three at d = 5 and a later verification read it for free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 from .equivalence import _normalizations
+from .lattice import _Record
 from .polygon import LdpPolygon, NotStrictlyConvex, _ValuedError, validate_ldp_polygon
 from .surface import analyze, blow_down_candidates
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Record):
     """Everything one family tag fixes.
 
     `constraints` and `vertices` take the parameters in `params` order;
@@ -56,14 +54,11 @@ class FamilySpec:
     it has if it is that reading.
     """
 
-    params: tuple[str, ...]
-    singular: int
-    d: int
-    constraints: Callable[..., list[tuple[str, bool]]]
-    vertices: Callable[..., tuple[tuple[int, int], ...]]
-    read: Callable[[tuple[tuple[int, int], ...]], tuple[int, ...]]
-    anchor: int = 0
-    reading: Callable[..., tuple[tuple[int, int], ...]] | None = None
+    __slots__ = ()
+    _fields = ("params", "singular", "d", "constraints", "vertices", "read", "anchor", "reading")
+
+    def __new__(cls, params, singular, d, constraints, vertices, read, anchor=0, reading=None) -> "FamilySpec":
+        return tuple.__new__(cls, (params, singular, d, constraints, vertices, read, anchor, reading))
 
 
 def _dais_constraints(p):
@@ -161,44 +156,41 @@ class InvalidParams(_ValuedError):
     words = lambda family, constraint: f"invalid parameters for {family}: violates {constraint}"
 
 
-@dataclass(frozen=True, order=True)
-class FamilyParams:
-    """A family tag plus exactly the integer parameters that tag requires."""
+class FamilyParams(_Record):
+    """A family tag plus exactly the integer parameters that tag requires;
+    records order as their field tuples."""
 
-    family: str
-    p: int | None = None
-    q: int | None = None
-    r: int | None = None
-    s: int | None = None
-    t: int | None = None
+    __slots__ = ()
+    _fields = ("family", "p", "q", "r", "s", "t")
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILY_SPECS:
-            raise ValueError(f"unknown family tag {self.family!r}")
-        required = FAMILY_SPECS[self.family].params
-        for name in ("p", "q", "r", "s", "t"):
-            value = getattr(self, name)
+    def __new__(cls, family: str, p: int | None = None, q: int | None = None, r: int | None = None,
+                s: int | None = None, t: int | None = None) -> "FamilyParams":
+        if family not in FAMILY_SPECS:
+            raise ValueError(f"unknown family tag {family!r}")
+        required = FAMILY_SPECS[family].params
+        for name, value in zip(("p", "q", "r", "s", "t"), (p, q, r, s, t)):
             if name in required and value is None:
-                raise ValueError(f"family {self.family} requires parameter {name}")
+                raise ValueError(f"family {family} requires parameter {name}")
             if name not in required and value is not None:
-                raise ValueError(f"family {self.family} takes no parameter {name}")
+                raise ValueError(f"family {family} takes no parameter {name}")
             if value is not None and type(value) is not int:  # not isinstance: bool is an int
-                raise ValueError(f"family {self.family} parameter {name} {value!r} is not an integer")
+                raise ValueError(f"family {family} parameter {name} {value!r} is not an integer")
+        return tuple.__new__(cls, (family, p, q, r, s, t))
 
     def as_tuple(self) -> tuple[int, ...]:
-        return tuple(getattr(self, name) for name in FAMILY_SPECS[self.family].params)
+        # Every tag's params are a prefix of p, q, r, s, t, the field order.
+        return self[1 : 1 + len(FAMILY_SPECS[self.family].params)]
 
     def to_dict(self) -> dict:
-        out: dict = {"family": self.family}
-        for name in FAMILY_SPECS[self.family].params:
-            out[name] = getattr(self, name)
-        return out
+        return {"family": self.family, **dict(zip(FAMILY_SPECS[self.family].params, self[1:]))}
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
-    params: FamilyParams
-    polygon: LdpPolygon
+class FamilyInstance(_Record):
+    __slots__ = ()
+    _fields = ("params", "polygon")
+
+    def __new__(cls, params: FamilyParams, polygon: LdpPolygon) -> "FamilyInstance":
+        return tuple.__new__(cls, (params, polygon))
 
 
 def check_params(fp: FamilyParams) -> bool:
@@ -234,7 +226,7 @@ def identify(poly: LdpPolygon) -> FamilyParams | None:
     3-singular polygon with d != 5, yield None.  What the readings give is
     memoized on the polygon object as `_family`.
     """
-    memo = poly.__dict__  # FanCycle is frozen; _family is no dataclass field
+    memo = poly.__dict__  # the polygon's memos; FanCycle is frozen
     if "_family" in memo:
         return memo["_family"]
     tag = _TAG_BY_SHAPE.get((analyze(poly).singular_count, poly.d))

@@ -25,7 +25,7 @@ RayVector and `checked_i64`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from functools import partial
 from operator import itemgetter
 from typing import Sequence
@@ -108,19 +108,53 @@ def pair_rays(points: Sequence) -> tuple[RayVector, ...]:
     return tuple(map(_ray, points))
 
 
-@dataclass(frozen=True)
-class UnimodularMap:
+class _Record(tuple):
+    """An immutable record that is the tuple of its fields.  A subclass names
+    them in `_fields`, each read through a property, and checks and builds
+    its values in `__new__`.  A record equals only a record of its own type
+    with equal fields, hashes as its field tuple, shows a dataclass-style
+    repr, pickles and copies through its constructor, and raises
+    FrozenInstanceError on any assignment."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        for i, name in enumerate(cls.__dict__.get("_fields", ())):
+            setattr(cls, name, property(itemgetter(i)))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return type(other) is not type(self) or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class UnimodularMap(_Record):
     """A 2x2 integer matrix [[a, b], [c, d]], applied to column vectors."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
+    _fields = ("a", "b", "c", "d")
 
-    def __post_init__(self) -> None:
-        for value, context in ((self.a, "matrix entry a"), (self.b, "matrix entry b"),
-                               (self.c, "matrix entry c"), (self.d, "matrix entry d")):
-            checked_i64(value, context)
+    def __new__(cls, a: int, b: int, c: int, d: int) -> "UnimodularMap":
+        return tuple.__new__(cls, (checked_i64(a, "matrix entry a"), checked_i64(b, "matrix entry b"),
+                                   checked_i64(c, "matrix entry c"), checked_i64(d, "matrix entry d")))
 
     def det(self) -> int:
         return checked_i64(self.a * self.d - self.b * self.c, "matrix determinant")

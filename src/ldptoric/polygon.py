@@ -37,13 +37,12 @@ checked on the polygon as analyze's memo.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from itertools import starmap
 from typing import Iterable, Sequence
 
-from .lattice import I64_MAX, LatticeOverflowError, RayVector, checked_i64, det2, pair_rays
+from .lattice import I64_MAX, LatticeOverflowError, RayVector, _Record, checked_i64, det2, pair_rays
 
 
 class FanValidationError(ValueError):
@@ -117,20 +116,32 @@ def angular_sort(points: Iterable[RayVector]) -> list[RayVector]:
     return sorted(points, key=cmp_to_key(cmp))
 
 
-@dataclass(frozen=True)
 class FanCycle:
     """Counterclockwise cycle of primitive rays winding once around the origin.
 
-    Three memos live on the cycle as attributes: surface.analyze's report as
+    Immutable: assigning an attribute raises FrozenInstanceError.  Three memos
+    live in the instance `__dict__` beside `rays`: surface.analyze's report as
     `_report`, which validate_ldp_polygon sets on every polygon it returns;
     equivalence's tied normalizations of a polygon as `_normalizations`; and
-    families.identify's result as `_family`.  None is a dataclass field, so
-    ==, hash and repr ignore them, and pickling keeps only the rays."""
+    families.identify's result as `_family`.  ==, hash, repr and pickling
+    read only the rays, and == holds only within one type."""
 
-    rays: tuple[RayVector, ...]
+    def __init__(self, rays: tuple[RayVector, ...]) -> None:
+        object.__setattr__(self, "rays", rays)
+
+    def __eq__(self, other):
+        return self.rays == other.rays if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rays,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(rays={self.rays!r})"
 
     def __reduce__(self):
         return type(self), (self.rays,)
+
+    __setattr__, __delattr__ = _Record.__setattr__, _Record.__delattr__
 
     @property
     def d(self) -> int:
@@ -145,7 +156,6 @@ class FanCycle:
         return det2(self.ray(i), self.ray(i + 1))
 
 
-@dataclass(frozen=True)
 class LdpPolygon(FanCycle):
     """A FanCycle whose rays are strict vertices of their convex hull."""
 
@@ -164,24 +174,25 @@ def same_cycle(a: FanCycle, b: FanCycle) -> bool:
     return all(a.rays[i] == b.rays[(k + i) % b.d] for i in range(a.d))
 
 
-@dataclass(frozen=True, slots=True)
-class ConeRecord:
+class ConeRecord(_Record):
     """Local data of one cone: 1-based index, determinant, singularity flag."""
 
-    index: int
-    det: int
-    singular: bool
+    __slots__ = ()
+    _fields = ("index", "det", "singular")
+
+    def __new__(cls, index: int, det: int, singular: bool) -> "ConeRecord":
+        return tuple.__new__(cls, (index, det, singular))
 
 
-@dataclass(frozen=True)
-class SurfaceReport:
+class SurfaceReport(_Record):
     """The stored fields d, dets, f_values and singular_count; the rest is
-    derived from them, cones and anticanonical_degrees once, on first access."""
+    derived from them, cones and anticanonical_degrees once, on first access,
+    kept in the instance `__dict__` (the one record type that has one)."""
 
-    d: int
-    dets: tuple[int, ...]
-    f_values: tuple[int, ...]
-    singular_count: int
+    _fields = ("d", "dets", "f_values", "singular_count")
+
+    def __new__(cls, d: int, dets: tuple, f_values: tuple, singular_count: int) -> "SurfaceReport":
+        return tuple.__new__(cls, (d, dets, f_values, singular_count))
 
     @property
     def picard_number(self) -> int:

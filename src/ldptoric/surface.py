@@ -14,11 +14,11 @@ picard_number and is_log_del_pezzo are read off them on every access; cones
 and anticanonical_degrees are built on first access and cached on the
 report, which keeps them out of ==, hash and repr.
 
-analyze() returns the report memoized on a FanCycle object, outside its
-dataclass fields.  validate_ldp_polygon sets that memo from the values it
-has just checked, so analyze on a validated polygon computes nothing, and
-the tagging path (analyze, identify, classify_three) and equivalence's
-normalizations read that one report.
+analyze() returns the report memoized in a FanCycle object's `__dict__`,
+beside its rays and out of ==, hash and repr.  validate_ldp_polygon sets
+that memo from the values it has just checked, so analyze on a validated
+polygon computes nothing, and the tagging path (analyze, identify,
+classify_three) and equivalence's normalizations read that one report.
 Any other cycle (validate_fan's, blow_up's, a canonical form) gets its report
 from _surface_report on the first call: polygon._surface_data, the one
 formula for both, with the f-values checked against the 64-bit range.
