@@ -9,6 +9,11 @@ Data outputs are deterministic: identical flags give byte-identical JSON and
 SVG.  Run metadata (timestamps, worker counts, the package version, the
 sha256 of the catalog bytes and the enumeration's EnumerationStats) goes to
 a sidecar file next to the catalog, never into the data itself.
+
+A catalog line is formatted directly from its entry by catalog_line, the
+one source of the format for files and stdout alike; only three_case goes
+through the JSON encoder.  read_catalog decodes each line once, and
+entry_from_dict checks each surface key once, exactly, in catalog order.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ import os
 import re
 import sys
 import time
+from functools import cache
+from itertools import chain
 from typing import Sequence
 
 from . import __version__
@@ -39,11 +46,12 @@ from .enumeration import (
     BoxSpec,
     CatalogEntry,
     EnumerationStats,
+    WorkerPoolError,
     classify_catalog,
     enumerate_ldp,
     verify_catalog,
 )
-from .families import FamilyParams, generate
+from .families import FAMILY_SPECS, FamilyParams, generate
 
 
 def report_to_dict(report: SurfaceReport) -> dict:
@@ -58,36 +66,67 @@ def report_to_dict(report: SurfaceReport) -> dict:
     }
 
 
-def _catalog_surface(report: SurfaceReport) -> dict:
-    """The five surface keys of a catalog line, in catalog order."""
-    return {
-        "d": report.d,
-        "rho": report.picard_number,
-        "dets": list(report.dets),
-        "f": list(report.f_values),
-        "singular": report.singular_count,
-    }
+_dump = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode  # no data nests itself
+_decode = json.JSONDecoder().raw_decode
+
+
+@cache
+def _line_format(d: int) -> str:
+    """The %-format of a catalog line of a d-gon; the last two slots take
+    the JSON text of its family and three_case."""
+    ints = ",".join(["%d"] * d)
+    return (
+        '{"vertices":[' + ",".join(["[%d,%d]"] * d) + '],"d":%d,"rho":%d,"dets":[' + ints
+        + '],"f":[' + ints + '],"singular":%d,"family":%s,"three_case":%s}\n'
+    )
+
+
+# Per family tag, the %-format of its JSON object and the slice of a
+# FamilyParams that fills it: every tag's params are a prefix of p, q, r, s, t.
+_FAMILY_FORMATS = {
+    tag: ('{"family":%s,' % _dump(tag) + ",".join('"%s":%%d' % name for name in spec.params) + "}",
+          slice(1, 1 + len(spec.params)))
+    for tag, spec in FAMILY_SPECS.items()
+}
+
+
+def catalog_line(entry: CatalogEntry) -> str:
+    """The catalog line of `entry`, newline included: compact JSON in the
+    frozen key order, the surface values read off analyze()'s memo.
+    three_case is written through the JSON encoder, since a catalog read
+    back in may carry any JSON value there."""
+    poly, family, three_case = entry
+    d, dets, f_values, singular = analyze(poly)
+    family_json = "null"
+    if family is not None:
+        fmt, params = _FAMILY_FORMATS[family[0]]
+        family_json = fmt % family[params]
+    return _line_format(d) % (
+        *chain.from_iterable(poly.rays), d, d - 2, *dets, *f_values, singular,
+        family_json, "null" if three_case is None else _dump(three_case),
+    )
 
 
 def entry_to_dict(entry: CatalogEntry) -> dict:
-    return {
-        "vertices": [list(v) for v in entry.vertices],
-        **_catalog_surface(analyze(entry.poly)),
-        "family": entry.family.to_dict() if entry.family is not None else None,
-        "three_case": entry.three_case,
-    }
+    """The catalog line of `entry` as a dict, in the frozen key order."""
+    return json.loads(catalog_line(entry))
 
 
 def entry_from_dict(data: dict) -> CatalogEntry:
     """The entry of one catalog line.  Its vertices must pass
-    validate_ldp_polygon (int coordinates in the signed 64-bit range), and
-    each stored surface key must equal analyze()'s value, else ValueError
-    names the key; canonical form and tags are not checked."""
+    validate_ldp_polygon (int coordinates in the signed 64-bit range).  Then
+    each surface key, in catalog order, is checked once and exactly: an int,
+    or a list of ints, equal to analyze()'s value.  The first key missing
+    raises KeyError, the first that differs ValueError naming it (true or
+    1.0 in place of 1 differs).  Canonical form and tags are not checked."""
     poly = validate_ldp_polygon(data["vertices"])
-    for key, derived in _catalog_surface(analyze(poly)).items():
-        # repr, not ==: true and 1.0 equal 1 but are not what was written.
-        if repr(data[key]) != repr(derived):
-            raise ValueError(f"{key} {data[key]!r} does not match the vertices, which give {derived}")
+    d, dets, f_values, singular = analyze(poly)
+    for key, derived in zip(("d", "rho", "dets", "f", "singular"), (d, d - 2, list(dets), list(f_values), singular)):
+        value = data[key]
+        if type(value) is not type(derived) or value != derived or (
+            type(value) is list and not all(type(x) is int for x in value)  # not isinstance: bool is an int
+        ):
+            raise ValueError(f"{key} {value!r} does not match the vertices, which give {derived}")
     family = None
     if data.get("family") is not None:
         fd = dict(data["family"])
@@ -95,13 +134,9 @@ def entry_from_dict(data: dict) -> CatalogEntry:
     return CatalogEntry(poly, family, data.get("three_case"))
 
 
-_dump = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode  # no data nests itself
-
-
 def write_catalog(entries: list[CatalogEntry], path: str) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        for entry in entries:
-            fh.write(_dump(entry_to_dict(entry)) + "\n")
+        fh.writelines(map(catalog_line, entries))
 
 
 def read_catalog(path: str) -> list[CatalogEntry]:
@@ -110,9 +145,17 @@ def read_catalog(path: str) -> list[CatalogEntry]:
     with open(path, "r", encoding="latin-1") as fh:
         for line_no, line in enumerate(fh, start=1):
             try:
-                line = line.encode("latin-1").decode("ascii").strip()
+                if not line.isascii():
+                    line.encode("latin-1").decode("ascii")  # raises the UnicodeDecodeError
+                line = line.strip()
                 if line:
-                    entries.append(entry_from_dict(json.loads(line)))
+                    # A stripped ASCII line holds no BOM and no leading
+                    # whitespace, so raw_decode reads it as json.loads does;
+                    # json.loads words the error of text after the value.
+                    data, end = _decode(line)
+                    if end != len(line):
+                        json.loads(line)
+                    entries.append(entry_from_dict(data))
             except (KeyError, TypeError, ValueError, LatticeOverflowError, RecursionError) as exc:
                 raise ValueError(f"bad catalog line {line_no}: {exc}") from None
     return entries
@@ -216,8 +259,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     stats = EnumerationStats()
     entries = enumerate_ldp(BoxSpec(args.box), jobs=args.jobs, stats=stats)
     if args.out is None:
-        for entry in entries:
-            print(_dump(entry_to_dict(entry)))
+        sys.stdout.writelines(map(catalog_line, entries))
     else:
         write_catalog(entries, args.out)
         with open(args.out, "rb") as fh:
@@ -241,8 +283,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     entries = classify_catalog(read_catalog(args.infile))
     if args.out is None:
-        for entry in entries:
-            print(_dump(entry_to_dict(entry)))
+        sys.stdout.writelines(map(catalog_line, entries))
     else:
         write_catalog(entries, args.out)
         print(f"{len(entries)} classes -> {args.out}")
@@ -356,7 +397,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     # Validation errors (FanValidationError, ConeSingular, ...) are ValueErrors.
     try:
         return args.func(args)
-    except (ValueError, LatticeOverflowError, IndexError, OSError) as exc:
+    except (ValueError, LatticeOverflowError, IndexError, OSError, WorkerPoolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

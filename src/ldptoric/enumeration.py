@@ -38,9 +38,7 @@ enumerate, classify and verify validates and analyzes each class once.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .lattice import RayVector, _Record, checked_i64, det2, is_primitive
@@ -231,6 +229,38 @@ def _shard_worker(task: tuple[int, tuple[list[tuple[int, int]], list[int]]]):
     return index, keys, len(chains), len(kept), (t1 - t0, t2 - t1, t3 - t2)
 
 
+class WorkerPoolError(RuntimeError):
+    """A worker process of enumerate_ldp's pool died before it returned its
+    shard, for example a spawned worker that could not re-run the main
+    module."""
+
+
+def _pooled(shards: list, jobs: int | None):
+    """_shard_worker's results on every shard, from a pool of `jobs`
+    processes (None: all logical cores), in completion order.  A worker
+    that dies breaks the pool, which raises WorkerPoolError and starts no
+    replacement."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        # Shard sizes span three orders of magnitude and there are only tens
+        # of shards, so the pool takes one shard per future.  as_completed
+        # drops each future it yields, so a merged shard's keys are freed.
+        for future in as_completed([pool.submit(_shard_worker, task) for task in enumerate(shards)]):
+            yield future.result()
+    except BrokenProcessPool:
+        method = multiprocessing.get_start_method()
+        raise WorkerPoolError(
+            f"a worker of the {method} pool died before returning its shard "
+            f"({method} workers re-import the main module, which must be an importable file)"
+        ) from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def enumerate_ldp(
     box: BoxSpec | int, jobs: int | None = 1, stats: EnumerationStats | None = None
 ) -> list[CatalogEntry]:
@@ -238,8 +268,9 @@ def enumerate_ldp(
 
     Dedup by canonical form; the returned list is sorted by (d, vertices) and
     identical for every worker count.  jobs is None, for all logical cores,
-    or an int of at least 1.  `stats`, when given, is filled in with this
-    call's work.
+    or an int of at least 1; with more than one job the shards run in a
+    process pool, and a pool whose worker dies raises WorkerPoolError.
+    `stats`, when given, is filled in with this call's work.
     """
     if not isinstance(box, BoxSpec):
         box = BoxSpec(box)
@@ -247,20 +278,16 @@ def enumerate_ldp(
         raise ValueError(f"jobs {jobs!r} is not None or an integer of at least 1")
     t0 = time.perf_counter()
     shards = _shards(list(map(tuple, primitive_points(box.n))))
+    results = map(_shard_worker, enumerate(shards)) if jobs == 1 else _pooled(shards, jobs)
     canon: set[Chain] = set()
     raw = [0] * len(shards)
     kept = 0
     stage = [0.0, 0.0, 0.0]
-    with nullcontext() if jobs == 1 else multiprocessing.Pool(processes=jobs) as pool:
-        # Shard sizes span three orders of magnitude and there are only tens
-        # of shards, so the pool takes one shard per chunk.
-        tasks = enumerate(shards)
-        results = map(_shard_worker, tasks) if pool is None else pool.imap_unordered(_shard_worker, tasks, 1)
-        for index, keys, n_raw, n_kept, seconds in results:
-            canon |= keys
-            raw[index] = n_raw
-            kept += n_kept
-            stage = [total + s for total, s in zip(stage, seconds)]
+    for index, keys, n_raw, n_kept, seconds in results:
+        canon |= keys
+        raw[index] = n_raw
+        kept += n_kept
+        stage = [total + s for total, s in zip(stage, seconds)]
     t1 = time.perf_counter()
     # A key is its entry's vertex list, so (len, key) is the (d, vertices) order.
     entries = [CatalogEntry(validate_ldp_polygon(key)) for key in sorted(canon, key=lambda k: (len(k), k))]

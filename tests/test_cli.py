@@ -1,13 +1,19 @@
 import hashlib
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import ldptoric
-from ldptoric import FAMILY_TAGS, classify_catalog, enumerate_ldp
+from ldptoric import FAMILY_TAGS, CatalogEntry, FamilyParams, analyze, classify_catalog, enumerate_ldp
+from ldptoric import enumeration
 from ldptoric.cli import (
     SVG_MAX_GRID_POINTS,
+    _dump,
+    catalog_line,
     entry_from_dict,
     entry_to_dict,
     main,
@@ -15,6 +21,7 @@ from ldptoric.cli import (
     write_catalog,
 )
 from ldptoric.enumeration import CHECKS, VerificationReport
+from ldptoric.families import FAMILY_SPECS
 
 
 def run(capsys, *argv):
@@ -329,6 +336,45 @@ def test_check_exit_one_on_counterexamples(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["ok"] is False
 
 
+def test_check_exit_one_on_a_dropped_family_tag(tmp_path, capsys, monkeypatch):
+    # A planted defect in the tagging path, found by the real report.
+    raw = tmp_path / "raw.jsonl"
+    run(capsys, "enumerate", "--box", "2", "--jobs", "1", "--out", str(raw))
+    identify, dropped = enumeration.identify, [[1, 0], [0, 1], [-3, -1]]  # dais1, p = 2
+
+    def dropping(poly):
+        return None if [list(v) for v in poly.vertices] == dropped else identify(poly)
+
+    monkeypatch.setattr(enumeration, "identify", dropping)
+    code, out, err = run(capsys, "check", "--in", str(raw))
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["ok"] is False and report["total"] == 156
+    assert {name: report[name] for name in CHECKS} == {
+        name: [dropped] if name == "one_singular_unmatched" else [] for name in CHECKS
+    }
+
+
+# Read from stdin, so a spawned worker has no main module file to re-run.
+_DEAD_WORKERS_CLI = """
+import multiprocessing, sys
+sys.path.insert(0, {src!r})
+from ldptoric.cli import main
+multiprocessing.set_start_method("spawn")
+sys.exit(main(["enumerate", "--box", "2", "--jobs", "2"]))
+"""
+
+
+def test_enumerate_whose_workers_cannot_start_is_exit_two():
+    src = str(Path(ldptoric.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-"], input=_DEAD_WORKERS_CLI.format(src=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr.splitlines()[-1].startswith("error: a worker of the spawn pool died")
+
+
 def test_bad_catalog_line(tmp_path, capsys):
     raw = tmp_path / "raw.jsonl"
     run(capsys, "enumerate", "--box", "1", "--jobs", "1", "--out", str(raw))
@@ -508,6 +554,60 @@ def test_entry_serialization_roundtrip():
     entries = classify_catalog(enumerate_ldp(1))
     for entry in entries:
         assert entry_from_dict(entry_to_dict(entry)) == entry
+
+
+def _reference_line(entry):
+    """The catalog line of `entry` through the json module's own encoder."""
+    report = analyze(entry.poly)
+    data = {
+        "vertices": [list(v) for v in entry.vertices],
+        "d": report.d,
+        "rho": report.picard_number,
+        "dets": list(report.dets),
+        "f": list(report.f_values),
+        "singular": report.singular_count,
+        "family": None if entry.family is None else entry.family.to_dict(),
+        "three_case": entry.three_case,
+    }
+    return json.dumps(data, separators=(",", ":")) + "\n"
+
+
+def _assert_line(entry):
+    line = catalog_line(entry)
+    assert line == _reference_line(entry) == _dump(entry_to_dict(entry)) + "\n"
+    assert line.isascii() and entry_from_dict(json.loads(line)) == entry
+
+
+def test_catalog_line_is_the_json_of_every_box_three_entry(box3_catalog):
+    for catalog in (box3_catalog, classify_catalog(box3_catalog)):
+        for entry in catalog:
+            _assert_line(entry)
+
+
+@pytest.mark.parametrize("three_case", [7, [1, "x", None], "caf\u00e9", "", "picard_le_two"])
+def test_catalog_line_writes_any_three_case_as_json(three_case):
+    _assert_line(CatalogEntry(enumerate_ldp(1)[0].poly, None, three_case))
+
+
+@pytest.mark.parametrize("tag", FAMILY_TAGS)
+def test_catalog_line_writes_each_family_tag(tag):
+    # Formatting does not check the family constraints; negative and wide
+    # values go through as written.
+    values = [-3, 2**62, 0, 5, -(2**63)][: len(FAMILY_SPECS[tag].params)]
+    poly = enumerate_ldp(1)[-1].poly
+    _assert_line(CatalogEntry(poly, FamilyParams(tag, *values), "none"))
+
+
+@pytest.mark.parametrize("command", ["enumerate", "classify"])
+def test_catalog_stdout_is_the_out_file(tmp_path, capsys, command):
+    raw = tmp_path / "raw.jsonl"
+    run(capsys, "enumerate", "--box", "2", "--jobs", "1", "--out", str(raw))
+    argv = ["enumerate", "--box", "2", "--jobs", "1"] if command == "enumerate" else ["classify", "--in", str(raw)]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    written = tmp_path / "out.jsonl"
+    run(capsys, *argv, "--out", str(written))
+    assert out.encode("ascii") == written.read_bytes() and out.count("\n") == 156
 
 
 def test_write_read_catalog_roundtrip(tmp_path):

@@ -1,9 +1,13 @@
+import concurrent.futures
 import dataclasses
 import gc
 import itertools
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,7 @@ from ldptoric import (
     enumerate_ldp,
     enumerate_raw,
     primitive_points,
+    validate_fan,
     validate_ldp_polygon,
     verify_catalog,
 )
@@ -26,6 +31,7 @@ from ldptoric import enumeration
 from ldptoric.enumeration import (
     _SQUARE_SYMMETRIES,
     BOX_CAVEAT,
+    CHECKS,
     EnumerationStats,
     VerificationReport,
     _chains_from,
@@ -33,6 +39,7 @@ from ldptoric.enumeration import (
     _is_orbit_least,
     _root_preimages,
     _shards,
+    _violates_half_plane,
 )
 from ldptoric.equivalence import _canonical_key, apply_to_polygon, random_unimodular_map
 
@@ -76,9 +83,12 @@ def test_bad_jobs_is_a_value_error_before_any_pool(jobs, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was built")
 
-    monkeypatch.setattr(enumeration.multiprocessing, "Pool", no_pool)
+    # The pooled branch looks the pool up here, as a later run with two jobs shows.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     with pytest.raises(ValueError, match=re.escape(f"jobs {jobs!r} is not None or an integer of at least 1")):
         enumerate_ldp(1, jobs=jobs)
+    with pytest.raises(AssertionError, match="a pool was built"):
+        enumerate_ldp(1, jobs=2)
 
 
 def test_box_spec_rejects_a_non_int():
@@ -173,6 +183,32 @@ def test_stats_are_the_same_for_every_worker_count(n, roots, raw, kept):
         assert (stats.roots, sum(stats.raw_chains), stats.canonicalizations) == (roots, raw, kept)
         assert list(stats.seconds) == ["dfs", "orbit_test", "canonical_key", "shard_loop", "entries"]
     assert one.raw_chains == two.raw_chains
+
+
+# Read from stdin, so a spawned worker has no main module file to re-run and
+# dies as it starts.
+_DEAD_WORKERS_SCRIPT = """
+import multiprocessing, sys
+sys.path.insert(0, {src!r})
+from ldptoric import WorkerPoolError, enumerate_ldp
+multiprocessing.set_start_method("spawn")
+try:
+    enumerate_ldp(2, jobs=2)
+except WorkerPoolError as exc:
+    print(exc)
+"""
+
+
+def test_pool_whose_workers_cannot_start_raises():
+    src = str(Path(enumeration.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-"], input=_DEAD_WORKERS_SCRIPT.format(src=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0
+    assert out.stdout.startswith("a worker of the spawn pool died before returning its shard")
+    # Each worker that died printed its traceback; none was replaced.
+    assert 1 <= out.stderr.count("FileNotFoundError") <= 2
 
 
 @pytest.mark.parametrize("n, roots", [(1, 2), (2, 3), (3, 5)])
@@ -350,6 +386,35 @@ def test_verify_catalog_box_two(box2_catalog):
     report = verify_catalog(box2_catalog)
     assert report.ok
     assert report.total == 156
+
+
+@pytest.mark.parametrize(
+    "vertices, check",
+    [
+        (((1, 0), (0, 1), (-3, -1)), "one_singular_unmatched"),  # dais1, p = 2
+        (((1, 0), (0, 1), (-3, -2)), "two_singular_unmatched"),  # two1, p = 2, q = 3
+    ],
+)
+def test_verify_catalog_lists_a_dropped_family_tag(box2_catalog, monkeypatch, vertices, check):
+    # A planted defect: the tagging path loses one known box-2 family.
+    identify = enumeration.identify
+
+    def dropping(poly):
+        return None if poly.vertices == vertices else identify(poly)
+
+    monkeypatch.setattr(enumeration, "identify", dropping)
+    report = verify_catalog(box2_catalog)
+    assert not report.ok and report.total == 156
+    assert report.counterexamples == {name: [vertices] if name == check else [] for name in CHECKS}
+
+
+def test_half_plane_check_fires_on_a_non_ldp_fan():
+    # Cones 1 and 3 are singular and sandwich the smooth cone 2, and there
+    # are only two singular cones; no LDP polygon does this.
+    fan = validate_fan([(1, 0), (1, 2), (0, 1), (-2, -1)])
+    surf = analyze(fan)
+    assert surf.dets == (2, 1, 2, 1) and not surf.is_log_del_pezzo
+    assert _violates_half_plane(fan, surf)
 
 
 def test_verification_report_serialization(box1_catalog):

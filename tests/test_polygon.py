@@ -188,6 +188,10 @@ def test_angular_sort_permutation_invariant(perm):
     assert angular_sort(pts) == V((1, 0), (0, 1), (-1, 0), (1, -3), (2, -3))
 
 
+def test_angular_sort_keeps_equal_points_together():
+    assert angular_sort(V((0, 1), (1, 0), (0, 1))) == V((1, 0), (0, 1), (0, 1))
+
+
 def test_angular_sort_output_validates():
     pts = V((2, -3), (1, -3), (1, 0), (-1, 0), (0, 1))
     assert validate_ldp_polygon(angular_sort(pts)).d == 5
@@ -202,6 +206,9 @@ def test_same_cycle():
     assert not same_cycle(a, c)
     square = validate_fan(V((1, 0), (0, 1), (-1, 0), (0, -1)))
     assert not same_cycle(a, square)
+    disjoint = validate_fan(V((1, 1), (-1, 0), (0, -1)))
+    assert not set(a.rays) & set(disjoint.rays)
+    assert not same_cycle(a, disjoint) and not same_cycle(disjoint, a)
 
 
 def test_non_integer_coordinates_rejected():
@@ -282,6 +289,7 @@ _ERROR_SAMPLES = {
     "NotStrictlyConvex": (5,),
     "ConeSingular": (1,),
     "InvalidParams": ("two1", "p >= 1"),
+    "WorkerPoolError": ("a worker of the spawn pool died before returning its shard",),
 }
 
 

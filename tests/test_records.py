@@ -56,6 +56,9 @@ def test_record_semantics(sample, fields):
     assert sample != values and values != sample and not sample == values
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(sample, fields[0], values[0])
+    with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{fields[0]}'"):
+        delattr(sample, fields[0])
+    assert _values(sample, fields) == values
     copies = [pickle.loads(pickle.dumps(sample, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     for twin in copies + [copy.copy(sample), copy.deepcopy(sample)]:
         assert type(twin) is type(sample) and twin == sample and not twin != sample
