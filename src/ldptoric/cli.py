@@ -118,7 +118,8 @@ def entry_from_dict(data: dict) -> CatalogEntry:
     each surface key, in catalog order, is checked once and exactly: an int,
     or a list of ints, equal to analyze()'s value.  The first key missing
     raises KeyError, the first that differs ValueError naming it (true or
-    1.0 in place of 1 differs).  Canonical form and tags are not checked."""
+    1.0 in place of 1 differs).  A family must be a JSON object whose
+    parameters are not null.  Canonical form and tags are not checked."""
     poly = validate_ldp_polygon(data["vertices"])
     d, dets, f_values, singular = analyze(poly)
     for key, derived in zip(("d", "rho", "dets", "f", "singular"), (d, d - 2, list(dets), list(f_values), singular)):
@@ -127,10 +128,16 @@ def entry_from_dict(data: dict) -> CatalogEntry:
             type(value) is list and not all(type(x) is int for x in value)  # not isinstance: bool is an int
         ):
             raise ValueError(f"{key} {value!r} does not match the vertices, which give {derived}")
-    family = None
-    if data.get("family") is not None:
-        fd = dict(data["family"])
+    family = raw = data.get("family")
+    if raw is not None:
+        fd = dict(raw)
         family = FamilyParams(fd.pop("family"), **fd)
+        # Checked after FamilyParams, so a line it rejects keeps its message.
+        if type(raw) is not dict:
+            raise ValueError(f"family {raw!r} is not a JSON object")
+        for name, value in fd.items():
+            if value is None:
+                raise ValueError(f"family {family.family} parameter {name} is null")
     return CatalogEntry(poly, family, data.get("three_case"))
 
 

@@ -39,7 +39,6 @@ enumerate, classify and verify validates and analyzes each class once.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .lattice import RayVector, _Record, checked_i64, det2, is_primitive
 from .polygon import LdpPolygon, angular_sort, validate_ldp_polygon
@@ -325,15 +324,17 @@ CHECKS = (
 )
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(_Record):
     """Catalog-wide check results: for each name in CHECKS, the canonical
     vertex tuples of its counterexamples, so an all-empty report certifies
-    the box."""
+    the box.  Its dict field makes hash() raise."""
 
-    total: int
-    counterexamples: dict[str, list]
+    __slots__ = ()
+    _fields = ("total", "counterexamples")
     note = BOX_CAVEAT  # a class constant, not a field
+
+    def __new__(cls, total: int, counterexamples: dict[str, list]) -> "VerificationReport":
+        return tuple.__new__(cls, (total, counterexamples))
 
     @property
     def ok(self) -> bool:

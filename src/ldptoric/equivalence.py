@@ -48,7 +48,6 @@ contract.  Its coordinates are checked when they become RayVectors.
 
 from __future__ import annotations
 
-import random
 from typing import Sequence
 
 from .lattice import (
@@ -243,7 +242,9 @@ _ELEMENTARY_MAPS = (
 
 
 def random_unimodular_map(rng: random.Random, max_entry: int = 5) -> UnimodularMap:
-    """Random product of elementary shears and the swap, entries capped at max_entry."""
+    """Random product of elementary shears and the swap, entries capped at
+    max_entry.  rng is a random.Random; annotations are not evaluated, so
+    this module does not import random."""
     m = IDENTITY_MAP
     for _ in range(rng.randint(1, 12)):
         candidate = compose_maps(rng.choice(_ELEMENTARY_MAPS), m)

@@ -277,5 +277,4 @@ def classify_three(poly: LdpPolygon) -> str:
                 continue
             if analyze(sub).singular_count == 3:
                 return "blowup_of_picard3"
-        return "none"
     return "none"

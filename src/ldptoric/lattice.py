@@ -25,7 +25,6 @@ RayVector and `checked_i64`.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError
 from functools import partial
 from operator import itemgetter
 from typing import Sequence
@@ -114,7 +113,8 @@ class _Record(tuple):
     its values in `__new__`.  A record equals only a record of its own type
     with equal fields, hashes as its field tuple, shows a dataclass-style
     repr, pickles and copies through its constructor, and raises
-    FrozenInstanceError on any assignment."""
+    dataclasses.FrozenInstanceError on any assignment or deletion, importing
+    dataclasses only then."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -140,9 +140,11 @@ class _Record(tuple):
         return type(self), tuple(self)
 
     def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError  # loaded only to raise it
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError  # loaded only to raise it
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 

@@ -23,6 +23,10 @@ The brute-force canonical form (`_oracle_form`) normalizes every anchor in
 full with its own Bezout recursion; `ref_identify` decides dais membership
 with it, so it shares no code with the package's equivalence or family
 readings.
+
+`ref_alternating_d5`, `ref_noncontiguous` and `ref_half_plane_violation`
+restate verify_catalog's checks (d)-(f) on a plain ray cycle, each by its
+own reading of the cone pattern.
 """
 
 from __future__ import annotations
@@ -425,3 +429,38 @@ def ref_identify(poly: LdpPolygon) -> FamilyParams | None:
         if _oracle_form(generate(fp).polygon.vertices, False) == _oracle_form(poly.vertices, False):
             return fp
     return None
+
+
+# Checks (d)-(f) of verify_catalog, restated on the ray cycle alone.  Cone j
+# (0-based) spans rays j and j + 1, and is singular when its determinant is
+# at least 2.
+
+
+def _singular_cones(rays: tuple[Point, ...]) -> list[bool]:
+    return [_det(u, v) >= 2 for u, v in zip(rays, rays[1:] + rays[:1])]
+
+
+def ref_alternating_d5(rays: tuple[Point, ...]) -> bool:
+    """Check (d) fires: a pentagon whose two smooth cones are not neighbours,
+    so its three singular cones are 1, 3, 5 up to rotation."""
+    smooth = [j for j, singular in enumerate(_singular_cones(rays)) if not singular]
+    return len(rays) == 5 and len(smooth) == 2 and (smooth[1] - smooth[0]) % 5 in (2, 3)
+
+
+def ref_noncontiguous(rays: tuple[Point, ...]) -> bool:
+    """Check (e) fires: no rotation of the cone cycle lists every singular
+    cone before every smooth one."""
+    flags = _singular_cones(rays)
+    rotations = (flags[k:] + flags[:k] for k in range(len(flags)))
+    return not any(rotation == sorted(rotation, reverse=True) for rotation in rotations)
+
+
+def ref_half_plane_violation(rays: tuple[Point, ...]) -> bool:
+    """Check (f) fires: d >= 4, and some smooth cone j between two singular
+    cones has det(ray j + 2, ray j - 1) < 2, or the fan has fewer than three
+    singular cones."""
+    d, flags = len(rays), _singular_cones(rays)
+    if d < 4:
+        return False
+    sandwiched = [j for j in range(d) if flags[j - 1] and flags[(j + 1) % d] and not flags[j]]
+    return any(_det(rays[(j + 2) % d], rays[j - 1]) < 2 or sum(flags) < 3 for j in sandwiched)

@@ -355,6 +355,25 @@ def test_check_exit_one_on_a_dropped_family_tag(tmp_path, capsys, monkeypatch):
     }
 
 
+def test_check_exit_one_on_a_dropped_three_case(tmp_path, capsys, monkeypatch):
+    # A planted defect in classify_three, found by the real report.
+    raw = tmp_path / "raw.jsonl"
+    run(capsys, "enumerate", "--box", "2", "--jobs", "1", "--out", str(raw))
+    classify_three, dropped = enumeration.classify_three, [[1, 0], [0, 1], [-5, 2], [-4, 1], [0, -1], [1, -1]]
+
+    def dropping(poly):
+        return "none" if [list(v) for v in poly.vertices] == dropped else classify_three(poly)
+
+    monkeypatch.setattr(enumeration, "classify_three", dropping)
+    code, out, err = run(capsys, "check", "--in", str(raw))
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["ok"] is False and report["total"] == 156
+    assert {name: report[name] for name in CHECKS} == {
+        name: [dropped] if name == "three_singular_unclassified" else [] for name in CHECKS
+    }
+
+
 # Read from stdin, so a spawned worker has no main module file to re-run.
 _DEAD_WORKERS_CLI = """
 import multiprocessing, sys
@@ -391,8 +410,9 @@ def test_bad_catalog_line(tmp_path, capsys):
     [
         (lambda line: b"[" * 200_000, "maximum recursion depth exceeded while decoding a JSON array"),
         (lambda line: line[:5] + b"\xc3\xa9" + line[5:], "'ascii' codec can't decode byte 0xc3 in position 5"),
+        (lambda line: line + b" {}", "Extra data: line 1 column "),
     ],
-    ids=["deep-nesting", "non-ascii"],
+    ids=["deep-nesting", "non-ascii", "trailing-value"],
 )
 def test_malformed_catalog_line_is_bad_input(tmp_path, capsys, edit, message):
     raw = tmp_path / "raw.jsonl"
@@ -464,8 +484,16 @@ def test_out_of_range_catalog_coordinate_is_bad_input(tmp_path, capsys, bad):
         ("singular", True, "singular True does not match the vertices, which give 1"),
         ("vertices", [[1, 0], [0, 1], [-2, -1], [-3, -2]], "NotStrictlyConvex(3): ray 3 is not a strict vertex of the hull"),
         ("family", {"family": "dais1", "p": 2.5}, "family dais1 parameter p 2.5 is not an integer"),
+        ("family", [["family", "dais1"], ["p", 1]], "family [['family', 'dais1'], ['p', 1]] is not a JSON object"),
+        ("family", {"family": "dais1", "p": 1, "t": None}, "family dais1 parameter t is null"),
+        # A family that FamilyParams rejects keeps its message, whatever its shape.
+        ("family", {"family": "dais1", "p": None}, "family dais1 requires parameter p"),
+        ("family", [["family", "dais9"]], "unknown family tag 'dais9'"),
     ],
-    ids=["d", "d-float", "rho", "rho-str", "dets", "f", "singular-bool", "vertices", "family-p"],
+    ids=[
+        "d", "d-float", "rho", "rho-str", "dets", "f", "singular-bool", "vertices", "family-p",
+        "family-list", "family-null-param", "family-null-required", "family-list-unknown",
+    ],
 )
 def test_tampered_catalog_line_is_bad_input(tmp_path, capsys, key, value, message):
     def edit(data):

@@ -10,16 +10,18 @@ from pathlib import Path
 import ldptoric
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(ldptoric.__path__, "ldptoric."))
 
 # Run with -S, so no site hook preloads anything, and report every module
-# that importing the whole package added.
+# that importing the whole package added.  The submodule names come from
+# here, because pkgutil's file finder imports inspect itself.
 _PROBE = """
-import pkgutil, sys
+import sys
 sys.path.insert(0, {src!r})
 before = set(sys.modules)
 import ldptoric
-for info in pkgutil.iter_modules(ldptoric.__path__, "ldptoric."):
-    __import__(info.name)
+for name in {names!r}:
+    __import__(name)
 print("\\n".join(sorted(set(sys.modules) - before)))
 """
 
@@ -29,12 +31,18 @@ def test_pyproject_declares_no_dependencies():
     assert re.search(r"^dependencies = \[\]$", project, re.MULTILINE)
 
 
-def test_package_imports_only_the_standard_library():
+def _fresh_import() -> list[str]:
+    """The modules that a fresh `python -S` import of the package and every
+    submodule loads."""
     src = str(Path(ldptoric.__file__).resolve().parent.parent)
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", _PROBE.format(src=src)],
+    return subprocess.run(
+        [sys.executable, "-S", "-c", _PROBE.format(src=src, names=SUBMODULES)],
         capture_output=True, text=True, check=True,
     ).stdout.split()
+
+
+def test_package_imports_only_the_standard_library():
+    out = _fresh_import()
     assert "ldptoric.cli" in out and "ldptoric.surface" in out
     # multiprocessing registers __main__ a second time as __mp_main__.
     allowed = sys.stdlib_module_names | {"ldptoric", "__mp_main__"}
@@ -42,7 +50,12 @@ def test_package_imports_only_the_standard_library():
     assert foreign == []
 
 
-SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(ldptoric.__path__, "ldptoric."))
+def test_package_import_loads_neither_dataclasses_nor_inspect_nor_random():
+    # dataclasses brings inspect, ast, dis and tokenize; a one-shot CLI run
+    # pays for each.  Records raise FrozenInstanceError by importing it then.
+    out = _fresh_import()
+    assert "ldptoric.cli" in out and "ldptoric.enumeration" in out
+    assert sorted({"dataclasses", "inspect", "random"} & set(out)) == []
 
 
 def test_each_submodule_imports_first_in_a_fresh_interpreter():

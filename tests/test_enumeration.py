@@ -1,5 +1,4 @@
 import concurrent.futures
-import dataclasses
 import gc
 import itertools
 import random
@@ -42,8 +41,17 @@ from ldptoric.enumeration import (
     _violates_half_plane,
 )
 from ldptoric.equivalence import _canonical_key, apply_to_polygon, random_unimodular_map
+from ldptoric.surface import nonsingular_arc_contiguous
 
-from oracles import _oracle_form, brute_force_classes, ref_validate_ldp_polygon
+from oracles import (
+    _oracle_form,
+    brute_force_classes,
+    random_fan,
+    ref_alternating_d5,
+    ref_half_plane_violation,
+    ref_noncontiguous,
+    ref_validate_ldp_polygon,
+)
 
 # D4, built here: the 8 signed permutation matrices (a, b, c, d).
 D4 = {(a, b, c, d) for a, b, c, d in itertools.product((-1, 0, 1), repeat=4)
@@ -408,6 +416,55 @@ def test_verify_catalog_lists_a_dropped_family_tag(box2_catalog, monkeypatch, ve
     assert report.counterexamples == {name: [vertices] if name == check else [] for name in CHECKS}
 
 
+# A box-2 hexagon with three singular points, one blow-up of a d = 5 class.
+THREE_SINGULAR_HEXAGON = ((1, 0), (0, 1), (-5, 2), (-4, 1), (0, -1), (1, -1))
+
+
+def test_verify_catalog_lists_a_dropped_three_case(box2_catalog, monkeypatch):
+    # A planted defect: classify_three loses one of box 2's five d = 6
+    # three-singular classes.
+    sixes = [e.vertices for e in box2_catalog if e.d == 6 and e.singular_count == 3]
+    assert len(sixes) == 5 and THREE_SINGULAR_HEXAGON in sixes
+    classify_three = enumeration.classify_three
+
+    def dropping(poly):
+        return "none" if poly.vertices == THREE_SINGULAR_HEXAGON else classify_three(poly)
+
+    monkeypatch.setattr(enumeration, "classify_three", dropping)
+    report = verify_catalog(box2_catalog)
+    assert not report.ok and report.total == 156
+    assert report.counterexamples == {
+        name: [THREE_SINGULAR_HEXAGON] if name == "three_singular_unclassified" else [] for name in CHECKS
+    }
+
+
+def test_checks_d_to_f_match_their_oracles_on_random_fans():
+    # Checks (d)-(f) read only surface data, so they run on any complete
+    # fan.  Each fires on many non-LDP fans and agrees with its test-side
+    # predicate; none fires on an LDP fan, as the paper's theorem says.
+    rng = random.Random(5)
+    fired, ldp = Counter(), 0
+    for _ in range(20_000):
+        fan = random_fan(rng, max_d=8, coord=6)
+        surf, rays = analyze(fan), tuple(map(tuple, fan.rays))
+        verdicts = {
+            "alternating_d5": _is_alternating_d5(surf.singular_indices(), surf.d),
+            "noncontiguous": not nonsingular_arc_contiguous(surf),
+            "half_plane_violations": surf.d >= 4 and _violates_half_plane(fan, surf),
+        }
+        assert verdicts == {
+            "alternating_d5": ref_alternating_d5(rays),
+            "noncontiguous": ref_noncontiguous(rays),
+            "half_plane_violations": ref_half_plane_violation(rays),
+        }
+        ldp += surf.is_log_del_pezzo
+        if surf.is_log_del_pezzo:
+            assert not any(verdicts.values()), rays
+        fired.update(name for name, failed in verdicts.items() if failed)
+    assert ldp == 4205
+    assert fired == {"alternating_d5": 73, "noncontiguous": 1563, "half_plane_violations": 5887}
+
+
 def test_half_plane_check_fires_on_a_non_ldp_fan():
     # Cones 1 and 3 are singular and sandwich the smooth cone 2, and there
     # are only two singular cones; no LDP polygon does this.
@@ -435,7 +492,7 @@ def test_verification_report_serialization(box1_catalog):
     assert data["total"] == 11
     assert data["note"] == BOX_CAVEAT and "box" in data["note"]
     # The caveat is a class constant, not a field.
-    assert [f.name for f in dataclasses.fields(VerificationReport)] == ["total", "counterexamples"]
+    assert VerificationReport._fields == ("total", "counterexamples")
     assert "note" not in repr(report)
 
 

@@ -10,6 +10,7 @@ from ldptoric import (
     FamilyParams,
     FanValidationError,
     InvalidParams,
+    NotStrictlyConvex,
     analyze,
     apply_to_polygon,
     are_equivalent,
@@ -24,6 +25,7 @@ from ldptoric import (
     parse_vertices,
     random_unimodular_map,
     twice_area,
+    validate_fan,
     validate_ldp_polygon,
 )
 from ldptoric import families, polygon
@@ -304,6 +306,34 @@ def test_classify_three_d6_validates_each_blow_down_fan_once(box2_catalog, monke
         del calls[:]
         assert classify_three(six) == want
         assert len(calls) == tried
+
+
+@pytest.mark.parametrize(
+    "rays, candidates",
+    [
+        ([(-1, -3), (0, -1), (1, 4), (-2, 1), (-4, 1), (-1, 0)], []),
+        ([(-1, -3), (2, -1), (1, 0), (2, 3), (1, 4), (0, 1)], [6]),
+        ([(-3, -4), (1, -1), (4, -3), (2, 1), (1, 1), (0, 1), (-1, 3)], []),
+    ],
+    ids=["d6-no-blow-down", "d6-non-convex-blow-down", "d7"],
+)
+def test_classify_three_none_on_complete_fans(rays, candidates):
+    # No box-3 LDP hexagon has a non-convex blow-down, and no LDP polygon
+    # with three singular points has d >= 7, so these non-LDP fans are the
+    # only way to reach those returns.
+    fan = validate_fan(rays)
+    assert analyze(fan).singular_count == 3 and blow_down_candidates(fan) == candidates
+    for i in candidates:
+        with pytest.raises(NotStrictlyConvex):
+            validate_ldp_polygon(fan.rays[: i - 1] + fan.rays[i:])
+    assert classify_three(fan) == "none"
+
+
+def test_generate_raises_an_internal_error_on_a_wrong_singular_count(monkeypatch):
+    spec = FAMILY_SPECS["dais1"]
+    monkeypatch.setitem(FAMILY_SPECS, "dais1", type(spec)(spec.params, 2, *spec[2:]))
+    with pytest.raises(AssertionError, match=r"family dais1\(1,\) produced singular count 1, expected 2"):
+        generate(FamilyParams("dais1", p=1))
 
 
 def test_classify_three_rejects_wrong_singular_count():

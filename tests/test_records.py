@@ -17,6 +17,7 @@ from ldptoric import (
     FanCycle,
     LdpPolygon,
     UnimodularMap,
+    VerificationReport,
     analyze,
     families,
     generate,
@@ -82,10 +83,21 @@ def test_table_covers_every_exported_record():
     assert exported - NOT_RECORDS == {type(sample).__name__ for sample, _ in RECORDS}
 
 
-def test_only_the_verification_report_is_a_dataclass():
+def test_no_exported_class_is_a_dataclass():
     # The dataclass() call compiles each class's methods at import time.
     exported = [getattr(ldptoric, name) for name in ldptoric.__all__]
-    assert [c.__name__ for c in exported if isinstance(c, type) and dataclasses.is_dataclass(c)] == [
-        "VerificationReport"
-    ]
+    assert [c.__name__ for c in exported if isinstance(c, type) and dataclasses.is_dataclass(c)] == []
     assert not dataclasses.is_dataclass(families.FamilySpec)
+
+
+def test_verification_report_is_a_frozen_record():
+    # Not in RECORDS: its dict field makes hash() raise.
+    report = VerificationReport(3, {"noncontiguous": [((1, 0), (0, 1), (-1, -1))]})
+    assert repr(report) == "VerificationReport(total=3, counterexamples={'noncontiguous': [((1, 0), (0, 1), (-1, -1))]})"
+    assert tuple(report) == (report.total, report.counterexamples) and "note" not in repr(report)
+    with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign to field 'total'"):
+        report.total = 4
+    copies = [pickle.loads(pickle.dumps(report, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in copies + [copy.copy(report), copy.deepcopy(report)]:
+        assert type(twin) is VerificationReport and twin == report
+        assert (twin.total, twin.counterexamples) == (3, report.counterexamples)
