@@ -107,11 +107,6 @@ def catalog_line(entry: CatalogEntry) -> str:
     )
 
 
-def entry_to_dict(entry: CatalogEntry) -> dict:
-    """The catalog line of `entry` as a dict, in the frozen key order."""
-    return json.loads(catalog_line(entry))
-
-
 def entry_from_dict(data: dict) -> CatalogEntry:
     """The entry of one catalog line.  Its vertices must pass
     validate_ldp_polygon (int coordinates in the signed 64-bit range).  Then

@@ -27,7 +27,7 @@ both orientations.
 
 _canonical_key is the least normalization of a cycle's int tuples (the
 enumeration shards' dedup key, no memo, no sort).  canonical_form, identify
-and are_equivalent read the tied anchors memoized on the polygon per flag
+and are_equivalent read the tied anchors memoized in a polygon slot per flag
 (_normalizations), as analyze memoizes its report.  The memo is sorted once,
 least first, so the canonical form and its anchor are entry [0]; its det-1
 test reads the cone determinants of analyze's report: the one validation
@@ -58,7 +58,7 @@ from .lattice import (
     compose_maps,
     pair_rays,
 )
-from .polygon import LdpPolygon, _cone_dets, validate_ldp_polygon
+from .polygon import FanCycle, LdpPolygon, _cone_dets, validate_ldp_polygon
 from .surface import analyze
 
 
@@ -140,16 +140,15 @@ def _tied_anchors(
     return tied
 
 
-def _normalizations(poly: LdpPolygon, orientation_preserving: bool) -> list[tuple[Reading, Anchor]]:
-    """_tied_anchors of the vertices of `poly`, least first, computed and
-    sorted on the first call for a polygon object and flag and memoized on it
-    as `_normalizations`, like analyze's report, whose cone determinants it
-    reads.  Exact ints, never range-checked."""
-    memo = poly.__dict__.setdefault("_normalizations", {})  # the polygon's memos; FanCycle is frozen
-    tied = memo.get(orientation_preserving)
+def _normalizations(poly: FanCycle, orientation_preserving: bool) -> list[tuple[Reading, Anchor]]:
+    """_tied_anchors of the rays of any FanCycle `poly`, least first: sorted
+    and memoized in its slot for the flag on the first call, like analyze's
+    report, whose cone dets it reads.  Exact ints, never range-checked."""
+    slot = "_tied_oriented" if orientation_preserving else "_tied"
+    tied = getattr(poly, slot, None)
     if tied is None:
-        dets = analyze(poly).dets
-        tied = memo[orientation_preserving] = sorted(_tied_anchors(poly.vertices, orientation_preserving, dets))
+        tied = sorted(_tied_anchors(poly.rays, orientation_preserving, analyze(poly).dets))
+        object.__setattr__(poly, slot, tied)  # FanCycle is frozen
     return tied
 
 
@@ -165,8 +164,10 @@ def canonical_form(poly: LdpPolygon, orientation_preserving: bool = False) -> Ld
     With orientation_preserving=True only determinant +1 maps are allowed, so
     a chiral polygon and its mirror image get distinct forms.  _canonical_key
     on the polygon's int tuples: the first of the normalizations memoized on
-    `poly`.
+    `poly`.  Raises TypeError for a cycle that is not an LdpPolygon.
     """
+    if not isinstance(poly, LdpPolygon):
+        raise TypeError(f"canonical_form needs an LdpPolygon, got {type(poly).__name__}")
     form = _normalizations(poly, orientation_preserving)[0][0]
     return LdpPolygon(pair_rays(form))
 
@@ -181,8 +182,10 @@ def are_equivalent(
     the index in r of the image of q's first vertex (determinant +1) or of
     its second (determinant -1), determinant +1 first on a tie.  Raises
     LatticeOverflowError when every connecting map has an entry outside the
-    signed 64-bit range.
+    signed 64-bit range, and TypeError when q or r is not an LdpPolygon.
     """
+    if not (isinstance(q, LdpPolygon) and isinstance(r, LdpPolygon)):
+        raise TypeError(f"are_equivalent needs LdpPolygons, got {type(q).__name__}, {type(r).__name__}")
     form, (i, s) = _normalizations(q, orientation_preserving)[0]
     n = q.d
     i = i if s == 1 else n - 1 - i  # the anchor's first vertex in the list of q

@@ -28,7 +28,7 @@ exact ints at any size and never range-checked here, since they only select
 parameters and never become vertices.  classify_three() sorts the
 three-singular-point classes into the cases that exhaust them for d <= 6,
 and the catalog tagging calls it for each of them.  identify() memoizes its
-result on the polygon as `_family`, like analyze's `_report`, so
+result in the polygon's `_family` slot, like analyze's `_report`, so
 classify_three at d = 5 and a later verification read it for free.
 """
 
@@ -38,7 +38,7 @@ import math
 
 from .equivalence import _normalizations
 from .lattice import _Record
-from .polygon import LdpPolygon, NotStrictlyConvex, _ValuedError, validate_ldp_polygon
+from .polygon import FanCycle, LdpPolygon, NotStrictlyConvex, _ValuedError, validate_ldp_polygon
 from .surface import analyze, blow_down_candidates
 
 
@@ -217,18 +217,17 @@ def generate(fp: FamilyParams) -> FamilyInstance:
     return FamilyInstance(fp, polygon)
 
 
-def identify(poly: LdpPolygon) -> FamilyParams | None:
+def identify(poly: FanCycle) -> FamilyParams | None:
     """Family parameters of the class of `poly`, or None when no family matches.
 
     The parameters are read off the basis readings of `poly`, so no range of
     them is searched.  Deterministic: among all matching tuples the
     lexicographically smallest wins.  Singular counts outside 1..3, or a
-    3-singular polygon with d != 5, yield None.  What the readings give is
-    memoized on the polygon object as `_family`.
+    3-singular polygon with d != 5, yield None, as does a non-convex
+    FanCycle.  What the readings give is memoized in its `_family` slot.
     """
-    memo = poly.__dict__  # the polygon's memos; FanCycle is frozen
-    if "_family" in memo:
-        return memo["_family"]
+    if hasattr(poly, "_family"):  # None is a result, so the memo is set or unset
+        return poly._family
     tag = _TAG_BY_SHAPE.get((analyze(poly).singular_count, poly.d))
     if tag is None:
         return None
@@ -246,11 +245,12 @@ def identify(poly: LdpPolygon) -> FamilyParams | None:
         if reading(*values) == rd and all(ok for _, ok in spec.constraints(*values)):
             best = values
     # Every tag's params are a prefix of p, q, r, s, t, the field order.
-    memo["_family"] = None if best is None else FamilyParams(tag, *best)
-    return memo["_family"]
+    family = None if best is None else FamilyParams(tag, *best)
+    object.__setattr__(poly, "_family", family)  # FanCycle is frozen
+    return family
 
 
-def classify_three(poly: LdpPolygon) -> str:
+def classify_three(poly: FanCycle) -> str:
     """Case tag for a polygon with exactly three singular points.
 
     picard_le_two for d <= 4; family_d5 when the d=5 family matches;

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cmp_to_key
 from itertools import starmap
 from typing import Iterable, Sequence
 
@@ -119,12 +119,14 @@ def angular_sort(points: Iterable[RayVector]) -> list[RayVector]:
 class FanCycle:
     """Counterclockwise cycle of primitive rays winding once around the origin.
 
-    Immutable: assigning an attribute raises FrozenInstanceError.  Three memos
-    live in the instance `__dict__` beside `rays`: surface.analyze's report as
-    `_report`, which validate_ldp_polygon sets on every polygon it returns;
-    equivalence's tied normalizations of a polygon as `_normalizations`; and
-    families.identify's result as `_family`.  ==, hash, repr and pickling
-    read only the rays, and == holds only within one type."""
+    Immutable: assigning an attribute raises FrozenInstanceError.  Its slots
+    after `rays` hold the memos of analyze (set by validate_ldp_polygon),
+    equivalence._normalizations (one per flag) and identify, so it has no
+    instance dict; a memo is unset until computed, then set once with
+    object.__setattr__.  ==, hash, repr and pickling read only the rays, and
+    == holds only within one type."""
+
+    __slots__ = ("rays", "_report", "_tied", "_tied_oriented", "_family")
 
     def __init__(self, rays: tuple[RayVector, ...]) -> None:
         object.__setattr__(self, "rays", rays)
@@ -159,6 +161,8 @@ class FanCycle:
 class LdpPolygon(FanCycle):
     """A FanCycle whose rays are strict vertices of their convex hull."""
 
+    __slots__ = ()
+
     @property
     def vertices(self) -> tuple[RayVector, ...]:
         return self.rays
@@ -185,10 +189,9 @@ class ConeRecord(_Record):
 
 
 class SurfaceReport(_Record):
-    """The stored fields d, dets, f_values and singular_count; the rest is
-    derived from them, cones and anticanonical_degrees once, on first access,
-    kept in the instance `__dict__` (the one record type that has one)."""
+    """The stored fields d, dets, f_values and singular_count; the rest is read off them."""
 
+    __slots__ = ()
     _fields = ("d", "dets", "f_values", "singular_count")
 
     def __new__(cls, d: int, dets: tuple, f_values: tuple, singular_count: int) -> "SurfaceReport":
@@ -202,11 +205,11 @@ class SurfaceReport(_Record):
     def is_log_del_pezzo(self) -> bool:
         return min(self.f_values) >= 1
 
-    @cached_property
+    @property
     def cones(self) -> tuple[ConeRecord, ...]:
         return tuple(ConeRecord(i, det, det >= 2) for i, det in enumerate(self.dets, start=1))
 
-    @cached_property
+    @property
     def anticanonical_degrees(self) -> tuple[Fraction, ...]:
         dets = self.dets
         return tuple(Fraction(f, dets[i - 1] * dets[i]) for i, f in enumerate(self.f_values))

@@ -9,19 +9,17 @@ anticanonical degree of the boundary divisor at ray i.  Both are computed on
 exact ints, and the f-value at a ray is the vertex turn there.
 
 A SurfaceReport (defined in polygon, next to the validation that fills it)
-stores d, the cone determinants, the f-values and the singular count.
-picard_number and is_log_del_pezzo are read off them on every access; cones
-and anticanonical_degrees are built on first access and cached on the
-report, which keeps them out of ==, hash and repr.
+stores d, the cone determinants, the f-values and the singular count; the
+rest is read off them on every access.
 
-analyze() returns the report memoized in a FanCycle object's `__dict__`,
-beside its rays and out of ==, hash and repr.  validate_ldp_polygon sets
-that memo from the values it has just checked, so analyze on a validated
-polygon computes nothing, and the tagging path (analyze, identify,
-classify_three) and equivalence's normalizations read that one report.
-Any other cycle (validate_fan's, blow_up's, a canonical form) gets its report
-from _surface_report on the first call: polygon._surface_data, the one
-formula for both, with the f-values checked against the 64-bit range.
+analyze() returns the report memoized in the `_report` slot of a FanCycle,
+out of ==, hash and repr.  validate_ldp_polygon sets that memo from the
+values it has just checked, so analyze on a validated polygon computes
+nothing, and the tagging path (analyze, identify, classify_three) and
+equivalence's normalizations read that one report.  Any other cycle
+(validate_fan's, blow_up's, a canonical form) gets its report from
+_surface_report on the first call: polygon._surface_data, the one formula
+for both, with the f-values checked against the 64-bit range.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ def analyze(cycle: FanCycle) -> SurfaceReport:
 
     The one validate_ldp_polygon left on a polygon, or computed on the first
     call for any other cycle object; later calls return the same object."""
-    report = cycle.__dict__.get("_report")
+    report = getattr(cycle, "_report", None)
     if report is None:
         report = _surface_report(cycle)
         object.__setattr__(cycle, "_report", report)  # FanCycle is frozen

@@ -15,7 +15,6 @@ from ldptoric.cli import (
     _dump,
     catalog_line,
     entry_from_dict,
-    entry_to_dict,
     main,
     read_catalog,
     write_catalog,
@@ -310,7 +309,7 @@ def test_classify_stdout_roundtrip(tmp_path, capsys):
     for line in out.strip().splitlines():
         data = json.loads(line)
         entry = entry_from_dict(data)
-        assert entry_to_dict(entry) == data
+        assert json.loads(catalog_line(entry)) == data
 
 
 def test_check_clean_catalog(tmp_path, capsys):
@@ -581,7 +580,7 @@ def test_svg_rejects_non_polygon(tmp_path, capsys):
 def test_entry_serialization_roundtrip():
     entries = classify_catalog(enumerate_ldp(1))
     for entry in entries:
-        assert entry_from_dict(entry_to_dict(entry)) == entry
+        assert entry_from_dict(json.loads(catalog_line(entry))) == entry
 
 
 def _reference_line(entry):
@@ -602,7 +601,7 @@ def _reference_line(entry):
 
 def _assert_line(entry):
     line = catalog_line(entry)
-    assert line == _reference_line(entry) == _dump(entry_to_dict(entry)) + "\n"
+    assert line == _reference_line(entry) == _dump(json.loads(catalog_line(entry))) + "\n"
     assert line.isascii() and entry_from_dict(json.loads(line)) == entry
 
 

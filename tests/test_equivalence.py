@@ -21,6 +21,7 @@ from ldptoric import (
     parse_vertices,
     random_unimodular_map,
     twice_area,
+    validate_fan,
     validate_ldp_polygon,
 )
 from ldptoric import equivalence, surface
@@ -441,7 +442,7 @@ def test_normalizations_are_memoized_least_first(box2_catalog):
     polys += [apply_to_polygon(random_unimodular_map(rng), p) for p in polys]
     # A canonical form has no report until _normalizations asks analyze.
     forms = [canonical_form(p) for p in polys]
-    assert not any("_report" in form.__dict__ for form in forms)
+    assert not any(hasattr(form, "_report") for form in forms)
     for p in polys + forms:
         pts = [v.as_tuple() for v in p.vertices]
         for flag in (False, True):
@@ -450,13 +451,13 @@ def test_normalizations_are_memoized_least_first(box2_catalog):
             assert memo == sorted(tied)
             assert memo[0] == min(tied)
     for form in forms:
-        assert form.__dict__["_report"] == surface._surface_report(form)
+        assert form._report == surface._surface_report(form)
 
 
 def test_readings_memo_is_invisible_to_eq_hash_repr_and_pickle():
     fresh, read = poly("1,0;0,1;-2,-3"), poly("1,0;0,1;-2,-3")
     canonical_form(read)
-    assert "_normalizations" in read.__dict__ and "_normalizations" not in fresh.__dict__
+    assert hasattr(read, "_tied") and not hasattr(fresh, "_tied")
     assert read == fresh and fresh == read
     assert hash(read) == hash(fresh) and repr(read) == repr(fresh)
     for obj in (fresh, read):
@@ -464,6 +465,20 @@ def test_readings_memo_is_invisible_to_eq_hash_repr_and_pickle():
         assert copy == fresh and hash(copy) == hash(fresh) and repr(copy) == repr(fresh)
         assert canonical_form(copy) == canonical_form(fresh)
         assert are_equivalent(copy, fresh) == IDENTITY_MAP
+
+
+def test_canonical_form_and_are_equivalent_need_ldp_polygons():
+    # A complete fan, even one whose rays form an LDP polygon, has no
+    # canonical form here: for the non-convex d = 5 fan, normalizing its rays
+    # would give a "polygon" that is not LDP.
+    fans = [validate_fan([(-1, 2), (-5, -4), (6, -1), (-1, 3), (-2, 5)]), validate_fan(CHIRAL.rays)]
+    for fan in fans:
+        for flag in (False, True):
+            with pytest.raises(TypeError, match="^canonical_form needs an LdpPolygon, got FanCycle$"):
+                canonical_form(fan, flag)
+            for q, r in ((fan, fan), (fan, CHIRAL), (CHIRAL, fan)):
+                with pytest.raises(TypeError, match="^are_equivalent needs LdpPolygons, got "):
+                    are_equivalent(q, r, flag)
 
 
 def test_smooth_cone_form_uses_no_bezout_row(monkeypatch):

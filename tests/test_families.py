@@ -329,6 +329,19 @@ def test_classify_three_none_on_complete_fans(rays, candidates):
     assert classify_three(fan) == "none"
 
 
+def test_identify_and_classify_three_take_a_complete_fan():
+    # identify reads the rays of any FanCycle: the LDP triangle built by
+    # validate_fan is still two1(2, 3).  An equivalence preserves convexity,
+    # so the non-convex three-singular pentagon fan matches no family.
+    assert identify(validate_fan([(1, 0), (0, 1), (-2, -3)])) == FamilyParams("two1", p=2, q=3)
+    rays = [(-1, 2), (-5, -4), (6, -1), (-1, 3), (-2, 5)]
+    with pytest.raises(NotStrictlyConvex):
+        validate_ldp_polygon(rays)
+    fan = validate_fan(rays)
+    assert analyze(fan).singular_count == 3 and fan.d == 5
+    assert identify(fan) is None and classify_three(fan) == "none"
+
+
 def test_generate_raises_an_internal_error_on_a_wrong_singular_count(monkeypatch):
     spec = FAMILY_SPECS["dais1"]
     monkeypatch.setitem(FAMILY_SPECS, "dais1", type(spec)(spec.params, 2, *spec[2:]))
@@ -357,10 +370,10 @@ def test_classify_three_reads_the_identify_memo(monkeypatch):
 def test_identify_memo_is_no_field():
     p, q = poly("1,0;0,1;-1,0;1,-3;2,-3"), poly("1,0;0,1;-1,0;1,-3;2,-3")
     family = identify(p)
-    assert p.__dict__["_family"] is family and "_family" not in q.__dict__
+    assert p._family is family and not hasattr(q, "_family")
     assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
     copy = pickle.loads(pickle.dumps(p))
-    assert copy == p and "_family" not in copy.__dict__
+    assert copy == p and not hasattr(copy, "_family")
     assert identify(copy) == family
 
 

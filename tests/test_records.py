@@ -18,7 +18,9 @@ from ldptoric import (
     LdpPolygon,
     UnimodularMap,
     VerificationReport,
+    SurfaceReport,
     analyze,
+    canonical_form,
     families,
     generate,
     identify,
@@ -42,6 +44,17 @@ RECORDS = [
     (UnimodularMap(2, 1, 1, 1), ("a", "b", "c", "d")),
 ]
 NOT_RECORDS = {"RayVector", "EnumerationStats", "VerificationReport"}
+MEMOS = ("_report", "_tied", "_tied_oriented", "_family")
+
+
+def _fill_memos(sample):
+    """Compute everything a sample memoizes or derives."""
+    if isinstance(sample, FanCycle):
+        analyze(sample), identify(sample)
+    if isinstance(sample, LdpPolygon):
+        canonical_form(sample), canonical_form(sample, True)
+    if isinstance(sample, SurfaceReport):
+        sample.cones, sample.anticanonical_degrees
 
 
 def _values(sample, fields):
@@ -51,6 +64,7 @@ def _values(sample, fields):
 @pytest.mark.parametrize(("sample", "fields"), RECORDS, ids=[type(s).__name__ for s, _ in RECORDS])
 def test_record_semantics(sample, fields):
     values = _values(sample, fields)
+    _fill_memos(sample)
     shown = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values))
     assert repr(sample) == f"{type(sample).__name__}({shown})"
     assert hash(sample) == hash(values)
@@ -64,6 +78,10 @@ def test_record_semantics(sample, fields):
     for twin in copies + [copy.copy(sample), copy.deepcopy(sample)]:
         assert type(twin) is type(sample) and twin == sample and not twin != sample
         assert _values(twin, fields) == values
+    # Memos live in declared slots: with them filled there is still no
+    # instance __dict__, and no pickle or copy carries one.
+    assert not any(hasattr(obj, "__dict__") or (obj is not sample and any(hasattr(obj, m) for m in MEMOS))
+                   for obj in [sample, *copies, copy.copy(sample), copy.deepcopy(sample)])
 
 
 def test_a_polygon_is_no_equal_of_its_fan_cycle():

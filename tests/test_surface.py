@@ -262,7 +262,7 @@ def test_one_report_per_entry_in_classify_catalog(monkeypatch):
     runs = _count_reports(monkeypatch)
     entries = enumerate_ldp(2)
     # Validation leaves each entry's report on its polygon, before any analyze.
-    reports = {entry.vertices: entry.poly.__dict__["_report"] for entry in entries}
+    reports = {entry.vertices: entry.poly._report for entry in entries}
     tagged = classify_catalog(entries)
     assert verify_catalog(tagged).ok
     assert all(analyze(entry.poly) is reports[entry.vertices] for entry in tagged)
@@ -276,7 +276,7 @@ def test_one_report_per_entry_in_classify_catalog(monkeypatch):
 def test_one_report_for_analyze_identify_classify_three(monkeypatch):
     runs = _count_reports(monkeypatch)
     poly = validate_ldp_polygon(parse_vertices("1,0;0,1;-1,0;1,-3;2,-3"))
-    report = poly.__dict__["_report"]
+    report = poly._report
     assert analyze(poly) is report and report.singular_count == 3
     assert identify(poly) is not None
     assert classify_three(poly) == "family_d5"
@@ -314,8 +314,8 @@ def test_validated_report_equals_the_computed_one(box3_catalog):
 def test_report_stores_only_dets_and_f_values():
     rep = analyze(fan("1,0;0,1;-1,0;1,-3;2,-3"))
     assert surface.SurfaceReport(rep.d, rep.dets, rep.f_values, rep.singular_count) == rep
-    assert "cones" not in rep.__dict__ and "anticanonical_degrees" not in rep.__dict__
-    assert rep.cones is rep.cones and rep.anticanonical_degrees is rep.anticanonical_degrees
+    assert not hasattr(rep, "__dict__")
+    assert rep.cones == rep.cones and rep.anticanonical_degrees == rep.anticanonical_degrees
     assert repr(rep) == "SurfaceReport(d=5, dets=(1, 1, 3, 3, 3), f_values=(2, 2, 5, 3, 3), singular_count=3)"
 
 
