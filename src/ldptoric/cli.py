@@ -81,11 +81,9 @@ def _line_format(d: int) -> str:
     )
 
 
-# Per family tag, the %-format of its JSON object and the slice of a
-# FamilyParams that fills it: every tag's params are a prefix of p, q, r, s, t.
+# Per family tag, the %-format of its JSON object, filled with FamilyParams.as_tuple().
 _FAMILY_FORMATS = {
-    tag: ('{"family":%s,' % _dump(tag) + ",".join('"%s":%%d' % name for name in spec.params) + "}",
-          slice(1, 1 + len(spec.params)))
+    tag: '{"family":%s,' % _dump(tag) + ",".join('"%s":%%d' % name for name in spec.params) + "}"
     for tag, spec in FAMILY_SPECS.items()
 }
 
@@ -97,10 +95,7 @@ def catalog_line(entry: CatalogEntry) -> str:
     back in may carry any JSON value there."""
     poly, family, three_case = entry
     d, dets, f_values, singular = analyze(poly)
-    family_json = "null"
-    if family is not None:
-        fmt, params = _FAMILY_FORMATS[family[0]]
-        family_json = fmt % family[params]
+    family_json = "null" if family is None else _FAMILY_FORMATS[family.family] % family.as_tuple()
     return _line_format(d) % (
         *chain.from_iterable(poly.rays), d, d - 2, *dets, *f_values, singular,
         family_json, "null" if three_case is None else _dump(three_case),

@@ -213,10 +213,10 @@ def _is_orbit_least(chain: Chain, preimages: list) -> bool:
     return True
 
 
-def _shard_worker(task: tuple[int, tuple[list[tuple[int, int]], list[int]]]):
-    """(shard index, canonical keys of its orbit-least chains, raw chains,
-    kept chains, (dfs, orbit test, canonical key) seconds) of one shard."""
-    index, (cands, prefix) = task
+def _shard_worker(shard: tuple[list[tuple[int, int]], list[int]]):
+    """(canonical keys of its orbit-least chains, raw chains, kept chains,
+    (dfs, orbit test, canonical key) seconds) of one shard."""
+    cands, prefix = shard
     t0 = time.perf_counter()
     chains = _chains_from(cands, prefix)
     t1 = time.perf_counter()
@@ -225,7 +225,7 @@ def _shard_worker(task: tuple[int, tuple[list[tuple[int, int]], list[int]]]):
     t2 = time.perf_counter()
     keys = {_canonical_key(chain) for chain in kept}
     t3 = time.perf_counter()
-    return index, keys, len(chains), len(kept), (t1 - t0, t2 - t1, t3 - t2)
+    return keys, len(chains), len(kept), (t1 - t0, t2 - t1, t3 - t2)
 
 
 class WorkerPoolError(RuntimeError):
@@ -235,21 +235,20 @@ class WorkerPoolError(RuntimeError):
 
 
 def _pooled(shards: list, jobs: int | None):
-    """_shard_worker's results on every shard, from a pool of `jobs`
-    processes (None: all logical cores), in completion order.  A worker
-    that dies breaks the pool, which raises WorkerPoolError and starts no
-    replacement."""
+    """_shard_worker's results on every shard, in shard order, from a pool
+    of `jobs` processes (None: all logical cores).  A worker that dies
+    breaks the pool, which raises WorkerPoolError and starts no replacement."""
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     pool = ProcessPoolExecutor(max_workers=jobs)
     try:
         # Shard sizes span three orders of magnitude and there are only tens
-        # of shards, so the pool takes one shard per future.  as_completed
-        # drops each future it yields, so a merged shard's keys are freed.
-        for future in as_completed([pool.submit(_shard_worker, task) for task in enumerate(shards)]):
-            yield future.result()
+        # of shards, so the pool takes one shard per task.  map yields in
+        # shard order and drops each result it yields, so a merged shard's
+        # keys are freed.
+        yield from pool.map(_shard_worker, shards)
     except BrokenProcessPool:
         method = multiprocessing.get_start_method()
         raise WorkerPoolError(
@@ -277,14 +276,14 @@ def enumerate_ldp(
         raise ValueError(f"jobs {jobs!r} is not None or an integer of at least 1")
     t0 = time.perf_counter()
     shards = _shards(list(map(tuple, primitive_points(box.n))))
-    results = map(_shard_worker, enumerate(shards)) if jobs == 1 else _pooled(shards, jobs)
+    results = map(_shard_worker, shards) if jobs == 1 else _pooled(shards, jobs)
     canon: set[Chain] = set()
-    raw = [0] * len(shards)
+    raw = []
     kept = 0
     stage = [0.0, 0.0, 0.0]
-    for index, keys, n_raw, n_kept, seconds in results:
+    for keys, n_raw, n_kept, seconds in results:
         canon |= keys
-        raw[index] = n_raw
+        raw.append(n_raw)
         kept += n_kept
         stage = [total + s for total, s in zip(stage, seconds)]
     t1 = time.perf_counter()

@@ -4,26 +4,27 @@ Two polygons are equivalent when an integer matrix of determinant +-1 maps
 the vertex set of one onto the other.  One normalization decides this and
 gives the canonical form.  An anchor is an adjacent vertex pair, read
 forwards, or backwards with the sign of every determinant flipped
-(_orientations, the one mirror convention).  Its normalization is the cycle
-read from the anchor under the unique map, of determinant the anchor's sign,
-that sends its first vertex to (1, 0) and its second to (k, D) with
-0 <= k < D.  The pair (k, D) depends only on the anchor pair (x0, y0),
-(x1, y1): D is their determinant, and k is s*x1 + t*y1 reduced mod D, for a
-Bezout row (s, t) of the first vertex (_bezout_row).  Any row will do: two
-rows differ by a multiple of (y0, -x0), which shifts k by a multiple of D,
-and the map's first row is the one row (a, b) with a*x0 + b*y0 = 1 and
-a*x1 + b*y1 = k, whichever row gave k.  So the least pair is found first
-and only the anchors tied for it are normalized in full (_tied_anchors; the
-forward anchors alone when orientation_preserving).  The least
-normalization is the canonical form: its candidate set depends only on the
-equivalence class, never on the input coordinates or starting vertex, which
-makes it a valid dedup key.  With a smooth cone the least pair is (0, 1),
-held by exactly the determinant-1 pairs, and each of them normalizes to its
-basis reading with no Bezout row; families.identify() reads the families
-off these readings.  Each is read once, forwards: the backward reading is
-the forward one with every point swapped, read backwards from the second
-point.  Without a smooth cone, each vertex gets one Bezout row, shared by
-both orientations.
+(_orientations, the one mirror convention); anchor (k, sign) names the pair
+pts[k], pts[(k + sign) % d] of the cycle as listed.  Its normalization is
+the cycle read from the anchor under the unique map, of determinant the
+anchor's sign, that sends its first vertex to (1, 0) and its second to
+(k, D) with 0 <= k < D.  The pair (k, D) depends only on the anchor pair
+(x0, y0), (x1, y1): D is their determinant, and k is s*x1 + t*y1 reduced mod
+D, for a Bezout row (s, t) of the first vertex (_bezout_row).  Any row will
+do: two rows differ by a multiple of (y0, -x0), which shifts k by a multiple
+of D, and the map's first row is the one row (a, b) with a*x0 + b*y0 = 1 and
+a*x1 + b*y1 = k, whichever row gave k.  So the least pair is found first and
+only the anchors tied for it are normalized in full (_tied_anchors; the
+forward anchors alone when orientation_preserving).  The least normalization
+is the canonical form: its candidate set depends only on the equivalence
+class, never on the input coordinates or starting vertex, which makes it a
+valid dedup key.  With a smooth cone the least pair is (0, 1), held by
+exactly the determinant-1 pairs, and each of them normalizes to its basis
+reading with no Bezout row; families.identify() reads the families off these
+readings.  Each is read once, forwards: the backward reading of the same
+pair, anchor (j + 1, -1) for forward anchor j, is the forward one with every
+point swapped, read backwards from the second point.  Without a smooth cone,
+each vertex gets one Bezout row, shared by both orientations.
 
 _canonical_key is the least normalization of a cycle's int tuples (the
 enumeration shards' dedup key, no memo, no sort).  canonical_form, identify
@@ -71,8 +72,8 @@ def _bezout_row(x: int, y: int) -> tuple[int, int]:
 
 
 Reading = tuple[tuple[int, int], ...]
-# An anchor (i, sign): the pair at index i, i + 1 of the cycle read forwards
-# (sign 1) or backwards (sign -1).
+# An anchor (k, sign): the pair pts[k], pts[(k + sign) % d] of the cycle as
+# listed, read forwards (sign 1) or backwards (sign -1).
 Anchor = tuple[int, int]
 
 
@@ -107,14 +108,11 @@ def _tied_anchors(
     if tied:
         if orientation_preserving:
             return tied
-        # Backwards, anchor (d - 2 - j) % d is forward anchor j reversed.  Its
+        # Backwards, anchor (j + 1, -1) is forward anchor j reversed.  Its
         # reading is j's reading F, each point swapped, in the order F[1], F[0],
-        # F[d - 1], ..., F[2].  By index: j falling, then j = d - 1 (index d - 1).
+        # F[d - 1], ..., F[2].
         d = len(pts)
-        back = [(tuple([(y, x) for x, y in rd[1::-1] + rd[:1:-1]]), ((d - 2 - j) % d, -1))
-                for rd, (j, _) in reversed(tied)]
-        if back[0][1][0] == d - 1:
-            back.append(back.pop(0))
+        back = [(tuple([(y, x) for x, y in rd[1::-1] + rd[:1:-1]]), ((j + 1) % d, -1)) for rd, (j, _) in tied]
         return tied + back
     orientations = _orientations(pts)[: 1 if orientation_preserving else 2]
     # One Bezout row per vertex, shared by both orientations.  Each span is
@@ -136,7 +134,8 @@ def _tied_anchors(
         (x0, y0), (x1, y1) = rot[0], rot[1]
         q = (s * x1 + t * y1) // least[1]
         a, b = s + sign * q * y0, t - sign * q * x0
-        tied.append((tuple([(a * x + b * y, sign * (x0 * y - y0 * x)) for x, y in rot]), (i, sign)))
+        k = i if sign == 1 else len(pts) - 1 - i  # index i of pts[::-1] is index k of pts
+        tied.append((tuple([(a * x + b * y, sign * (x0 * y - y0 * x)) for x, y in rot]), (k, sign)))
     return tied
 
 
@@ -152,19 +151,19 @@ def _normalizations(poly: FanCycle, orientation_preserving: bool) -> list[tuple[
     return tied
 
 
-def _canonical_key(pts: Sequence[tuple[int, int]], orientation_preserving: bool = False) -> Reading:
-    """The vertices of canonical_form, as int tuples, straight from the int
-    tuples of a valid LDP cycle: no validation, no RayVectors, no memo."""
-    return min(_tied_anchors(pts, orientation_preserving))[0]
+def _canonical_key(pts: Sequence[tuple[int, int]]) -> Reading:
+    """The vertices of canonical_form(poly), as int tuples, straight from the
+    int tuples of a valid LDP cycle: no validation, no RayVectors, no memo."""
+    return min(_tied_anchors(pts, False))[0]
 
 
 def canonical_form(poly: LdpPolygon, orientation_preserving: bool = False) -> LdpPolygon:
     """Deterministic, equivalence-invariant representative of the class of `poly`.
 
     With orientation_preserving=True only determinant +1 maps are allowed, so
-    a chiral polygon and its mirror image get distinct forms.  _canonical_key
-    on the polygon's int tuples: the first of the normalizations memoized on
-    `poly`.  Raises TypeError for a cycle that is not an LdpPolygon.
+    a chiral polygon and its mirror image get distinct forms.  The first of
+    the normalizations memoized on `poly`; for the default flag, _canonical_key
+    of its int tuples.  Raises TypeError for a cycle that is not an LdpPolygon.
     """
     if not isinstance(poly, LdpPolygon):
         raise TypeError(f"canonical_form needs an LdpPolygon, got {type(poly).__name__}")
@@ -188,16 +187,14 @@ def are_equivalent(
         raise TypeError(f"are_equivalent needs LdpPolygons, got {type(q).__name__}, {type(r).__name__}")
     form, (i, s) = _normalizations(q, orientation_preserving)[0]
     n = q.d
-    i = i if s == 1 else n - 1 - i  # the anchor's first vertex in the list of q
     # r's normalizations equal to q's least one come first, least first.
     maps = []
     for r_form, (j, e) in _normalizations(r, orientation_preserving):
         if r_form != form:
             break
-        j = j if e == 1 else n - 1 - j
-        # The map sends q_pts[i + s*t] to r_pts[j + e*t] and has determinant
-        # e*s, so q_pts[0] goes to r_pts[j - i] when that is +1, and q_pts[1]
-        # to r_pts[j + i - 1] when it is -1.  No two maps share this key.
+        # With indices as listed, the map sends q_pts[i + s*t] to r_pts[j + e*t]
+        # and has determinant e*s, so q_pts[0] goes to r_pts[j - i] when that
+        # is +1, and q_pts[1] to r_pts[j + i - 1] when -1.  No two maps share this key.
         maps.append((((j - i) % n, 0) if e == s else ((j + i - 1) % n, 1), j, e))
     if not maps:
         return None

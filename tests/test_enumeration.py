@@ -272,22 +272,21 @@ def test_chains_from_leaves_no_cyclic_garbage():
     assert unreachable == 0
 
 
-@pytest.mark.parametrize("flag", [False, True])
-def test_canonical_key_matches_canonical_form(flag):
+def test_canonical_key_matches_canonical_form():
     rng = random.Random(11)
 
     def form(p):
-        return tuple(v.as_tuple() for v in canonical_form(p, flag).vertices)
+        return tuple(v.as_tuple() for v in canonical_form(p).vertices)
 
     chains = _unrooted_chains(2)
     assert len(chains) == 1533
     for chain in chains:
         poly = validate_ldp_polygon(chain)
-        assert _canonical_key(chain, flag) == form(poly)
+        assert _canonical_key(chain) == form(poly)
     for chain in rng.sample(chains, 200):
         image = apply_to_polygon(random_unimodular_map(rng, max_entry=40), validate_ldp_polygon(chain))
         pts = [v.as_tuple() for v in image.vertices]
-        assert _canonical_key(pts, flag) == form(image) == _oracle_form(image.vertices, flag)
+        assert _canonical_key(pts) == form(image) == _oracle_form(image.vertices, False)
 
 
 def test_box_monotonicity(box1_catalog, box2_catalog):

@@ -525,11 +525,42 @@ def test_forms_without_a_smooth_cone_match_the_oracle(box2_catalog):
             assert _form_tuples(p, flag) == _oracle_form(p.vertices, flag)
 
 
+def test_each_tied_anchor_names_its_pair_as_listed(box2_catalog):
+    # An anchor (k, sign) is the pair pts[k], pts[k + sign] of the cycle as
+    # listed: its normalization is the image of pts[k], pts[k + sign],
+    # pts[k + 2*sign], ... under one integer map of determinant sign, which
+    # Cramer's rule solves on the first pair.  On a unimodular image of every
+    # box-2 class, under both flags.
+    rng = random.Random(16)
+    seen = Counter()
+    for entry in box2_catalog:
+        image = apply_to_polygon(random_unimodular_map(rng), entry.poly)
+        pts = [v.as_tuple() for v in image.vertices]
+        d = len(pts)
+        for flag in (False, True):
+            for rd, (k, sign) in equivalence._tied_anchors(pts, flag):
+                walk = [pts[(k + sign * t) % d] for t in range(d)]
+                (x1, y1), (x2, y2) = walk[0], walk[1]
+                (u1, z1), (u2, z2) = rd[0], rd[1]
+                base = x1 * y2 - x2 * y1
+                entries = [divmod(n, base) for n in (u1 * y2 - u2 * y1, x1 * u2 - x2 * u1,
+                                                      z1 * y2 - z2 * y1, x1 * z2 - x2 * z1)]
+                assert all(r == 0 for _, r in entries), (pts, rd, (k, sign))
+                a, b, c, e = (n for n, _ in entries)
+                assert a * e - b * c == sign
+                assert [(a * x + b * y, c * x + e * y) for x, y in walk] == list(rd)
+                seen[sign] += 1
+    assert min(seen[1], seen[-1]) > 100, seen
+
+
 def test_tied_anchors_match_the_two_orientation_reading(box3_catalog):
     # Each smooth cone is read once, forwards, and its backward anchor is
-    # derived from that reading: the same readings and anchors, in the same
-    # order, as reading both orientations, under both flags.  On every box-3
-    # class and on a rotated unimodular image of each, which moves the
+    # derived from that reading: the same readings and anchors as reading
+    # both orientations, under both flags.  The reference names a backward
+    # anchor by its index i in the reversed cycle, which is index d - 1 - i
+    # as listed.  The lists are compared sorted: no consumer reads their
+    # order, so _tied_anchors no longer keeps the reference's.  On every
+    # box-3 class and on a rotated unimodular image of each, which moves the
     # anchor indices.
     rng = random.Random(13)
     seen = Counter()
@@ -538,9 +569,10 @@ def test_tied_anchors_match_the_two_orientation_reading(box3_catalog):
         shift = rng.randrange(image.d)
         rotated = image.vertices[shift:] + image.vertices[:shift]
         for pts in (list(entry.vertices), [v.as_tuple() for v in rotated]):
-            for flag in (False, True):
-                assert equivalence._tied_anchors(pts, flag) == ref_tied_anchors(pts, flag)
             d = len(pts)
+            for flag in (False, True):
+                want = [(rd, (i if s == 1 else d - 1 - i, s)) for rd, (i, s) in ref_tied_anchors(pts, flag)]
+                assert sorted(equivalence._tied_anchors(pts, flag)) == sorted(want)
             smooth = [i for i in range(d) if pts[i][0] * pts[(i + 1) % d][1] - pts[(i + 1) % d][0] * pts[i][1] == 1]
             seen["smooth" if smooth else "no smooth cone"] += 1
             seen["smooth cone at d - 1"] += d - 1 in smooth
