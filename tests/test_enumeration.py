@@ -40,7 +40,7 @@ from ldptoric.enumeration import (
     _shards,
     _violates_half_plane,
 )
-from ldptoric.equivalence import _canonical_key, apply_to_polygon, random_unimodular_map
+from ldptoric.equivalence import _canonical_key, _tied_anchors, apply_to_polygon, random_unimodular_map
 from ldptoric.surface import nonsingular_arc_contiguous
 
 from oracles import (
@@ -272,21 +272,27 @@ def test_chains_from_leaves_no_cyclic_garbage():
     assert unreachable == 0
 
 
-def test_canonical_key_matches_canonical_form():
+@pytest.mark.parametrize("flag", [False, True])
+def test_canonical_key_matches_canonical_form(flag):
+    # _canonical_key is the default flag's key; with orientation_preserving
+    # the same key is the least reading over the forward tied anchors.
     rng = random.Random(11)
 
     def form(p):
-        return tuple(v.as_tuple() for v in canonical_form(p).vertices)
+        return tuple(v.as_tuple() for v in canonical_form(p, flag).vertices)
+
+    def key(pts):
+        return min(_tied_anchors(pts, True))[0] if flag else _canonical_key(pts)
 
     chains = _unrooted_chains(2)
     assert len(chains) == 1533
     for chain in chains:
         poly = validate_ldp_polygon(chain)
-        assert _canonical_key(chain) == form(poly)
+        assert key(chain) == form(poly)
     for chain in rng.sample(chains, 200):
         image = apply_to_polygon(random_unimodular_map(rng, max_entry=40), validate_ldp_polygon(chain))
         pts = [v.as_tuple() for v in image.vertices]
-        assert _canonical_key(pts) == form(image) == _oracle_form(image.vertices, False)
+        assert key(pts) == form(image) == _oracle_form(image.vertices, flag)
 
 
 def test_box_monotonicity(box1_catalog, box2_catalog):
