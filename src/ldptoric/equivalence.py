@@ -2,13 +2,13 @@
 
 Two polygons are equivalent when an integer matrix of determinant +-1 maps
 the vertex set of one onto the other.  One normalization decides this and
-gives the canonical form.  An anchor is an adjacent vertex pair, read
-forwards, or backwards with the sign of every determinant flipped
-(_orientations, the one mirror convention); anchor (k, sign) names the pair
-pts[k], pts[(k + sign) % d] of the cycle as listed.  Its normalization is
-the cycle read from the anchor under the unique map, of determinant the
-anchor's sign, that sends its first vertex to (1, 0) and its second to
-(k, D) with 0 <= k < D.  The pair (k, D) depends only on the anchor pair
+gives the canonical form.  An anchor (k, sign) is the adjacent vertex pair
+pts[k], pts[(k + sign) % d] of the cycle as listed, read in place on the
+walk pts[k], pts[k + sign], ...: forwards (sign 1), or backwards (sign -1)
+with the sign of every determinant flipped, the one mirror convention.  Its
+normalization is that walk under the unique map, of determinant the anchor's
+sign, that sends its first vertex to (1, 0) and its second to (k, D) with
+0 <= k < D.  The pair (k, D) depends only on the anchor pair
 (x0, y0), (x1, y1): D is their determinant, and k is s*x1 + t*y1 reduced mod
 D, for a Bezout row (s, t) of the first vertex (_bezout_row).  Any row will
 do: two rows differ by a multiple of (y0, -x0), which shifts k by a multiple
@@ -24,7 +24,7 @@ reading with no Bezout row; families.identify() reads the families off these
 readings.  Each is read once, forwards: the backward reading of the same
 pair, anchor (j + 1, -1) for forward anchor j, is the forward one with every
 point swapped, read backwards from the second point.  Without a smooth cone,
-each vertex gets one Bezout row, shared by both orientations.
+each vertex gets one Bezout row, for its forward and its backward anchor.
 
 _canonical_key is the least normalization of a cycle's int tuples (the
 enumeration shards' dedup key, no memo, no sort).  canonical_form, identify
@@ -85,14 +85,6 @@ def _read_on_pair(rot) -> Reading:
     return tuple([(x * by - bx * y, ax * y - x * ay) for x, y in rot])
 
 
-def _orientations(pts: Sequence[tuple[int, int]]):
-    """The cycle read forwards with sign 1 and backwards with sign -1, the one
-    mirror convention: the backwards cycle's pairs have determinant -det, and
-    normalizing it with the sign flipped gives exactly the normalizations of
-    the mirrored cycle [(x, -y) for (x, y) in reversed(pts)]."""
-    return ((pts, 1), (pts[::-1], -1))
-
-
 def _tied_anchors(
     pts: Sequence[tuple[int, int]], orientation_preserving: bool, dets: Sequence[int] | None = None
 ) -> list[tuple[Reading, Anchor]]:
@@ -102,6 +94,7 @@ def _tied_anchors(
     `dets` are the cone determinants of `pts` when the caller has them."""
     if dets is None:
         dets = _cone_dets(pts)
+    d = len(pts)
     # A smooth cone: the least (k, D) is (0, 1), held by exactly the
     # determinant-1 pairs, and each of them normalizes to its basis reading.
     tied = [(_read_on_pair(pts[i:] + pts[:i]), (i, 1)) for i, det in enumerate(dets) if det == 1]
@@ -111,30 +104,29 @@ def _tied_anchors(
         # Backwards, anchor (j + 1, -1) is forward anchor j reversed.  Its
         # reading is j's reading F, each point swapped, in the order F[1], F[0],
         # F[d - 1], ..., F[2].
-        d = len(pts)
         back = [(tuple([(y, x) for x, y in rd[1::-1] + rd[:1:-1]]), ((j + 1) % d, -1)) for rd, (j, _) in tied]
         return tied + back
-    orientations = _orientations(pts)[: 1 if orientation_preserving else 2]
-    # One Bezout row per vertex, shared by both orientations.  Each span is
-    # recomputed here: reading it from `dets` measured slower.
-    rows = {p: _bezout_row(*p) for p in pts}
+    # One Bezout row per vertex, for its forward anchor and its backward one.
+    # Each span is recomputed here: reading it from `dets` measured slower.
+    signs = (1,) if orientation_preserving else (1, -1)
     least = None
-    for cyc, sign in orientations:
-        for i, ((x0, y0), (x1, y1)) in enumerate(zip(cyc, cyc[1:] + cyc[:1])):
-            s, t = rows[x0, y0]
+    for k, (x0, y0) in enumerate(pts):
+        s, t = _bezout_row(x0, y0)
+        for sign in signs:
+            x1, y1 = pts[(k + sign) % d]
             span = sign * (x0 * y1 - x1 * y0)
             key = ((s * x1 + t * y1) % span, span)
             if least is None or key < least:
-                least, ties = key, [(s, t, cyc, sign, i)]
+                least, ties = key, [(s, t, k, sign)]
             elif key == least:
-                ties.append((s, t, cyc, sign, i))
-    for s, t, cyc, sign, i in ties:
-        # Row (s, t) plus the shear that reduces the second vertex mod span.
-        rot = cyc[i:] + cyc[:i]
+                ties.append((s, t, k, sign))
+    for s, t, k, sign in ties:
+        # The walk pts[k], pts[k + sign], ...; row (s, t) plus the shear that
+        # reduces the second vertex mod span.
+        rot = pts[k:] + pts[:k] if sign == 1 else pts[k::-1] + pts[:k:-1]
         (x0, y0), (x1, y1) = rot[0], rot[1]
         q = (s * x1 + t * y1) // least[1]
         a, b = s + sign * q * y0, t - sign * q * x0
-        k = i if sign == 1 else len(pts) - 1 - i  # index i of pts[::-1] is index k of pts
         tied.append((tuple([(a * x + b * y, sign * (x0 * y - y0 * x)) for x, y in rot]), (k, sign)))
     return tied
 

@@ -37,6 +37,7 @@ checked on the polygon as analyze's memo.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import starmap
@@ -310,7 +311,8 @@ def twice_area(cycle: FanCycle) -> int:
 def parse_vertices(text: str) -> list[RayVector]:
     """Parse the shared vertex text format "x,y;x,y;..." into ray vectors.
 
-    Whitespace around tokens is ignored.  Malformed tokens raise ValueError
+    Each coordinate is ASCII decimal digits with an optional sign, and
+    whitespace around tokens is ignored.  Malformed tokens raise ValueError
     naming the offending token; validation of the resulting cycle is separate.
     """
     tokens = text.split(";")
@@ -320,7 +322,10 @@ def parse_vertices(text: str) -> list[RayVector]:
         if len(parts) != 2:
             raise ValueError(f"bad vertex token {token.strip()!r}: expected 'x,y'")
         try:
-            x, y = int(parts[0].strip()), int(parts[1].strip())
+            # int() alone would also take "1_0" (as 10) and non-ASCII digits.
+            if not all(re.fullmatch(r"\s*[+-]?[0-9]+\s*", part) for part in parts):
+                raise ValueError
+            x, y = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"bad vertex token {token.strip()!r}: coordinates must be integers") from None
         out.append(RayVector(x, y))

@@ -238,6 +238,11 @@ def test_negative_vertex_list_errors_are_bad_input(capsys):
     assert err == "error: bad vertex token '-1,x': coordinates must be integers\n"
 
 
+def test_vertex_tokens_int_would_read_are_bad_input(capsys):
+    code, out, err = run(capsys, "analyze", "1_0,1;0,1;-1,-1")
+    assert (code, out, err) == (2, "", "error: bad vertex token '1_0,1': coordinates must be integers\n")
+
+
 def test_svg_of_a_negative_vertex_list(tmp_path, capsys):
     path = tmp_path / "tri.svg"
     code, out, err = run(capsys, "svg", "--vertices", "-2,-3;1,0;0,1", "--out", str(path))
@@ -391,6 +396,25 @@ def test_enumerate_whose_workers_cannot_start_is_exit_two():
     )
     assert (out.returncode, out.stdout) == (2, "")
     assert out.stderr.splitlines()[-1].startswith("error: a worker of the spawn pool died")
+
+
+def test_module_entry_point_runs_main(capsys):
+    # `python -m ldptoric.cli` runs the __main__ guard, which no in-process
+    # call of main reaches.  It runs from the directory holding the package,
+    # which -m puts first on sys.path.
+    src = Path(ldptoric.__file__).resolve().parent.parent
+
+    def module(*argv):
+        args = [sys.executable, "-m", "ldptoric.cli", *argv]
+        return subprocess.run(args, cwd=src, capture_output=True, text=True, timeout=60)
+
+    argv = ("analyze", "1,0;0,1;-2,-3", "--json")
+    out = module(*argv)
+    assert (out.returncode, out.stdout, out.stderr) == run(capsys, *argv)
+    assert out.returncode == 0
+    bad = module("analyze", "1,0;0,x;-2,-3")
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert bad.stderr == "error: bad vertex token '0,x': coordinates must be integers\n"
 
 
 def test_bad_catalog_line(tmp_path, capsys):

@@ -323,6 +323,11 @@ def test_parse_vertices_bad_tokens():
         parse_vertices("1,0;a,b")
     with pytest.raises(ValueError, match="bad vertex token"):
         parse_vertices("1,0;;0,1")
+    # int() alone reads each of these as an integer.
+    for token in ("1_0,1", "\u0661,0", "\uff11,0"):
+        with pytest.raises(ValueError, match=f"^bad vertex token '{token}': coordinates must be integers$"):
+            parse_vertices(f"{token};0,1;-1,-1")
+    assert parse_vertices(" +1 , 0 ;0,1; -1,-1") == V((1, 0), (0, 1), (-1, -1))
 
 
 def test_format_parse_roundtrip():
