@@ -13,7 +13,9 @@ a sidecar file next to the catalog, never into the data itself.
 A catalog line is formatted directly from its entry by catalog_line, the
 one source of the format for files and stdout alike; only three_case goes
 through the JSON encoder.  read_catalog decodes each line once, and
-entry_from_dict checks each surface key once, exactly, in catalog order.
+entry_from_dict checks each surface key once, exactly, in catalog order;
+then the line's (d, vertices) must be above the previous line's, the order
+in which enumerate_ldp and classify write every catalog.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from itertools import chain
 from typing import Sequence
 
 from . import __version__
-from .lattice import LatticeOverflowError
+from .lattice import LatticeOverflowError, _clipped
 from .polygon import (
     LdpPolygon,
     NotCounterclockwise,
@@ -43,7 +45,6 @@ from .polygon import (
 from .surface import SurfaceReport, analyze, blow_up
 from .equivalence import are_equivalent
 from .enumeration import (
-    BoxSpec,
     CatalogEntry,
     EnumerationStats,
     WorkerPoolError,
@@ -117,14 +118,14 @@ def entry_from_dict(data: dict) -> CatalogEntry:
         if type(value) is not type(derived) or value != derived or (
             type(value) is list and not all(type(x) is int for x in value)  # not isinstance: bool is an int
         ):
-            raise ValueError(f"{key} {value!r} does not match the vertices, which give {derived}")
+            raise ValueError(f"{key} {_clipped(repr(value))} does not match the vertices, which give {derived}")
     family = raw = data.get("family")
     if raw is not None:
         fd = dict(raw)
         family = FamilyParams(fd.pop("family"), **fd)
         # Checked after FamilyParams, so a line it rejects keeps its message.
         if type(raw) is not dict:
-            raise ValueError(f"family {raw!r} is not a JSON object")
+            raise ValueError(f"family {_clipped(repr(raw))} is not a JSON object")
         for name, value in fd.items():
             if value is None:
                 raise ValueError(f"family {family.family} parameter {name} is null")
@@ -152,7 +153,11 @@ def read_catalog(path: str) -> list[CatalogEntry]:
                     data, end = _decode(line)
                     if end != len(line):
                         json.loads(line)
-                    entries.append(entry_from_dict(data))
+                    entry = entry_from_dict(data)
+                    if entries and (entry.d, entry.vertices) <= (entries[-1].d, entries[-1].vertices):
+                        raise ValueError(
+                            "(d, vertices) is not above the previous line's: a repeated or misordered class")
+                    entries.append(entry)
             except (KeyError, TypeError, ValueError, LatticeOverflowError, RecursionError) as exc:
                 raise ValueError(f"bad catalog line {line_no}: {exc}") from None
     return entries
@@ -232,29 +237,24 @@ def emit_svg(poly: LdpPolygon, path: str) -> None:
         fh.write("\n".join(parts) + "\n")
 
 
-def _print_report_text(report: SurfaceReport) -> None:
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    report = analyze(validate_fan(parse_vertices(args.vertices)))
+    if args.json:
+        print(_dump(report_to_dict(report)))
+        return 0
     for key, value in report_to_dict(report).items():
         if isinstance(value, bool):
             value = "yes" if value else "no"
         elif isinstance(value, list):
             value = " ".join(map(str, value))
         print(f"{key:<10}{value}")
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    cycle = validate_fan(parse_vertices(args.vertices))
-    report = analyze(cycle)
-    if args.json:
-        print(_dump(report_to_dict(report)))
-    else:
-        _print_report_text(report)
     return 0
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     started = time.time()
     stats = EnumerationStats()
-    entries = enumerate_ldp(BoxSpec(args.box), jobs=args.jobs, stats=stats)
+    entries = enumerate_ldp(args.box, jobs=args.jobs, stats=stats)
     if args.out is None:
         sys.stdout.writelines(map(catalog_line, entries))
     else:
@@ -294,14 +294,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
-    given = {
-        name: getattr(args, name)
-        for name in ("p", "q", "r", "s", "t")
-        if getattr(args, name) is not None
-    }
-    params = FamilyParams(args.family, **given)
-    instance = generate(params)
-    print(format_vertices(instance.polygon.vertices))
+    params = FamilyParams(args.family, args.p, args.q, args.r, args.s, args.t)
+    print(format_vertices(generate(params).polygon.vertices))
     return 0
 
 

@@ -119,25 +119,31 @@ def primitive_points(n: int) -> list[RayVector]:
 Chain = tuple[tuple[int, int], ...]
 
 
+def _first_edges(pts: list[tuple[int, int]], i: int) -> list[list[int]]:
+    """The first edges [i, j] of the chains from pts[i]: each later j with det(pts[i], pts[j]) >= 1."""
+    sx, sy = pts[i]
+    return [[i, j] for j in range(i + 1, len(pts)) if sx * pts[j][1] - pts[j][0] * sy >= 1]
+
+
 def _chains_from(pts: list[tuple[int, int]], prefix: list[int]) -> list[Chain]:
     """All LDP cycles, as int tuples, that begin with the points pts[i] for i
     in `prefix` and go on through strictly increasing positions of `pts`.
 
     pts is a list of primitive int tuples in angular order starting at
     pts[prefix[0]] (primitive_points, or a rotation of a sublist of it), and
-    the prefix must already be a valid partial chain: increasing positions,
-    consecutive determinants >= 1 and strict left turns."""
+    the prefix is a valid partial chain of two points or more: increasing
+    positions, consecutive determinants >= 1 and strict left turns."""
     found: list[Chain] = []
-    _extend(pts, found, list(prefix), prefix[-1])
+    _extend(pts, found, list(prefix))
     return found
 
 
-def _extend(pts: list[tuple[int, int]], found: list[Chain], chain: list[int], last_index: int) -> None:
+def _extend(pts: list[tuple[int, int]], found: list[Chain], chain: list[int]) -> None:
     """_chains_from's step: append to `found` every LDP cycle that extends
-    the partial chain `chain` through positions of `pts` after `last_index`."""
+    the partial chain `chain`, of two points or more, past its last position."""
     # Inline det2 and the vertex turn: (ex, ey) is the last edge of the chain.
     lx, ly = pts[chain[-1]]
-    px, py = pts[chain[-2]] if len(chain) >= 2 else (lx, ly)
+    px, py = pts[chain[-2]]
     ex, ey = lx - px, ly - py
     if len(chain) >= 3:
         (fx, fy), (sx, sy) = pts[chain[0]], pts[chain[1]]
@@ -147,14 +153,12 @@ def _extend(pts: list[tuple[int, int]], found: list[Chain], chain: list[int], la
             and (fx - lx) * (sy - fy) - (sx - fx) * (fy - ly) >= 1
         ):
             found.append(tuple(pts[j] for j in chain))
-    for nxt in range(last_index + 1, len(pts)):
+    for nxt in range(chain[-1] + 1, len(pts)):
         cx, cy = pts[nxt]
-        if lx * cy - cx * ly < 1:
-            continue
-        if len(chain) >= 2 and ex * (cy - ly) - (cx - lx) * ey < 1:
+        if lx * cy - cx * ly < 1 or ex * (cy - ly) - (cx - lx) * ey < 1:
             continue
         chain.append(nxt)
-        _extend(pts, found, chain, nxt)
+        _extend(pts, found, chain)
         chain.pop()
 
 
@@ -163,8 +167,8 @@ def enumerate_raw(n: int) -> list[tuple[RayVector, ...]]:
     (starting at the angularly smallest vertex), each one validated: the
     unrooted walk."""
     pts = list(map(tuple, primitive_points(n)))
-    chains = (chain for start in range(len(pts)) for chain in _chains_from(pts, [start]))
-    return [validate_ldp_polygon(chain).vertices for chain in chains]
+    edges = (edge for i in range(len(pts)) for edge in _first_edges(pts, i))
+    return [validate_ldp_polygon(chain).vertices for edge in edges for chain in _chains_from(pts, edge)]
 
 
 # The signed permutations of the square other than the identity, as
@@ -179,7 +183,7 @@ def _shards(pts: list[tuple[int, int]]) -> list[tuple[list[tuple[int, int]], lis
     """(candidates, [0, j]) per walk over the angularly sorted box points
     `pts`.  Each root s (a point least in its D4 orbit) has as candidates
     the points whose D4 orbit has no point below s, in angular order
-    starting at s, and one shard per second vertex j at determinant >= 1."""
+    starting at s, and one shard per first edge [0, j] (_first_edges)."""
     least = [
         min([(x, y)] + [(a * x + b * y, c * x + d * y) for a, b, c, d in _SQUARE_SYMMETRIES])
         for x, y in pts
@@ -188,7 +192,7 @@ def _shards(pts: list[tuple[int, int]]) -> list[tuple[list[tuple[int, int]], lis
     for i, (sx, sy) in enumerate(pts):
         if least[i] == (sx, sy):
             cands = [p for p, m in zip(pts[i:] + pts[:i], least[i:] + least[:i]) if m >= (sx, sy)]
-            shards += [(cands, [0, j]) for j, (x, y) in enumerate(cands) if sx * y - x * sy >= 1]
+            shards += [(cands, edge) for edge in _first_edges(cands, 0)]
     return shards
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 
 from .equivalence import _normalizations
-from .lattice import _Record
+from .lattice import _clipped, _Record
 from .polygon import FanCycle, LdpPolygon, NotStrictlyConvex, _ValuedError, validate_ldp_polygon
 from .surface import analyze, blow_down_candidates
 
@@ -166,7 +166,7 @@ class FamilyParams(_Record):
     def __new__(cls, family: str, p: int | None = None, q: int | None = None, r: int | None = None,
                 s: int | None = None, t: int | None = None) -> "FamilyParams":
         if family not in FAMILY_SPECS:
-            raise ValueError(f"unknown family tag {family!r}")
+            raise ValueError(f"unknown family tag {_clipped(repr(family))}")
         required = FAMILY_SPECS[family].params
         for name, value in zip(("p", "q", "r", "s", "t"), (p, q, r, s, t)):
             if name in required and value is None:
@@ -174,7 +174,7 @@ class FamilyParams(_Record):
             if name not in required and value is not None:
                 raise ValueError(f"family {family} takes no parameter {name}")
             if value is not None and type(value) is not int:  # not isinstance: bool is an int
-                raise ValueError(f"family {family} parameter {name} {value!r} is not an integer")
+                raise ValueError(f"family {family} parameter {name} {_clipped(repr(value))} is not an integer")
         return tuple.__new__(cls, (family, p, q, r, s, t))
 
     def as_tuple(self) -> tuple[int, ...]:

@@ -37,13 +37,21 @@ class LatticeOverflowError(OverflowError):
     """A lattice computation left the signed 64-bit range."""
 
 
+def _clipped(text: str) -> str:
+    """`text` as an error message echoes it: whole up to 80 characters, else cut."""
+    return text if len(text) <= 80 else f"{text[:60]}... ({len(text)} characters)"
+
+
 def checked_i64(value: int, context: str) -> int:
     """Pass `value` through if it is an int in the signed 64-bit range; else
-    raise ValueError (not an int, bools included) or LatticeOverflowError."""
+    raise ValueError (not an int, bools included) or LatticeOverflowError.
+    The message echoes an int of more than 256 bits by its size: str() takes
+    quadratic time and refuses 4,300 digits or more."""
     if type(value) is not int:  # not isinstance: bool is an int
-        raise ValueError(f"{context} {value!r} is not an integer")
+        raise ValueError(f"{context} {_clipped(repr(value))} is not an integer")
     if value < I64_MIN or value > I64_MAX:
-        raise LatticeOverflowError(f"{context} {value} exceeds the signed 64-bit range")
+        shown = value if value.bit_length() <= 256 else f"of {value.bit_length()} bits"
+        raise LatticeOverflowError(f"{context} {shown} exceeds the signed 64-bit range")
     return value
 
 
@@ -91,7 +99,7 @@ _ray = partial(tuple.__new__, RayVector)  # the RayVector of a screened pair, un
 def _checked_ray(index: int, point) -> RayVector:
     x, y = point
     if type(x) is not int or type(y) is not int:  # not isinstance: bool is an int
-        raise ValueError(f"vertex {index} {point!r}: coordinates must be integers")
+        raise ValueError(f"vertex {index} {_clipped(repr(point))}: coordinates must be integers")
     return RayVector(x, y)
 
 

@@ -43,7 +43,7 @@ from functools import cmp_to_key
 from itertools import starmap
 from typing import Iterable, Sequence
 
-from .lattice import I64_MAX, LatticeOverflowError, RayVector, _Record, checked_i64, det2, pair_rays
+from .lattice import I64_MAX, LatticeOverflowError, RayVector, _clipped, _Record, checked_i64, det2, pair_rays
 
 
 class FanValidationError(ValueError):
@@ -88,31 +88,19 @@ class NotStrictlyConvex(_ValuedError, FanValidationError):
     words = lambda index: f"NotStrictlyConvex({index}): ray {index} is not a strict vertex of the hull"
 
 
-def _lower_half(v: RayVector) -> bool:
-    # Angular half-plane split: False covers angles in [0, pi) starting at the
-    # positive x axis, True covers [pi, 2*pi).
-    return v[1] < 0 or (v[1] == 0 and v[0] < 0)
-
-
-def angle_less(u: RayVector, v: RayVector) -> bool:
-    """Strict angular order on distinct directions, counterclockwise from (1, 0).
-
-    Exact: decided by the half-plane split and one determinant sign, no
-    floating point.  Distinct primitive vectors never share a direction, so
-    this is a total order on them.
-    """
-    hu, hv = _lower_half(u), _lower_half(v)
-    if hu != hv:
-        return hv
-    return det2(u, v) > 0
-
-
 def angular_sort(points: Iterable[RayVector]) -> list[RayVector]:
-    """Sort vectors by angle counterclockwise starting at the positive x axis."""
+    """Sort vectors by angle counterclockwise starting at the positive x axis.
+
+    Exact: decided by the half-plane split, [0, pi) before [pi, 2*pi), and one
+    determinant sign.  Distinct primitive vectors never share a direction, so
+    this is a total order on them."""
     def cmp(u: RayVector, v: RayVector) -> int:
         if u == v:
             return 0
-        return -1 if angle_less(u, v) else 1
+        lower_u = u[1] < 0 or (u[1] == 0 and u[0] < 0)
+        if lower_u != (v[1] < 0 or (v[1] == 0 and v[0] < 0)):
+            return 1 if lower_u else -1
+        return -1 if det2(u, v) > 0 else 1
 
     return sorted(points, key=cmp_to_key(cmp))
 
@@ -313,22 +301,26 @@ def parse_vertices(text: str) -> list[RayVector]:
 
     Each coordinate is ASCII decimal digits with an optional sign, and
     whitespace around tokens is ignored.  Malformed tokens raise ValueError
-    naming the offending token; validation of the resulting cycle is separate.
+    naming the offending token, and a coordinate outside the signed 64-bit
+    range LatticeOverflowError; validation of the resulting cycle is separate.
     """
-    tokens = text.split(";")
     out: list[RayVector] = []
-    for token in tokens:
+    for token in text.split(";"):
         parts = token.split(",")
         if len(parts) != 2:
-            raise ValueError(f"bad vertex token {token.strip()!r}: expected 'x,y'")
-        try:
-            # int() alone would also take "1_0" (as 10) and non-ASCII digits.
-            if not all(re.fullmatch(r"\s*[+-]?[0-9]+\s*", part) for part in parts):
-                raise ValueError
-            x, y = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"bad vertex token {token.strip()!r}: coordinates must be integers") from None
-        out.append(RayVector(x, y))
+            raise ValueError(f"bad vertex token {_clipped(repr(token.strip()))}: expected 'x,y'")
+        # int() alone would also take "1_0" (as 10) and non-ASCII digits.
+        matches = [re.fullmatch(r"\s*([+-]?)0*([0-9]+)\s*", part) for part in parts]
+        if not all(matches):
+            raise ValueError(f"bad vertex token {_clipped(repr(token.strip()))}: coordinates must be integers")
+        coords = []
+        for axis, (sign, digits) in zip("xy", (m.groups() for m in matches)):
+            # Past 78 digits, leading zeros stripped, a value is above 2**256,
+            # where checked_i64 names it by its size, and int() refuses 4,300.
+            if len(digits) > 78:
+                raise LatticeOverflowError(f"{axis} coordinate of {len(digits)} digits exceeds the signed 64-bit range")
+            coords.append(checked_i64(int(sign + digits), f"{axis} coordinate"))
+        out.append(RayVector(*coords))
     return out
 
 

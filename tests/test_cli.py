@@ -465,6 +465,38 @@ def _catalog_with_first_line(tmp_path, capsys, edit):
     return tagged
 
 
+def _box_one_lines(tmp_path, capsys):
+    path = tmp_path / "box1.jsonl"
+    run(capsys, "enumerate", "--box", "1", "--jobs", "1", "--out", str(path))
+    return path, path.read_text().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("reorder, line_no", [
+    (lambda lines: lines + lines[:1], 12),  # the first line repeated at the end
+    (lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:], 4),  # lines 3 and 4 swapped
+], ids=["repeated", "swapped"])
+def test_a_repeated_or_misordered_catalog_line_is_bad_input(tmp_path, capsys, reorder, line_no):
+    # A catalog lists its classes in strictly increasing (d, vertices) order,
+    # so a repeat cannot be counted twice; each line passes its own checks.
+    path, lines = _box_one_lines(tmp_path, capsys)
+    assert len(lines) == 11
+    path.write_text("".join(reorder(lines)))
+    for command in ("check", "classify"):
+        assert run(capsys, command, "--in", str(path)) == (2, "", (
+            f"error: bad catalog line {line_no}: (d, vertices) is not above the previous line's: "
+            "a repeated or misordered class\n"))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["enumerate", "--box", "0"], "box size must be at least 1"),
+    (["enumerate", "--box", "9223372036854775808"], "box size 9223372036854775808 exceeds the signed 64-bit range"),
+    (["enumerate", "--box", "1", "--jobs", "0"], "jobs 0 is not None or an integer of at least 1"),
+    (["family", "--family", "two1", "--p", "2", "--q", "3", "--s", "1"], "family two1 takes no parameter s"),
+])
+def test_cli_passes_box_jobs_and_family_flags_to_the_library_checks(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def _catalog_with_first_coordinate(tmp_path, capsys, bad):
     def edit(data):
         data["vertices"][0][0] = bad
@@ -692,10 +724,17 @@ def test_catalog_bytes_pinned(tmp_path, request, n):
     assert tuple(digests) == CATALOG_SHA256[n]
 
 
+# Coordinates past int()'s 4,300-digit limit, below it but far out of range,
+# and a small one after a long run of zeros.
+_FUZZ_LONG = ("7" * 4000, "-" + "1" * 5001, "0" * 6000 + "1")
+
+
 def _fuzz_vertex_text(rng, polygons):
     """Vertex text: half the time a catalog polygon, rotated, perhaps reversed
     or with one coordinate moved by 1; else random tokens, mostly well formed,
-    with small or out-of-range ints and now and then a malformed token."""
+    with small or out-of-range ints, now and then one of 4,000 or 5,001
+    digits or a small one after 6,000 zeros, and now and then a malformed
+    token."""
     if rng.random() < 0.5:
         pts = [list(p) for p in rng.choice(polygons)]
         k = rng.randrange(len(pts))
@@ -707,7 +746,8 @@ def _fuzz_vertex_text(rng, polygons):
         return ";".join(f"{x},{y}" for x, y in pts)
     tokens = []
     for _ in range(rng.randint(0, 7)):
-        x, y = (rng.choice([rng.randint(-3, 3), rng.randint(-40, 40), 2**63, -(2**63) - 1]) for _ in "xy")
+        x, y = (rng.choice(_FUZZ_LONG) if rng.random() < 0.05 else
+                rng.choice([rng.randint(-3, 3), rng.randint(-40, 40), 2**63, -(2**63) - 1]) for _ in "xy")
         token = rng.choice([f"{x},{y}", f" {x} , {y} ", f"{x},{y},{x}", f"{x}", f"{x},a", "", f"{x}.5,{y}"]
                            if rng.random() < 0.15 else [f"{x},{y}"])
         tokens.append(token)
@@ -728,7 +768,7 @@ def _fuzz_catalog_line(rng, line):
         return "".join(chars)
     data = json.loads(line)
     key = rng.choice(list(data))
-    value = rng.choice([None, True, 1.0, -1, 2**64, "1", [], {}, [[1, 0]], [[0, 1], [1, 0], [-1, -1]],
+    value = rng.choice([None, True, 1.0, -1, 2**64, 10**4000, "1", "x" * 5000, [], {}, [[1, 0]], [[0, 1], [1, 0], [-1, -1]],
                         {"family": "dais1", "p": 1}, {"family": "nope"}, json.loads(line)[key]])
     if rng.random() < 0.2:
         del data[key]
@@ -742,7 +782,8 @@ def _fuzz_catalog_line(rng, line):
 def test_seeded_cli_fuzz_exits_zero_or_two(tmp_path, capsys, box2_catalog):
     # Random vertex text for the polygon commands and mutated box-2 catalog
     # lines for check and classify: every call exits 0 or 2, never 1 (that
-    # means counterexamples) and never with a traceback.
+    # means counterexamples), never with a traceback, and with a stderr of
+    # at most 500 characters, whatever the length of the input it refuses.
     rng = random.Random(2024)
     tagged = tmp_path / "tagged.jsonl"
     write_catalog(classify_catalog(box2_catalog), str(tagged))
@@ -773,7 +814,7 @@ def test_seeded_cli_fuzz_exits_zero_or_two(tmp_path, capsys, box2_catalog):
             for name, value in params.items():
                 argv += [f"--{name}", str(value)]
         else:
-            chosen = rng.sample(lines, 4)
+            chosen = [lines[i] for i in sorted(rng.sample(range(len(lines)), 4))]  # in file order
             chosen[rng.randrange(4)] = _fuzz_catalog_line(rng, rng.choice(lines))
             catalog.write_text("\n".join(chosen) + "\n", encoding="utf-8")
             argv = [rng.choice(["check", "classify"]), "--in", str(catalog)]
@@ -782,7 +823,7 @@ def test_seeded_cli_fuzz_exits_zero_or_two(tmp_path, capsys, box2_catalog):
         except SystemExit as exc:  # argparse rejects a malformed command line with 2
             code = exc.code
         err = capsys.readouterr().err
-        assert code in (0, 2) and "Traceback" not in err, (argv, code, err)
+        assert code in (0, 2) and "Traceback" not in err and len(err) <= 500, (argv, code, err[:1000])
         codes.append(code)
     # Each kind of case both passes and fails somewhere, so none is rejected wholesale.
     assert all(0 in codes[kind::6] and 2 in codes[kind::6] for kind in range(6))

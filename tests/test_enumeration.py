@@ -69,7 +69,9 @@ def _box_tuples(n):
 
 def _unrooted_chains(n):
     pts = _box_tuples(n)
-    return [chain for start in range(len(pts)) for chain in _chains_from(pts, [start])]
+    # Each walk starts from a first edge [i, j]: j > i at determinant >= 1.
+    edges = [[i, j] for i, (x, y) in enumerate(pts) for j in range(i + 1, len(pts)) if x * pts[j][1] - pts[j][0] * y >= 1]
+    return [chain for edge in edges for chain in _chains_from(pts, edge)]
 
 
 def test_box_spec_rejects_nonpositive():

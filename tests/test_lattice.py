@@ -141,6 +141,20 @@ def test_checked_i64_is_the_one_integer_gate():
         checked_i64(2**63, "v")
 
 
+def test_a_huge_int_is_a_bounded_overflow_error():
+    # str() refuses an int of 4,300 digits or more, so a message that spelled
+    # one out raised a plain ValueError; one of more than 256 bits is named by
+    # its size, and a long value that is not an int is cut.
+    with pytest.raises(LatticeOverflowError, match="^x coordinate of 16610 bits exceeds the signed 64-bit range$"):
+        RayVector(10**5000, 0)
+    with pytest.raises(LatticeOverflowError, match="^vertex turn of 13288 bits exceeds"):
+        checked_i64(-(10**4000), "vertex turn")
+    with pytest.raises(LatticeOverflowError, match=f"^det2 {2**256 - 1} exceeds"):
+        checked_i64(2**256 - 1, "det2")
+    with pytest.raises(ValueError, match=r"^v '7{59}\.\.\. \(5002 characters\) is not an integer$"):
+        checked_i64("7" * 5000, "v")
+
+
 def test_ray_vector_checks_x_in_full_before_y():
     # x is out of range and y is not an int: x's range check comes first.
     with pytest.raises(LatticeOverflowError, match="^x coordinate"):

@@ -330,6 +330,22 @@ def test_parse_vertices_bad_tokens():
     assert parse_vertices(" +1 , 0 ;0,1; -1,-1") == V((1, 0), (0, 1), (-1, -1))
 
 
+def test_parse_vertices_bounds_what_it_echoes():
+    # A long run of leading zeros is a small int; a coordinate of many
+    # digits gets the range error by its length, x before y, and a long bad
+    # token is cut.  Up to 78 digits, the range error names the value.
+    assert parse_vertices("0" * 6000 + "1,-" + "0" * 6000 + "2;0,1") == V((1, -2), (0, 1))
+    for digits in (4000, 5001):
+        with pytest.raises(LatticeOverflowError, match=f"^x coordinate of {digits} digits exceeds the signed 64-bit range$"):
+            parse_vertices(f"{'9' * digits},{'9' * digits};0,1")
+    with pytest.raises(LatticeOverflowError, match=f"^x coordinate {2**63} exceeds the signed 64-bit range$"):
+        parse_vertices(f"{2**63},{'9' * 5000};0,1")
+    with pytest.raises(LatticeOverflowError, match=f"^y coordinate -{'1' * 31} exceeds the signed 64-bit range$"):
+        parse_vertices(f"1,-000{'1' * 31};0,1")
+    with pytest.raises(ValueError, match=r"^bad vertex token '1,x{57}\.\.\. \(5004 characters\): coordinates must be integers$"):
+        parse_vertices("1," + "x" * 5000)
+
+
 def test_format_parse_roundtrip():
     pts = V((1, 0), (0, 1), (-1, 0), (1, -3), (2, -3))
     assert parse_vertices(format_vertices(pts)) == pts
