@@ -11,11 +11,11 @@ sha256 of the catalog bytes and the enumeration's EnumerationStats) goes to
 a sidecar file next to the catalog, never into the data itself.
 
 A catalog line is formatted directly from its entry by catalog_line, the
-one source of the format for files and stdout alike; only three_case goes
-through the JSON encoder.  read_catalog decodes each line once, and
-entry_from_dict checks each surface key once, exactly, in catalog order;
-then the line's (d, vertices) must be above the previous line's, the order
-in which enumerate_ldp and classify write every catalog.
+one source of the format for files and stdout alike: %-formats per vertex
+count and per family tag fill in the integers.  read_catalog decodes each
+line once with raw_decode, checks it with entry_from_dict, and then
+requires its (d, vertices) above the previous line's, the order in which
+enumerate_ldp and classify write every catalog.
 """
 
 from __future__ import annotations
@@ -118,14 +118,14 @@ def entry_from_dict(data: dict) -> CatalogEntry:
         if type(value) is not type(derived) or value != derived or (
             type(value) is list and not all(type(x) is int for x in value)  # not isinstance: bool is an int
         ):
-            raise ValueError(f"{key} {_clipped(repr(value))} does not match the vertices, which give {derived}")
+            raise ValueError(f"{key} {_clipped(value)} does not match the vertices, which give {derived}")
     family = raw = data.get("family")
     if raw is not None:
         fd = dict(raw)
         family = FamilyParams(fd.pop("family"), **fd)
         # Checked after FamilyParams, so a line it rejects keeps its message.
         if type(raw) is not dict:
-            raise ValueError(f"family {_clipped(repr(raw))} is not a JSON object")
+            raise ValueError(f"family {_clipped(raw)} is not a JSON object")
         for name, value in fd.items():
             if value is None:
                 raise ValueError(f"family {family.family} parameter {name} is null")

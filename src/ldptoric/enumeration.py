@@ -34,6 +34,11 @@ built from the key; a unimodular image is valid exactly when its chain is,
 so this checks every catalog class.  enumerate_raw validates every raw
 cycle.  Each catalog entry keeps its validated polygon, so an in-process
 enumerate, classify and verify validates and analyzes each class once.
+enumerate_ldp merges the shard results in shard order in one loop, whether
+they come from map in process (jobs == 1) or from _pooled's
+ProcessPoolExecutor, which takes one shard per task; a worker that dies
+breaks the pool, which raises WorkerPoolError instead of waiting on a
+replacement.
 """
 
 from __future__ import annotations
@@ -180,10 +185,9 @@ _SQUARE_SYMMETRIES = (
 
 
 def _shards(pts: list[tuple[int, int]]) -> list[tuple[list[tuple[int, int]], list[int]]]:
-    """(candidates, [0, j]) per walk over the angularly sorted box points
-    `pts`.  Each root s (a point least in its D4 orbit) has as candidates
-    the points whose D4 orbit has no point below s, in angular order
-    starting at s, and one shard per first edge [0, j] (_first_edges)."""
+    """(candidates, [0, j]) per root and first edge [0, j] (_first_edges),
+    over the angularly sorted box points `pts`; the module docstring says
+    which points are roots and candidates."""
     least = [
         min([(x, y)] + [(a * x + b * y, c * x + d * y) for a, b, c, d in _SQUARE_SYMMETRIES])
         for x, y in pts
@@ -204,10 +208,9 @@ def _root_preimages(s: tuple[int, int]) -> list[tuple[tuple[int, int], tuple[int
 
 def _is_orbit_least(chain: Chain, preimages: list) -> bool:
     """True iff the sorted vertex list of a rooted chain is least in its D4
-    orbit.  Every vertex's D4 orbit lies at or above the root s = chain[0],
-    so an image ties with the sorted list only when it contains s, that is
-    when g maps the vertex g^-1 s onto s; only those images are sorted.
-    `preimages` is _root_preimages(s), which a shard computes once."""
+    orbit, sorting only the images that contain the root s = chain[0]: those
+    of g whose preimage g^-1 s is a vertex.  `preimages` is
+    _root_preimages(s), which a shard computes once."""
     key = None
     for pre, (a, b, c, d) in preimages:
         if pre in chain:
@@ -380,6 +383,7 @@ def verify_catalog(entries: list[CatalogEntry]) -> VerificationReport:
     (f) whenever two singular cones sandwich a single nonsingular one, the
         outer ray pair spans determinant >= 2 and the entry has >= 3 singular
         points in total (d >= 4 entries).
+    Every tag is re-derived by _classify; the stored ones are never read.
     """
     found: dict[str, list] = {name: [] for name in CHECKS}
     for entry in entries:

@@ -168,12 +168,12 @@ def are_equivalent(
 ) -> UnimodularMap | None:
     """A unimodular map carrying the vertex set of q onto that of r, or None.
 
-    Each anchor of r tied at q's least normalization gives one connecting
-    map.  The map returned is the first that fits 64 bits in the order of
-    the index in r of the image of q's first vertex (determinant +1) or of
-    its second (determinant -1), determinant +1 first on a tie.  Raises
-    LatticeOverflowError when every connecting map has an entry outside the
-    signed 64-bit range, and TypeError when q or r is not an LdpPolygon.
+    The map returned is the first connecting map that fits 64 bits in the
+    order of the index in r of the image of q's first vertex (determinant
+    +1) or of its second (determinant -1), determinant +1 first on a tie.
+    Raises LatticeOverflowError when every connecting map has an entry
+    outside the signed 64-bit range, and TypeError when q or r is not an
+    LdpPolygon.
     """
     if not (isinstance(q, LdpPolygon) and isinstance(r, LdpPolygon)):
         raise TypeError(f"are_equivalent needs LdpPolygons, got {type(q).__name__}, {type(r).__name__}")

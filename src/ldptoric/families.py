@@ -11,25 +11,19 @@ five-vertex classes with three:
   two3    [(1,0), (0,1), (-1,p+1), (-1,p), (q,r)]      d=5, two singular points
   three5  [(1,0), (0,1), (-1,p), (q,r), (s,t)]         d=5, three singular points
 
-FAMILY_SPECS holds one FamilySpec per tag: parameter names, singular count,
-d, the vertex list above, the named constraints, an anchor, a reading and a
-reader.  The anchor is the index of a fixed determinant-1 vertex pair of the
-template: (1,0), (0,1) at index 0 for two1/two2/two3/three5, (-1,0), (1,-1)
-at index 2 for dais1 and 3 for dais2, (-1,0), (0,-1) at index 3 for dais3.
-The reading is the template mapped so that pair becomes the standard basis,
-in closed form: the vertex list itself at index 0, ((1,0), (0,1), (-p-1,-1))
-for dais1, the same plus (-p,-1) for dais2, ((1,0), (0,1), (-1,1), (-p,-1),
-(1-p,-1)) for dais3; the reader recovers the parameters from it.  identify()
-decides all seven families the same way, by comparing the basis readings of
-a polygon (the normalizations of its determinant-1 anchors, which
-equivalence memoizes on the polygon for canonical_form and are_equivalent
-too) with the reading at the parameters read off each; the readings are
-exact ints at any size and never range-checked here, since they only select
-parameters and never become vertices.  classify_three() sorts the
-three-singular-point classes into the cases that exhaust them for d <= 6,
-and the catalog tagging calls it for each of them.  identify() memoizes its
-result in the polygon's `_family` slot, like analyze's `_report`, so
+FAMILY_SPECS holds one FamilySpec per tag (its docstring names the fields),
+and every function here reads that table.  identify() decides all seven
+families the same way: it reads the parameters off each basis reading of a
+polygon (the normalizations of its determinant-1 anchors, which equivalence
+memoizes on the polygon for canonical_form and are_equivalent too) and
+compares that reading with the spec's closed-form reading at those
+parameters, with no template built, rotated or mapped.  The readings are
+exact ints at any size and never range-checked, since they only select
+parameters and never become vertices.  identify() memoizes its result, None
+included, in the polygon's `_family` slot, like analyze's `_report`, so
 classify_three at d = 5 and a later verification read it for free.
+classify_three() sorts the three-singular-point classes into the cases that
+exhaust them for d <= 6, and the catalog tagging calls it for each of them.
 """
 
 from __future__ import annotations
@@ -49,9 +43,9 @@ class FamilySpec(_Record):
     `constraints` returns (name, holds) pairs in the order generate() reports
     them.  `anchor` is the index in `vertices` of a determinant-1 pair
     (vertex anchor and its successor), and `reading` the family polygon read
-    on the basis of that pair (None: `vertices`, for anchor 0); `read` maps a
-    basis reading (a vertex cycle starting (1, 0), (0, 1)) to the parameters
-    it has if it is that reading.
+    on the basis of that pair, in closed form (None: `vertices`, for anchor
+    0); `read` maps a basis reading (a vertex cycle starting (1, 0), (0, 1))
+    to the parameters it has if it is that reading.
     """
 
     __slots__ = ()
@@ -166,7 +160,7 @@ class FamilyParams(_Record):
     def __new__(cls, family: str, p: int | None = None, q: int | None = None, r: int | None = None,
                 s: int | None = None, t: int | None = None) -> "FamilyParams":
         if family not in FAMILY_SPECS:
-            raise ValueError(f"unknown family tag {_clipped(repr(family))}")
+            raise ValueError(f"unknown family tag {_clipped(family)}")
         required = FAMILY_SPECS[family].params
         for name, value in zip(("p", "q", "r", "s", "t"), (p, q, r, s, t)):
             if name in required and value is None:
@@ -174,7 +168,7 @@ class FamilyParams(_Record):
             if name not in required and value is not None:
                 raise ValueError(f"family {family} takes no parameter {name}")
             if value is not None and type(value) is not int:  # not isinstance: bool is an int
-                raise ValueError(f"family {family} parameter {name} {_clipped(repr(value))} is not an integer")
+                raise ValueError(f"family {family} parameter {name} {_clipped(value)} is not an integer")
         return tuple.__new__(cls, (family, p, q, r, s, t))
 
     def as_tuple(self) -> tuple[int, ...]:
@@ -224,7 +218,7 @@ def identify(poly: FanCycle) -> FamilyParams | None:
     them is searched.  Deterministic: among all matching tuples the
     lexicographically smallest wins.  Singular counts outside 1..3, or a
     3-singular polygon with d != 5, yield None, as does a non-convex
-    FanCycle.  What the readings give is memoized in its `_family` slot.
+    FanCycle, since an equivalence preserves convexity.
     """
     if hasattr(poly, "_family"):  # None is a result, so the memo is set or unset
         return poly._family

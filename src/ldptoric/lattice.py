@@ -14,8 +14,12 @@ raises ValueError naming a value that is not an int (a bool, float or str),
 and LatticeOverflowError naming an int outside the range.  Each named value
 passes it once, where it is produced: here the RayVector coordinates, the
 UnimodularMap entries and the results of det2 and UnimodularMap.det;
-BoxSpec its box size, validation its cone determinants and vertex turns,
-and analyze its f-values.  pair_rays screens a polygon's coordinates in one
+BoxSpec its box size (so a box past I64_MAX raises before any grid is
+built), validation its cone determinants and vertex turns, and analyze its
+f-values.  twice_area and identify's basis readings are never checked.  No
+message spells out an unbounded value: checked_i64 names an int past 256
+bits by its size, and _clipped cuts any other long echo, or names it by its
+type when repr refuses it.  pair_rays screens a polygon's coordinates in one
 pass and builds its rays with no call per vertex; at a coordinate that
 fails, it checks each vertex in turn and raises at the first bad one:
 ValueError naming it for a coordinate that is not an int, else through
@@ -37,8 +41,12 @@ class LatticeOverflowError(OverflowError):
     """A lattice computation left the signed 64-bit range."""
 
 
-def _clipped(text: str) -> str:
-    """`text` as an error message echoes it: whole up to 80 characters, else cut."""
+def _clipped(value) -> str:
+    """repr(value), cut past 80 characters, or its type if repr refuses it."""
+    try:
+        text = repr(value)
+    except ValueError:  # the digit limit of int-to-str conversion
+        return f"<{type(value).__name__} too long to show>"
     return text if len(text) <= 80 else f"{text[:60]}... ({len(text)} characters)"
 
 
@@ -48,7 +56,7 @@ def checked_i64(value: int, context: str) -> int:
     The message echoes an int of more than 256 bits by its size: str() takes
     quadratic time and refuses 4,300 digits or more."""
     if type(value) is not int:  # not isinstance: bool is an int
-        raise ValueError(f"{context} {_clipped(repr(value))} is not an integer")
+        raise ValueError(f"{context} {_clipped(value)} is not an integer")
     if value < I64_MIN or value > I64_MAX:
         shown = value if value.bit_length() <= 256 else f"of {value.bit_length()} bits"
         raise LatticeOverflowError(f"{context} {shown} exceeds the signed 64-bit range")
@@ -99,15 +107,13 @@ _ray = partial(tuple.__new__, RayVector)  # the RayVector of a screened pair, un
 def _checked_ray(index: int, point) -> RayVector:
     x, y = point
     if type(x) is not int or type(y) is not int:  # not isinstance: bool is an int
-        raise ValueError(f"vertex {index} {_clipped(repr(point))}: coordinates must be integers")
+        raise ValueError(f"vertex {index} {_clipped(point)}: coordinates must be integers")
     return RayVector(x, y)
 
 
 def pair_rays(points: Sequence) -> tuple[RayVector, ...]:
-    """The rays of the int pairs `points`, screened in one pass that stops at
-    a coordinate that is not an int in the signed 64-bit range; from there
-    every point is checked in turn, 1-based, and the first failing one
-    raises.  A point that is not a pair raises as it unpacks."""
+    """The rays of the int pairs `points`, screened as the module docstring
+    says; a point that is not a pair raises as it unpacks."""
     lo, hi = I64_MIN, I64_MAX
     for x, y in points:
         if type(x) is not int or type(y) is not int or not (lo <= x <= hi and lo <= y <= hi):

@@ -12,7 +12,8 @@ convention used by every external surface of the package; each error keeps
 its values as attributes and args, so it pickles as itself.  Validation runs
 its checks in a fixed order (coordinates, primitivity, duplicates, cone
 determinants, winding, then vertex turns, which validate_fan never computes)
-on exact int tuples, and checks the 64-bit range on the values it produces
+on the input pairs as given, which unpack faster than RayVectors as exact
+tuples or lists, and checks the 64-bit range on the values it produces
 where the check that uses them runs, so the first failing check of either
 kind wins.  Once every cone determinant is at least 1, each step turns
 counterclockwise by less than a half-turn, so the winding number counts the
@@ -30,8 +31,7 @@ directions and, being primitive, are pairwise distinct.
 
 The turn at a vertex is its f-value, so validation checks exactly the data
 of a SurfaceReport: _surface_data computes it for validation and for
-surface._surface_report alike, and validate_ldp_polygon leaves the report it
-checked on the polygon as analyze's memo.
+surface._surface_report alike.
 """
 
 from __future__ import annotations
@@ -109,11 +109,11 @@ class FanCycle:
     """Counterclockwise cycle of primitive rays winding once around the origin.
 
     Immutable: assigning an attribute raises FrozenInstanceError.  Its slots
-    after `rays` hold the memos of analyze (set by validate_ldp_polygon),
-    equivalence._normalizations (one per flag) and identify, so it has no
-    instance dict; a memo is unset until computed, then set once with
-    object.__setattr__.  ==, hash, repr and pickling read only the rays, and
-    == holds only within one type."""
+    after `rays` hold memos, so it has no instance dict: _report (analyze's,
+    set by validate_ldp_polygon), _tied and _tied_oriented
+    (equivalence._normalizations, one per flag) and _family (identify's).  A
+    memo is unset until computed, then set once with object.__setattr__.
+    ==, hash, repr and pickling read only the rays, == only within one type."""
 
     __slots__ = ("rays", "_report", "_tied", "_tied_oriented", "_family")
 
@@ -232,8 +232,7 @@ def _check_positive(values: tuple[int, ...], context: str, error: type[FanValida
 
 
 def _validate_fan(points: Sequence) -> tuple[tuple, tuple[RayVector, ...], tuple[int, ...]]:
-    """validate_fan's checks; returns the screened input pairs (equal to the
-    rays, and faster to unpack as exact tuples or lists), rays and dets."""
+    """validate_fan's checks; returns the input pairs, rays and dets."""
     pts = tuple(points)  # a sequence: the screen reads it twice
     rays = pair_rays(pts)
     d = len(rays)
@@ -308,11 +307,11 @@ def parse_vertices(text: str) -> list[RayVector]:
     for token in text.split(";"):
         parts = token.split(",")
         if len(parts) != 2:
-            raise ValueError(f"bad vertex token {_clipped(repr(token.strip()))}: expected 'x,y'")
+            raise ValueError(f"bad vertex token {_clipped(token.strip())}: expected 'x,y'")
         # int() alone would also take "1_0" (as 10) and non-ASCII digits.
         matches = [re.fullmatch(r"\s*([+-]?)0*([0-9]+)\s*", part) for part in parts]
         if not all(matches):
-            raise ValueError(f"bad vertex token {_clipped(repr(token.strip()))}: coordinates must be integers")
+            raise ValueError(f"bad vertex token {_clipped(token.strip())}: coordinates must be integers")
         coords = []
         for axis, (sign, digits) in zip("xy", (m.groups() for m in matches)):
             # Past 78 digits, leading zeros stripped, a value is above 2**256,

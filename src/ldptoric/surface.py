@@ -13,13 +13,14 @@ stores d, the cone determinants, the f-values and the singular count; the
 rest is read off them on every access.
 
 analyze() returns the report memoized in the `_report` slot of a FanCycle,
-out of ==, hash and repr.  validate_ldp_polygon sets that memo from the
-values it has just checked, so analyze on a validated polygon computes
-nothing, and the tagging path (analyze, identify, classify_three) and
-equivalence's normalizations read that one report.  Any other cycle
-(validate_fan's, blow_up's, a canonical form) gets its report from
-_surface_report on the first call: polygon._surface_data, the one formula
-for both, with the f-values checked against the 64-bit range.
+out of ==, hash, repr and pickling; later calls return the same object.
+validate_ldp_polygon sets that memo from the values it has just checked, so
+analyze on a validated polygon computes nothing, and the tagging path
+(analyze, identify, classify_three) and equivalence's normalizations read
+that one report.  Any other cycle (validate_fan's, blow_up's, a canonical
+form) gets its report from _surface_report on the first call:
+polygon._surface_data, the one formula for both, with the f-values checked
+against the 64-bit range.
 """
 
 from __future__ import annotations
@@ -41,10 +42,7 @@ def f_value(cycle: FanCycle, i: int) -> int:
 
 
 def analyze(cycle: FanCycle) -> SurfaceReport:
-    """Full singularity and degree report for the surface of a validated cycle.
-
-    The one validate_ldp_polygon left on a polygon, or computed on the first
-    call for any other cycle object; later calls return the same object."""
+    """Full singularity and degree report of a validated cycle, memoized."""
     report = getattr(cycle, "_report", None)
     if report is None:
         report = _surface_report(cycle)

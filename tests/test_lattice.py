@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ldptoric import (
+    FamilyParams,
     IDENTITY_MAP,
     LatticeOverflowError,
     RayVector,
@@ -153,6 +154,21 @@ def test_a_huge_int_is_a_bounded_overflow_error():
         checked_i64(2**256 - 1, "det2")
     with pytest.raises(ValueError, match=r"^v '7{59}\.\.\. \(5002 characters\) is not an integer$"):
         checked_i64("7" * 5000, "v")
+
+
+def test_a_value_whose_repr_passes_the_digit_limit_is_named_by_its_type():
+    # repr() of a container holding an int of 4,300 digits or more raises
+    # ValueError; the message must still be the error's own.
+    cases = [
+        (lambda: validate_ldp_polygon([(10**5000, 1.5), (0, 1), (-1, -1)]),
+         "vertex 1 <tuple too long to show>: coordinates must be integers"),
+        (lambda: FamilyParams("two1", p=[10**5000], q=2),
+         "family two1 parameter p <list too long to show> is not an integer"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) == message and len(message) < 200
 
 
 def test_ray_vector_checks_x_in_full_before_y():
