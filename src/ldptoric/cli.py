@@ -13,9 +13,9 @@ a sidecar file next to the catalog, never into the data itself.
 A catalog line is formatted directly from its entry by catalog_line, the
 one source of the format for files and stdout alike: %-formats per vertex
 count and per family tag fill in the integers.  read_catalog decodes each
-line once with raw_decode, checks it with entry_from_dict, and then
-requires its (d, vertices) above the previous line's, the order in which
-enumerate_ldp and classify write every catalog.
+LF-ended line from ASCII, parses it once with raw_decode, checks it with
+entry_from_dict, and then requires its (d, vertices) above the previous
+line's, the order in which enumerate_ldp and classify write every catalog.
 """
 
 from __future__ import annotations
@@ -104,13 +104,15 @@ def catalog_line(entry: CatalogEntry) -> str:
 
 
 def entry_from_dict(data: dict) -> CatalogEntry:
-    """The entry of one catalog line.  Its vertices must pass
+    """The entry of one catalog line, a JSON object.  Its vertices must pass
     validate_ldp_polygon (int coordinates in the signed 64-bit range).  Then
     each surface key, in catalog order, is checked once and exactly: an int,
     or a list of ints, equal to analyze()'s value.  The first key missing
     raises KeyError, the first that differs ValueError naming it (true or
-    1.0 in place of 1 differs).  A family must be a JSON object whose
-    parameters are not null.  Canonical form and tags are not checked."""
+    1.0 in place of 1 differs).  A family must be a JSON object, before its
+    tag is read, with no null parameter.  Canonical form and tags are not checked."""
+    if type(data) is not dict:
+        raise ValueError("not a JSON object")
     poly = validate_ldp_polygon(data["vertices"])
     d, dets, f_values, singular = analyze(poly)
     for key, derived in zip(("d", "rho", "dets", "f", "singular"), (d, d - 2, list(dets), list(f_values), singular)):
@@ -119,14 +121,13 @@ def entry_from_dict(data: dict) -> CatalogEntry:
             type(value) is list and not all(type(x) is int for x in value)  # not isinstance: bool is an int
         ):
             raise ValueError(f"{key} {_clipped(value)} does not match the vertices, which give {derived}")
-    family = raw = data.get("family")
-    if raw is not None:
-        fd = dict(raw)
-        family = FamilyParams(fd.pop("family"), **fd)
-        # Checked after FamilyParams, so a line it rejects keeps its message.
-        if type(raw) is not dict:
-            raise ValueError(f"family {_clipped(raw)} is not a JSON object")
-        for name, value in fd.items():
+    family = data.get("family")
+    if family is not None:
+        if type(family) is not dict:
+            raise ValueError(f"family {_clipped(family)} is not a JSON object")
+        params = dict(family)
+        family = FamilyParams(params.pop("family"), **params)
+        for name, value in params.items():
             if value is None:
                 raise ValueError(f"family {family.family} parameter {name} is null")
     return CatalogEntry(poly, family, data.get("three_case"))
@@ -139,13 +140,10 @@ def write_catalog(entries: list[CatalogEntry], path: str) -> None:
 
 def read_catalog(path: str) -> list[CatalogEntry]:
     entries = []
-    # latin-1 decodes any byte, so a non-ASCII one fails in its line's try.
-    with open(path, "r", encoding="latin-1") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             try:
-                if not line.isascii():
-                    line.encode("latin-1").decode("ascii")  # raises the UnicodeDecodeError
-                line = line.strip()
+                line = line.decode("ascii").strip()
                 if line:
                     # A stripped ASCII line holds no BOM and no leading
                     # whitespace, so raw_decode reads it as json.loads does;

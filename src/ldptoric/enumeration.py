@@ -389,15 +389,15 @@ def verify_catalog(entries: list[CatalogEntry]) -> VerificationReport:
     for entry in entries:
         surf, family, three_case = _classify(entry.poly)
         sc, d = surf.singular_count, surf.d
-        verdicts = {
-            "one_singular_unmatched": sc == 1 and family is None,
-            "two_singular_unmatched": sc == 2 and (family is None or d > 5),
-            "three_singular_unclassified": sc == 3 and (three_case == "none" or d > 6),
-            "alternating_d5": _is_alternating_d5(surf.singular_indices(), d),
-            "noncontiguous": not nonsingular_arc_contiguous(surf),
-            "half_plane_violations": d >= 4 and _violates_half_plane(entry.poly, surf),
-        }
-        for name, failed in verdicts.items():
+        verdicts = (  # in CHECKS order
+            sc == 1 and family is None,
+            sc == 2 and (family is None or d > 5),
+            sc == 3 and (three_case == "none" or d > 6),
+            _is_alternating_d5(surf.singular_indices(), d),
+            not nonsingular_arc_contiguous(surf),
+            d >= 4 and _violates_half_plane(entry.poly, surf),
+        )
+        for name, failed in zip(CHECKS, verdicts):
             if failed:
                 found[name].append(entry.vertices)
     return VerificationReport(len(entries), found)

@@ -27,6 +27,10 @@ readings.
 `ref_alternating_d5`, `ref_noncontiguous` and `ref_half_plane_violation`
 restate verify_catalog's checks (d)-(f) on a plain ray cycle, each by its
 own reading of the cone pattern.
+
+`closure_results` blows a ray cycle down and up on int tuples, for the
+check that a box catalog holds every LDP class one blow-up or blow-down
+away that fits in its box.
 """
 
 from __future__ import annotations
@@ -333,8 +337,9 @@ def _oracle_bezout(a: int, b: int) -> tuple[int, int]:
 
 def _oracle_form(vertices, orientation_preserving: bool):
     """Brute-force canonical form: every anchor of the cycle (and of its
-    mirror) fully normalized, lexicographic minimum.  No library helpers."""
-    pts = [(v.x, v.y) for v in vertices]
+    mirror) fully normalized, lexicographic minimum.  No library helpers;
+    the vertices may be int pairs or RayVectors."""
+    pts = [(x, y) for x, y in vertices]
     cycles = [pts]
     if not orientation_preserving:
         cycles.append([(x, -y) for x, y in reversed(pts)])
@@ -353,6 +358,28 @@ def _oracle_form(vertices, orientation_preserving: bool):
             if best is None or form < best:
                 best = form
     return tuple(best)
+
+
+def closure_results(rays: tuple[Point, ...], n: int) -> list[tuple[Point, ...]]:
+    """The LDP blow-downs and in-box LDP blow-ups of an LDP ray cycle, on int
+    tuples: drop a ray that is the sum of its neighbours (d >= 4), or put
+    u + w between the rays of a smooth cone (u, w) when u + w lies in
+    [-n, n]^2.  Either way the cycle stays a fan with positive consecutive
+    determinants, so it is LDP when every turn of its vertex polygon is
+    strictly counterclockwise."""
+    d, out = len(rays), []
+    for i in range(d):
+        (ux, uy), (wx, wy) = rays[i], rays[(i + 1) % d]
+        if d >= 4 and rays[i] == (rays[i - 1][0] + wx, rays[i - 1][1] + wy):
+            out.append(rays[:i] + rays[i + 1:])
+        if _det((ux, uy), (wx, wy)) == 1 and max(abs(ux + wx), abs(uy + wy)) <= n:
+            out.append(rays[:i + 1] + ((ux + wx, uy + wy),) + rays[i + 1:])
+    return [c for c in out if _strictly_convex(c)]
+
+
+def _strictly_convex(rays: tuple[Point, ...]) -> bool:
+    return all(_det((bx - ax, by - ay), (cx - bx, cy - by)) > 0
+               for (ax, ay), (bx, by), (cx, cy) in zip(rays[-1:] + rays[:-1], rays, rays[1:] + rays[:1]))
 
 
 def _ref_ext_gcd(a: int, b: int) -> tuple[int, int, int]:

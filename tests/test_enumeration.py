@@ -46,6 +46,7 @@ from ldptoric.surface import nonsingular_arc_contiguous
 from oracles import (
     _oracle_form,
     brute_force_classes,
+    closure_results,
     random_fan,
     ref_alternating_d5,
     ref_half_plane_violation,
@@ -149,6 +150,26 @@ def test_box_two_matches_brute_force_oracle(box2_catalog):
     got = {e.vertices for e in box2_catalog}
     want = brute_force_classes(2)
     assert got == want
+
+
+def test_box_three_catalog_is_closed_under_blow_down_and_in_box_blow_up(box3_catalog):
+    # Blowing down keeps the other vertices, so an LDP blow-down of a class
+    # lies in the same box; so does an LDP blow-up by a ray sum in the box.
+    # Each must be a class of the catalog, whose vertices are their own
+    # canonical form (which _oracle_form reproduces).  The counts show the
+    # check is not vacuous: 5,218 blow-downs and 1,154 blow-ups.
+    classes = {entry.vertices for entry in box3_catalog}
+    downs = ups = 0
+    missing = set()
+    for entry in box3_catalog:
+        for rays in closure_results(entry.vertices, 3):
+            downs += len(rays) < entry.d
+            ups += len(rays) > entry.d
+            form = _oracle_form(rays, False)
+            if form not in classes:
+                missing.add(form)
+    assert not missing, f"classes missing from the catalog: {sorted(missing)}"
+    assert (downs, ups) == (5218, 1154)
 
 
 def test_entries_sorted_and_deterministic(box1_catalog):
