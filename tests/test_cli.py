@@ -488,7 +488,7 @@ def _set(key, value):
     pytest.param(_set("family", {"family": "dais1", "p": None}), 1, "family dais1 requires parameter p",
                  id="family-null-required"),
 ])
-def test_cli_refuses_catalog_line(tmp_path, capsys, box1_tagged_lines, edit, line_no, message):
+def test_tampered_catalog_line_is_bad_input(tmp_path, capsys, box1_tagged_lines, edit, line_no, message):
     path = tmp_path / "edited.jsonl"
     path.write_bytes(b"".join(line + b"\n" for line in edit(list(box1_tagged_lines))))
     expected = f"error: bad catalog line {line_no}: {message}\n"
