@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_family = sub.add_parser("family", help="generate a family polygon from parameters")
     p_family.add_argument("--family", required=True, help="family tag, e.g. two1")
-    for name in ("p", "q", "r", "s", "t"):
+    for name in FamilyParams._fields[1:]:
         p_family.add_argument(f"--{name}", type=int, default=None)
     p_family.set_defaults(func=_cmd_family)
 

@@ -41,18 +41,17 @@ class FamilySpec(_Record):
 
     `constraints` and `vertices` take the parameters in `params` order;
     `constraints` returns (name, holds) pairs in the order generate() reports
-    them.  `anchor` is the index in `vertices` of a determinant-1 pair
-    (vertex anchor and its successor), and `reading` the family polygon read
-    on the basis of that pair, in closed form (None: `vertices`, for anchor
-    0); `read` maps a basis reading (a vertex cycle starting (1, 0), (0, 1))
-    to the parameters it has if it is that reading.
+    them.  `reading` is one basis reading of the family polygon in closed form
+    (None: `vertices`, a basis reading itself), and `read` maps a basis
+    reading (a vertex cycle starting (1, 0), (0, 1)) to the parameters it has
+    if it is that reading.
     """
 
     __slots__ = ()
-    _fields = ("params", "singular", "d", "constraints", "vertices", "read", "anchor", "reading")
+    _fields = ("params", "singular", "d", "constraints", "vertices", "read", "reading")
 
-    def __new__(cls, params, singular, d, constraints, vertices, read, anchor=0, reading=None) -> "FamilySpec":
-        return tuple.__new__(cls, (params, singular, d, constraints, vertices, read, anchor, reading))
+    def __new__(cls, params, singular, d, constraints, vertices, read, reading=None) -> "FamilySpec":
+        return tuple.__new__(cls, (params, singular, d, constraints, vertices, read, reading))
 
 
 def _dais_constraints(p):
@@ -106,17 +105,17 @@ def _three5_constraints(p, q, r, s, t):
 FAMILY_SPECS = {
     "dais1": FamilySpec(
         ("p",), 1, 3, _dais_constraints, lambda p: ((1, -1), (p, 1), (-1, 0)),
-        read=lambda rd: (-rd[2][0] - 1,), anchor=2,
+        read=lambda rd: (-rd[2][0] - 1,),
         reading=lambda p: ((1, 0), (0, 1), (-p - 1, -1)),
     ),
     "dais2": FamilySpec(
         ("p",), 1, 4, _dais_constraints, lambda p: ((1, -1), (p, 1), (p - 1, 1), (-1, 0)),
-        read=lambda rd: (-rd[2][0] - 1,), anchor=3,
+        read=lambda rd: (-rd[2][0] - 1,),
         reading=lambda p: ((1, 0), (0, 1), (-p - 1, -1), (-p, -1)),
     ),
     "dais3": FamilySpec(
         ("p",), 1, 5, _dais_constraints, lambda p: ((1, -1), (p, 1), (p - 1, 1), (-1, 0), (0, -1)),
-        read=lambda rd: (-rd[3][0],), anchor=3,
+        read=lambda rd: (-rd[3][0],),
         reading=lambda p: ((1, 0), (0, 1), (-1, 1), (-p, -1), (1 - p, -1)),
     ),
     "two1": FamilySpec(
@@ -151,8 +150,8 @@ class InvalidParams(_ValuedError):
 
 
 class FamilyParams(_Record):
-    """A family tag plus exactly the integer parameters that tag requires;
-    records order as their field tuples."""
+    """A family tag plus exactly the integer parameters that tag requires, a
+    prefix of p, q, r, s, t; records order as their field tuples."""
 
     __slots__ = ()
     _fields = ("family", "p", "q", "r", "s", "t")
@@ -162,7 +161,7 @@ class FamilyParams(_Record):
         if family not in FAMILY_SPECS:
             raise ValueError(f"unknown family tag {_clipped(family)}")
         required = FAMILY_SPECS[family].params
-        for name, value in zip(("p", "q", "r", "s", "t"), (p, q, r, s, t)):
+        for name, value in zip(cls._fields[1:], (p, q, r, s, t)):
             if name in required and value is None:
                 raise ValueError(f"family {family} requires parameter {name}")
             if name not in required and value is not None:
@@ -172,7 +171,6 @@ class FamilyParams(_Record):
         return tuple.__new__(cls, (family, p, q, r, s, t))
 
     def as_tuple(self) -> tuple[int, ...]:
-        # Every tag's params are a prefix of p, q, r, s, t, the field order.
         return self[1 : 1 + len(FAMILY_SPECS[self.family].params)]
 
     def to_dict(self) -> dict:
@@ -229,8 +227,8 @@ def identify(poly: FanCycle) -> FamilyParams | None:
     # Every tag has fewer singular cones than vertices, so `poly` has a smooth
     # cone and its tied normalizations are its basis readings.  Each is the
     # image of `poly` under a determinant +-1 map, so one that equals the
-    # family polygon's reading at its anchor proves the equivalence itself;
-    # every equivalence sends the anchor pair onto one of the pairs read.
+    # spec's reading of the family polygon proves the equivalence itself;
+    # every equivalence sends the pair it reads on onto one of the pairs read.
     reading, best = spec.reading or spec.vertices, None
     for rd, _ in _normalizations(poly, False):
         values = spec.read(rd)
@@ -238,7 +236,6 @@ def identify(poly: FanCycle) -> FamilyParams | None:
             continue
         if reading(*values) == rd and all(ok for _, ok in spec.constraints(*values)):
             best = values
-    # Every tag's params are a prefix of p, q, r, s, t, the field order.
     family = None if best is None else FamilyParams(tag, *best)
     object.__setattr__(poly, "_family", family)  # FanCycle is frozen
     return family

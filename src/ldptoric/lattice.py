@@ -19,11 +19,10 @@ built), validation its cone determinants and vertex turns, and analyze its
 f-values.  twice_area and identify's basis readings are never checked.  No
 message spells out an unbounded value: checked_i64 names an int past 256
 bits by its size, and _clipped cuts any other long echo, or names it by its
-type when repr refuses it.  pair_rays screens a polygon's coordinates in one
-pass and builds its rays with no call per vertex; at a coordinate that
-fails, it checks each vertex in turn and raises at the first bad one:
-ValueError naming it for a coordinate that is not an int, else through
-RayVector and `checked_i64`.
+type when repr refuses it.  pair_rays screens a polygon's points in one pass
+and builds its rays with no call per vertex; at a point that fails, it checks
+each vertex in turn and raises at the first bad one: ValueError naming it for
+a point that is not an (x, y) pair of ints, else through `checked_i64`.
 """
 
 from __future__ import annotations
@@ -105,20 +104,27 @@ _ray = partial(tuple.__new__, RayVector)  # the RayVector of a screened pair, un
 
 
 def _checked_ray(index: int, point) -> RayVector:
-    x, y = point
+    try:
+        x, y = point
+    except (TypeError, ValueError):  # not iterable, or not two items
+        raise ValueError(f"vertex {index} {_clipped(point)}: not an (x, y) pair") from None
     if type(x) is not int or type(y) is not int:  # not isinstance: bool is an int
         raise ValueError(f"vertex {index} {_clipped(point)}: coordinates must be integers")
     return RayVector(x, y)
 
 
 def pair_rays(points: Sequence) -> tuple[RayVector, ...]:
-    """The rays of the int pairs `points`, screened as the module docstring
-    says; a point that is not a pair raises as it unpacks."""
+    """The rays of the int pairs `points`, screened as the module docstring says."""
     lo, hi = I64_MIN, I64_MAX
-    for x, y in points:
-        if type(x) is not int or type(y) is not int or not (lo <= x <= hi and lo <= y <= hi):
-            return tuple(_checked_ray(i, p) for i, p in enumerate(points, start=1))
-    return tuple(map(_ray, points))
+    try:
+        for x, y in points:
+            if type(x) is not int or type(y) is not int or not (lo <= x <= hi and lo <= y <= hi):
+                break
+        else:
+            return tuple(map(_ray, points))
+    except (TypeError, ValueError):  # a point that is not a pair, which _checked_ray words
+        pass
+    return tuple(_checked_ray(i, p) for i, p in enumerate(points, start=1))
 
 
 class _Record(tuple):

@@ -159,9 +159,7 @@ class LdpPolygon(FanCycle):
 
 def same_cycle(a: FanCycle, b: FanCycle) -> bool:
     """True iff the two cycles agree up to a cyclic rotation (orientation kept)."""
-    if a.d != b.d:
-        return False
-    if a.rays[0] not in b.rays:
+    if a.d != b.d or a.rays[0] not in b.rays:
         return False
     k = b.rays.index(a.rays[0])
     return all(a.rays[i] == b.rays[(k + i) % b.d] for i in range(a.d))
@@ -262,9 +260,9 @@ def validate_fan(points: Sequence) -> FanCycle:
     Raises, in checking order: ValueError for fewer than 3 rays,
     NonPrimitiveRay, DuplicateRay, NotCounterclockwise (some consecutive pair
     has determinant <= 0), BadWinding (rays wind more than once).  Input order
-    is preserved; any starting rotation is accepted.  A coordinate that is not
-    an int raises ValueError naming its vertex, and a coordinate or cone
-    determinant outside the signed 64-bit range LatticeOverflowError.
+    is preserved; any starting rotation is accepted.  A point that is not an
+    (x, y) pair of ints raises ValueError naming its vertex, and a coordinate
+    or cone determinant outside the signed 64-bit range LatticeOverflowError.
     """
     return FanCycle(_validate_fan(points)[1])
 

@@ -104,6 +104,4 @@ def nonsingular_arc_contiguous(report: SurfaceReport) -> bool:
     check: at most two singular/nonsingular boundaries around the cycle.
     """
     flags = [det >= 2 for det in report.dets]
-    d = len(flags)
-    boundaries = sum(1 for i in range(d) if flags[i] != flags[(i + 1) % d])
-    return boundaries <= 2
+    return sum(a != b for a, b in zip(flags, flags[1:] + flags[:1])) <= 2

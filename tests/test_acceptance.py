@@ -15,7 +15,6 @@ import time
 import pytest
 
 from ldptoric import (
-    FAMILY_TAGS,
     FamilyParams,
     analyze,
     apply_to_polygon,
@@ -33,11 +32,11 @@ from ldptoric import (
     parse_vertices,
     random_unimodular_map,
     validate_fan,
-    validate_ldp_polygon,
     verify_catalog,
 )
 from ldptoric.cli import write_catalog
 from ldptoric.enumeration import EnumerationStats, _is_alternating_d5
+from ldptoric.families import FAMILY_SPECS
 
 from oracles import brute_force_classes, random_fan, random_ldp_polygon
 
@@ -176,20 +175,18 @@ def test_criterion_08_criterion_consistency():
 
 
 def test_criterion_09_family_soundness_sweep():
-    expected = {"dais1": 1, "dais2": 1, "dais3": 1, "two1": 2, "two2": 2, "two3": 2, "three5": 3}
-    arity = {"dais1": 1, "dais2": 1, "dais3": 1, "two1": 2, "two2": 3, "two3": 3, "three5": 5}
     exceptions = []
     passing = 0
-    for tag in FAMILY_TAGS:
-        for values in itertools.product(range(-8, 9), repeat=arity[tag]):
-            fp = FamilyParams(tag, **dict(zip("pqrst", values)))
+    for tag, spec in FAMILY_SPECS.items():
+        for values in itertools.product(range(-8, 9), repeat=len(spec.params)):
+            fp = FamilyParams(tag, *values)
             if not check_params(fp):
                 continue
             passing += 1
             try:
                 inst = generate(fp)
                 rep = analyze(inst.polygon)
-                if not rep.is_log_del_pezzo or rep.singular_count != expected[tag]:
+                if not rep.is_log_del_pezzo or rep.singular_count != spec.singular:
                     exceptions.append((fp.family, fp.as_tuple(), rep.singular_count))
             except Exception as exc:  # noqa: BLE001 - any failure is a criterion exception
                 exceptions.append((fp.family, fp.as_tuple(), repr(exc)))

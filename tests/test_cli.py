@@ -422,7 +422,8 @@ def _set(key, value):
 # CPython's own wording past that point, so only the text before it is pinned.
 @pytest.mark.parametrize("edit, line_no, message", [
     # Malformed lines.
-    pytest.param(_line(3, lambda line: b'{"vertices": "oops"}'), 3, "...", id="vertices-str"),
+    pytest.param(_line(3, lambda line: b'{"vertices": "oops"}'), 3, "vertex 1 'o': not an (x, y) pair",
+                 id="vertices-str"),
     pytest.param(_line(3, lambda line: b"[" * 200_000), 3,
                  "maximum recursion depth exceeded while decoding a JSON array...", id="deep-nesting"),
     pytest.param(_line(3, lambda line: line[:5] + b"\xc3\xa9" + line[5:]), 3,
@@ -446,6 +447,8 @@ def _set(key, value):
                  id="x-float"),
     pytest.param(_set("vertices", [[float("inf"), 0], [0, 1], [-2, -1]]), 1,
                  "vertex 1 [inf, 0]: coordinates must be integers", id="x-inf"),
+    pytest.param(_set("vertices", [[1, 0, 0], [0, 1], [-2, -1]]), 1, "vertex 1 [1, 0, 0]: not an (x, y) pair",
+                 id="vertex-triple"),
     pytest.param(_set("vertices", [[2**64, 0], [0, 1], [-2, -1]]), 1,
                  "x coordinate 18446744073709551616 exceeds the signed 64-bit range", id="x-above-int64"),
     pytest.param(_set("vertices", [[-(2**63) - 1, 0], [0, 1], [-2, -1]]), 1,

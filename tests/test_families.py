@@ -16,10 +16,10 @@ from ldptoric import (
     are_equivalent,
     blow_down,
     blow_down_candidates,
-    blow_up,
     canonical_form,
     check_params,
     classify_three,
+    format_vertices,
     generate,
     identify,
     parse_vertices,
@@ -31,7 +31,7 @@ from ldptoric import (
 from ldptoric import families, polygon
 from ldptoric.families import FAMILY_SPECS
 
-from oracles import _apply, _solve_map, ref_identify
+from oracles import ref_basis_readings, ref_identify
 
 
 def poly(text: str):
@@ -77,82 +77,46 @@ def test_check_params_examples():
     assert not check_params(FamilyParams("dais3", p=0))
 
 
-def test_generate_dais1():
-    inst = generate(FamilyParams("dais1", p=1))
-    assert [v.as_tuple() for v in inst.polygon.vertices] == [(1, -1), (1, 1), (-1, 0)]
-    rep = analyze(inst.polygon)
-    assert rep.dets == (2, 1, 1)
-    assert rep.singular_count == 1
+# Family parameters and what generate gives: the vertices and the analyze()
+# report (d, dets, f-values, singular count), or the first violated constraint.
+@pytest.mark.parametrize("fp, expected", [
+    pytest.param(FamilyParams("dais1", p=1), ("1,-1;1,1;-1,0", (3, (2, 1, 1), (4, 4, 4), 1)), id="dais1"),
+    pytest.param(FamilyParams("two3", p=0, q=1, r=-2),
+                 ("1,0;0,1;-1,1;-1,0;1,-2", (5, (1, 1, 1, 2, 2), (2, 1, 1, 2, 4), 2)), id="two3"),
+    pytest.param(FamilyParams("three5", p=0, q=1, r=-3, s=2, t=-3),
+                 ("1,0;0,1;-1,0;1,-3;2,-3", (5, (1, 1, 3, 3, 3), (2, 2, 5, 3, 3), 3)), id="three5"),
+    pytest.param(FamilyParams("dais1", p=0), "p >= 1", id="dais1-p"),
+    pytest.param(FamilyParams("two1", p=1, q=3), "p >= 2", id="two1-p"),
+    pytest.param(FamilyParams("two1", p=2, q=4), "gcd(p, q) == 1", id="two1-gcd"),
+])
+def test_generate_examples(fp, expected):
+    if isinstance(expected, str):
+        message = f"invalid parameters for {fp.family}: violates {expected}"
+        with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$") as exc:
+            generate(fp)
+        assert (exc.value.family, exc.value.constraint) == (fp.family, expected)
+    else:
+        polygon = generate(fp).polygon
+        assert (format_vertices(polygon.vertices), tuple(analyze(polygon))) == expected
 
 
-def test_generate_two3():
-    inst = generate(FamilyParams("two3", p=0, q=1, r=-2))
-    assert [v.as_tuple() for v in inst.polygon.vertices] == [
-        (1, 0), (0, 1), (-1, 1), (-1, 0), (1, -2),
-    ]
-    rep = analyze(inst.polygon)
-    assert rep.dets == (1, 1, 1, 2, 2)
-    assert rep.f_values == (2, 1, 1, 2, 4)
-    assert rep.singular_count == 2
-
-
-def test_generate_three5():
-    inst = generate(FamilyParams("three5", p=0, q=1, r=-3, s=2, t=-3))
-    assert [v.as_tuple() for v in inst.polygon.vertices] == [
-        (1, 0), (0, 1), (-1, 0), (1, -3), (2, -3),
-    ]
-    assert analyze(inst.polygon).singular_count == 3
-
-
-def test_generate_names_first_violated_constraint():
-    with pytest.raises(InvalidParams) as exc:
-        generate(FamilyParams("dais1", p=0))
-    assert exc.value.family == "dais1"
-    assert exc.value.constraint == "p >= 1"
-    assert "invalid parameters for dais1" in str(exc.value)
-
-    with pytest.raises(InvalidParams) as exc:
-        generate(FamilyParams("two1", p=1, q=3))
-    assert exc.value.constraint == "p >= 2"
-
-    with pytest.raises(InvalidParams) as exc:
-        generate(FamilyParams("two1", p=2, q=4))
-    assert exc.value.constraint == "gcd(p, q) == 1"
-
-
-def test_identify_two1_self_match():
-    fp = identify(poly("1,0;0,1;-2,-3"))
-    assert fp is not None
-    assert fp.family == "two1"
-    assert fp.as_tuple() == (2, 3)
-
-
-def test_identify_dais_match():
-    fp = identify(poly("1,0;0,1;-1,-2"))
-    assert fp == FamilyParams("dais1", p=1)
-
-
-def test_identify_smooth_polygon_is_none():
-    assert identify(poly("1,0;0,1;-1,-1")) is None
-
-
-def test_identify_returns_equivalent_generator():
-    for text in ("1,0;0,1;-2,-3", "1,0;0,1;-1,-2", "1,0;0,1;-1,0;1,-3;2,-3"):
-        q = poly(text)
-        fp = identify(q)
-        assert fp is not None
-        assert are_equivalent(generate(fp).polygon, q) is not None
-
-
-def test_identify_respects_singular_count_and_d():
-    # four singular points: outside every family
-    square = poly("1,1;-1,1;-1,-1;1,-1")
-    assert analyze(square).singular_count == 4
-    assert identify(square) is None
-    # three singular points but d = 6: covered by classify_three, not identify
-    six = validate_ldp_polygon(blow_up(poly("1,0;0,1;-1,0;1,-3;2,-3"), 2).rays)
-    assert analyze(six).singular_count == 3
-    assert identify(six) is None
+# A polygon, its singular count and the family identify finds for it, whose
+# family polygon must then be equivalent to it.
+@pytest.mark.parametrize("text, singular, expected", [
+    pytest.param("1,0;0,1;-2,-3", 2, FamilyParams("two1", p=2, q=3), id="two1"),
+    pytest.param("1,0;0,1;-1,-2", 1, FamilyParams("dais1", p=1), id="dais1"),
+    pytest.param("1,0;0,1;-1,0;1,-3;2,-3", 3, FamilyParams("three5", p=0, q=-2, r=-3, s=-1, t=-3), id="three5"),
+    pytest.param("1,0;0,1;-1,-1", 0, None, id="smooth"),
+    pytest.param("1,1;-1,1;-1,-1;1,-1", 4, None, id="four-singular"),
+    # Three singular points but d = 6: classify_three's case, not a family.
+    pytest.param("1,0;0,1;-1,1;-1,0;1,-3;2,-3", 3, None, id="three-singular-hexagon"),
+])
+def test_identify_examples(text, singular, expected):
+    q = poly(text)
+    assert analyze(q).singular_count == singular
+    assert identify(q) == expected
+    if expected is not None:
+        assert are_equivalent(generate(expected).polygon, q) is not None
 
 
 def test_identify_matches_on_all_small_family_instances():
@@ -196,28 +160,16 @@ def test_identify_agrees_with_are_equivalent_on_box_two(box2_catalog):
 
 
 def test_template_reading_round_trip():
-    # The families given on the standard basis are read at anchor 0, where
-    # the reading is the vertex list itself.
-    templates = [tag for tag, spec in FAMILY_SPECS.items() if spec.anchor == 0]
-    assert templates == ["two1", "two2", "two3", "three5"]
-    for tag in templates:
-        spec = FAMILY_SPECS[tag]
-        for values in itertools.product(range(-3, 4), repeat=len(spec.params)):
-            assert spec.read(spec.vertices(*values)) == values, (tag, values)
-    # Every family: `read` inverts the template's reading at its anchor, taken
-    # here with the checked reference solve and apply.
+    # Each family's closed-form reading is a basis reading of its polygon, the
+    # vertex list itself for the families given on the standard basis, and
+    # `read` inverts it.
     assert list(FAMILY_SPECS) == list(FAMILY_TAGS) and len(FAMILY_TAGS) == 7
+    assert [tag for tag, spec in FAMILY_SPECS.items() if spec.reading is not None] == ["dais1", "dais2", "dais3"]
     for tag, spec in FAMILY_SPECS.items():
         for values in itertools.product(range(-3, 4), repeat=len(spec.params)):
-            pts = spec.vertices(*values)
-            rot = pts[spec.anchor:] + pts[:spec.anchor]
-            assert rot[0][0] * rot[1][1] - rot[1][0] * rot[0][1] == 1, (tag, values)
-            m = _solve_map(rot[0], rot[1], (1, 0), (0, 1))
-            reading = tuple(_apply(m, v) for v in rot)
+            reading = (spec.reading or spec.vertices)(*values)
+            assert reading in ref_basis_readings(spec.vertices(*values)), (tag, values)
             assert spec.read(reading) == values, (tag, values)
-            # identify compares against the closed-form reading, never this one.
-            assert (spec.reading or spec.vertices)(*values) == reading, (tag, values)
-    assert [tag for tag, spec in FAMILY_SPECS.items() if spec.reading is not None] == ["dais1", "dais2", "dais3"]
 
 
 def test_family_params_within_twice_area_on_sweep():
@@ -237,50 +189,30 @@ def test_family_params_within_twice_area_on_sweep():
     assert checked == 1297
 
 
-def test_soundness_sweep_small():
-    checked = 0
-    for tag in FAMILY_TAGS:
-        names = {"dais1": 1, "dais2": 1, "dais3": 1, "two1": 2, "two2": 3,
-                 "two3": 3, "three5": 5}[tag]
-        for values in itertools.product(range(-4, 5), repeat=names):
-            fp = FamilyParams(tag, **dict(zip("pqrst", values)))
-            if not check_params(fp):
-                continue
-            inst = generate(fp)
-            rep = analyze(inst.polygon)
-            expected = {"dais1": 1, "dais2": 1, "dais3": 1, "two1": 2,
-                        "two2": 2, "two3": 2, "three5": 3}[tag]
-            assert rep.is_log_del_pezzo
-            assert rep.singular_count == expected, fp
-            checked += 1
-    assert checked > 200
-
-
 def test_distinct_tuples_give_distinct_classes_for_dais():
     forms = {canonical_form(generate(FamilyParams("dais1", p=p)).polygon).vertices
              for p in range(1, 9)}
     assert len(forms) == 8
 
 
-def test_classify_three_triangle():
-    tri = poly("2,-1;-1,2;-1,-1")
-    rep = analyze(tri)
-    assert rep.dets == (3, 3, 3)
-    assert rep.f_values == (9, 9, 9)
-    assert rep.singular_count == 3
-    assert classify_three(tri) == "picard_le_two"
-
-
-def test_classify_three_pentagon():
-    assert classify_three(poly("1,0;0,1;-1,0;1,-3;2,-3")) == "family_d5"
-
-
-def test_classify_three_blowup():
-    pent = poly("1,0;0,1;-1,0;1,-3;2,-3")
-    # blowing up cone 1 would make (1, 0) a reflex ray; cone 2 keeps convexity
-    six = validate_ldp_polygon(blow_up(pent, 2).rays)
-    assert analyze(six).singular_count == 3
-    assert classify_three(six) == "blowup_of_picard3"
+# A polygon, its singular count and its classify_three case, or None where it
+# raises because the count is not 3.
+@pytest.mark.parametrize("text, singular, case", [
+    pytest.param("2,-1;-1,2;-1,-1", 3, "picard_le_two", id="triangle"),
+    pytest.param("1,0;0,1;-1,0;1,-3;2,-3", 3, "family_d5", id="pentagon"),
+    # The pentagon blown up at cone 2; at cone 1, (1, 0) would turn reflex.
+    pytest.param("1,0;0,1;-1,1;-1,0;1,-3;2,-3", 3, "blowup_of_picard3", id="blowup"),
+    pytest.param("1,0;0,1;-1,-1", 0, None, id="smooth"),
+    pytest.param("1,0;0,1;-2,-3", 2, None, id="two-singular"),
+])
+def test_classify_three_examples(text, singular, case):
+    q = poly(text)
+    assert analyze(q).singular_count == singular
+    if case is None:
+        with pytest.raises(ValueError, match=f"^classify_three needs exactly 3 singular cones, got {singular}$"):
+            classify_three(q)
+    else:
+        assert classify_three(q) == case
 
 
 def test_classify_three_d6_validates_each_blow_down_fan_once(box2_catalog, monkeypatch):
@@ -347,13 +279,6 @@ def test_generate_raises_an_internal_error_on_a_wrong_singular_count(monkeypatch
     monkeypatch.setitem(FAMILY_SPECS, "dais1", type(spec)(spec.params, 2, *spec[2:]))
     with pytest.raises(AssertionError, match=r"family dais1\(1,\) produced singular count 1, expected 2"):
         generate(FamilyParams("dais1", p=1))
-
-
-def test_classify_three_rejects_wrong_singular_count():
-    with pytest.raises(ValueError, match="exactly 3"):
-        classify_three(poly("1,0;0,1;-1,-1"))
-    with pytest.raises(ValueError, match="exactly 3"):
-        classify_three(poly("1,0;0,1;-2,-3"))
 
 
 def test_classify_three_reads_the_identify_memo(monkeypatch):

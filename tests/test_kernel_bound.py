@@ -10,12 +10,8 @@ import random
 from collections import Counter
 
 from ldptoric import (
-    BadWinding,
     DuplicateRay,
     LatticeOverflowError,
-    NonPrimitiveRay,
-    NotCounterclockwise,
-    NotStrictlyConvex,
     analyze,
     identify,
     twice_area,
@@ -33,18 +29,9 @@ from oracles import (
     ref_validate_fan,
     ref_validate_ldp_polygon,
 )
+from test_polygon import VALIDATION_ERRORS
 
 B = 2**30
-
-# One input of each validation error kind, and the error it must raise.
-ERROR_KINDS = [
-    ([(1, 0), (0, 2), (-1, -1)], NonPrimitiveRay),
-    ([(1, 0), (0, 1), (1, 0), (-1, -1)], DuplicateRay),
-    ([(1, 0), (-1, -1), (0, 1)], NotCounterclockwise),
-    ([(1, 0), (-1, 0), (0, 1)], NotCounterclockwise),  # a half-turn step, determinant 0
-    ([(1, 0), (-1, 1), (0, -1), (1, 1), (-2, -1)], BadWinding),
-    ([(1, 0), (0, 1), (-2, -1), (-3, -2)], NotStrictlyConvex),
-]
 
 # A repeated ray together with a later defect: validation looks for repeats
 # only once the determinant or winding check fails, and must still report
@@ -185,13 +172,13 @@ def test_error_kinds_agree_with_reference_on_both_sides():
     # An image under a determinant-1 map with entries near 2**30 has the same
     # defect at the same index, above 2**30.
     a, b, c, d = B + 1, B, 1, 1
-    for points, error in ERROR_KINDS:
+    for points, error, _, message in VALIDATION_ERRORS.values():
         image = [(a * x + b * y, c * x + d * y) for x, y in points]
         assert _small(points) and not _small(image)
         for pts in (points, image):
             _agree(pts)
             outcome = _outcome(validate_ldp_polygon, pts)
-            assert outcome[0] == "error" and outcome[1] is error, (pts, outcome)
+            assert outcome[0] == "error" and outcome[1] is error and outcome[3] == message, (pts, outcome)
 
 
 def test_a_repeat_is_reported_before_a_later_defect():

@@ -15,6 +15,7 @@ from ldptoric import (
     compose_maps,
     det2,
     is_primitive,
+    validate_fan,
     validate_ldp_polygon,
 )
 from ldptoric.lattice import checked_i64, pair_rays
@@ -204,12 +205,15 @@ def test_ray_vector_is_its_int_pair():
     assert RayVector(1, 0) != (0, 1) and RayVector(1, 0) < (1, 1)
 
 
+# Per kind, a bad point and its message; {i} is its 1-based vertex index.
 BAD_POINTS = {
-    "float": (1.5, 2),
-    "bool": (1, True),
-    "non-pair": (1, 2, 3),
-    "x above the range": (2**63, 1),
-    "y below the range": (1, -(2**63) - 1),
+    "float": ((1.5, 2), "vertex {i} (1.5, 2): coordinates must be integers"),
+    "bool": ((1, True), "vertex {i} (1, True): coordinates must be integers"),
+    "non-pair": ((1, 2, 3), "vertex {i} (1, 2, 3): not an (x, y) pair"),
+    "one-element": ((1,), "vertex {i} (1,): not an (x, y) pair"),
+    "non-iterable": (5, "vertex {i} 5: not an (x, y) pair"),
+    "x above the range": ((2**63, 1), "x coordinate 9223372036854775808 exceeds the signed 64-bit range"),
+    "y below the range": ((1, -(2**63) - 1), "y coordinate -9223372036854775809 exceeds the signed 64-bit range"),
 }
 
 
@@ -218,9 +222,10 @@ BAD_POINTS = {
 def test_pair_rays_raises_as_validation_does(kind, slot):
     # pair_rays owns the per-vertex check behind its screen: a bad point at
     # any position raises there exactly what validation reports for it.
+    point, message = BAD_POINTS[kind]
     points = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-    points[slot] = BAD_POINTS[kind]
-    with pytest.raises((ValueError, LatticeOverflowError)) as want:
-        validate_ldp_polygon(points)
-    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
-        pair_rays(points)
+    points[slot] = point
+    error = LatticeOverflowError if "range" in kind else ValueError
+    for check in (pair_rays, validate_fan, validate_ldp_polygon):
+        with pytest.raises(error, match=f"^{re.escape(message.format(i=slot + 1))}$"):
+            check(points)

@@ -56,66 +56,55 @@ def test_fan_cyclic_accessors():
     assert fan.cone_det(0) == fan.cone_det(3)
 
 
-def test_validate_fan_too_few_rays():
-    with pytest.raises(ValueError, match="at least 3"):
-        validate_fan(V((1, 0), (-1, 1)))
+# One input per validation failure, with its error, the index (winding for
+# BadWinding) and the message; test_kernel_bound runs each on a large image too.
+VALIDATION_ERRORS = {
+    "too-few-rays": ([(1, 0), (-1, 1)], ValueError, None, "a complete fan needs at least 3 rays, got 2"),
+    "non-primitive": ([(1, 0), (0, 1), (-2, -4)], NonPrimitiveRay, 3, "NonPrimitiveRay(3): ray 3 is not primitive"),
+    "non-primitive-axis": ([(1, 0), (0, 2), (-1, -1)], NonPrimitiveRay, 2,
+                           "NonPrimitiveRay(2): ray 2 is not primitive"),
+    "origin": ([(1, 0), (0, 0), (0, 1)], NonPrimitiveRay, 2, "NonPrimitiveRay(2): ray 2 is not primitive"),
+    # Also clockwise: primitivity is reported first.
+    "primitivity-first": ([(2, 0), (-1, -1), (0, 1)], NonPrimitiveRay, 1,
+                          "NonPrimitiveRay(1): ray 1 is not primitive"),
+    "duplicate": ([(1, 0), (0, 1), (1, 0)], DuplicateRay, 3, "DuplicateRay(3): ray 3 repeats an earlier ray"),
+    "duplicate-then-more": ([(1, 0), (0, 1), (1, 0), (-1, -1)], DuplicateRay, 3,
+                            "DuplicateRay(3): ray 3 repeats an earlier ray"),
+    "clockwise": ([(1, 0), (-1, -1), (0, 1)], NotCounterclockwise, 1,
+                  "NotCounterclockwise(1): consecutive rays 1 and 2 do not turn counterclockwise"),
+    "half-turn": ([(1, 0), (-1, 0), (0, 1)], NotCounterclockwise, 1,  # determinant 0
+                  "NotCounterclockwise(1): consecutive rays 1 and 2 do not turn counterclockwise"),
+    # The rays stay in a half-plane: the offending pair is (last, first).
+    "wraparound": ([(1, 0), (0, 1), (-1, 0)], NotCounterclockwise, 3,
+                   "NotCounterclockwise(3): consecutive rays 3 and 4 do not turn counterclockwise"),
+    # A pentagram: every cone determinant is positive, and the rays wind twice.
+    "winding": ([(1, 0), (-1, 1), (0, -1), (1, 1), (-2, -1)], BadWinding, 2,
+                "BadWinding: rays wind 2 times around the origin, need exactly 1"),
+    # Valid fans: (-2, -1) lies on the segment from (0, 1) to (-3, -2), (0, 1)
+    # on the one from (1, 0) to (-1, 2), and (1, 1) is a reflex ray.
+    "collinear": ([(1, 0), (0, 1), (-2, -1), (-3, -2)], NotStrictlyConvex, 3,
+                  "NotStrictlyConvex(3): ray 3 is not a strict vertex of the hull"),
+    "on-an-edge": ([(1, 0), (0, 1), (-1, 2), (-1, -1)], NotStrictlyConvex, 2,
+                   "NotStrictlyConvex(2): ray 2 is not a strict vertex of the hull"),
+    "reflex": ([(4, -1), (1, 1), (-1, 4), (-1, -1)], NotStrictlyConvex, 2,
+               "NotStrictlyConvex(2): ray 2 is not a strict vertex of the hull"),
+}
 
 
-def test_validate_fan_nonprimitive_index():
-    with pytest.raises(NonPrimitiveRay) as exc:
-        validate_fan(V((1, 0), (0, 1), (-2, -4)))
-    assert exc.value.index == 3
-    assert "NonPrimitiveRay(3)" in str(exc.value)
-
-
-def test_validate_fan_origin_is_nonprimitive():
-    with pytest.raises(NonPrimitiveRay) as exc:
-        validate_fan(V((1, 0), (0, 0), (0, 1)))
-    assert exc.value.index == 2
-
-
-def test_validate_fan_duplicate_index():
-    with pytest.raises(DuplicateRay) as exc:
-        validate_fan(V((1, 0), (0, 1), (1, 0)))
-    assert exc.value.index == 3
-
-
-def test_validate_fan_clockwise_pair():
-    with pytest.raises(NotCounterclockwise) as exc:
-        validate_fan(V((1, 0), (-1, -1), (0, 1)))
-    assert exc.value.index == 1
-
-
-def test_validate_fan_wraparound_pair_checked():
-    # rays stay in a half-plane: the offending pair is (last, first)
-    with pytest.raises(NotCounterclockwise) as exc:
-        validate_fan(V((1, 0), (0, 1), (-1, 0)))
-    assert exc.value.index == 3
-
-
-def test_validate_fan_double_winding():
-    # pentagram: consecutive determinants all positive, winds twice
-    with pytest.raises(BadWinding) as exc:
-        validate_fan(V((1, 0), (-1, 1), (0, -1), (1, 1), (-2, -1)))
-    assert exc.value.winding == 2
-
-
-def test_validation_order_primitivity_before_orientation():
-    # both defects present; primitivity is reported first
-    with pytest.raises(NonPrimitiveRay):
-        validate_fan(V((2, 0), (-1, -1), (0, 1)))
-
-
-def test_errors_share_base_class():
-    for bad in (
-        V((1, 0), (0, 1), (-2, -4)),
-        V((1, 0), (0, 1), (1, 0)),
-        V((1, 0), (-1, -1), (0, 1)),
-        V((1, 0), (-1, 1), (0, -1), (1, 1), (-2, -1)),
-    ):
-        with pytest.raises(FanValidationError):
-            validate_fan(bad)
-    assert issubclass(FanValidationError, ValueError)
+@pytest.mark.parametrize("points, error, value, message", VALIDATION_ERRORS.values(), ids=VALIDATION_ERRORS)
+def test_validation_error(points, error, value, message):
+    # A fan failure fails both validations; a convexity failure is a valid fan.
+    checks = [validate_ldp_polygon]
+    if error is NotStrictlyConvex:
+        assert validate_fan(points).d == len(points)
+    else:
+        checks.append(validate_fan)
+    for validate in checks:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as exc:
+            validate(points)
+        assert type(exc.value) is error
+        assert isinstance(exc.value, FanValidationError) == (error is not ValueError)
+        assert getattr(exc.value, "winding" if error is BadWinding else "index", None) == value
 
 
 def test_validate_ldp_polygon_examples():
@@ -128,29 +117,6 @@ def test_validate_ldp_polygon_examples():
 
     pentagon = validate_ldp_polygon(V((1, 0), (0, 1), (-1, 0), (1, -3), (2, -3)))
     assert pentagon.d == 5
-
-
-def test_validate_ldp_polygon_collinear_vertex():
-    # (-2, -1) lies on the segment from (0, 1) to (-3, -2)
-    with pytest.raises(NotStrictlyConvex) as exc:
-        validate_ldp_polygon(V((1, 0), (0, 1), (-2, -1), (-3, -2)))
-    assert exc.value.index == 3
-
-
-def test_valid_fan_that_is_not_a_polygon():
-    # valid complete fan, but (0, 1) lies on the segment from (1, 0) to (-1, 2)
-    points = V((1, 0), (0, 1), (-1, 2), (-1, -1))
-    assert validate_fan(points).d == 4
-    with pytest.raises(NotStrictlyConvex) as exc:
-        validate_ldp_polygon(points)
-    assert exc.value.index == 2
-
-    # valid complete fan with a strictly reflex ray
-    reflex = V((4, -1), (1, 1), (-1, 4), (-1, -1))
-    assert validate_fan(reflex).d == 4
-    with pytest.raises(NotStrictlyConvex) as exc:
-        validate_ldp_polygon(reflex)
-    assert exc.value.index == 2
 
 
 def test_twice_area():

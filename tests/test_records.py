@@ -12,7 +12,6 @@ from ldptoric import (
     BoxSpec,
     CatalogEntry,
     ConeRecord,
-    FamilyInstance,
     FamilyParams,
     FanCycle,
     LdpPolygon,

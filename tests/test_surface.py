@@ -17,7 +17,6 @@ from ldptoric import (
     f_value,
     nonsingular_arc_contiguous,
     parse_vertices,
-    same_cycle,
     validate_fan,
     validate_ldp_polygon,
     verify_catalog,
@@ -53,49 +52,25 @@ def test_f_value_range():
         f_value(cyc, 4)
 
 
-def test_analyze_projective_plane():
-    rep = analyze(fan("1,0;0,1;-1,-1"))
-    assert rep.d == 3
-    assert rep.picard_number == 1
-    assert rep.dets == (1, 1, 1)
-    assert rep.f_values == (3, 3, 3)
-    assert rep.anticanonical_degrees == (Fraction(3), Fraction(3), Fraction(3))
-    assert rep.is_log_del_pezzo
-    assert rep.singular_count == 0
-    assert rep.singular_indices() == ()
-
-
-def test_analyze_weighted_triangle():
-    rep = analyze(fan("1,0;0,1;-2,-3"))
-    assert rep.dets == (1, 2, 3)
-    assert rep.f_values == (6, 6, 6)
-    assert rep.anticanonical_degrees == (Fraction(2), Fraction(3), Fraction(1))
-    assert rep.is_log_del_pezzo
-    assert rep.singular_count == 2
-    assert rep.singular_indices() == (2, 3)
-    assert [c.index for c in rep.cones] == [1, 2, 3]
-
-
-def test_analyze_pentagon():
-    rep = analyze(fan("1,0;0,1;-1,0;1,-3;2,-3"))
-    assert rep.d == 5
-    assert rep.picard_number == 3
-    assert rep.dets == (1, 1, 3, 3, 3)
-    assert rep.f_values == (2, 2, 5, 3, 3)
-    assert rep.anticanonical_degrees == (
-        Fraction(2, 3), Fraction(2), Fraction(5, 3), Fraction(1, 3), Fraction(1, 3),
-    )
-    assert rep.is_log_del_pezzo
-    assert rep.singular_count == 3
-    assert rep.singular_indices() == (3, 4, 5)
-
-
-def test_analyze_non_ldp_fan():
-    rep = analyze(fan("1,0;0,1;-1,2;-1,-1"))
-    assert rep.f_values[1] == 0
-    assert not rep.is_log_del_pezzo
-    # degrees are still exact rationals, just not all positive
-    assert rep.anticanonical_degrees[1] == 0
+# A fan with its cone determinants, f-values, anticanonical degrees, log del
+# Pezzo verdict and singular cone indices.
+@pytest.mark.parametrize("text, dets, f_values, degrees, ldp, singular", [
+    pytest.param("1,0;0,1;-1,-1", (1, 1, 1), (3, 3, 3), "3 3 3", True, (), id="projective-plane"),
+    pytest.param("1,0;0,1;-2,-3", (1, 2, 3), (6, 6, 6), "2 3 1", True, (2, 3), id="weighted-triangle"),
+    pytest.param("2,-1;-1,2;-1,-1", (3, 3, 3), (9, 9, 9), "1 1 1", True, (1, 2, 3), id="three-singular-triangle"),
+    pytest.param("1,0;0,1;-1,0;1,-3;2,-3", (1, 1, 3, 3, 3), (2, 2, 5, 3, 3), "2/3 2 5/3 1/3 1/3", True, (3, 4, 5),
+                 id="pentagon"),
+    # Degrees stay exact rationals when they are not all positive.
+    pytest.param("1,0;0,1;-1,2;-1,-1", (1, 1, 3, 1), (3, 0, 3, 6), "3 0 1 2", False, (3,), id="non-ldp"),
+])
+def test_analyze_examples(text, dets, f_values, degrees, ldp, singular):
+    rep = analyze(fan(text))
+    d = len(dets)
+    assert (rep.d, rep.picard_number, rep.dets, rep.f_values) == (d, d - 2, dets, f_values)
+    assert rep.anticanonical_degrees == tuple(map(Fraction, degrees.split()))
+    assert rep.is_log_del_pezzo is ldp
+    assert (rep.singular_count, rep.singular_indices()) == (len(singular), singular)
+    assert [c.index for c in rep.cones] == list(range(1, d + 1))
 
 
 def test_degree_formula_consistency():
