@@ -129,8 +129,11 @@ def test_primitive_points_skip_imprimitive():
 
 
 def test_box_one_class_count(box1_catalog):
-    # Of the 11 classes, the 5 smooth ones are the toric del Pezzo surfaces.
     assert len(box1_catalog) == 11
+
+
+def test_smooth_classes_in_box_one(box1_catalog):
+    # The 5 smooth classes are the toric del Pezzo surfaces.
     assert sorted(e.d for e in box1_catalog if e.singular_count == 0) == [3, 4, 4, 5, 6]
 
 

@@ -107,6 +107,27 @@ def test_validation_error(points, error, value, message):
         assert getattr(exc.value, "winding" if error is BadWinding else "index", None) == value
 
 
+def test_validate_fan_nonprimitive_index():
+    # With several non-primitive rays, the index names the first of them.
+    with pytest.raises(NonPrimitiveRay) as exc:
+        validate_fan(V((1, 0), (0, 1), (-2, -4), (3, -3)))
+    assert exc.value.index == 3
+    assert "NonPrimitiveRay(3)" in str(exc.value)
+
+
+def test_errors_share_base_class():
+    # Each kind of fan failure is caught as FanValidationError, a ValueError.
+    for bad in (
+        V((1, 0), (0, 1), (-2, -4)),
+        V((1, 0), (0, 1), (1, 0)),
+        V((1, 0), (-1, -1), (0, 1)),
+        V((1, 0), (-1, 1), (0, -1), (1, 1), (-2, -1)),
+    ):
+        with pytest.raises(FanValidationError):
+            validate_fan(bad)
+    assert issubclass(FanValidationError, ValueError)
+
+
 def test_validate_ldp_polygon_examples():
     poly = validate_ldp_polygon(V((1, 0), (0, 1), (-2, -3)))
     assert poly.d == 3
