@@ -19,10 +19,11 @@ built), validation its cone determinants and vertex turns, and analyze its
 f-values.  twice_area and identify's basis readings are never checked.  No
 message spells out an unbounded value: checked_i64 names an int past 256
 bits by its size, and _clipped cuts any other long echo, or names it by its
-type when repr refuses it.  pair_rays screens a polygon's points in one pass
-and builds its rays with no call per vertex; at a point that fails, it checks
-each vertex in turn and raises at the first bad one: ValueError naming it for
-a point that is not an (x, y) pair of ints, else through `checked_i64`.
+type when repr refuses it.  _checked_ray reads one vertex's point once and
+raises ValueError naming it for a point that is not an (x, y) pair of ints,
+else checks it through `checked_i64`.  pair_rays screens a sequence of pairs
+in one pass and builds its rays with no call per vertex, reading each point
+twice; at a point that fails, it runs _checked_ray on each vertex in turn.
 """
 
 from __future__ import annotations
@@ -103,14 +104,15 @@ class RayVector(tuple):
 _ray = partial(tuple.__new__, RayVector)  # the RayVector of a screened pair, unchecked
 
 
-def _checked_ray(index: int, point) -> RayVector:
+def _checked_ray(index: int, point, pair=None) -> RayVector:
+    """Vertex `index` as a ray; `pair` is what was unpacked from `point`, () if nothing."""
     try:
-        x, y = point
+        x, y = point if pair is None else pair
     except (TypeError, ValueError):  # not iterable, or not two items
         raise ValueError(f"vertex {index} {_clipped(point)}: not an (x, y) pair") from None
     if type(x) is not int or type(y) is not int:  # not isinstance: bool is an int
         raise ValueError(f"vertex {index} {_clipped(point)}: coordinates must be integers")
-    return RayVector(x, y)
+    return _ray((x, y)) if I64_MIN <= x <= I64_MAX and I64_MIN <= y <= I64_MAX else RayVector(x, y)
 
 
 def pair_rays(points: Sequence) -> tuple[RayVector, ...]:

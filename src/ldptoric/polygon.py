@@ -9,29 +9,26 @@ one (analyze, blow_up, twice_area, ...); `vertices` is its name for the rays.
 
 All validation-error indices reported here are 1-based, matching the cyclic
 convention used by every external surface of the package; each error keeps
-its values as attributes and args, so it pickles as itself.  Validation runs
-its checks in a fixed order (coordinates, primitivity, duplicates, cone
-determinants, winding, then vertex turns, which validate_fan never computes)
-on the input pairs as given, which unpack faster than RayVectors as exact
-tuples or lists, and checks the 64-bit range on the values it produces
-where the check that uses them runs, so the first failing check of either
-kind wins.  Once every cone determinant is at least 1, each step turns
-counterclockwise by less than a half-turn, so the winding number counts the
-steps from y < 0 to y >= 0: each crosses the positive x axis, and none can
-end on the negative one.  A positivity check scans its values in one loop;
-screening them first with min() and max() measured slower at every d up to
-12 on CPython 3.11.
+its values as attributes and args, so it pickles as itself.
 
-The duplicate check runs only when the determinant or the winding check
-fails, and then before that failure is raised, so every input gets the error
-of the listed order.  It is not needed otherwise: when every determinant is
-at least 1 and the winding is 1, the d steps turn counterclockwise by angles
-in (0, pi) that sum to one full turn, so the rays point in d distinct
-directions and, being primitive, are pairwise distinct.
+The ordered checks define validation and its errors: coordinates (each point
+read once, by lattice._checked_ray), at least 3 rays, primitivity,
+duplicates, cone determinants, winding, then vertex turns, which
+validate_fan never computes; a determinant or turn outside the 64-bit range
+fails in its check's place.  Once every cone determinant is at least 1, each
+step turns counterclockwise by less than a half-turn, so the winding number
+counts the steps from y < 0 to y >= 0, each of which crosses the positive x
+axis.  Duplicates are looked for only when the determinant or winding check
+fails, before it raises: when every determinant is at least 1 and the winding
+is 1, the d steps turn counterclockwise by angles in (0, pi) that sum to one
+full turn, so the primitive rays point in d distinct directions.
 
-The turn at a vertex is its f-value, so validation checks exactly the data
-of a SurfaceReport: _surface_data computes it for validation and for
-surface._surface_report alike.
+validate_ldp_polygon runs every other check in one loop over the vertices,
+which unpacks each point once, builds its ray, and keeps the determinants and
+turns as the polygon's SurfaceReport (the f-value at a vertex is its turn).
+The loop raises a point that is not a pair of 64-bit ints itself, the first
+error in the listed order; at any other failure it stops, and the ordered
+checks run on the rays it read and the points left, only to word the error.
 """
 
 from __future__ import annotations
@@ -41,9 +38,9 @@ import re
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import starmap
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .lattice import I64_MAX, LatticeOverflowError, RayVector, _clipped, _Record, checked_i64, det2, pair_rays
+from .lattice import I64_MAX, I64_MIN, LatticeOverflowError, RayVector, _checked_ray, _clipped, _Record, checked_i64, det2
 
 
 class FanValidationError(ValueError):
@@ -75,8 +72,9 @@ class DuplicateRay(_ValuedError, FanValidationError):
 
 
 class NotCounterclockwise(_ValuedError, FanValidationError):
-    words = lambda index: (f"NotCounterclockwise({index}): consecutive rays {index} and {index + 1} "
-                           "do not turn counterclockwise")
+    fields = ("index", "next_index")  # next_index is 1 for the pair (ray d, ray 1)
+    words = lambda index, next_index=None: (f"NotCounterclockwise({index}): consecutive rays {index} and "
+                                            f"{next_index or index + 1} do not turn counterclockwise")
 
 
 class BadWinding(_ValuedError, FanValidationError):
@@ -220,7 +218,7 @@ def _surface_data(pts: tuple[tuple[int, int], ...], dets: tuple[int, ...]) -> Su
     return SurfaceReport(len(pts), dets, turns, len(pts) - dets.count(1))
 
 
-def _check_positive(values: tuple[int, ...], context: str, error: type[FanValidationError]) -> None:
+def _check_positive(values: tuple[int, ...], context: str, error: Callable[[int], FanValidationError]) -> None:
     """At the first value outside 1..I64_MAX, raise LatticeOverflowError
     naming `context` if it is outside the 64-bit range, else error(index)."""
     for i, value in enumerate(values, start=1):
@@ -229,21 +227,27 @@ def _check_positive(values: tuple[int, ...], context: str, error: type[FanValida
             raise error(i)
 
 
-def _validate_fan(points: Sequence) -> tuple[tuple, tuple[RayVector, ...], tuple[int, ...]]:
-    """validate_fan's checks; returns the input pairs, rays and dets."""
-    pts = tuple(points)  # a sequence: the screen reads it twice
-    rays = pair_rays(pts)
+def _points(points: Sequence) -> Iterator:
+    try:
+        return iter(points)
+    except TypeError:
+        raise ValueError(f"vertices {_clipped(points)}: not a sequence of (x, y) pairs") from None
+
+
+def _validate_fan(points: Sequence) -> tuple[tuple[RayVector, ...], tuple[int, ...]]:
+    """validate_fan's checks in the listed order; returns the rays and dets."""
+    rays = tuple([_checked_ray(i, p) for i, p in enumerate(_points(points), start=1)])
     d = len(rays)
     if d < 3:
         raise ValueError(f"a complete fan needs at least 3 rays, got {d}")
-    gcds = list(starmap(math.gcd, pts))
+    gcds = list(starmap(math.gcd, rays))
     if gcds.count(1) != d:
         raise NonPrimitiveRay(next(i for i, g in enumerate(gcds, start=1) if g != 1))
-    dets = _cone_dets(pts)
+    dets = _cone_dets(rays)
     try:
-        _check_positive(dets, "cone determinant", NotCounterclockwise)
+        _check_positive(dets, "cone determinant", lambda i: NotCounterclockwise(i, i % d + 1))
         # Every step now turns ccw by less than a half-turn: see the module docstring.
-        winding = sum([ay < 0 <= by for (_, ay), (_, by) in zip(pts, pts[1:] + pts[:1])])
+        winding = sum([ay < 0 <= by for (_, ay), (_, by) in zip(rays, rays[1:] + rays[:1])])
         if winding != 1:
             raise BadWinding(winding)
     except (FanValidationError, LatticeOverflowError):
@@ -251,36 +255,61 @@ def _validate_fan(points: Sequence) -> tuple[tuple, tuple[RayVector, ...], tuple
         if len(set(rays)) != d:
             raise DuplicateRay(next(i for i in range(2, d + 1) if rays[i - 1] in rays[: i - 1])) from None
         raise
-    return pts, rays, dets
+    return rays, dets
 
 
 def validate_fan(points: Sequence) -> FanCycle:
-    """Check the complete-fan conditions and return the validated cycle.
-
-    Raises, in checking order: ValueError for fewer than 3 rays,
-    NonPrimitiveRay, DuplicateRay, NotCounterclockwise (some consecutive pair
-    has determinant <= 0), BadWinding (rays wind more than once).  Input order
-    is preserved; any starting rotation is accepted.  A point that is not an
-    (x, y) pair of ints raises ValueError naming its vertex, and a coordinate
-    or cone determinant outside the signed 64-bit range LatticeOverflowError.
-    """
-    return FanCycle(_validate_fan(points)[1])
+    """The complete fan of the ray cycle `points` (input order, any rotation),
+    or the error of its first failing check in the module docstring's order:
+    ValueError for a vertex list that is not iterable, a point that is not an
+    (x, y) pair of ints or fewer than 3 rays; NonPrimitiveRay, DuplicateRay,
+    NotCounterclockwise, BadWinding; or LatticeOverflowError for a coordinate
+    or cone determinant outside the signed 64-bit range."""
+    return FanCycle(_validate_fan(points)[0])
 
 
 def validate_ldp_polygon(points: Sequence) -> LdpPolygon:
-    """Validate as fan, then require a strict left turn at every vertex.
-
-    The turn at a vertex is the cross product of its incoming and outgoing
-    edge vectors.  A ray that is a convex combination of its neighbours
-    (collinear boundary point or interior point) raises NotStrictlyConvex at
-    its 1-based index; a turn outside the signed 64-bit range raises
-    LatticeOverflowError.  The returned polygon carries the checked
-    determinants and turns as its analyze() report.
-    """
-    pts, rays, dets = _validate_fan(points)
-    report = _surface_data(pts, dets)
-    _check_positive(report.f_values, "vertex turn", NotStrictlyConvex)
-    poly = LdpPolygon(rays)
+    """validate_fan's checks, then a strict left turn at every vertex (the
+    cross product of its incoming and outgoing edges), else NotStrictlyConvex
+    at its 1-based index, or LatticeOverflowError for a turn outside 64 bits.
+    The polygon carries the checked determinants and turns as its report."""
+    rays, dets, turns = [], [], []  # det(v_k, v_k+1) and the turn at v_k, a placeholder 1 at v_0
+    lo, hi, winding, report, ab = I64_MIN, I64_MAX, 0, None, None
+    for p in (rest := _points(points)):
+        try:
+            x, y = p
+        except (TypeError, ValueError):  # not iterable, or not two items
+            _checked_ray(len(rays) + 1, p, ())  # raises: () does not unpack either
+        if type(x) is not int or type(y) is not int or not (lo <= x <= hi and lo <= y <= hi):
+            _checked_ray(len(rays) + 1, p, (x, y))  # raises
+        rays.append(tuple.__new__(RayVector, (x, y)))
+        if math.gcd(x, y) != 1:
+            break
+        if ab is None:  # a = v_0 and ab = 1 at v_1 make the turn at v_0 read 1 until it is known
+            ax, ay, ab = x, y, 1
+        else:  # (a, b, c) are v_k-2, v_k-1, v_k and ab = det(a, b)
+            bc = bx * y - x * by
+            turn = ab + bc + x * ay - ax * y  # (b - a) x (c - b)
+            if not (0 < bc <= hi and 0 < turn <= hi):
+                break
+            winding += by < 0 <= y
+            dets.append(bc)
+            turns.append(turn)
+            ax, ay, ab = bx, by, bc
+        bx, by = x, y
+    else:
+        if (d := len(rays)) >= 3:  # the cone (v_d-1, v_0) and the turns at v_d-1 and v_0
+            (x, y), (x1, y1) = rays[0], rays[1]
+            bc = bx * y - x * by
+            last, first = ab + bc + x * ay - ax * y, bc + dets[0] + x1 * by - bx * y1
+            if 0 < bc <= hi and 0 < last <= hi and 0 < first <= hi and winding + (by < 0 <= y) == 1:
+                dets.append(bc)
+                report = SurfaceReport(d, tuple(dets), (first, *turns[1:], last), d - dets.count(1))
+    if report is None:  # the ordered checks word the failure; the points in `rest` are unread
+        rays, dets = _validate_fan(rays + list(rest))
+        report = _surface_data(rays, dets)
+        _check_positive(report.f_values, "vertex turn", NotStrictlyConvex)
+    poly = LdpPolygon(tuple(rays))
     object.__setattr__(poly, "_report", report)  # analyze's memo; FanCycle is frozen
     return poly
 

@@ -18,9 +18,8 @@ validate_ldp_polygon sets that memo from the values it has just checked, so
 analyze on a validated polygon computes nothing, and the tagging path
 (analyze, identify, classify_three) and equivalence's normalizations read
 that one report.  Any other cycle (validate_fan's, blow_up's, a canonical
-form) gets its report from _surface_report on the first call:
-polygon._surface_data, the one formula for both, with the f-values checked
-against the 64-bit range.
+form) gets its report from _surface_report on the first call: the same
+values, from polygon._surface_data, with the f-values range-checked.
 """
 
 from __future__ import annotations

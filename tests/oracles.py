@@ -146,9 +146,16 @@ def _lower_half(v: Point) -> bool:
 
 def ref_validate_fan(points) -> tuple[Point, ...]:
     """The validated ray cycle as int tuples, or the package's error."""
+    try:
+        points = list(points)
+    except TypeError:
+        raise ValueError(f"vertices {points!r}: not a sequence of (x, y) pairs") from None
     rays = []
     for i, point in enumerate(points, start=1):
-        x, y = point
+        try:
+            x, y = point
+        except (TypeError, ValueError):
+            raise ValueError(f"vertex {i} {point!r}: not an (x, y) pair") from None
         if type(x) is not int or type(y) is not int:
             raise ValueError(f"vertex {i} {point!r}: coordinates must be integers")
         rays.append(_vector(x, y))
@@ -163,7 +170,7 @@ def ref_validate_fan(points) -> tuple[Point, ...]:
             raise DuplicateRay(i)
     for i in range(d):
         if _i64(_det(rays[i], rays[(i + 1) % d]), "cone determinant") <= 0:
-            raise NotCounterclockwise(i + 1)
+            raise NotCounterclockwise(i + 1, (i + 1) % d + 1)
     winding = 0
     for i in range(d):
         u, v = rays[i], rays[(i + 1) % d]

@@ -424,6 +424,8 @@ def _set(key, value):
     # Malformed lines.
     pytest.param(_line(3, lambda line: b'{"vertices": "oops"}'), 3, "vertex 1 'o': not an (x, y) pair",
                  id="vertices-str"),
+    pytest.param(_line(3, lambda line: b'{"vertices": 5}'), 3, "vertices 5: not a sequence of (x, y) pairs",
+                 id="vertices-int"),
     pytest.param(_line(3, lambda line: b"[" * 200_000), 3,
                  "maximum recursion depth exceeded while decoding a JSON array...", id="deep-nesting"),
     pytest.param(_line(3, lambda line: line[:5] + b"\xc3\xa9" + line[5:]), 3,

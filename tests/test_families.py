@@ -28,7 +28,7 @@ from ldptoric import (
     validate_fan,
     validate_ldp_polygon,
 )
-from ldptoric import families, polygon
+from ldptoric import families
 from ldptoric.families import FAMILY_SPECS
 
 from oracles import ref_basis_readings, ref_identify
@@ -216,8 +216,9 @@ def test_classify_three_examples(text, singular, case):
 
 
 def test_classify_three_d6_validates_each_blow_down_fan_once(box2_catalog, monkeypatch):
-    # Each blow-down's fan is checked once, by blow_down; the outcomes are
-    # those of a full validate_ldp_polygon of every blow-down.
+    # Each blow-down is validated once, by the validator classify_three
+    # calls; the outcomes are those of a full validate_ldp_polygon of every
+    # blow-down.
     def reference(p):
         for i in blow_down_candidates(p):
             try:
@@ -229,8 +230,8 @@ def test_classify_three_d6_validates_each_blow_down_fan_once(box2_catalog, monke
         return "none", len(blow_down_candidates(p))
 
     calls = []
-    fan_checks = polygon._validate_fan
-    monkeypatch.setattr(polygon, "_validate_fan", lambda pts: calls.append(1) or fan_checks(pts))
+    validate = families.validate_ldp_polygon
+    monkeypatch.setattr(families, "validate_ldp_polygon", lambda pts: calls.append(1) or validate(pts))
     sixes = [e.poly for e in box2_catalog if e.d == 6 and e.singular_count == 3]
     assert sixes
     for six in sixes:

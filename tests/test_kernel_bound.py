@@ -6,6 +6,7 @@ signed 64-bit range, so there nothing may raise LatticeOverflowError.  Above
 it only a named value (a coordinate, a cone determinant, a vertex turn or an
 f-value) outside that range raises, never an intermediate product."""
 
+import math
 import random
 from collections import Counter
 
@@ -18,9 +19,10 @@ from ldptoric import (
     validate_fan,
     validate_ldp_polygon,
 )
-from ldptoric.lattice import I64_MAX
+from ldptoric.lattice import I64_MAX, I64_MIN
 
 from oracles import (
+    _ref_ext_gcd,
     large_shear_product,
     random_fan,
     ref_analyze,
@@ -173,9 +175,12 @@ def test_error_kinds_agree_with_reference_on_both_sides():
     # defect at the same index, above 2**30.
     a, b, c, d = B + 1, B, 1, 1
     for points, error, _, message in VALIDATION_ERRORS.values():
-        image = [(a * x + b * y, c * x + d * y) for x, y in points]
-        assert _small(points) and not _small(image)
-        for pts in (points, image):
+        cases = [points]
+        if type(points) is list:  # a vertex list that is not iterable has no image
+            image = [(a * x + b * y, c * x + d * y) for x, y in points]
+            assert _small(points) and not _small(image)
+            cases.append(image)
+        for pts in cases:
             _agree(pts)
             outcome = _outcome(validate_ldp_polygon, pts)
             assert outcome[0] == "error" and outcome[1] is error and outcome[3] == message, (pts, outcome)
@@ -232,3 +237,87 @@ def test_named_values_decide_overflow():
     outcome = _outcome(analyze, fan)
     assert outcome[1] is LatticeOverflowError
     assert outcome[3] == f"f value {I64_MAX + 1} exceeds the signed 64-bit range"
+
+
+# A hexagon whose cone 2 has determinant 6 * 2**61, past I64_MAX, while every
+# other determinant and every vertex turn fits: only the determinant's upper
+# bound rejects it.
+BIG_CONE = [(2**61 - 1, -4), (2**61, -3), (2**61, 3), (2**61 - 1, 4), (-1, 1), (-1, -1)]
+
+
+def _past_i64(pts, i, rng):
+    """A shear of the cycle `pts` (every determinant and turn kept) that moves
+    a coordinate of vertex i just past the signed 64-bit range."""
+    axis, side = rng.randrange(2), rng.choice((1, -1))
+    if pts[i][1 - axis] == 0:
+        axis = 1 - axis
+    c, other = pts[i][axis], pts[i][1 - axis]
+    k = (side * (2**63 + 1) - c) // other
+    while I64_MIN <= c + k * other <= I64_MAX:
+        k += side if other > 0 else -side
+    return [(x + k * y, y) if axis == 0 else (x, y + k * x) for x, y in pts]
+
+
+def _defects(pts, i, rng):
+    """Per kind of defect, a copy of the int-pair cycle `pts` with it at vertex i."""
+    d = len(pts)
+    (x, y), (nx, ny) = pts[i], pts[(i + 1) % d]
+
+    def at(point):
+        return pts[:i] + [point] + pts[i + 1:]
+
+    # The first primitive lattice point on the edge to the next vertex, or
+    # past that vertex on the same line: a vertex between two others turns by 0.
+    g = math.gcd(nx - x, ny - y)
+    on_line = [(x + (nx - x) // g * m, y + (ny - y) // g * m) for m in range(1, g + 50) if m != g]
+    # K * v + q with det(v, q) == 1 is primitive; its cones and turns grow with K.
+    _, s, t = _ref_ext_gcd(x, y)
+    k = rng.randint(1, (I64_MAX - abs(s) - abs(t)) // max(abs(x), abs(y)))
+    # Consecutive vertices listed from a seeded one: the origin may fall
+    # outside them, and then the cone that closes them turns clockwise.
+    run = [pts[(i + j) % d] for j in range(rng.randint(3, max(3, d - 1)))]
+    j, m, r = rng.randrange(len(run)), rng.choice((2, 3)), rng.randrange(d + 1)
+    return {
+        "float-or-bool": at(rng.choice([(float(x), y), (x, float(y))] + [(bool(x), y)] * (x in (0, 1))
+                                       + [(x, bool(y))] * (y in (0, 1)))),
+        "past-i64": _past_i64(pts, i, rng),
+        "non-pair": at(rng.choice([(x, y, 0), (x,), x])),
+        "non-primitive": at((m * x, m * y)),
+        "repeat": pts[:r] + [pts[i]] + pts[r:],
+        "wound-twice": pts[i:] + pts + pts[:i],
+        "swapped": pts[:i] + [pts[(i + 1) % d], pts[i]] + pts[i + 2:] if i + 1 < d else [pts[i]] + pts[1:i] + [pts[0]],
+        "collinear": pts[:i + 1] + [next(p for p in on_line if math.gcd(*p) == 1)] + pts[i + 1:],
+        "det-or-turn-past-i64": at((k * x - t, k * y + s)),
+        "run": run[j:] + run[:j],
+        "prefix": pts[:i],
+    }
+
+
+def test_seeded_defects_at_every_vertex_agree_with_reference(box2_catalog):
+    # Every box-2 class and one large image of it, each defect at each
+    # vertex: validation and the report it leaves agree with the reference
+    # in outcome, error type, index and message.  Each check of validation's
+    # loop rejects some of these inputs alone (a determinant's upper bound
+    # only BIG_CONE), so dropping any one of them fails this test.
+    rng = random.Random(30)
+    cycles = [list(e.vertices) for e in box2_catalog]
+    for pts in cycles[:]:
+        m = large_shear_product(rng)
+        cycles.append([(m.a * x + m.b * y, m.c * x + m.d * y) for x, y in pts])
+    seen = Counter()
+    for pts in cycles:
+        for i in range(len(pts)):
+            for kind, bad in _defects(pts, i, rng).items():
+                seen[kind, _agree(bad)[0]] += 1
+    for i in range(len(BIG_CONE)):
+        rotated = BIG_CONE[i:] + BIG_CONE[:i]
+        assert _agree(rotated) == ["validate:LatticeOverflowError"]
+        assert _outcome(validate_ldp_polygon, rotated)[3].startswith(f"cone determinant {6 * 2**61} exceeds")
+    assert {
+        ("float-or-bool", "validate:ValueError"), ("past-i64", "validate:LatticeOverflowError"),
+        ("non-pair", "validate:ValueError"), ("non-primitive", "validate:NonPrimitiveRay"),
+        ("repeat", "validate:DuplicateRay"), ("wound-twice", "validate:DuplicateRay"),
+        ("swapped", "validate:NotCounterclockwise"), ("collinear", "validate:NotStrictlyConvex"),
+        ("det-or-turn-past-i64", "validate:LatticeOverflowError"), ("det-or-turn-past-i64", "validate:ok"),
+        ("run", "validate:NotCounterclockwise"), ("run", "validate:ok"), ("prefix", "validate:ValueError"),
+    } <= set(seen)

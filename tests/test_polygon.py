@@ -59,6 +59,7 @@ def test_fan_cyclic_accessors():
 # One input per validation failure, with its error, the index (winding for
 # BadWinding) and the message; test_kernel_bound runs each on a large image too.
 VALIDATION_ERRORS = {
+    "not-iterable": (5, ValueError, None, "vertices 5: not a sequence of (x, y) pairs"),
     "too-few-rays": ([(1, 0), (-1, 1)], ValueError, None, "a complete fan needs at least 3 rays, got 2"),
     "non-primitive": ([(1, 0), (0, 1), (-2, -4)], NonPrimitiveRay, 3, "NonPrimitiveRay(3): ray 3 is not primitive"),
     "non-primitive-axis": ([(1, 0), (0, 2), (-1, -1)], NonPrimitiveRay, 2,
@@ -76,7 +77,7 @@ VALIDATION_ERRORS = {
                   "NotCounterclockwise(1): consecutive rays 1 and 2 do not turn counterclockwise"),
     # The rays stay in a half-plane: the offending pair is (last, first).
     "wraparound": ([(1, 0), (0, 1), (-1, 0)], NotCounterclockwise, 3,
-                   "NotCounterclockwise(3): consecutive rays 3 and 4 do not turn counterclockwise"),
+                   "NotCounterclockwise(3): consecutive rays 3 and 1 do not turn counterclockwise"),
     # A pentagram: every cone determinant is positive, and the rays wind twice.
     "winding": ([(1, 0), (-1, 1), (0, -1), (1, 1), (-2, -1)], BadWinding, 2,
                 "BadWinding: rays wind 2 times around the origin, need exactly 1"),
@@ -239,6 +240,13 @@ def test_duplicate_ray_is_named_at_its_second_index(validate):
 def test_validation_reads_any_iterable_once():
     pts = [(1, 0), (0, 1), (-1, -1)]
     assert validate_ldp_polygon(p for p in pts) == validate_ldp_polygon(pts)
+    # Each point is read once as well, on success and on failure alike.
+    for validate in (validate_fan, validate_ldp_polygon):
+        assert validate([iter(p) for p in pts]) == validate(pts)
+        with pytest.raises(NonPrimitiveRay, match=r"^NonPrimitiveRay\(1\)"):
+            validate([(2, 0)] + [iter(p) for p in pts[1:]])
+        with pytest.raises(ValueError, match=r"^vertex 2 <tuple_iterator object at .*>: coordinates must be integers$"):
+            validate([iter(p) for p in [(1, 0), (0, 1.0), (-1, -1)]])
     with pytest.raises(ValueError, match=r"^vertex 2 \(0, 1.0\): coordinates must be integers$"):
         validate_fan(iter([(1, 0), (0, 1.0), (-1, -1)]))
 
@@ -271,7 +279,7 @@ _ERROR_SAMPLES = {
     "FanValidationError": ("a fan validation failure",),
     "NonPrimitiveRay": (2,),
     "DuplicateRay": (3,),
-    "NotCounterclockwise": (4,),
+    "NotCounterclockwise": (3, 1),
     "BadWinding": (2,),
     "NotStrictlyConvex": (5,),
     "ConeSingular": (1,),
