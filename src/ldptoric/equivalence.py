@@ -27,12 +27,19 @@ point swapped, read backwards from the second point.  Without a smooth cone,
 each vertex gets one Bezout row, for its forward and its backward anchor.
 
 _canonical_key is the least normalization of a cycle's int tuples (the
-enumeration shards' dedup key, no memo, no sort).  canonical_form, identify
-and are_equivalent read the tied anchors memoized in a polygon slot per flag
-(_normalizations), as analyze memoizes its report.  The memo is sorted once,
-least first, so the canonical form and its anchor are entry [0]; its det-1
-test reads the cone determinants of analyze's report: the one validation
-left on the polygon, or for a canonical form the one analyze computes.
+enumeration shards' dedup key, no memo, no sort), read lazily.  It takes the
+anchors _tied_anchors(pts, False) takes, the Bezout ones through the same
+least-(k, D) selection (_least_maps), as maps.  Every tied reading starts
+(1, 0), (k, D), so for t = 2, 3, ... it maps only point t of each anchor's
+walk and keeps the anchors least there, until one anchor is left or all d
+points are read, and then builds that anchor's reading alone.
+
+canonical_form, identify and are_equivalent read the tied anchors memoized
+in a polygon slot per flag (_normalizations), as analyze memoizes its
+report.  The memo is sorted once, least first, so the canonical form and
+its anchor are entry [0]; its det-1 test reads the cone determinants of
+analyze's report: the one validation left on the polygon, or for a
+canonical form the one analyze computes.
 are_equivalent takes q's entry [0]; each tied anchor of r with the same
 normalization gives one connecting map, and every connecting map arises so.
 So two polygons are equivalent exactly when their least normalizations
@@ -85,6 +92,32 @@ def _read_on_pair(rot) -> Reading:
     return tuple([(x * by - bx * y, ax * y - x * ay) for x, y in rot])
 
 
+def _least_maps(pts: Sequence[tuple[int, int]], signs: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """(a, b, c, e, k, sign) for every anchor (k, sign) of `pts`, sign in
+    `signs`, tied at the least (k, D): its normalization maps v on its walk
+    to (a*x + b*y, c*x + e*y)."""
+    d = len(pts)
+    least = None
+    # Each span is recomputed here: reading it from the cone dets measured slower.
+    for k, (x0, y0) in enumerate(pts):
+        s, t = _bezout_row(x0, y0)
+        for sign in signs:
+            x1, y1 = pts[(k + sign) % d]
+            span = sign * (x0 * y1 - x1 * y0)
+            key = ((s * x1 + t * y1) % span, span)
+            if least is None or key < least:
+                least, ties = key, [(s, t, k, sign)]
+            elif key == least:
+                ties.append((s, t, k, sign))
+    maps = []
+    for s, t, k, sign in ties:
+        # Row (s, t) plus the shear that reduces the second vertex mod span.
+        (x0, y0), (x1, y1) = pts[k], pts[(k + sign) % d]
+        q = (s * x1 + t * y1) // least[1]
+        maps.append((s + sign * q * y0, t - sign * q * x0, -sign * y0, sign * x0, k, sign))
+    return maps
+
+
 def _tied_anchors(
     pts: Sequence[tuple[int, int]], orientation_preserving: bool, dets: Sequence[int] | None = None
 ) -> list[tuple[Reading, Anchor]]:
@@ -107,27 +140,10 @@ def _tied_anchors(
         back = [(tuple([(y, x) for x, y in rd[1::-1] + rd[:1:-1]]), ((j + 1) % d, -1)) for rd, (j, _) in tied]
         return tied + back
     # One Bezout row per vertex, for its forward anchor and its backward one.
-    # Each span is recomputed here: reading it from `dets` measured slower.
-    signs = (1,) if orientation_preserving else (1, -1)
-    least = None
-    for k, (x0, y0) in enumerate(pts):
-        s, t = _bezout_row(x0, y0)
-        for sign in signs:
-            x1, y1 = pts[(k + sign) % d]
-            span = sign * (x0 * y1 - x1 * y0)
-            key = ((s * x1 + t * y1) % span, span)
-            if least is None or key < least:
-                least, ties = key, [(s, t, k, sign)]
-            elif key == least:
-                ties.append((s, t, k, sign))
-    for s, t, k, sign in ties:
-        # The walk pts[k], pts[k + sign], ...; row (s, t) plus the shear that
-        # reduces the second vertex mod span.
+    for a, b, c, e, k, sign in _least_maps(pts, (1,) if orientation_preserving else (1, -1)):
+        # The walk pts[k], pts[k + sign], ...
         rot = pts[k:] + pts[:k] if sign == 1 else pts[k::-1] + pts[:k:-1]
-        (x0, y0), (x1, y1) = rot[0], rot[1]
-        q = (s * x1 + t * y1) // least[1]
-        a, b = s + sign * q * y0, t - sign * q * x0
-        tied.append((tuple([(a * x + b * y, sign * (x0 * y - y0 * x)) for x, y in rot]), (k, sign)))
+        tied.append((tuple([(a * x + b * y, c * x + e * y) for x, y in rot]), (k, sign)))
     return tied
 
 
@@ -145,8 +161,34 @@ def _normalizations(poly: FanCycle, orientation_preserving: bool) -> list[tuple[
 
 def _canonical_key(pts: Sequence[tuple[int, int]]) -> Reading:
     """The vertices of canonical_form(poly), as int tuples, straight from the
-    int tuples of a valid LDP cycle: no validation, no RayVectors, no memo."""
-    return min(_tied_anchors(pts, False))[0]
+    int tuples of a valid LDP cycle: no validation, no RayVectors, no memo.
+    The anchors that _tied_anchors(pts, False) ties, as maps in _least_maps'
+    form, are eliminated point by point; only the least one's reading is built."""
+    d = len(pts)
+    maps = []
+    for k, ((ax, ay), (bx, by)) in enumerate(zip(pts, pts[1:] + pts[:1])):
+        if ax * by - bx * ay == 1:
+            # Forward anchor k sends v to (det(v, b), det(a, v)); backward
+            # anchor k + 1 to the same point swapped.
+            maps += [(by, -bx, -ay, ax, k, 1), (-ay, ax, by, -bx, (k + 1) % d, -1)]
+    maps = maps or _least_maps(pts, (1, -1))
+    # Every tied reading starts (1, 0), (k, D): keep the maps least at point t.
+    for t in range(2, d):
+        if len(maps) == 1:
+            break
+        least = None
+        for m in maps:
+            a, b, c, e, k, sign = m
+            x, y = pts[(k + sign * t) % d]
+            p = (a * x + b * y, c * x + e * y)
+            if least is None or p < least:
+                least, keep = p, [m]
+            elif p == least:
+                keep.append(m)
+        maps = keep
+    a, b, c, e, k, sign = maps[0]
+    rot = pts[k:] + pts[:k] if sign == 1 else pts[k::-1] + pts[:k:-1]
+    return tuple([(a * x + b * y, c * x + e * y) for x, y in rot])
 
 
 def canonical_form(poly: LdpPolygon, orientation_preserving: bool = False) -> LdpPolygon:

@@ -21,15 +21,14 @@ message spells out an unbounded value: checked_i64 names an int past 256
 bits by its size, and _clipped cuts any other long echo, or names it by its
 type when repr refuses it.  _checked_ray reads one vertex's point once and
 raises ValueError naming it for a point that is not an (x, y) pair of ints,
-else checks it through `checked_i64`.  pair_rays screens a sequence of pairs
-in one pass and builds its rays with no call per vertex, reading each point
-twice; at a point that fails, it runs _checked_ray on each vertex in turn.
+else checks it through `checked_i64`.  pair_rays reads each point of a
+sequence of pairs once, screens its coordinates inline and builds its ray
+unchecked; at a point that fails, _checked_ray raises its error.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 from operator import itemgetter
 from typing import Sequence
 
@@ -101,7 +100,7 @@ class RayVector(tuple):
         return "%d,%d" % self
 
 
-_ray = partial(tuple.__new__, RayVector)  # the RayVector of a screened pair, unchecked
+_new = tuple.__new__  # _new(RayVector, pair): the RayVector of a screened pair, unchecked
 
 
 def _checked_ray(index: int, point, pair=None) -> RayVector:
@@ -112,21 +111,22 @@ def _checked_ray(index: int, point, pair=None) -> RayVector:
         raise ValueError(f"vertex {index} {_clipped(point)}: not an (x, y) pair") from None
     if type(x) is not int or type(y) is not int:  # not isinstance: bool is an int
         raise ValueError(f"vertex {index} {_clipped(point)}: coordinates must be integers")
-    return _ray((x, y)) if I64_MIN <= x <= I64_MAX and I64_MIN <= y <= I64_MAX else RayVector(x, y)
+    return _new(RayVector, (x, y)) if I64_MIN <= x <= I64_MAX and I64_MIN <= y <= I64_MAX else RayVector(x, y)
 
 
 def pair_rays(points: Sequence) -> tuple[RayVector, ...]:
     """The rays of the int pairs `points`, screened as the module docstring says."""
     lo, hi = I64_MIN, I64_MAX
-    try:
-        for x, y in points:
-            if type(x) is not int or type(y) is not int or not (lo <= x <= hi and lo <= y <= hi):
-                break
-        else:
-            return tuple(map(_ray, points))
-    except (TypeError, ValueError):  # a point that is not a pair, which _checked_ray words
-        pass
-    return tuple(_checked_ray(i, p) for i, p in enumerate(points, start=1))
+    rays = []
+    for p in points:
+        try:
+            x, y = p
+        except (TypeError, ValueError):  # not iterable, or not two items
+            _checked_ray(len(rays) + 1, p, ())  # raises: () does not unpack either
+        if type(x) is not int or type(y) is not int or not (lo <= x <= hi and lo <= y <= hi):
+            _checked_ray(len(rays) + 1, p, (x, y))  # raises
+        rays.append(_new(RayVector, (x, y)))
+    return tuple(rays)
 
 
 class _Record(tuple):

@@ -28,7 +28,8 @@ which unpacks each point once, builds its ray, and keeps the determinants and
 turns as the polygon's SurfaceReport (the f-value at a vertex is its turn).
 The loop raises a point that is not a pair of 64-bit ints itself, the first
 error in the listed order; at any other failure it stops, and the ordered
-checks run on the rays it read and the points left, only to word the error.
+checks run on the rays it read, as they are, and on the points left, which
+alone are screened again, only to word the error.
 """
 
 from __future__ import annotations
@@ -234,9 +235,10 @@ def _points(points: Sequence) -> Iterator:
         raise ValueError(f"vertices {_clipped(points)}: not a sequence of (x, y) pairs") from None
 
 
-def _validate_fan(points: Sequence) -> tuple[tuple[RayVector, ...], tuple[int, ...]]:
-    """validate_fan's checks in the listed order; returns the rays and dets."""
-    rays = tuple([_checked_ray(i, p) for i, p in enumerate(_points(points), start=1)])
+def _validate_fan(rays: list[RayVector], rest: Iterator) -> tuple[tuple[RayVector, ...], tuple[int, ...]]:
+    """validate_fan's checks in the listed order on the rays `rays`, already
+    read and checked, then the points left in `rest`; returns the rays and dets."""
+    rays = tuple(rays + [_checked_ray(i, p) for i, p in enumerate(rest, start=len(rays) + 1)])
     d = len(rays)
     if d < 3:
         raise ValueError(f"a complete fan needs at least 3 rays, got {d}")
@@ -265,7 +267,7 @@ def validate_fan(points: Sequence) -> FanCycle:
     (x, y) pair of ints or fewer than 3 rays; NonPrimitiveRay, DuplicateRay,
     NotCounterclockwise, BadWinding; or LatticeOverflowError for a coordinate
     or cone determinant outside the signed 64-bit range."""
-    return FanCycle(_validate_fan(points)[0])
+    return FanCycle(_validate_fan([], _points(points))[0])
 
 
 def validate_ldp_polygon(points: Sequence) -> LdpPolygon:
@@ -306,7 +308,7 @@ def validate_ldp_polygon(points: Sequence) -> LdpPolygon:
                 dets.append(bc)
                 report = SurfaceReport(d, tuple(dets), (first, *turns[1:], last), d - dets.count(1))
     if report is None:  # the ordered checks word the failure; the points in `rest` are unread
-        rays, dets = _validate_fan(rays + list(rest))
+        rays, dets = _validate_fan(rays, rest)
         report = _surface_data(rays, dets)
         _check_positive(report.f_values, "vertex turn", NotStrictlyConvex)
     poly = LdpPolygon(tuple(rays))

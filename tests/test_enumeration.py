@@ -307,6 +307,56 @@ def test_canonical_key_matches_canonical_form(flag):
         assert key(pts) == form(image) == _oracle_form(image.vertices, flag)
 
 
+def test_lazy_canonical_key_is_the_least_tied_reading(box3_catalog):
+    # _canonical_key eliminates the tied anchors point by point and reads
+    # only the survivor in full.  On every box-3 class, and on a seeded
+    # unimodular image of each class with at least 4 tied anchors, rotated:
+    # the symmetric cycles, where two anchors tie at every point.
+    rng = random.Random(17)
+    seen = Counter()
+    for entry in box3_catalog:
+        tied = _tied_anchors(list(entry.vertices), False)
+        assert _canonical_key(list(entry.vertices)) == min(tied)[0]
+        if len(tied) >= 4:
+            image = apply_to_polygon(random_unimodular_map(rng, 40), entry.poly)
+            shift = rng.randrange(image.d)
+            pts = [v.as_tuple() for v in image.vertices[shift:] + image.vertices[:shift]]
+            image_tied = _tied_anchors(pts, False)
+            least = min(image_tied)[0]
+            assert _canonical_key(pts) == least
+            seen["read all d points"] += sum(rd == least for rd, _ in image_tied) >= 2
+            seen["smooth" if least[1] == (0, 1) else "no smooth cone"] += 1
+    assert min(seen.values()) > 100, seen
+
+
+@pytest.mark.parametrize("case", ["on", "off", "raises"])
+def test_enumerate_ldp_leaves_the_collector_as_it_found_it(case, monkeypatch):
+    # The collector is paused while the entries are built and restored as the
+    # caller had it, also when building them raises.
+    seen = []
+    validate = enumeration.validate_ldp_polygon
+
+    def watched(key):
+        seen.append(gc.isenabled())
+        if case == "raises":
+            raise RuntimeError("seeded")
+        return validate(key)
+
+    monkeypatch.setattr(enumeration, "validate_ldp_polygon", watched)
+    was = gc.isenabled()
+    gc.disable() if case == "off" else gc.enable()
+    try:
+        if case == "raises":
+            with pytest.raises(RuntimeError, match="^seeded$"):
+                enumerate_ldp(1)
+        else:
+            assert len(enumerate_ldp(1)) == 11
+        assert gc.isenabled() == (case != "off")
+    finally:
+        gc.enable() if was else gc.disable()
+    assert seen and not any(seen)
+
+
 def test_box_monotonicity(box1_catalog, box2_catalog):
     small = {e.vertices for e in box1_catalog}
     large = {e.vertices for e in box2_catalog}

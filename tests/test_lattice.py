@@ -229,3 +229,14 @@ def test_pair_rays_raises_as_validation_does(kind, slot):
     for check in (pair_rays, validate_fan, validate_ldp_polygon):
         with pytest.raises(error, match=f"^{re.escape(message.format(i=slot + 1))}$"):
             check(points)
+
+
+def test_pair_rays_reads_each_point_once():
+    # A one-shot iterator point gives the ray of its pair, and a bad one is
+    # worded from the pair it gave.
+    rays = pair_rays([iter((1, 0)), (0, 1)])
+    assert rays == ((1, 0), (0, 1)) and all(type(v) is RayVector for v in rays)
+    assert repr(rays) == "(RayVector(x=1, y=0), RayVector(x=0, y=1))"
+    assert pair_rays(p for p in [(1, 0), (0, 1)]) == rays
+    with pytest.raises(ValueError, match=r"^vertex 2 <tuple_iterator object at .*>: coordinates must be integers$"):
+        pair_rays([iter((1, 0)), iter((0, 1.0))])

@@ -251,6 +251,26 @@ def test_validation_reads_any_iterable_once():
         validate_fan(iter([(1, 0), (0, 1.0), (-1, -1)]))
 
 
+@pytest.mark.parametrize(
+    "points, error, screened",
+    [
+        ([(1, 0), (0, 2), (-1, 0), (0, -1)], NonPrimitiveRay, [3, 4]),
+        ([(1, 0), (-1, 0), (0, 1), (0, -1)], NotCounterclockwise, [3, 4]),
+        ([(1, 0), (0, 2), (-1, 0), (0, -1.0)], ValueError, [3, 4]),
+        ([(1, 0), (0, 1), (-1, 0), (1, 1)], NotCounterclockwise, []),
+    ],
+)
+def test_failed_validation_screens_only_the_unread_points(points, error, screened, monkeypatch):
+    # When the one-pass loop stops, the ordered checks take the rays it read
+    # as they are, and screen only the points it left unread.
+    calls = []
+    checked_ray = ldptoric.polygon._checked_ray
+    monkeypatch.setattr(ldptoric.polygon, "_checked_ray", lambda i, *args: calls.append(i) or checked_ray(i, *args))
+    with pytest.raises(error):
+        validate_ldp_polygon(points)
+    assert calls == screened
+
+
 def test_non_integer_ray_vector_rejected():
     for bad in (1.9, float("inf"), True, "1"):
         with pytest.raises(ValueError, match=rf"^x coordinate {re.escape(repr(bad))} is not an integer$"):
