@@ -29,7 +29,7 @@ each vertex gets one Bezout row, for its forward and its backward anchor.
 _canonical_key is the least normalization of a cycle's int tuples (the
 enumeration shards' dedup key, no memo, no sort), read lazily.  It takes the
 anchors _tied_anchors(pts, False) takes, the Bezout ones through the same
-least-(k, D) selection (_least_maps), as maps.  Every tied reading starts
+least-(k, D) selection (_least_ties), as maps.  Every tied reading starts
 (1, 0), (k, D), so for t = 2, 3, ... it maps only point t of each anchor's
 walk and keeps the anchors least there, until one anchor is left or all d
 points are read, and then builds that anchor's reading alone.
@@ -92,10 +92,10 @@ def _read_on_pair(rot) -> Reading:
     return tuple([(x * by - bx * y, ax * y - x * ay) for x, y in rot])
 
 
-def _least_maps(pts: Sequence[tuple[int, int]], signs: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """(a, b, c, e, k, sign) for every anchor (k, sign) of `pts`, sign in
-    `signs`, tied at the least (k, D): its normalization maps v on its walk
-    to (a*x + b*y, c*x + e*y)."""
+def _least_ties(pts: Sequence[tuple[int, int]], signs: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
+    """(D, ties) for the least (k, D) over the anchors (k, sign) of `pts`,
+    sign in `signs`: (s, t, k, sign) for each anchor tied there, (s, t) a
+    Bezout row of pts[k]."""
     d = len(pts)
     least = None
     # Each span is recomputed here: reading it from the cone dets measured slower.
@@ -109,13 +109,7 @@ def _least_maps(pts: Sequence[tuple[int, int]], signs: tuple[int, ...]) -> list[
                 least, ties = key, [(s, t, k, sign)]
             elif key == least:
                 ties.append((s, t, k, sign))
-    maps = []
-    for s, t, k, sign in ties:
-        # Row (s, t) plus the shear that reduces the second vertex mod span.
-        (x0, y0), (x1, y1) = pts[k], pts[(k + sign) % d]
-        q = (s * x1 + t * y1) // least[1]
-        maps.append((s + sign * q * y0, t - sign * q * x0, -sign * y0, sign * x0, k, sign))
-    return maps
+    return least[1], ties
 
 
 def _tied_anchors(
@@ -140,10 +134,15 @@ def _tied_anchors(
         back = [(tuple([(y, x) for x, y in rd[1::-1] + rd[:1:-1]]), ((j + 1) % d, -1)) for rd, (j, _) in tied]
         return tied + back
     # One Bezout row per vertex, for its forward anchor and its backward one.
-    for a, b, c, e, k, sign in _least_maps(pts, (1,) if orientation_preserving else (1, -1)):
-        # The walk pts[k], pts[k + sign], ...
+    span, ties = _least_ties(pts, (1,) if orientation_preserving else (1, -1))
+    for s, t, k, sign in ties:
+        # The walk pts[k], pts[k + sign], ...; row (s, t) plus the shear that
+        # reduces the second vertex mod span.
         rot = pts[k:] + pts[:k] if sign == 1 else pts[k::-1] + pts[:k:-1]
-        tied.append((tuple([(a * x + b * y, c * x + e * y) for x, y in rot]), (k, sign)))
+        (x0, y0), (x1, y1) = rot[0], rot[1]
+        q = (s * x1 + t * y1) // span
+        a, b = s + sign * q * y0, t - sign * q * x0
+        tied.append((tuple([(a * x + b * y, sign * (x0 * y - y0 * x)) for x, y in rot]), (k, sign)))
     return tied
 
 
@@ -162,16 +161,26 @@ def _normalizations(poly: FanCycle, orientation_preserving: bool) -> list[tuple[
 def _canonical_key(pts: Sequence[tuple[int, int]]) -> Reading:
     """The vertices of canonical_form(poly), as int tuples, straight from the
     int tuples of a valid LDP cycle: no validation, no RayVectors, no memo.
-    The anchors that _tied_anchors(pts, False) ties, as maps in _least_maps'
-    form, are eliminated point by point; only the least one's reading is built."""
+    The anchors that _tied_anchors(pts, False) ties, as maps
+    (a, b, c, e, k, sign) sending v on the walk of anchor (k, sign) to
+    (a*x + b*y, c*x + e*y), are eliminated point by point; only the least
+    one's reading is built."""
     d = len(pts)
     maps = []
+    # The smooth cone's own scan skips the Bezout rows: over all kept chains it
+    # measured 30% faster at box 1, 25% at box 2, even at box 3, 2% slower at box 4.
     for k, ((ax, ay), (bx, by)) in enumerate(zip(pts, pts[1:] + pts[:1])):
         if ax * by - bx * ay == 1:
             # Forward anchor k sends v to (det(v, b), det(a, v)); backward
             # anchor k + 1 to the same point swapped.
             maps += [(by, -bx, -ay, ax, k, 1), (-ay, ax, by, -bx, (k + 1) % d, -1)]
-    maps = maps or _least_maps(pts, (1, -1))
+    if not maps:
+        span, ties = _least_ties(pts, (1, -1))
+        for s, t, k, sign in ties:
+            # Row (s, t) plus the shear that reduces the second vertex mod span.
+            (x0, y0), (x1, y1) = pts[k], pts[(k + sign) % d]
+            q = (s * x1 + t * y1) // span
+            maps.append((s + sign * q * y0, t - sign * q * x0, -sign * y0, sign * x0, k, sign))
     # Every tied reading starts (1, 0), (k, D): keep the maps least at point t.
     for t in range(2, d):
         if len(maps) == 1:

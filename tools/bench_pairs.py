@@ -1,22 +1,21 @@
-"""Paired before/after benchmark of a parent commit against the working tree.
+"""Paired before/after benchmark of HEAD against the uncommitted working tree.
 
-Run from the repository root:
+Run from the repository root, with the change not yet committed:
 
-    python3 tools/bench_pairs.py --parent HEAD --out BENCH_N.json
+    python3 tools/bench_pairs.py --out BENCH_N.json
 
-Each side runs from its own directory: the parent from a git archive of its
-commit, the change from a copy of the working tree's src/ and perfbench/.
+Each side runs from its own directory: the parent from a git archive of
+HEAD, the change from a copy of the working tree's src/ and perfbench/.
 Both run with PYTHONDONTWRITEBYTECODE=1, one process at a time.
 
-- For each workload, --pairs pairs of `perfbench/run.py --workload W
-  --seconds S --trace 0`, the side that runs first alternating (the parent
+- For box1 and query, PAIRS pairs of `perfbench/run.py --workload W
+  --seconds 15 --trace 0`, the side that runs first alternating (the parent
   first in odd pairs).  Each run's end-to-end metrics and its per-kind query
   times (the run record's query_kinds) are kept.
-- --traced-runs pairs of `perfbench/run.py --workload box1 --seconds 5
+- TRACED_RUNS pairs of `perfbench/run.py --workload box1 --seconds 5
   --trace 1`, alternating the same way, for the per-layer metrics.
-- For each box of --boxes, --box-runs fresh processes per side, alternating,
-  each running enumerate_ldp(n, jobs=1) in process and then
-  classify_catalog.  Each keeps EnumerationStats, the sha256 of the raw and
+- At boxes 3 and 4, BOX_RUNS fresh processes per side, alternating, each
+  running enumerate_ldp(n, jobs=1) in process and then classify_catalog.  Each keeps EnumerationStats, the sha256 of the raw and
   of the classified catalog as write_catalog writes them, and peak RSS
   (ru_maxrss) after enumerate_ldp and at the end.
 
@@ -38,6 +37,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("box1", "query")
+PAIRS = 10
+SECONDS = 15.0
+TRACED_RUNS = 3
+BOXES = (3, 4)
+BOX_RUNS = 3
 BETTER = {"op_p50_ms": "lower", "op_p99_ms": "lower", "ops_per_s": "higher", "setup_s": "lower",
           "peak_rss_mb": "lower"}
 
@@ -66,10 +71,10 @@ print(json.dumps(record))
 """
 
 
-def make_sides(parent: str, work: Path) -> dict[str, Path]:
+def make_sides(work: Path) -> dict[str, Path]:
     sides = {"parent": work / "parent", "change": work / "change"}
     sides["parent"].mkdir()
-    archive = subprocess.run(["git", "archive", parent], cwd=ROOT, check=True, capture_output=True).stdout
+    archive = subprocess.run(["git", "archive", "HEAD"], cwd=ROOT, check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(sides["parent"])], input=archive, check=True)
     for name in ("src", "perfbench"):
         shutil.copytree(ROOT / name, sides["change"] / name,
@@ -141,38 +146,31 @@ def summarize_box(runs: dict[str, list[dict]]) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--parent", default="HEAD")
     parser.add_argument("--out", required=True)
-    parser.add_argument("--workloads", nargs="*", default=["box1", "query"])
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--boxes", type=int, nargs="*", default=[3, 4])
-    parser.add_argument("--box-runs", type=int, default=3)
-    parser.add_argument("--traced-runs", type=int, default=3)
     args = parser.parse_args(argv)
 
-    commit = run(["git", "rev-parse", args.parent], ROOT).strip()
-    result = {"parent_commit": commit, "arguments": vars(args), "nproc": os.cpu_count(),
-              "python": sys.version.split()[0], "workloads": {}, "traced_box1": [], "boxes": {}}
+    commit = run(["git", "rev-parse", "HEAD"], ROOT).strip()
+    result = {"parent_commit": commit, "nproc": os.cpu_count(), "python": sys.version.split()[0],
+              "workloads": {}, "traced_box1": [], "boxes": {}}
     with tempfile.TemporaryDirectory() as tmp:
-        sides = make_sides(commit, Path(tmp))
-        for workload in args.workloads:
+        sides = make_sides(Path(tmp))
+        for workload in WORKLOADS:
             pairs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 pair = {"first": order(i)[0]}
                 for side in order(i):
-                    pair[side] = workload_run(sides[side], workload, args.seconds)
+                    pair[side] = workload_run(sides[side], workload, SECONDS)
                     print(workload, i + 1, side, pair[side]["metrics"]["op_p50_ms"], file=sys.stderr, flush=True)
                 pairs.append(pair)
             result["workloads"][workload] = {"summary": summarize(pairs), "pairs": pairs}
-        for i in range(args.traced_runs):
+        for i in range(TRACED_RUNS):
             pair = {"first": order(i)[0]}
             for side in order(i):
                 pair[side] = workload_run(sides[side], "box1", 5.0, trace=1)["metrics"]
             result["traced_box1"].append(pair)
-        for n in args.boxes:
+        for n in BOXES:
             runs = {"parent": [], "change": []}
-            for i in range(args.box_runs):
+            for i in range(BOX_RUNS):
                 for side in order(i):
                     runs[side].append(box_run(sides[side], n))
                     print("box", n, i + 1, side, runs[side][-1]["seconds"], file=sys.stderr, flush=True)
