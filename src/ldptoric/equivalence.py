@@ -204,9 +204,10 @@ def canonical_form(poly: LdpPolygon, orientation_preserving: bool = False) -> Ld
     """Deterministic, equivalence-invariant representative of the class of `poly`.
 
     With orientation_preserving=True only determinant +1 maps are allowed, so
-    a chiral polygon and its mirror image get distinct forms.  The first of
-    the normalizations memoized on `poly`; for the default flag, _canonical_key
-    of its int tuples.  Raises TypeError for a cycle that is not an LdpPolygon.
+    a chiral polygon and its mirror image get distinct forms.  The first of the
+    normalizations memoized on `poly`, for either flag; for the default flag it
+    equals _canonical_key's key (test_canonical_key_matches_canonical_form).
+    Raises TypeError for a cycle that is not an LdpPolygon.
     """
     if not isinstance(poly, LdpPolygon):
         raise TypeError(f"canonical_form needs an LdpPolygon, got {type(poly).__name__}")

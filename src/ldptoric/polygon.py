@@ -11,10 +11,10 @@ All validation-error indices reported here are 1-based, matching the cyclic
 convention used by every external surface of the package; each error keeps
 its values as attributes and args, so it pickles as itself.
 
-The ordered checks define validation and its errors: coordinates (each point
-read once, by lattice._checked_ray), at least 3 rays, primitivity,
+The ordered checks define validation and its errors: coordinates (a bad
+point worded by lattice._checked_ray), at least 3 rays, primitivity,
 duplicates, cone determinants, winding, then vertex turns, which
-validate_fan never computes; a determinant or turn outside the 64-bit range
+validate_fan does not check; a determinant or turn outside the 64-bit range
 fails in its check's place.  Once every cone determinant is at least 1, each
 step turns counterclockwise by less than a half-turn, so the winding number
 counts the steps from y < 0 to y >= 0, each of which crosses the positive x
@@ -23,13 +23,12 @@ fails, before it raises: when every determinant is at least 1 and the winding
 is 1, the d steps turn counterclockwise by angles in (0, pi) that sum to one
 full turn, so the primitive rays point in d distinct directions.
 
-validate_ldp_polygon runs every other check in one loop over the vertices,
-which unpacks each point once, builds its ray, and keeps the determinants and
-turns as the polygon's SurfaceReport (the f-value at a vertex is its turn).
-The loop raises a point that is not a pair of 64-bit ints itself, the first
-error in the listed order; at any other failure it stops, and the ordered
-checks run on the rays it read, as they are, and on the points left, which
-alone are screened again, only to word the error.
+validate_fan and validate_ldp_polygon run one loop that reads each point
+once, builds its ray and computes each cone determinant, vertex turn (the
+f-value there) and winding step once.  A point that is not a pair of 64-bit
+ints raises at once; any other failed test only marks the cycle bad.  A good
+cycle returns those values as its SurfaceReport; a bad one words its first
+error in the listed order from them, screening and computing nothing again.
 """
 
 from __future__ import annotations
@@ -38,10 +37,9 @@ import math
 import re
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import starmap
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .lattice import I64_MAX, I64_MIN, LatticeOverflowError, RayVector, _checked_ray, _clipped, _Record, checked_i64, det2
+from .lattice import I64_MAX, I64_MIN, LatticeOverflowError, RayVector, _checked_ray, _clipped, _new, _Record, checked_i64, det2
 
 
 class FanValidationError(ValueError):
@@ -219,7 +217,7 @@ def _surface_data(pts: tuple[tuple[int, int], ...], dets: tuple[int, ...]) -> Su
     return SurfaceReport(len(pts), dets, turns, len(pts) - dets.count(1))
 
 
-def _check_positive(values: tuple[int, ...], context: str, error: Callable[[int], FanValidationError]) -> None:
+def _check_positive(values: Sequence[int], context: str, error: Callable[[int], FanValidationError]) -> None:
     """At the first value outside 1..I64_MAX, raise LatticeOverflowError
     naming `context` if it is outside the 64-bit range, else error(index)."""
     for i, value in enumerate(values, start=1):
@@ -235,21 +233,51 @@ def _points(points: Sequence) -> Iterator:
         raise ValueError(f"vertices {_clipped(points)}: not a sequence of (x, y) pairs") from None
 
 
-def _validate_fan(rays: list[RayVector], rest: Iterator) -> tuple[tuple[RayVector, ...], tuple[int, ...]]:
-    """validate_fan's checks in the listed order on the rays `rays`, already
-    read and checked, then the points left in `rest`; returns the rays and dets."""
-    rays = tuple(rays + [_checked_ray(i, p) for i, p in enumerate(rest, start=len(rays) + 1)])
-    d = len(rays)
-    if d < 3:
+def _validated(points: Sequence, convex: bool) -> tuple[tuple[RayVector, ...], SurfaceReport | None]:
+    """The rays of the cycle `points` and their report (None for a fan that
+    is not convex), or the error of its first failing check in the module
+    docstring's order; the vertex turns are checked only if `convex`."""
+    rays, dets, turns = [], [], []  # det(v_k, v_k+1) and the turn at v_k, a placeholder 1 at v_0
+    lo, hi, winding, good, nonprimitive, ab = I64_MIN, I64_MAX, 0, True, 0, None
+    for p in _points(points):
+        try:
+            x, y = p
+        except (TypeError, ValueError):  # not iterable, or not two items
+            _checked_ray(len(rays) + 1, p, ())  # raises: () does not unpack either
+        if type(x) is not int or type(y) is not int or not (lo <= x <= hi and lo <= y <= hi):
+            _checked_ray(len(rays) + 1, p, (x, y))  # raises
+        rays.append(_new(RayVector, (x, y)))
+        if math.gcd(x, y) != 1 and not nonprimitive:
+            nonprimitive = len(rays)
+        if ab is None:  # a = v_0 and ab = 1 at v_1 make the turn at v_0 read 1 until it is known
+            ax, ay, ab = x, y, 1
+        else:  # (a, b, c) are v_k-2, v_k-1, v_k and ab = det(a, b)
+            bc = bx * y - x * by
+            turn = ab + bc + x * ay - ax * y  # (b - a) x (c - b)
+            if not (0 < bc <= hi and 0 < turn <= hi):
+                good = False
+            winding += by < 0 <= y
+            dets.append(bc)
+            turns.append(turn)
+            ax, ay, ab = bx, by, bc
+        bx, by = x, y
+    if (d := len(rays)) < 3:
         raise ValueError(f"a complete fan needs at least 3 rays, got {d}")
-    gcds = list(starmap(math.gcd, rays))
-    if gcds.count(1) != d:
-        raise NonPrimitiveRay(next(i for i, g in enumerate(gcds, start=1) if g != 1))
-    dets = _cone_dets(rays)
+    (x, y), (x1, y1) = rays[0], rays[1]  # the cone (v_d-1, v_0) and the turns at v_d-1 and v_0
+    bc = bx * y - x * by
+    turns[0], last = bc + dets[0] + x1 * by - bx * y1, ab + bc + x * ay - ax * y
+    good = good and 0 < bc <= hi and 0 < last <= hi and 0 < turns[0] <= hi
+    winding += by < 0 <= y
+    dets.append(bc)
+    turns.append(last)
+    if nonprimitive:
+        raise NonPrimitiveRay(nonprimitive)
+    rays = tuple(rays)
+    if good and winding == 1:
+        return rays, SurfaceReport(d, tuple(dets), tuple(turns), d - dets.count(1))
     try:
         _check_positive(dets, "cone determinant", lambda i: NotCounterclockwise(i, i % d + 1))
         # Every step now turns ccw by less than a half-turn: see the module docstring.
-        winding = sum([ay < 0 <= by for (_, ay), (_, by) in zip(rays, rays[1:] + rays[:1])])
         if winding != 1:
             raise BadWinding(winding)
     except (FanValidationError, LatticeOverflowError):
@@ -257,7 +285,9 @@ def _validate_fan(rays: list[RayVector], rest: Iterator) -> tuple[tuple[RayVecto
         if len(set(rays)) != d:
             raise DuplicateRay(next(i for i in range(2, d + 1) if rays[i - 1] in rays[: i - 1])) from None
         raise
-    return rays, dets
+    if convex:
+        _check_positive(turns, "vertex turn", NotStrictlyConvex)
+    return rays, None
 
 
 def validate_fan(points: Sequence) -> FanCycle:
@@ -267,7 +297,7 @@ def validate_fan(points: Sequence) -> FanCycle:
     (x, y) pair of ints or fewer than 3 rays; NonPrimitiveRay, DuplicateRay,
     NotCounterclockwise, BadWinding; or LatticeOverflowError for a coordinate
     or cone determinant outside the signed 64-bit range."""
-    return FanCycle(_validate_fan([], _points(points))[0])
+    return FanCycle(_validated(points, False)[0])
 
 
 def validate_ldp_polygon(points: Sequence) -> LdpPolygon:
@@ -275,43 +305,8 @@ def validate_ldp_polygon(points: Sequence) -> LdpPolygon:
     cross product of its incoming and outgoing edges), else NotStrictlyConvex
     at its 1-based index, or LatticeOverflowError for a turn outside 64 bits.
     The polygon carries the checked determinants and turns as its report."""
-    rays, dets, turns = [], [], []  # det(v_k, v_k+1) and the turn at v_k, a placeholder 1 at v_0
-    lo, hi, winding, report, ab = I64_MIN, I64_MAX, 0, None, None
-    for p in (rest := _points(points)):
-        try:
-            x, y = p
-        except (TypeError, ValueError):  # not iterable, or not two items
-            _checked_ray(len(rays) + 1, p, ())  # raises: () does not unpack either
-        if type(x) is not int or type(y) is not int or not (lo <= x <= hi and lo <= y <= hi):
-            _checked_ray(len(rays) + 1, p, (x, y))  # raises
-        rays.append(tuple.__new__(RayVector, (x, y)))
-        if math.gcd(x, y) != 1:
-            break
-        if ab is None:  # a = v_0 and ab = 1 at v_1 make the turn at v_0 read 1 until it is known
-            ax, ay, ab = x, y, 1
-        else:  # (a, b, c) are v_k-2, v_k-1, v_k and ab = det(a, b)
-            bc = bx * y - x * by
-            turn = ab + bc + x * ay - ax * y  # (b - a) x (c - b)
-            if not (0 < bc <= hi and 0 < turn <= hi):
-                break
-            winding += by < 0 <= y
-            dets.append(bc)
-            turns.append(turn)
-            ax, ay, ab = bx, by, bc
-        bx, by = x, y
-    else:
-        if (d := len(rays)) >= 3:  # the cone (v_d-1, v_0) and the turns at v_d-1 and v_0
-            (x, y), (x1, y1) = rays[0], rays[1]
-            bc = bx * y - x * by
-            last, first = ab + bc + x * ay - ax * y, bc + dets[0] + x1 * by - bx * y1
-            if 0 < bc <= hi and 0 < last <= hi and 0 < first <= hi and winding + (by < 0 <= y) == 1:
-                dets.append(bc)
-                report = SurfaceReport(d, tuple(dets), (first, *turns[1:], last), d - dets.count(1))
-    if report is None:  # the ordered checks word the failure; the points in `rest` are unread
-        rays, dets = _validate_fan(rays, rest)
-        report = _surface_data(rays, dets)
-        _check_positive(report.f_values, "vertex turn", NotStrictlyConvex)
-    poly = LdpPolygon(tuple(rays))
+    rays, report = _validated(points, True)
+    poly = LdpPolygon(rays)
     object.__setattr__(poly, "_report", report)  # analyze's memo; FanCycle is frozen
     return poly
 

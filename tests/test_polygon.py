@@ -254,20 +254,33 @@ def test_validation_reads_any_iterable_once():
 @pytest.mark.parametrize(
     "points, error, screened",
     [
-        ([(1, 0), (0, 2), (-1, 0), (0, -1)], NonPrimitiveRay, [3, 4]),
-        ([(1, 0), (-1, 0), (0, 1), (0, -1)], NotCounterclockwise, [3, 4]),
-        ([(1, 0), (0, 2), (-1, 0), (0, -1.0)], ValueError, [3, 4]),
+        ([(1, 0), (0, 2), (-1, 0), (0, -1)], NonPrimitiveRay, []),
+        ([(1, 0), (-1, 0), (0, 1), (0, -1)], NotCounterclockwise, []),
+        ([(1, 0), (0, 2), (-1, 0), (0, -1.0)], ValueError, [4]),
         ([(1, 0), (0, 1), (-1, 0), (1, 1)], NotCounterclockwise, []),
+        ([(2, 1), (1, 1), (1, 2), (-1, -1)], NotStrictlyConvex, []),  # a fan, reflex at (1, 1)
     ],
 )
 def test_failed_validation_screens_only_the_unread_points(points, error, screened, monkeypatch):
-    # When the one-pass loop stops, the ordered checks take the rays it read
-    # as they are, and screen only the points it left unread.
-    calls = []
-    checked_ray = ldptoric.polygon._checked_ray
+    # The one loop reads every point once, and screens a point through
+    # _checked_ray only where it is bad; a failure is worded from the values
+    # the loop read, so no point is screened twice.
+    calls, checked = [], []
+    checked_ray, check_positive = ldptoric.polygon._checked_ray, ldptoric.polygon._check_positive
     monkeypatch.setattr(ldptoric.polygon, "_checked_ray", lambda i, *args: calls.append(i) or checked_ray(i, *args))
+    monkeypatch.setattr(ldptoric.polygon, "_check_positive",
+                        lambda values, context, e: checked.append(context) or check_positive(values, context, e))
     with pytest.raises(error):
         validate_ldp_polygon(points)
+    assert calls == screened
+    calls.clear()
+    checked.clear()
+    if error is NotStrictlyConvex:  # the fan fails the loop's turn test, and no fan check
+        assert validate_fan(points) == FanCycle(tuple(points))
+        assert checked == ["cone determinant"]
+    else:
+        with pytest.raises(error):
+            validate_fan(points)
     assert calls == screened
 
 
