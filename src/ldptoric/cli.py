@@ -126,6 +126,8 @@ def entry_from_dict(data: dict) -> CatalogEntry:
         if type(family) is not dict:
             raise ValueError(f"family {_clipped(family)} is not a JSON object")
         params = dict(family)
+        if unknown := [name for name in params if name not in FamilyParams._fields]:
+            raise ValueError(f"family key {_clipped(unknown[0])} is not one of family, p, q, r, s, t")
         family = FamilyParams(params.pop("family"), **params)
         for name, value in params.items():
             if value is None:
@@ -224,11 +226,11 @@ def emit_svg(poly: LdpPolygon, path: str) -> None:
         f'<polygon points="{points_attr}" fill="#6699cc" fill-opacity="0.25" stroke="#336699" stroke-width="2"/>'
     )
     parts.append(f'<circle cx="{px(0)}" cy="{py(0)}" r="4" fill="#cc3333"/>')
-    for i in range(1, poly.d + 1):
+    for i, det in enumerate(analyze(poly).dets, start=1):
         (ax, ay), (bx, by) = poly.ray(i), poly.ray(i + 1)
         parts.append(
             f'<text x="{px(ax + bx)}" y="{py(ay + by)}" font-size="14" '
-            f'font-family="monospace" fill="#336699" text-anchor="middle">{poly.cone_det(i)}</text>'
+            f'font-family="monospace" fill="#336699" text-anchor="middle">{det}</text>'
         )
     parts.append("</svg>")
     with open(path, "w", encoding="ascii") as fh:

@@ -66,7 +66,7 @@ from .lattice import (
     compose_maps,
     pair_rays,
 )
-from .polygon import FanCycle, LdpPolygon, _cone_dets, validate_ldp_polygon
+from .polygon import FanCycle, LdpPolygon, validate_ldp_polygon
 from .surface import analyze
 
 
@@ -112,15 +112,12 @@ def _least_ties(pts: Sequence[tuple[int, int]], signs: tuple[int, ...]) -> tuple
     return least[1], ties
 
 
-def _tied_anchors(
-    pts: Sequence[tuple[int, int]], orientation_preserving: bool, dets: Sequence[int] | None = None
-) -> list[tuple[Reading, Anchor]]:
+def _tied_anchors(pts: Sequence[tuple[int, int]], orientation_preserving: bool,
+                  dets: Sequence[int]) -> list[tuple[Reading, Anchor]]:
     """(normalization, anchor) for every anchor of the int-tuple cycle `pts`
     tied at the least (k, D), over the forward anchors only when
     orientation_preserving and over both orientations together otherwise.
-    `dets` are the cone determinants of `pts` when the caller has them."""
-    if dets is None:
-        dets = _cone_dets(pts)
+    `dets` are the cone determinants of `pts`."""
     d = len(pts)
     # A smooth cone: the least (k, D) is (0, 1), held by exactly the
     # determinant-1 pairs, and each of them normalizes to its basis reading.

@@ -158,7 +158,7 @@ class FamilyParams(_Record):
 
     def __new__(cls, family: str, p: int | None = None, q: int | None = None, r: int | None = None,
                 s: int | None = None, t: int | None = None) -> "FamilyParams":
-        if family not in FAMILY_SPECS:
+        if type(family) is not str or family not in FAMILY_SPECS:
             raise ValueError(f"unknown family tag {_clipped(family)}")
         required = FAMILY_SPECS[family].params
         for name, value in zip(cls._fields[1:], (p, q, r, s, t)):

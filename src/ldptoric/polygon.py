@@ -26,9 +26,10 @@ full turn, so the primitive rays point in d distinct directions.
 validate_fan and validate_ldp_polygon run one loop that reads each point
 once, builds its ray and computes each cone determinant, vertex turn (the
 f-value there) and winding step once.  A point that is not a pair of 64-bit
-ints raises at once; any other failed test only marks the cycle bad.  A good
-cycle returns those values as its SurfaceReport; a bad one words its first
-error in the listed order from them, screening and computing nothing again.
+ints raises at once; any other failed test only marks the cycle bad.  A bad
+cycle words its first error in the listed order from those values, screening
+and computing nothing again; a valid one returns them as its SurfaceReport, a
+fan's turns unchecked.  analyze runs this loop on a cycle with no report yet.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class FanCycle:
 
     Immutable: assigning an attribute raises FrozenInstanceError.  Its slots
     after `rays` hold memos, so it has no instance dict: _report (analyze's,
-    set by validate_ldp_polygon), _tied and _tied_oriented
+    set by validate_ldp_polygon or the first analyze), _tied and _tied_oriented
     (equivalence._normalizations, one per flag) and _family (identify's).  A
     memo is unset until computed, then set once with object.__setattr__.
     ==, hash, repr and pickling read only the rays, == only within one type."""
@@ -202,21 +203,6 @@ class SurfaceReport(_Record):
         return tuple(i for i, det in enumerate(self.dets, start=1) if det >= 2)
 
 
-def _cone_dets(pts: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    """The cone determinants det(v_i, v_{i+1}) of the int-pair cycle `pts`."""
-    return tuple([x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])])
-
-
-def _surface_data(pts: tuple[tuple[int, int], ...], dets: tuple[int, ...]) -> SurfaceReport:
-    """The report of the int-pair cycle `pts` with cone determinants `dets`,
-    all at least 1, exact and unchecked: its vertex turns are its f-values."""
-    prv, nxt = pts[-1:] + pts[:-1], pts[1:] + pts[:1]
-    # The turn at b between a and c, (b - a) x (c - b), is det(a, b) + det(b, c) + det(c, a).
-    turns = tuple([ab + bc + cx * ay - ax * cy
-                   for ab, bc, (ax, ay), (cx, cy) in zip((dets[-1],) + dets, dets, prv, nxt)])
-    return SurfaceReport(len(pts), dets, turns, len(pts) - dets.count(1))
-
-
 def _check_positive(values: Sequence[int], context: str, error: Callable[[int], FanValidationError]) -> None:
     """At the first value outside 1..I64_MAX, raise LatticeOverflowError
     naming `context` if it is outside the 64-bit range, else error(index)."""
@@ -233,10 +219,10 @@ def _points(points: Sequence) -> Iterator:
         raise ValueError(f"vertices {_clipped(points)}: not a sequence of (x, y) pairs") from None
 
 
-def _validated(points: Sequence, convex: bool) -> tuple[tuple[RayVector, ...], SurfaceReport | None]:
-    """The rays of the cycle `points` and their report (None for a fan that
-    is not convex), or the error of its first failing check in the module
-    docstring's order; the vertex turns are checked only if `convex`."""
+def _validated(points: Sequence, convex: bool) -> tuple[tuple[RayVector, ...], SurfaceReport]:
+    """The rays of the cycle `points` and their report, or the error of its
+    first failing check in the module docstring's order; the vertex turns
+    are checked only if `convex`, and a fan's are its f-values unchecked."""
     rays, dets, turns = [], [], []  # det(v_k, v_k+1) and the turn at v_k, a placeholder 1 at v_0
     lo, hi, winding, good, nonprimitive, ab = I64_MIN, I64_MAX, 0, True, 0, None
     for p in _points(points):
@@ -273,21 +259,20 @@ def _validated(points: Sequence, convex: bool) -> tuple[tuple[RayVector, ...], S
     if nonprimitive:
         raise NonPrimitiveRay(nonprimitive)
     rays = tuple(rays)
-    if good and winding == 1:
-        return rays, SurfaceReport(d, tuple(dets), tuple(turns), d - dets.count(1))
-    try:
-        _check_positive(dets, "cone determinant", lambda i: NotCounterclockwise(i, i % d + 1))
-        # Every step now turns ccw by less than a half-turn: see the module docstring.
-        if winding != 1:
-            raise BadWinding(winding)
-    except (FanValidationError, LatticeOverflowError):
-        # Only here can rays repeat, and a repeat is reported first.
-        if len(set(rays)) != d:
-            raise DuplicateRay(next(i for i in range(2, d + 1) if rays[i - 1] in rays[: i - 1])) from None
-        raise
-    if convex:
-        _check_positive(turns, "vertex turn", NotStrictlyConvex)
-    return rays, None
+    if not good or winding != 1:
+        try:
+            _check_positive(dets, "cone determinant", lambda i: NotCounterclockwise(i, i % d + 1))
+            # Every step now turns ccw by less than a half-turn: see the module docstring.
+            if winding != 1:
+                raise BadWinding(winding)
+        except (FanValidationError, LatticeOverflowError):
+            # Only here can rays repeat, and a repeat is reported first.
+            if len(set(rays)) != d:
+                raise DuplicateRay(next(i for i in range(2, d + 1) if rays[i - 1] in rays[: i - 1])) from None
+            raise
+        if convex:
+            _check_positive(turns, "vertex turn", NotStrictlyConvex)
+    return rays, SurfaceReport(d, tuple(dets), tuple(turns), d - dets.count(1))
 
 
 def validate_fan(points: Sequence) -> FanCycle:
@@ -316,7 +301,8 @@ def twice_area(cycle: FanCycle) -> int:
 
     Not range-checked: validation has already checked every one of these
     determinants."""
-    return sum(_cone_dets(cycle.rays))
+    pts = cycle.rays
+    return sum([x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])])
 
 
 def parse_vertices(text: str) -> list[RayVector]:

@@ -14,18 +14,18 @@ rest is read off them on every access.
 
 analyze() returns the report memoized in the `_report` slot of a FanCycle,
 out of ==, hash, repr and pickling; later calls return the same object.
-validate_ldp_polygon sets that memo from the values it has just checked, so
-analyze on a validated polygon computes nothing, and the tagging path
-(analyze, identify, classify_three) and equivalence's normalizations read
-that one report.  Any other cycle (validate_fan's, blow_up's, a canonical
-form) gets its report from _surface_report on the first call: the same
-values, from polygon._surface_data, with the f-values range-checked.
+Its one source is validation's loop (polygon._validated).  validate_ldp_polygon
+sets that memo from the values it has just checked, so analyze on a validated
+polygon computes nothing, and the tagging path (analyze, identify,
+classify_three) and equivalence's normalizations read that one report.  Any
+other cycle (validate_fan's, blow_up's, a canonical form, one built by hand)
+is validated as a fan on its first analyze, its f-values range-checked.
 """
 
 from __future__ import annotations
 
 from .lattice import checked_i64
-from .polygon import FanCycle, SurfaceReport, _cone_dets, _surface_data, _ValuedError, validate_fan
+from .polygon import FanCycle, SurfaceReport, _validated, _ValuedError, validate_fan
 
 
 class ConeSingular(_ValuedError):
@@ -41,21 +41,15 @@ def f_value(cycle: FanCycle, i: int) -> int:
 
 
 def analyze(cycle: FanCycle) -> SurfaceReport:
-    """Full singularity and degree report of a validated cycle, memoized."""
+    """Full singularity and degree report of a cycle, memoized.  A cycle that
+    validation did not build is checked as validate_fan checks it on the
+    first call, then its f-values against the signed 64-bit range."""
     report = getattr(cycle, "_report", None)
     if report is None:
-        report = _surface_report(cycle)
+        report = _validated(cycle.rays, False)[1]
+        for f in report.f_values:
+            checked_i64(f, "f value")
         object.__setattr__(cycle, "_report", report)  # FanCycle is frozen
-    return report
-
-
-def _surface_report(cycle: FanCycle) -> SurfaceReport:
-    """analyze() without the memo, for a cycle that validate_ldp_polygon did
-    not build.  Validation has already checked the cone determinants; the
-    f-values are checked here."""
-    report = _surface_data(cycle.rays, _cone_dets(cycle.rays))
-    for f in report.f_values:
-        checked_i64(f, "f value")
     return report
 
 

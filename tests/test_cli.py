@@ -350,6 +350,9 @@ def test_module_entry_point_runs_main(capsys):
     # int() would read 1_0 as 10.
     pytest.param(("analyze", "1_0,1;0,1;-1,-1"), "bad vertex token '1_0,1': coordinates must be integers",
                  id="analyze-underscore-token"),
+    # A valid fan: a triangle whose f-values are all I64_MAX + 3.
+    pytest.param(("analyze", "1,0;0,1;-9223372036854775807,-2"),
+                 "f value 9223372036854775810 exceeds the signed 64-bit range", id="analyze-f-overflow"),
     pytest.param(("family", "--family", "two1", "--p", "9223372036854775807", "--q", "2"),
                  "vertex turn 9223372036854775810 exceeds the signed 64-bit range", id="family-turn-overflow"),
     pytest.param(("family", "--family", "two1", "--p", "1", "--q", "3"), "invalid parameters for two1: violates p >= 2",
@@ -492,6 +495,9 @@ def _set(key, value):
                  id="family-null-param"),
     pytest.param(_set("family", {"family": "dais1", "p": None}), 1, "family dais1 requires parameter p",
                  id="family-null-required"),
+    pytest.param(_set("family", {"family": [1]}), 1, "unknown family tag [1]", id="family-tag-list"),
+    pytest.param(_set("family", {"family": "dais1", "p": 1, "zz": 2}), 1,
+                 "family key 'zz' is not one of family, p, q, r, s, t", id="family-unknown-key"),
 ])
 def test_tampered_catalog_line_is_bad_input(tmp_path, capsys, box1_tagged_lines, edit, line_no, message):
     path = tmp_path / "edited.jsonl"

@@ -24,7 +24,7 @@ from ldptoric import (
     validate_fan,
     validate_ldp_polygon,
 )
-from ldptoric import equivalence, surface
+from ldptoric import equivalence
 from ldptoric.lattice import I64_MAX, I64_MIN
 
 from oracles import _oracle_form, large_shear_product, ref_are_equivalent, ref_tied_anchors
@@ -419,7 +419,7 @@ def test_basis_readings_are_memoized_on_the_polygon(monkeypatch):
     calls = []
     tied_anchors = equivalence._tied_anchors
     monkeypatch.setattr(
-        equivalence, "_tied_anchors", lambda pts, flag, *dets: calls.append(flag) or tied_anchors(pts, flag, *dets)
+        equivalence, "_tied_anchors", lambda pts, flag, dets: calls.append(flag) or tied_anchors(pts, flag, dets)
     )
     p = poly("1,0;0,1;-1,0;1,-3;2,-3")
     for _ in range(2):
@@ -446,12 +446,13 @@ def test_normalizations_are_memoized_least_first(box2_catalog):
     for p in polys + forms:
         pts = [v.as_tuple() for v in p.vertices]
         for flag in (False, True):
-            tied = equivalence._tied_anchors(pts, flag)
+            tied = equivalence._tied_anchors(pts, flag, analyze(p).dets)
             memo = equivalence._normalizations(p, flag)
             assert memo == sorted(tied)
             assert memo[0] == min(tied)
+    # The report analyze computed for a form is validation's for its vertices.
     for form in forms:
-        assert form._report == surface._surface_report(form)
+        assert form._report == validate_ldp_polygon(form.vertices)._report
 
 
 def test_readings_memo_is_invisible_to_eq_hash_repr_and_pickle():
@@ -538,7 +539,7 @@ def test_each_tied_anchor_names_its_pair_as_listed(box2_catalog):
         pts = [v.as_tuple() for v in image.vertices]
         d = len(pts)
         for flag in (False, True):
-            for rd, (k, sign) in equivalence._tied_anchors(pts, flag):
+            for rd, (k, sign) in equivalence._tied_anchors(pts, flag, analyze(image).dets):
                 walk = [pts[(k + sign * t) % d] for t in range(d)]
                 (x1, y1), (x2, y2) = walk[0], walk[1]
                 (u1, z1), (u2, z2) = rd[0], rd[1]
@@ -572,7 +573,7 @@ def test_tied_anchors_match_the_two_orientation_reading(box3_catalog):
             d = len(pts)
             for flag in (False, True):
                 want = [(rd, (i if s == 1 else d - 1 - i, s)) for rd, (i, s) in ref_tied_anchors(pts, flag)]
-                assert sorted(equivalence._tied_anchors(pts, flag)) == sorted(want)
+                assert sorted(equivalence._tied_anchors(pts, flag, analyze(validate_fan(pts)).dets)) == sorted(want)
             smooth = [i for i in range(d) if pts[i][0] * pts[(i + 1) % d][1] - pts[(i + 1) % d][0] * pts[i][1] == 1]
             seen["smooth" if smooth else "no smooth cone"] += 1
             seen["smooth cone at d - 1"] += d - 1 in smooth

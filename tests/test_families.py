@@ -48,6 +48,9 @@ def test_family_params_field_discipline():
         FamilyParams("two1", p=2, q=3, r=1)
     with pytest.raises(ValueError, match="unknown family tag"):
         FamilyParams("dais4", p=1)
+    # An unhashable tag is worded too, not a TypeError from the table lookup.
+    with pytest.raises(ValueError, match=r"^unknown family tag \[1\]$"):
+        FamilyParams([1])
     # Rejected before any constraint runs: math.gcd and >= raise an untyped TypeError.
     for bad in (2.5, 3.0, True, "3"):
         with pytest.raises(ValueError, match=rf"^family two1 parameter p {re.escape(repr(bad))} is not an integer$"):

@@ -21,7 +21,7 @@ from ldptoric import (
     validate_ldp_polygon,
     verify_catalog,
 )
-from ldptoric import surface
+from ldptoric import FanCycle, RayVector, surface
 from ldptoric.lattice import I64_MAX
 
 from oracles import random_fan, ref_analyze
@@ -219,16 +219,16 @@ def test_memo_is_invisible_to_eq_hash_repr_and_pickle():
 
 
 def _count_reports(monkeypatch) -> list:
-    """Patch the uncached computation behind analyze; returns the list that
-    records the rays of each cycle it runs on."""
+    """Patch the validation that analyze runs on a cycle with no report;
+    returns the list that records the rays of each cycle it runs on."""
     runs = []
-    uncached = surface._surface_report
+    uncached = surface._validated
 
-    def counting(cycle):
-        runs.append(tuple(v.as_tuple() for v in cycle.rays))
-        return uncached(cycle)
+    def counting(rays, convex):
+        runs.append(tuple(v.as_tuple() for v in rays))
+        return uncached(rays, convex)
 
-    monkeypatch.setattr(surface, "_surface_report", counting)
+    monkeypatch.setattr(surface, "_validated", counting)
     return runs
 
 
@@ -269,21 +269,42 @@ TURNS_I64_MAX = [(1, 0), (0, 1), (-(2**62) - 1, 3 - 2**62)]
 
 
 def test_validated_report_equals_the_computed_one(box3_catalog):
-    # validate_ldp_polygon's report is _surface_report's, field for field and
-    # in type, on every box-3 class, on random fans that are LDP polygons and
-    # at the top of the 64-bit range.
+    # The one validation loop's report equals the reference field for field,
+    # with tuple dets and f-values: analyze's on validate_fan's cycle, and
+    # validate_ldp_polygon's when the cycle is an LDP polygon.  On every box-3
+    # class, on random fans (most have an f-value <= 0, so the loop's report
+    # comes from its error path) and at the top of the 64-bit range.
     rng = random.Random(11)
-    fans = [random_fan(rng) for _ in range(3000)]
-    polys = [[v.as_tuple() for v in c.rays] for c in fans if min(analyze(c).f_values) > 0]
-    assert len(polys) > 300
-    for pts in [list(e.vertices) for e in box3_catalog] + polys + [TURNS_I64_MAX]:
-        poly = validate_ldp_polygon(pts)
-        report = analyze(poly)
-        assert report == surface._surface_report(poly) == surface._surface_report(validate_fan(pts))
+    fans = [[v.as_tuple() for v in random_fan(rng).rays] for _ in range(3000)]
+    seen = {True: 0, False: 0}
+    for pts in [list(e.vertices) for e in box3_catalog] + fans + [TURNS_I64_MAX]:
+        report, ref = analyze(validate_fan(pts)), ref_analyze(tuple(pts))
+        assert {key: getattr(report, key) for key in ref} == ref, pts
         assert type(report.dets) is type(report.f_values) is tuple
-        ref = ref_analyze(tuple(pts))
-        assert (report.dets, report.f_values, report.singular_count) == (ref["dets"], ref["f_values"], ref["singular_count"])
+        seen[ref["is_log_del_pezzo"]] += 1
+        if ref["is_log_del_pezzo"]:
+            assert validate_ldp_polygon(pts)._report == report
+    assert min(seen.values()) > 300, seen
     assert analyze(validate_ldp_polygon(TURNS_I64_MAX)).f_values == (I64_MAX,) * 3
+
+
+# A FanCycle built by hand is validated on its first analyze, as validate_fan
+# validates its rays.
+@pytest.mark.parametrize("rays, error", [
+    pytest.param(((1, 0), (0, 1), (1, 0)), "DuplicateRay(3): ray 3 repeats an earlier ray", id="repeat"),
+    pytest.param(((2, 0), (0, 1), (-1, -1)), "NonPrimitiveRay(1): ray 1 is not primitive", id="non-primitive"),
+    pytest.param(((1, 0), (0, 1), (-1, 0), (0, -1), (1, 0), (0, 1), (-1, 0), (0, -1)),
+                 "DuplicateRay(5): ray 5 repeats an earlier ray", id="winds-twice"),
+    pytest.param(((1, 0), (0, 1), (1, 1)),
+                 "NotCounterclockwise(2): consecutive rays 2 and 3 do not turn counterclockwise", id="clockwise"),
+    pytest.param(((1, 0), (-1, 0)), "a complete fan needs at least 3 rays, got 2", id="two-rays"),
+])
+def test_hand_built_cycle_is_checked_not_trusted(rays, error):
+    cycle = FanCycle(tuple(RayVector(x, y) for x, y in rays))
+    with pytest.raises(ValueError) as raised:
+        analyze(cycle)
+    assert str(raised.value) == error
+    assert not hasattr(cycle, "_report")
 
 
 def test_report_stores_only_dets_and_f_values():

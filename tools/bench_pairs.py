@@ -21,7 +21,9 @@ Both run with PYTHONDONTWRITEBYTECODE=1, one process at a time.
 
 The summary gives, per workload and metric, both sides' medians, the
 parent's inter-quartile range and the number of pairs in which the change
-is better; per box, the medians of the stage seconds and of peak RSS.
+is better, and per side the failed and attempted operations summed over its
+runs, with their share; per box, the medians of the stage seconds and of
+peak RSS.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ def workload_run(side: Path, workload: str, seconds: float, trace: int = 0) -> d
                "--trace", str(trace)], side)
     last = json.loads(out.strip().splitlines()[-1])
     record = json.loads((side / "perfbench" / "results" / f"{workload}-seed1-trace{trace}.json").read_text())
-    return {"correct": last["correct"], "failed": last["failed"],
+    return {"correct": last["correct"], "attempted": last["attempted"], "failed": last["failed"],
             "metrics": {k: v["value"] for k, v in last["metrics"].items()},
             "query_kinds": record.get("query_kinds")}
 
@@ -120,6 +122,9 @@ def summarize(pairs: list[dict]) -> dict:
         q1, q3 = quartiles(par)
         out[metric] = {"parent_median": statistics.median(par), "change_median": statistics.median(chg),
                        "parent_iqr": q3 - q1, "change_better_pairs": wins, "pairs": len(pairs)}
+    for side in ("parent", "change"):
+        failed, attempted = (sum(p[side][key] for p in pairs) for key in ("failed", "attempted"))
+        out[f"{side}_failed"] = {"failed": failed, "attempted": attempted, "share": failed / attempted}
     kinds = pairs[0]["parent"]["query_kinds"]
     if kinds:
         out["query_kinds_p50_ms"] = {
