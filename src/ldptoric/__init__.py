@@ -30,8 +30,6 @@ from .polygon import (
     angular_sort,
     format_vertices,
     parse_vertices,
-    same_cycle,
-    twice_area,
     validate_fan,
     validate_ldp_polygon,
 )
@@ -41,7 +39,6 @@ from .surface import (
     blow_down,
     blow_down_candidates,
     blow_up,
-    f_value,
     nonsingular_arc_contiguous,
 )
 from .equivalence import (
@@ -55,7 +52,6 @@ from .families import (
     FamilyInstance,
     FamilyParams,
     InvalidParams,
-    check_params,
     classify_three,
     generate,
     identify,
@@ -95,8 +91,6 @@ __all__ = [
     "angular_sort",
     "format_vertices",
     "parse_vertices",
-    "same_cycle",
-    "twice_area",
     "validate_fan",
     "validate_ldp_polygon",
     "ConeRecord",
@@ -106,7 +100,6 @@ __all__ = [
     "blow_down",
     "blow_down_candidates",
     "blow_up",
-    "f_value",
     "nonsingular_arc_contiguous",
     "apply_to_polygon",
     "are_equivalent",
@@ -116,7 +109,6 @@ __all__ = [
     "FamilyInstance",
     "FamilyParams",
     "InvalidParams",
-    "check_params",
     "classify_three",
     "generate",
     "identify",

@@ -14,32 +14,31 @@ D, for a Bezout row (s, t) of the first vertex (_bezout_row).  Any row will
 do: two rows differ by a multiple of (y0, -x0), which shifts k by a multiple
 of D, and the map's first row is the one row (a, b) with a*x0 + b*y0 = 1 and
 a*x1 + b*y1 = k, whichever row gave k.  So the least pair is found first and
-only the anchors tied for it are normalized in full (_tied_anchors; the
-forward anchors alone when orientation_preserving).  The least normalization
-is the canonical form: its candidate set depends only on the equivalence
-class, never on the input coordinates or starting vertex, which makes it a
-valid dedup key.  With a smooth cone the least pair is (0, 1), held by
-exactly the determinant-1 pairs, and each of them normalizes to its basis
-reading with no Bezout row; families.identify() reads the families off these
-readings.  Each is read once, forwards: the backward reading of the same
-pair, anchor (j + 1, -1) for forward anchor j, is the forward one with every
-point swapped, read backwards from the second point.  Without a smooth cone,
-each vertex gets one Bezout row, for its forward and its backward anchor.
+only the anchors tied for it are normalized in full (_tied_anchors).  The
+least normalization is the canonical form: its candidate set depends only on
+the equivalence class, never on the input coordinates or starting vertex,
+which makes it a valid dedup key.  With a smooth cone the least pair is
+(0, 1), held by exactly the determinant-1 pairs, and each of them normalizes
+to its basis reading with no Bezout row; families.identify() reads the
+families off these readings.  Each is read once, forwards: the backward
+reading of the same pair, anchor (j + 1, -1) for forward anchor j, is the
+forward one with every point swapped, read backwards from the second point.
+Without a smooth cone, each vertex gets one Bezout row, for its forward and
+its backward anchor.
 
 _canonical_key is the least normalization of a cycle's int tuples (the
 enumeration shards' dedup key, no memo, no sort), read lazily.  It takes the
-anchors _tied_anchors(pts, False) takes, the Bezout ones through the same
-least-(k, D) selection (_least_ties), as maps.  Every tied reading starts
-(1, 0), (k, D), so for t = 2, 3, ... it maps only point t of each anchor's
-walk and keeps the anchors least there, until one anchor is left or all d
-points are read, and then builds that anchor's reading alone.
+anchors _tied_anchors takes, the Bezout ones through the same least-(k, D)
+selection (_least_ties), as maps.  Every tied reading starts (1, 0), (k, D),
+so it keeps the anchors least at point t = 2, 3, ... of their walks, until
+one is left or all d points are read, and builds that anchor's reading alone.
 
 canonical_form, identify and are_equivalent read the tied anchors memoized
-in a polygon slot per flag (_normalizations), as analyze memoizes its
-report.  The memo is sorted once, least first, so the canonical form and
-its anchor are entry [0]; its det-1 test reads the cone determinants of
-analyze's report: the one validation left on the polygon, or for a
-canonical form the one analyze computes.
+in a polygon slot (_normalizations), as analyze memoizes its report.  The
+memo is sorted once, least first, so the canonical form and its anchor are
+entry [0]; its det-1 test reads the cone determinants of analyze's report:
+the one validation left on the polygon, or for a canonical form the one
+analyze computes.
 are_equivalent takes q's entry [0]; each tied anchor of r with the same
 normalization gives one connecting map, and every connecting map arises so.
 So two polygons are equivalent exactly when their least normalizations
@@ -92,16 +91,15 @@ def _read_on_pair(rot) -> Reading:
     return tuple([(x * by - bx * y, ax * y - x * ay) for x, y in rot])
 
 
-def _least_ties(pts: Sequence[tuple[int, int]], signs: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
-    """(D, ties) for the least (k, D) over the anchors (k, sign) of `pts`,
-    sign in `signs`: (s, t, k, sign) for each anchor tied there, (s, t) a
-    Bezout row of pts[k]."""
+def _least_ties(pts: Sequence[tuple[int, int]]) -> tuple[int, list[tuple[int, ...]]]:
+    """(D, ties) for the least (k, D) over the anchors (k, sign) of `pts`:
+    (s, t, k, sign) for each anchor tied there, (s, t) a Bezout row of pts[k]."""
     d = len(pts)
     least = None
     # Each span is recomputed here: reading it from the cone dets measured slower.
     for k, (x0, y0) in enumerate(pts):
         s, t = _bezout_row(x0, y0)
-        for sign in signs:
+        for sign in (1, -1):
             x1, y1 = pts[(k + sign) % d]
             span = sign * (x0 * y1 - x1 * y0)
             key = ((s * x1 + t * y1) % span, span)
@@ -112,26 +110,22 @@ def _least_ties(pts: Sequence[tuple[int, int]], signs: tuple[int, ...]) -> tuple
     return least[1], ties
 
 
-def _tied_anchors(pts: Sequence[tuple[int, int]], orientation_preserving: bool,
-                  dets: Sequence[int]) -> list[tuple[Reading, Anchor]]:
-    """(normalization, anchor) for every anchor of the int-tuple cycle `pts`
-    tied at the least (k, D), over the forward anchors only when
-    orientation_preserving and over both orientations together otherwise.
-    `dets` are the cone determinants of `pts`."""
+def _tied_anchors(pts: Sequence[tuple[int, int]], dets: Sequence[int]) -> list[tuple[Reading, Anchor]]:
+    """(normalization, anchor) for every anchor of the int-tuple cycle `pts`,
+    over both orientations, tied at the least (k, D).  `dets` are the cone
+    determinants of `pts`."""
     d = len(pts)
     # A smooth cone: the least (k, D) is (0, 1), held by exactly the
     # determinant-1 pairs, and each of them normalizes to its basis reading.
     tied = [(_read_on_pair(pts[i:] + pts[:i]), (i, 1)) for i, det in enumerate(dets) if det == 1]
     if tied:
-        if orientation_preserving:
-            return tied
         # Backwards, anchor (j + 1, -1) is forward anchor j reversed.  Its
         # reading is j's reading F, each point swapped, in the order F[1], F[0],
         # F[d - 1], ..., F[2].
         back = [(tuple([(y, x) for x, y in rd[1::-1] + rd[:1:-1]]), ((j + 1) % d, -1)) for rd, (j, _) in tied]
         return tied + back
     # One Bezout row per vertex, for its forward anchor and its backward one.
-    span, ties = _least_ties(pts, (1,) if orientation_preserving else (1, -1))
+    span, ties = _least_ties(pts)
     for s, t, k, sign in ties:
         # The walk pts[k], pts[k + sign], ...; row (s, t) plus the shear that
         # reduces the second vertex mod span.
@@ -143,22 +137,21 @@ def _tied_anchors(pts: Sequence[tuple[int, int]], orientation_preserving: bool,
     return tied
 
 
-def _normalizations(poly: FanCycle, orientation_preserving: bool) -> list[tuple[Reading, Anchor]]:
+def _normalizations(poly: FanCycle) -> list[tuple[Reading, Anchor]]:
     """_tied_anchors of the rays of any FanCycle `poly`, least first: sorted
-    and memoized in its slot for the flag on the first call, like analyze's
+    and memoized in its `_tied` slot on the first call, like analyze's
     report, whose cone dets it reads.  Exact ints, never range-checked."""
-    slot = "_tied_oriented" if orientation_preserving else "_tied"
-    tied = getattr(poly, slot, None)
+    tied = getattr(poly, "_tied", None)
     if tied is None:
-        tied = sorted(_tied_anchors(poly.rays, orientation_preserving, analyze(poly).dets))
-        object.__setattr__(poly, slot, tied)  # FanCycle is frozen
+        tied = sorted(_tied_anchors(poly.rays, analyze(poly).dets))
+        object.__setattr__(poly, "_tied", tied)  # FanCycle is frozen
     return tied
 
 
 def _canonical_key(pts: Sequence[tuple[int, int]]) -> Reading:
     """The vertices of canonical_form(poly), as int tuples, straight from the
     int tuples of a valid LDP cycle: no validation, no RayVectors, no memo.
-    The anchors that _tied_anchors(pts, False) ties, as maps
+    The anchors that _tied_anchors ties, as maps
     (a, b, c, e, k, sign) sending v on the walk of anchor (k, sign) to
     (a*x + b*y, c*x + e*y), are eliminated point by point; only the least
     one's reading is built."""
@@ -172,7 +165,7 @@ def _canonical_key(pts: Sequence[tuple[int, int]]) -> Reading:
             # anchor k + 1 to the same point swapped.
             maps += [(by, -bx, -ay, ax, k, 1), (-ay, ax, by, -bx, (k + 1) % d, -1)]
     if not maps:
-        span, ties = _least_ties(pts, (1, -1))
+        span, ties = _least_ties(pts)
         for s, t, k, sign in ties:
             # Row (s, t) plus the shear that reduces the second vertex mod span.
             (x0, y0), (x1, y1) = pts[k], pts[(k + sign) % d]
@@ -197,24 +190,20 @@ def _canonical_key(pts: Sequence[tuple[int, int]]) -> Reading:
     return tuple([(a * x + b * y, c * x + e * y) for x, y in rot])
 
 
-def canonical_form(poly: LdpPolygon, orientation_preserving: bool = False) -> LdpPolygon:
+def canonical_form(poly: LdpPolygon) -> LdpPolygon:
     """Deterministic, equivalence-invariant representative of the class of `poly`.
 
-    With orientation_preserving=True only determinant +1 maps are allowed, so
-    a chiral polygon and its mirror image get distinct forms.  The first of the
-    normalizations memoized on `poly`, for either flag; for the default flag it
-    equals _canonical_key's key (test_canonical_key_matches_canonical_form).
+    The first of the normalizations memoized on `poly`; it equals
+    _canonical_key's key (test_canonical_key_matches_canonical_form).
     Raises TypeError for a cycle that is not an LdpPolygon.
     """
     if not isinstance(poly, LdpPolygon):
         raise TypeError(f"canonical_form needs an LdpPolygon, got {type(poly).__name__}")
-    form = _normalizations(poly, orientation_preserving)[0][0]
+    form = _normalizations(poly)[0][0]
     return LdpPolygon(pair_rays(form))
 
 
-def are_equivalent(
-    q: LdpPolygon, r: LdpPolygon, orientation_preserving: bool = False
-) -> UnimodularMap | None:
+def are_equivalent(q: LdpPolygon, r: LdpPolygon) -> UnimodularMap | None:
     """A unimodular map carrying the vertex set of q onto that of r, or None.
 
     The map returned is the first connecting map that fits 64 bits in the
@@ -226,11 +215,11 @@ def are_equivalent(
     """
     if not (isinstance(q, LdpPolygon) and isinstance(r, LdpPolygon)):
         raise TypeError(f"are_equivalent needs LdpPolygons, got {type(q).__name__}, {type(r).__name__}")
-    form, (i, s) = _normalizations(q, orientation_preserving)[0]
+    form, (i, s) = _normalizations(q)[0]
     n = q.d
     # r's normalizations equal to q's least one come first, least first.
     maps = []
-    for r_form, (j, e) in _normalizations(r, orientation_preserving):
+    for r_form, (j, e) in _normalizations(r):
         if r_form != form:
             break
         # With indices as listed, the map sends q_pts[i + s*t] to r_pts[j + e*t]

@@ -185,11 +185,6 @@ class FamilyInstance(_Record):
         return tuple.__new__(cls, (params, polygon))
 
 
-def check_params(fp: FamilyParams) -> bool:
-    """True iff the parameters satisfy every constraint of their family."""
-    return all(ok for _, ok in FAMILY_SPECS[fp.family].constraints(*fp.as_tuple()))
-
-
 def generate(fp: FamilyParams) -> FamilyInstance:
     """Build and validate the family polygon; raise InvalidParams naming the
     first violated constraint when the parameters fall outside the family."""
@@ -230,7 +225,7 @@ def identify(poly: FanCycle) -> FamilyParams | None:
     # spec's reading of the family polygon proves the equivalence itself;
     # every equivalence sends the pair it reads on onto one of the pairs read.
     reading, best = spec.reading or spec.vertices, None
-    for rd, _ in _normalizations(poly, False):
+    for rd, _ in _normalizations(poly):
         values = spec.read(rd)
         if best is not None and values >= best:
             continue

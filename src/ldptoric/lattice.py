@@ -16,13 +16,13 @@ passes it once, where it is produced: here the RayVector coordinates, the
 UnimodularMap entries and the results of det2 and UnimodularMap.det;
 BoxSpec its box size (so a box past I64_MAX raises before any grid is
 built), validation its cone determinants and vertex turns, and analyze its
-f-values.  twice_area and identify's basis readings are never checked.  No
-message spells out an unbounded value: checked_i64 names an int past 256
-bits by its size, and _clipped cuts any other long echo, or names it by its
-type when repr refuses it.  _checked_ray reads one vertex's point once and
-raises ValueError naming it for a point that is not an (x, y) pair of ints,
-else checks it through `checked_i64`.  pair_rays reads each point of a
-sequence of pairs once, screens its coordinates inline and builds its ray
+f-values.  identify's basis readings are never checked.  No message spells
+out an unbounded value: checked_i64 names an int past 256 bits by its size,
+and _clipped cuts any other long echo, or names it by its type when repr
+refuses it.  _checked_ray reads one vertex's point once and raises
+ValueError naming it for a point that is not an (x, y) pair of ints, else
+checks it through `checked_i64`.  pair_rays reads each point of a sequence
+of pairs once, screens its coordinates inline and builds its ray
 unchecked; at a point that fails, _checked_ray raises its error.
 """
 

@@ -5,7 +5,7 @@ rays winding exactly once around the origin; it determines a complete fan.
 An LdpPolygon is a FanCycle that additionally has every ray a strictly convex
 vertex of the hull, which is exactly the log del Pezzo condition on the
 associated surface.  Being a FanCycle, it goes as is to everything that takes
-one (analyze, blow_up, twice_area, ...); `vertices` is its name for the rays.
+one (analyze, blow_up, identify, ...); `vertices` is its name for the rays.
 
 All validation-error indices reported here are 1-based, matching the cyclic
 convention used by every external surface of the package; each error keeps
@@ -108,12 +108,12 @@ class FanCycle:
 
     Immutable: assigning an attribute raises FrozenInstanceError.  Its slots
     after `rays` hold memos, so it has no instance dict: _report (analyze's,
-    set by validate_ldp_polygon or the first analyze), _tied and _tied_oriented
-    (equivalence._normalizations, one per flag) and _family (identify's).  A
-    memo is unset until computed, then set once with object.__setattr__.
+    set by validate_ldp_polygon or the first analyze), _tied
+    (equivalence._normalizations) and _family (identify's).  A memo is unset
+    until computed, then set once with object.__setattr__.
     ==, hash, repr and pickling read only the rays, == only within one type."""
 
-    __slots__ = ("rays", "_report", "_tied", "_tied_oriented", "_family")
+    __slots__ = ("rays", "_report", "_tied", "_family")
 
     def __init__(self, rays: tuple[RayVector, ...]) -> None:
         object.__setattr__(self, "rays", rays)
@@ -140,10 +140,6 @@ class FanCycle:
         """1-based cyclic ray access: ray(0) == ray(d), ray(d + 1) == ray(1)."""
         return self.rays[(i - 1) % len(self.rays)]
 
-    def cone_det(self, i: int) -> int:
-        """Determinant of the i-th cone, spanned by ray(i) and ray(i + 1)."""
-        return det2(self.ray(i), self.ray(i + 1))
-
 
 class LdpPolygon(FanCycle):
     """A FanCycle whose rays are strict vertices of their convex hull."""
@@ -153,14 +149,6 @@ class LdpPolygon(FanCycle):
     @property
     def vertices(self) -> tuple[RayVector, ...]:
         return self.rays
-
-
-def same_cycle(a: FanCycle, b: FanCycle) -> bool:
-    """True iff the two cycles agree up to a cyclic rotation (orientation kept)."""
-    if a.d != b.d or a.rays[0] not in b.rays:
-        return False
-    k = b.rays.index(a.rays[0])
-    return all(a.rays[i] == b.rays[(k + i) % b.d] for i in range(a.d))
 
 
 class ConeRecord(_Record):
@@ -294,15 +282,6 @@ def validate_ldp_polygon(points: Sequence) -> LdpPolygon:
     poly = LdpPolygon(rays)
     object.__setattr__(poly, "_report", report)  # analyze's memo; FanCycle is frozen
     return poly
-
-
-def twice_area(cycle: FanCycle) -> int:
-    """Twice the polygon area: the sum of all cone determinants.  Always positive.
-
-    Not range-checked: validation has already checked every one of these
-    determinants."""
-    pts = cycle.rays
-    return sum([x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])])
 
 
 def parse_vertices(text: str) -> list[RayVector]:

@@ -55,7 +55,6 @@ from ldptoric import (
     UnimodularMap,
     apply_to_polygon,
     canonical_form,
-    check_params,
     compose_maps,
     generate,
     random_unimodular_map,
@@ -308,9 +307,7 @@ def _checked_apply(m: tuple[int, int, int, int], v: Point) -> Point:
     )
 
 
-def ref_are_equivalent(
-    q: LdpPolygon, r: LdpPolygon, orientation_preserving: bool = False
-) -> tuple[int, int, int, int] | None:
+def ref_are_equivalent(q: LdpPolygon, r: LdpPolygon) -> tuple[int, int, int, int] | None:
     """The product-checked equivalence search: the map (a, b, c, d) of the
     first target pair, in search order, that carries q's vertex set onto r's,
     or None; LatticeOverflowError wherever a product or sum overflows."""
@@ -320,12 +317,9 @@ def ref_are_equivalent(
         return None
     d, r_set = len(rv), set(rv)
     for j in range(d):
-        targets = [(rv[j], rv[(j + 1) % d])]
-        if not orientation_preserving:
-            targets.append((rv[(j + 1) % d], rv[j]))
-        for w1, w2 in targets:
+        for w1, w2 in ((rv[j], rv[(j + 1) % d]), (rv[(j + 1) % d], rv[j])):
             m = _checked_solve_map(qv[0], qv[1], w1, w2)
-            if m is None or (orientation_preserving and _checked_map_det(m) != 1):
+            if m is None:
                 continue
             if {_checked_apply(m, v) for v in qv} == r_set:
                 return m
@@ -342,16 +336,13 @@ def _oracle_bezout(a: int, b: int) -> tuple[int, int]:
     return t, s - q * t
 
 
-def _oracle_form(vertices, orientation_preserving: bool):
-    """Brute-force canonical form: every anchor of the cycle (and of its
-    mirror) fully normalized, lexicographic minimum.  No library helpers;
+def _oracle_form(vertices):
+    """Brute-force canonical form: every anchor of the cycle and of its
+    mirror fully normalized, lexicographic minimum.  No library helpers;
     the vertices may be int pairs or RayVectors."""
     pts = [(x, y) for x, y in vertices]
-    cycles = [pts]
-    if not orientation_preserving:
-        cycles.append([(x, -y) for x, y in reversed(pts)])
     best = None
-    for cyc in cycles:
+    for cyc in (pts, [(x, -y) for x, y in reversed(pts)]):
         for i in range(len(cyc)):
             rot = cyc[i:] + cyc[:i]
             (x0, y0), (x1, y1) = rot[0], rot[1]
@@ -399,11 +390,11 @@ def _ref_ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return (-old_r, -old_s, -old_t) if old_r < 0 else (old_r, old_s, old_t)
 
 
-def ref_tied_anchors(pts: list[Point], orientation_preserving: bool) -> list:
+def ref_tied_anchors(pts: list[Point]) -> list:
     """equivalence._tied_anchors as it ran when it read every smooth cone once
     per orientation: the forward cycle with sign 1, then the reversed cycle
     with sign -1, each pair's determinant compared with the sign."""
-    orientations = ((pts, 1), (pts[::-1], -1))[: 1 if orientation_preserving else 2]
+    orientations = ((pts, 1), (pts[::-1], -1))
     tied = []
     for cyc, sign in orientations:
         for i in range(len(cyc)):
@@ -455,12 +446,12 @@ def ref_identify(poly: LdpPolygon) -> FamilyParams | None:
     else:
         candidates = {spec.read(rd) for rd in ref_basis_readings(rays) if spec.vertices(*spec.read(rd)) == rd}
     for values in sorted(candidates):
-        fp = FamilyParams(tag, **dict(zip(spec.params, values)))
-        if not check_params(fp) or any(abs(v) > bound for v in values):
+        if not all(ok for _, ok in spec.constraints(*values)) or any(abs(v) > bound for v in values):
             continue
+        fp = FamilyParams(tag, **dict(zip(spec.params, values)))
         if tag not in DAIS_TAGS:
             return fp
-        if _oracle_form(generate(fp).polygon.vertices, False) == _oracle_form(poly.vertices, False):
+        if _oracle_form(generate(fp).polygon.vertices) == _oracle_form(poly.vertices):
             return fp
     return None
 

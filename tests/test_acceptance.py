@@ -21,11 +21,9 @@ from ldptoric import (
     blow_down,
     blow_up,
     canonical_form,
-    check_params,
     classify_catalog,
     enumerate_ldp,
     enumerate_raw,
-    f_value,
     format_vertices,
     generate,
     nonsingular_arc_contiguous,
@@ -151,7 +149,7 @@ def test_criterion_07_contiguity(box3_pipeline):
     ]
     witness = validate_fan(parse_vertices("1,0;0,1;-2,-1;-3,-2"))
     witness_rep = analyze(witness)
-    witness_ok = f_value(witness, 3) == 0 and not witness_rep.is_log_del_pezzo
+    witness_ok = witness_rep.f_values[2] == 0 and not witness_rep.is_log_del_pezzo
     ok = not noncontiguous and witness_ok
     _report(
         7,
@@ -179,9 +177,9 @@ def test_criterion_09_family_soundness_sweep():
     passing = 0
     for tag, spec in FAMILY_SPECS.items():
         for values in itertools.product(range(-8, 9), repeat=len(spec.params)):
-            fp = FamilyParams(tag, *values)
-            if not check_params(fp):
+            if not all(ok for _, ok in spec.constraints(*values)):
                 continue
+            fp = FamilyParams(tag, *values)
             passing += 1
             try:
                 inst = generate(fp)

@@ -154,7 +154,7 @@ def test_box_three_catalog_is_closed_under_blow_down_and_in_box_blow_up(box3_cat
         for rays in closure_results(entry.vertices, 3):
             downs += len(rays) < entry.d
             ups += len(rays) > entry.d
-            form = _oracle_form(rays, False)
+            form = _oracle_form(rays)
             if form not in classes:
                 missing.add(form)
     assert not missing, f"classes missing from the catalog: {sorted(missing)}"
@@ -284,27 +284,21 @@ def test_chains_from_leaves_no_cyclic_garbage():
     assert unreachable == 0
 
 
-@pytest.mark.parametrize("flag", [False, True])
-def test_canonical_key_matches_canonical_form(flag):
-    # _canonical_key is the default flag's key; with orientation_preserving
-    # the same key is the least reading over the forward tied anchors.
+def test_canonical_key_matches_canonical_form():
     rng = random.Random(11)
 
     def form(p):
-        return tuple(v.as_tuple() for v in canonical_form(p, flag).vertices)
-
-    def key(pts):
-        return min(_tied_anchors(pts, True, analyze(validate_fan(pts)).dets))[0] if flag else _canonical_key(pts)
+        return tuple(v.as_tuple() for v in canonical_form(p).vertices)
 
     chains = _unrooted_chains(2)
     assert len(chains) == 1533
     for chain in chains:
         poly = validate_ldp_polygon(chain)
-        assert key(chain) == form(poly)
+        assert _canonical_key(chain) == form(poly)
     for chain in rng.sample(chains, 200):
         image = apply_to_polygon(random_unimodular_map(rng, max_entry=40), validate_ldp_polygon(chain))
         pts = [v.as_tuple() for v in image.vertices]
-        assert key(pts) == form(image) == _oracle_form(image.vertices, flag)
+        assert _canonical_key(pts) == form(image) == _oracle_form(image.vertices)
 
 
 def test_lazy_canonical_key_is_the_least_tied_reading(box3_catalog):
@@ -315,13 +309,13 @@ def test_lazy_canonical_key_is_the_least_tied_reading(box3_catalog):
     rng = random.Random(17)
     seen = Counter()
     for entry in box3_catalog:
-        tied = _tied_anchors(list(entry.vertices), False, analyze(entry.poly).dets)
+        tied = _tied_anchors(list(entry.vertices), analyze(entry.poly).dets)
         assert _canonical_key(list(entry.vertices)) == min(tied)[0]
         if len(tied) >= 4:
             image = apply_to_polygon(random_unimodular_map(rng, 40), entry.poly)
             shift = rng.randrange(image.d)
             pts = [v.as_tuple() for v in image.vertices[shift:] + image.vertices[:shift]]
-            image_tied = _tied_anchors(pts, False, analyze(validate_fan(pts)).dets)
+            image_tied = _tied_anchors(pts, analyze(validate_fan(pts)).dets)
             least = min(image_tied)[0]
             assert _canonical_key(pts) == least
             seen["read all d points"] += sum(rd == least for rd, _ in image_tied) >= 2

@@ -20,7 +20,6 @@ from ldptoric import (
     identify,
     parse_vertices,
     random_unimodular_map,
-    twice_area,
     validate_fan,
     validate_ldp_polygon,
 )
@@ -52,7 +51,7 @@ def test_swap_example():
 
 
 def test_inequivalent_by_area():
-    assert twice_area(P2) != twice_area(P112)
+    assert sum(analyze(P2).dets) != sum(analyze(P112).dets)
     assert are_equivalent(P2, P112) is None
 
 
@@ -71,19 +70,6 @@ def test_returned_map_carries_vertex_set():
             assert {apply_map(got, v) for v in base.vertices} == set(image.vertices)
 
 
-def test_orientation_preserving_distinguishes_chirality():
-    mirror = apply_to_polygon(UnimodularMap(1, 0, 0, -1), CHIRAL)
-    # cone determinants read (1, 3, 2) instead of (1, 2, 3): the mirror class
-    assert are_equivalent(CHIRAL, mirror) is not None
-    assert are_equivalent(CHIRAL, mirror, orientation_preserving=True) is None
-
-
-def test_orientation_preserving_still_finds_rotations():
-    m = UnimodularMap(0, -1, 1, 0)  # quarter turn, determinant +1
-    image = apply_to_polygon(m, CHIRAL)
-    assert are_equivalent(CHIRAL, image, orientation_preserving=True) is not None
-
-
 def test_canonical_form_is_valid_and_idempotent():
     for base in (P2, P112, CHIRAL, PENTAGON):
         form = canonical_form(base)
@@ -91,7 +77,7 @@ def test_canonical_form_is_valid_and_idempotent():
         again = canonical_form(form)
         assert form.vertices == again.vertices
         assert form.d == base.d
-        assert twice_area(form) == twice_area(base)
+        assert sum(analyze(form).dets) == sum(analyze(base).dets)
 
 
 def test_canonical_form_invariance_under_random_maps():
@@ -114,20 +100,6 @@ def test_canonical_form_invariant_under_rotation_of_input():
 def test_canonical_text_roundtrip():
     form = canonical_form(PENTAGON)
     assert poly(format_vertices(form.vertices)).vertices == form.vertices
-
-
-def test_orientation_preserving_form_splits_mirror_pair():
-    mirror = apply_to_polygon(UnimodularMap(1, 0, 0, -1), CHIRAL)
-    assert canonical_form(CHIRAL).vertices == canonical_form(mirror).vertices
-    a = canonical_form(CHIRAL, orientation_preserving=True).vertices
-    b = canonical_form(mirror, orientation_preserving=True).vertices
-    assert a != b
-
-
-def test_achiral_polygon_has_equal_forms():
-    a = canonical_form(P2).vertices
-    b = canonical_form(P2, orientation_preserving=True).vertices
-    assert a == b
 
 
 def test_canonical_form_equal_iff_equivalent_on_box_one():
@@ -164,7 +136,7 @@ def test_apply_to_polygon_validates_and_preserves_data():
         m = random_unimodular_map(rng)
         image = apply_to_polygon(m, PENTAGON)
         assert image.d == PENTAGON.d
-        assert twice_area(image) == twice_area(PENTAGON)
+        assert sum(analyze(image).dets) == sum(analyze(PENTAGON).dets)
         rep_a = analyze(PENTAGON)
         rep_b = analyze(image)
         assert sorted(rep_a.dets) == sorted(rep_b.dets)
@@ -183,8 +155,8 @@ def test_random_unimodular_map_properties():
         assert max(abs(e) for e in (m.a, m.b, m.c, m.d)) <= 5
 
 
-def _form_tuples(p, orientation_preserving: bool = False):
-    return tuple(v.as_tuple() for v in canonical_form(p, orientation_preserving).vertices)
+def _form_tuples(p):
+    return tuple(v.as_tuple() for v in canonical_form(p).vertices)
 
 
 def test_canonical_form_matches_brute_force_oracle():
@@ -193,8 +165,7 @@ def test_canonical_form_matches_brute_force_oracle():
     assert len(polys) == 1533
     polys += [apply_to_polygon(random_unimodular_map(rng), rng.choice(polys)) for _ in range(500)]
     for p in polys:
-        for flag in (False, True):
-            assert _form_tuples(p, flag) == _oracle_form(p.vertices, flag)
+        assert _form_tuples(p) == _oracle_form(p.vertices)
 
 
 def test_canonical_form_has_no_spurious_overflow():
@@ -237,12 +208,9 @@ def test_canonical_form_out_of_range_raises():
         f"{m},1;{a},{a + 1};-1,{m};{-a - 1},{a};"
         f"{-m},-1;{-a},{-a - 1};1,{-m};{a + 1},{-a}"
     )
-    with pytest.raises(LatticeOverflowError):
-        canonical_form(octagon)
     message = "^y coordinate 10240000000000000001 exceeds the signed 64-bit range$"
-    for flag in (False, True):
-        with pytest.raises(LatticeOverflowError, match=message):
-            canonical_form(octagon, flag)
+    with pytest.raises(LatticeOverflowError, match=message):
+        canonical_form(octagon)
 
 
 def test_are_equivalent_where_the_form_is_out_of_range():
@@ -262,18 +230,15 @@ def test_are_equivalent_where_the_form_is_out_of_range():
     negated = [half, three_quarters, three_quarters, one, one, quarter, quarter, half]
     vs, neg = octagon.vertices, tuple(-v for v in octagon.vertices)
     for k in range(8):
-        for flag in (False, True):
-            assert are_equivalent(octagon, validate_ldp_polygon(vs[k:] + vs[:k]), flag) == rotated[k]
-            assert are_equivalent(octagon, validate_ldp_polygon(neg[k:] + neg[:k]), flag) == negated[k]
+        assert are_equivalent(octagon, validate_ldp_polygon(vs[k:] + vs[:k])) == rotated[k]
+        assert are_equivalent(octagon, validate_ldp_polygon(neg[k:] + neg[:k])) == negated[k]
     swapped = apply_to_polygon(UnimodularMap(0, 1, 1, 0), octagon)
     assert are_equivalent(octagon, swapped) == UnimodularMap(-1, 0, 0, 1)
-    assert are_equivalent(octagon, swapped, orientation_preserving=True) is None
 
 
-def _assert_maps_onto(m, q, r, orientation_preserving: bool) -> None:
+def _assert_maps_onto(m, q, r) -> None:
     # Re-applied in plain ints, m carries q's vertex set onto r's.
-    det = m.a * m.d - m.b * m.c
-    assert det == 1 if orientation_preserving else det in (1, -1)
+    assert m.a * m.d - m.b * m.c in (1, -1)
     images = {(m.a * v.x + m.b * v.y, m.c * v.x + m.d * v.y) for v in q.vertices}
     assert images == {v.as_tuple() for v in r.vertices}
 
@@ -313,10 +278,9 @@ def test_no_spurious_overflow_below_the_kernel_bound(box2_catalog):
     assert len(pairs) == 624
     for q, r in pairs:
         assert all(abs(c) < 2**30 for p in (q, r) for v in p.vertices for c in v.as_tuple())
-        for flag in (False, True):
-            m = are_equivalent(q, r, orientation_preserving=flag)
-            assert m is not None, (q.vertices, r.vertices)
-            _assert_maps_onto(m, q, r, flag)
+        m = are_equivalent(q, r)
+        assert m is not None, (q.vertices, r.vertices)
+        _assert_maps_onto(m, q, r)
 
 
 def test_overflow_exactly_when_no_connecting_map_fits(box2_catalog):
@@ -329,18 +293,14 @@ def test_overflow_exactly_when_no_connecting_map_fits(box2_catalog):
     for entry in box2_catalog:
         q = apply_to_polygon(shear_x, entry.polygon())
         r = apply_to_polygon(shear_y, entry.polygon())
-        maps = _connecting_maps(q, r)
-        for flag in (False, True):
-            allowed = [m for m in maps if not flag or m[0] * m[3] - m[1] * m[2] == 1]
-            if all(max(map(abs, m)) > I64_MAX for m in allowed):
-                with pytest.raises(LatticeOverflowError):
-                    are_equivalent(q, r, orientation_preserving=flag)
-                seen["raised"] += 1
-            else:
-                m = are_equivalent(q, r, orientation_preserving=flag)
-                _assert_maps_onto(m, q, r, flag)
-                seen["map"] += 1
-    assert seen == {"raised": 301, "map": 11}
+        if all(max(map(abs, m)) > I64_MAX for m in _connecting_maps(q, r)):
+            with pytest.raises(LatticeOverflowError):
+                are_equivalent(q, r)
+            seen["raised"] += 1
+        else:
+            _assert_maps_onto(are_equivalent(q, r), q, r)
+            seen["map"] += 1
+    assert seen == {"raised": 148, "map": 8}
 
 
 def test_overflow_falls_back_to_the_first_map_that_fits(box2_catalog):
@@ -355,22 +315,19 @@ def test_overflow_falls_back_to_the_first_map_that_fits(box2_catalog):
         r = apply_to_polygon(shear_y, entry.polygon())
         index = {v.as_tuple(): k for k, v in enumerate(r.vertices)}
         q0, q1 = q.vertices[0], q.vertices[1]
-        for flag in (False, True):
-            ordered = []
-            for m in _connecting_maps(q, r):
-                det = m[0] * m[3] - m[1] * m[2]
-                if flag and det != 1:
-                    continue
-                v = q0 if det == 1 else q1
-                ordered.append(((index[m[0] * v.x + m[1] * v.y, m[2] * v.x + m[3] * v.y], det != 1), m))
-            fitting = [m for _, m in sorted(ordered) if max(map(abs, m)) <= I64_MAX]
-            if not fitting:
-                continue
-            got = are_equivalent(q, r, orientation_preserving=flag)
-            assert (got.a, got.b, got.c, got.d) == fitting[0]
-            seen["first fits" if fitting[0] == min(ordered)[1] else "fallback"] += 1
+        ordered = []
+        for m in _connecting_maps(q, r):
+            det = m[0] * m[3] - m[1] * m[2]
+            v = q0 if det == 1 else q1
+            ordered.append(((index[m[0] * v.x + m[1] * v.y, m[2] * v.x + m[3] * v.y], det != 1), m))
+        fitting = [m for _, m in sorted(ordered) if max(map(abs, m)) <= I64_MAX]
+        if not fitting:
+            continue
+        got = are_equivalent(q, r)
+        assert (got.a, got.b, got.c, got.d) == fitting[0]
+        seen["first fits" if fitting[0] == min(ordered)[1] else "fallback"] += 1
     # In every one of them the first map in order overflows.
-    assert seen == {"fallback": 11}
+    assert seen == {"fallback": 8}
 
 
 def test_search_matches_the_checked_reference(box2_catalog):
@@ -381,57 +338,53 @@ def test_search_matches_the_checked_reference(box2_catalog):
     polys = [entry.polygon() for entry in box2_catalog]
     by_shape = defaultdict(list)
     for p in polys:
-        by_shape[p.d, twice_area(p)].append(p)
+        by_shape[p.d, sum(analyze(p).dets)].append(p)
     cases = []
     for base in polys:
         small = [apply_to_polygon(random_unimodular_map(rng), base) for _ in range(2)]
         large = [apply_to_polygon(large_shear_product(rng, 2**27), base) for _ in range(2)]
         cases += [tuple(small), tuple(large), (small[0], large[0])]
-        others = [p for p in by_shape[base.d, twice_area(base)] if p is not base]
+        others = [p for p in by_shape[base.d, sum(analyze(base).dets)] if p is not base]
         if others:
             other = rng.choice(others)
             cases.append((small[1], apply_to_polygon(random_unimodular_map(rng), other)))
             cases.append((large[1], apply_to_polygon(large_shear_product(rng, 2**27), other)))
     seen = Counter()
     for q, r in cases:
-        for flag in (False, True):
-            try:
-                want = ref_are_equivalent(q, r, flag)
-            except LatticeOverflowError:
-                got = are_equivalent(q, r, flag)
-                if _oracle_form(q.vertices, flag) == _oracle_form(r.vertices, flag):
-                    _assert_maps_onto(got, q, r, flag)
-                    seen["reference raised, map"] += 1
-                else:
-                    assert got is None
-                    seen["reference raised, none"] += 1
-                continue
-            got = are_equivalent(q, r, flag)
-            assert (got if got is None else (got.a, got.b, got.c, got.d)) == want
-            seen["same map" if want is not None else "both none"] += 1
+        try:
+            want = ref_are_equivalent(q, r)
+        except LatticeOverflowError:
+            got = are_equivalent(q, r)
+            if _oracle_form(q.vertices) == _oracle_form(r.vertices):
+                _assert_maps_onto(got, q, r)
+                seen["reference raised, map"] += 1
+            else:
+                assert got is None
+                seen["reference raised, none"] += 1
+            continue
+        got = are_equivalent(q, r)
+        assert (got if got is None else (got.a, got.b, got.c, got.d)) == want
+        seen["same map" if want is not None else "both none"] += 1
     assert min(seen[k] for k in ("reference raised, map", "reference raised, none", "same map", "both none")) > 0
 
 
 def test_basis_readings_are_memoized_on_the_polygon(monkeypatch):
-    # One memo per polygon object and flag serves canonical_form, identify
-    # and are_equivalent: the tied anchors are computed once for each.
-    want = {flag: canonical_form(PENTAGON, flag) for flag in (False, True)}
+    # One memo per polygon object serves canonical_form, identify and
+    # are_equivalent: the tied anchors are computed once for it.
+    want = canonical_form(PENTAGON)
     calls = []
     tied_anchors = equivalence._tied_anchors
-    monkeypatch.setattr(
-        equivalence, "_tied_anchors", lambda pts, flag, dets: calls.append(flag) or tied_anchors(pts, flag, dets)
-    )
+    monkeypatch.setattr(equivalence, "_tied_anchors", lambda pts, dets: calls.append(pts) or tied_anchors(pts, dets))
     p = poly("1,0;0,1;-1,0;1,-3;2,-3")
     for _ in range(2):
-        for flag in (False, True):
-            assert canonical_form(p, flag) == want[flag]
-            assert are_equivalent(p, p, flag) == IDENTITY_MAP
+        assert canonical_form(p) == want
+        assert are_equivalent(p, p) == IDENTITY_MAP
         assert identify(p) is not None
-    assert sorted(calls) == [False, True]
+    assert len(calls) == 1
     # An equal polygon built separately computes its own, equal normalizations.
     other = poly("1,0;0,1;-1,0;1,-3;2,-3")
     assert canonical_form(other) == canonical_form(p)
-    assert sorted(calls) == [False, False, True]
+    assert len(calls) == 2
 
 
 def test_normalizations_are_memoized_least_first(box2_catalog):
@@ -444,12 +397,10 @@ def test_normalizations_are_memoized_least_first(box2_catalog):
     forms = [canonical_form(p) for p in polys]
     assert not any(hasattr(form, "_report") for form in forms)
     for p in polys + forms:
-        pts = [v.as_tuple() for v in p.vertices]
-        for flag in (False, True):
-            tied = equivalence._tied_anchors(pts, flag, analyze(p).dets)
-            memo = equivalence._normalizations(p, flag)
-            assert memo == sorted(tied)
-            assert memo[0] == min(tied)
+        tied = equivalence._tied_anchors([v.as_tuple() for v in p.vertices], analyze(p).dets)
+        memo = equivalence._normalizations(p)
+        assert memo == sorted(tied)
+        assert memo[0] == min(tied)
     # The report analyze computed for a form is validation's for its vertices.
     for form in forms:
         assert form._report == validate_ldp_polygon(form.vertices)._report
@@ -474,12 +425,11 @@ def test_canonical_form_and_are_equivalent_need_ldp_polygons():
     # would give a "polygon" that is not LDP.
     fans = [validate_fan([(-1, 2), (-5, -4), (6, -1), (-1, 3), (-2, 5)]), validate_fan(CHIRAL.rays)]
     for fan in fans:
-        for flag in (False, True):
-            with pytest.raises(TypeError, match="^canonical_form needs an LdpPolygon, got FanCycle$"):
-                canonical_form(fan, flag)
-            for q, r in ((fan, fan), (fan, CHIRAL), (CHIRAL, fan)):
-                with pytest.raises(TypeError, match="^are_equivalent needs LdpPolygons, got "):
-                    are_equivalent(q, r, flag)
+        with pytest.raises(TypeError, match="^canonical_form needs an LdpPolygon, got FanCycle$"):
+            canonical_form(fan)
+        for q, r in ((fan, fan), (fan, CHIRAL), (CHIRAL, fan)):
+            with pytest.raises(TypeError, match="^are_equivalent needs LdpPolygons, got "):
+                are_equivalent(q, r)
 
 
 def test_smooth_cone_form_uses_no_bezout_row(monkeypatch):
@@ -492,13 +442,12 @@ def test_smooth_cone_form_uses_no_bezout_row(monkeypatch):
 
     monkeypatch.setattr(equivalence, "_bezout_row", counting)
     for p in (P2, CHIRAL, PENTAGON, apply_to_polygon(UnimodularMap(3, 2, 1, 1), PENTAGON)):
-        assert p.cone_det(1) == 1
-        for flag in (False, True):
-            assert _form_tuples(p, flag) == _oracle_form(p.vertices, flag)
+        assert analyze(p).dets[0] == 1
+        assert _form_tuples(p) == _oracle_form(p.vertices)
     assert calls == []
     # A polygon with no smooth cone takes the Bezout rows.
     no_smooth = poly("1,1;-1,1;-1,-1;1,-1")
-    assert _form_tuples(no_smooth) == _oracle_form(no_smooth.vertices, False)
+    assert _form_tuples(no_smooth) == _oracle_form(no_smooth.vertices)
     assert len(calls) == 4
 
 
@@ -521,9 +470,8 @@ def test_forms_without_a_smooth_cone_match_the_oracle(box2_catalog):
     assert len(polys) > 10
     polys += [apply_to_polygon(random_unimodular_map(rng), p) for p in polys for _ in range(3)]
     for p in polys:
-        for flag in (False, True):
-            assert all(rd[1] != (0, 1) for rd, _ in equivalence._normalizations(p, flag))
-            assert _form_tuples(p, flag) == _oracle_form(p.vertices, flag)
+        assert all(rd[1] != (0, 1) for rd, _ in equivalence._normalizations(p))
+        assert _form_tuples(p) == _oracle_form(p.vertices)
 
 
 def test_each_tied_anchor_names_its_pair_as_listed(box2_catalog):
@@ -531,33 +479,32 @@ def test_each_tied_anchor_names_its_pair_as_listed(box2_catalog):
     # listed: its normalization is the image of pts[k], pts[k + sign],
     # pts[k + 2*sign], ... under one integer map of determinant sign, which
     # Cramer's rule solves on the first pair.  On a unimodular image of every
-    # box-2 class, under both flags.
+    # box-2 class.
     rng = random.Random(16)
     seen = Counter()
     for entry in box2_catalog:
         image = apply_to_polygon(random_unimodular_map(rng), entry.poly)
         pts = [v.as_tuple() for v in image.vertices]
         d = len(pts)
-        for flag in (False, True):
-            for rd, (k, sign) in equivalence._tied_anchors(pts, flag, analyze(image).dets):
-                walk = [pts[(k + sign * t) % d] for t in range(d)]
-                (x1, y1), (x2, y2) = walk[0], walk[1]
-                (u1, z1), (u2, z2) = rd[0], rd[1]
-                base = x1 * y2 - x2 * y1
-                entries = [divmod(n, base) for n in (u1 * y2 - u2 * y1, x1 * u2 - x2 * u1,
-                                                      z1 * y2 - z2 * y1, x1 * z2 - x2 * z1)]
-                assert all(r == 0 for _, r in entries), (pts, rd, (k, sign))
-                a, b, c, e = (n for n, _ in entries)
-                assert a * e - b * c == sign
-                assert [(a * x + b * y, c * x + e * y) for x, y in walk] == list(rd)
-                seen[sign] += 1
+        for rd, (k, sign) in equivalence._tied_anchors(pts, analyze(image).dets):
+            walk = [pts[(k + sign * t) % d] for t in range(d)]
+            (x1, y1), (x2, y2) = walk[0], walk[1]
+            (u1, z1), (u2, z2) = rd[0], rd[1]
+            base = x1 * y2 - x2 * y1
+            entries = [divmod(n, base) for n in (u1 * y2 - u2 * y1, x1 * u2 - x2 * u1,
+                                                  z1 * y2 - z2 * y1, x1 * z2 - x2 * z1)]
+            assert all(r == 0 for _, r in entries), (pts, rd, (k, sign))
+            a, b, c, e = (n for n, _ in entries)
+            assert a * e - b * c == sign
+            assert [(a * x + b * y, c * x + e * y) for x, y in walk] == list(rd)
+            seen[sign] += 1
     assert min(seen[1], seen[-1]) > 100, seen
 
 
 def test_tied_anchors_match_the_two_orientation_reading(box3_catalog):
     # Each smooth cone is read once, forwards, and its backward anchor is
     # derived from that reading: the same readings and anchors as reading
-    # both orientations, under both flags.  The reference names a backward
+    # both orientations.  The reference names a backward
     # anchor by its index i in the reversed cycle, which is index d - 1 - i
     # as listed.  The lists are compared sorted: no consumer reads their
     # order, so _tied_anchors no longer keeps the reference's.  On every
@@ -571,9 +518,8 @@ def test_tied_anchors_match_the_two_orientation_reading(box3_catalog):
         rotated = image.vertices[shift:] + image.vertices[:shift]
         for pts in (list(entry.vertices), [v.as_tuple() for v in rotated]):
             d = len(pts)
-            for flag in (False, True):
-                want = [(rd, (i if s == 1 else d - 1 - i, s)) for rd, (i, s) in ref_tied_anchors(pts, flag)]
-                assert sorted(equivalence._tied_anchors(pts, flag, analyze(validate_fan(pts)).dets)) == sorted(want)
+            want = [(rd, (i if s == 1 else d - 1 - i, s)) for rd, (i, s) in ref_tied_anchors(pts)]
+            assert sorted(equivalence._tied_anchors(pts, analyze(validate_fan(pts)).dets)) == sorted(want)
             smooth = [i for i in range(d) if pts[i][0] * pts[(i + 1) % d][1] - pts[(i + 1) % d][0] * pts[i][1] == 1]
             seen["smooth" if smooth else "no smooth cone"] += 1
             seen["smooth cone at d - 1"] += d - 1 in smooth

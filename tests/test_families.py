@@ -17,14 +17,12 @@ from ldptoric import (
     blow_down,
     blow_down_candidates,
     canonical_form,
-    check_params,
     classify_three,
     format_vertices,
     generate,
     identify,
     parse_vertices,
     random_unimodular_map,
-    twice_area,
     validate_fan,
     validate_ldp_polygon,
 )
@@ -66,24 +64,13 @@ def test_family_params_tuple_and_dict():
     assert FamilyParams("dais2", p=4).as_tuple() == (4,)
 
 
-def test_check_params_examples():
-    assert check_params(FamilyParams("two1", p=2, q=3))
-    assert not check_params(FamilyParams("two1", p=2, q=4))  # gcd 2
-    assert not check_params(FamilyParams("two1", p=1, q=3))
-    assert not check_params(FamilyParams("two2", p=0, q=1, r=-1))  # violates r <= -2
-    assert check_params(FamilyParams("two2", p=0, q=1, r=-2))
-    assert check_params(FamilyParams("two3", p=0, q=1, r=-2))
-    assert not check_params(FamilyParams("two3", p=1, q=1, r=-2))
-    assert check_params(FamilyParams("three5", p=0, q=1, r=-3, s=2, t=-3))
-    assert not check_params(FamilyParams("three5", p=0, q=1, r=-3, s=2, t=-2))
-    assert check_params(FamilyParams("dais1", p=1))
-    assert not check_params(FamilyParams("dais3", p=0))
-
-
 # Family parameters and what generate gives: the vertices and the analyze()
 # report (d, dets, f-values, singular count), or the first violated constraint.
 @pytest.mark.parametrize("fp, expected", [
     pytest.param(FamilyParams("dais1", p=1), ("1,-1;1,1;-1,0", (3, (2, 1, 1), (4, 4, 4), 1)), id="dais1"),
+    pytest.param(FamilyParams("two1", p=2, q=3), ("1,0;0,1;-2,-3", (3, (1, 2, 3), (6, 6, 6), 2)), id="two1"),
+    pytest.param(FamilyParams("two2", p=0, q=1, r=-2), ("1,0;0,1;-1,0;1,-2", (4, (1, 1, 2, 2), (2, 2, 4, 4), 2)),
+                 id="two2"),
     pytest.param(FamilyParams("two3", p=0, q=1, r=-2),
                  ("1,0;0,1;-1,1;-1,0;1,-2", (5, (1, 1, 1, 2, 2), (2, 1, 1, 2, 4), 2)), id="two3"),
     pytest.param(FamilyParams("three5", p=0, q=1, r=-3, s=2, t=-3),
@@ -91,6 +78,10 @@ def test_check_params_examples():
     pytest.param(FamilyParams("dais1", p=0), "p >= 1", id="dais1-p"),
     pytest.param(FamilyParams("two1", p=1, q=3), "p >= 2", id="two1-p"),
     pytest.param(FamilyParams("two1", p=2, q=4), "gcd(p, q) == 1", id="two1-gcd"),
+    pytest.param(FamilyParams("two2", p=0, q=1, r=-1), "r <= -p*q - 2", id="two2-r"),
+    pytest.param(FamilyParams("two3", p=1, q=1, r=-2), "p <= 0", id="two3-p"),
+    pytest.param(FamilyParams("three5", p=0, q=1, r=-3, s=2, t=-2), "t <= -s - 1", id="three5-t"),
+    pytest.param(FamilyParams("dais3", p=0), "p >= 1", id="dais3-p"),
 ])
 def test_generate_examples(fp, expected):
     if isinstance(expected, str):
@@ -182,11 +173,11 @@ def test_family_params_within_twice_area_on_sweep():
     for tag, spec in FAMILY_SPECS.items():
         span = range(-5, 6) if tag == "three5" else range(-9, 10)
         for values in itertools.product(span, repeat=len(spec.params)):
-            fp = FamilyParams(tag, **dict(zip(spec.params, values)))
-            if not check_params(fp):
+            if not all(ok for _, ok in spec.constraints(*values)):
                 continue
+            fp = FamilyParams(tag, **dict(zip(spec.params, values)))
             q_poly = generate(fp).polygon
-            assert max(map(abs, values)) <= twice_area(q_poly), fp
+            assert max(map(abs, values)) <= sum(analyze(q_poly).dets), fp
             assert identify(q_poly) is not None, fp
             checked += 1
     assert checked == 1297

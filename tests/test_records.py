@@ -43,7 +43,7 @@ RECORDS = [
     (UnimodularMap(2, 1, 1, 1), ("a", "b", "c", "d")),
 ]
 NOT_RECORDS = {"RayVector", "EnumerationStats", "VerificationReport"}
-MEMOS = ("_report", "_tied", "_tied_oriented", "_family")
+MEMOS = ("_report", "_tied", "_family")
 
 
 def _fill_memos(sample):
@@ -51,7 +51,7 @@ def _fill_memos(sample):
     if isinstance(sample, FanCycle):
         analyze(sample), identify(sample)
     if isinstance(sample, LdpPolygon):
-        canonical_form(sample), canonical_form(sample, True)
+        canonical_form(sample)
     if isinstance(sample, SurfaceReport):
         sample.cones, sample.anticanonical_degrees
 

@@ -14,7 +14,6 @@ from ldptoric import (
     blow_down,
     blow_down_candidates,
     blow_up,
-    f_value,
     nonsingular_arc_contiguous,
     parse_vertices,
     validate_fan,
@@ -22,7 +21,7 @@ from ldptoric import (
     verify_catalog,
 )
 from ldptoric import FanCycle, RayVector, surface
-from ldptoric.lattice import I64_MAX
+from ldptoric.lattice import I64_MAX, LatticeOverflowError
 
 from oracles import random_fan, ref_analyze
 
@@ -32,24 +31,13 @@ def fan(text: str):
 
 
 def test_f_value_examples():
-    cyc = fan("1,0;0,1;-2,-3")
-    assert [f_value(cyc, i) for i in (1, 2, 3)] == [6, 6, 6]
-
-    pentagon = fan("1,0;0,1;-1,0;1,-3;2,-3")
-    assert [f_value(pentagon, i) for i in range(1, 6)] == [2, 2, 5, 3, 3]
+    assert analyze(fan("1,0;0,1;-2,-3")).f_values == (6, 6, 6)
+    assert analyze(fan("1,0;0,1;-1,0;1,-3;2,-3")).f_values == (2, 2, 5, 3, 3)
 
 
 def test_f_value_accepts_polygon():
     poly = validate_ldp_polygon(parse_vertices("1,0;0,1;-2,-3"))
-    assert f_value(poly, 1) == 6
-
-
-def test_f_value_range():
-    cyc = fan("1,0;0,1;-1,-1")
-    with pytest.raises(IndexError):
-        f_value(cyc, 0)
-    with pytest.raises(IndexError):
-        f_value(cyc, 4)
+    assert analyze(poly).f_values[0] == 6
 
 
 # A fan with its cone determinants, f-values, anticanonical degrees, log del
@@ -91,6 +79,13 @@ def test_blow_up_examples():
 
     up = blow_up(fan("1,0;0,1;-1,0;1,-3"), 2)
     assert [v.as_tuple() for v in up.rays] == [(1, 0), (0, 1), (-1, 1), (-1, 0), (1, -3)]
+
+    # A fan whose f-values, 2**63 + 2, pass 64 bits: analyze refuses it, but
+    # blow_up checks only that it is a fan.
+    wide = fan(f"1,0;0,1;{-(2**62) - 1},{-(2**62)}")
+    with pytest.raises(LatticeOverflowError, match="^f value"):
+        analyze(wide)
+    assert [v.as_tuple() for v in blow_up(wide, 1).rays] == [(1, 0), (1, 1), (0, 1), (-(2**62) - 1, -(2**62))]
 
 
 def test_blow_up_wraparound_cone():
@@ -164,7 +159,7 @@ def test_blow_up_down_roundtrip():
     checked = 0
     while checked < 100:
         cyc = random_fan(rng)
-        smooth = [i for i in range(1, cyc.d + 1) if cyc.cone_det(i) == 1]
+        smooth = [i for i, det in enumerate(analyze(cyc).dets, start=1) if det == 1]
         if not smooth:
             continue
         i = rng.choice(smooth)
@@ -288,8 +283,8 @@ def test_validated_report_equals_the_computed_one(box3_catalog):
     assert analyze(validate_ldp_polygon(TURNS_I64_MAX)).f_values == (I64_MAX,) * 3
 
 
-# A FanCycle built by hand is validated on its first analyze, as validate_fan
-# validates its rays.
+# A FanCycle built by hand is validated on its first analyze and on every
+# blow_up, as validate_fan validates its rays.
 @pytest.mark.parametrize("rays, error", [
     pytest.param(((1, 0), (0, 1), (1, 0)), "DuplicateRay(3): ray 3 repeats an earlier ray", id="repeat"),
     pytest.param(((2, 0), (0, 1), (-1, -1)), "NonPrimitiveRay(1): ray 1 is not primitive", id="non-primitive"),
@@ -301,9 +296,10 @@ def test_validated_report_equals_the_computed_one(box3_catalog):
 ])
 def test_hand_built_cycle_is_checked_not_trusted(rays, error):
     cycle = FanCycle(tuple(RayVector(x, y) for x, y in rays))
-    with pytest.raises(ValueError) as raised:
-        analyze(cycle)
-    assert str(raised.value) == error
+    for call in (analyze, lambda c: blow_up(c, 1)):
+        with pytest.raises(ValueError) as raised:
+            call(cycle)
+        assert str(raised.value) == error
     assert not hasattr(cycle, "_report")
 
 
