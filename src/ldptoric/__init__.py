@@ -18,7 +18,6 @@ from .lattice import (
 )
 from .polygon import (
     BadWinding,
-    ConeRecord,
     DuplicateRay,
     FanCycle,
     FanValidationError,
@@ -57,7 +56,6 @@ from .families import (
     identify,
 )
 from .enumeration import (
-    BoxSpec,
     CatalogEntry,
     EnumerationStats,
     VerificationReport,
@@ -93,7 +91,6 @@ __all__ = [
     "parse_vertices",
     "validate_fan",
     "validate_ldp_polygon",
-    "ConeRecord",
     "ConeSingular",
     "SurfaceReport",
     "analyze",
@@ -112,7 +109,6 @@ __all__ = [
     "classify_three",
     "generate",
     "identify",
-    "BoxSpec",
     "CatalogEntry",
     "EnumerationStats",
     "VerificationReport",

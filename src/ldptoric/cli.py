@@ -34,12 +34,12 @@ from typing import Sequence
 from . import __version__
 from .lattice import LatticeOverflowError, _clipped
 from .polygon import (
+    FanCycle,
     LdpPolygon,
     NotCounterclockwise,
     NotStrictlyConvex,
     format_vertices,
     parse_vertices,
-    validate_fan,
     validate_ldp_polygon,
 )
 from .surface import SurfaceReport, analyze, blow_up
@@ -238,7 +238,7 @@ def emit_svg(poly: LdpPolygon, path: str) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    report = analyze(validate_fan(parse_vertices(args.vertices)))
+    report = analyze(FanCycle(tuple(parse_vertices(args.vertices))))  # analyze validates it
     if args.json:
         print(_dump(report_to_dict(report)))
         return 0
@@ -311,7 +311,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def _cmd_blowup(args: argparse.Namespace) -> int:
-    cycle = validate_fan(parse_vertices(args.vertices))
+    cycle = FanCycle(tuple(parse_vertices(args.vertices)))  # blow_up validates it
     print(format_vertices(blow_up(cycle, args.cone).rays))
     return 0
 

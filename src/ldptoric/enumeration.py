@@ -62,18 +62,6 @@ BOX_CAVEAT = (
 )
 
 
-class BoxSpec(_Record):
-    """Search box [-n, n] x [-n, n]; n must be an int in 1..I64_MAX."""
-
-    __slots__ = ()
-    _fields = ("n",)
-
-    def __new__(cls, n: int) -> "BoxSpec":
-        if checked_i64(n, "box size") < 1:
-            raise ValueError("box size must be at least 1")
-        return tuple.__new__(cls, (n,))
-
-
 class CatalogEntry(_Record):
     """One equivalence class: its validated canonical polygon plus two tags.
 
@@ -89,9 +77,7 @@ class CatalogEntry(_Record):
 
     vertices = property(lambda self: self.poly.vertices)
     d = property(lambda self: self.poly.d)
-    picard_number = property(lambda self: analyze(self.poly).picard_number)
     dets = property(lambda self: analyze(self.poly).dets)
-    f_values = property(lambda self: analyze(self.poly).f_values)
     singular_count = property(lambda self: analyze(self.poly).singular_count)
 
     def polygon(self) -> LdpPolygon:
@@ -273,10 +259,9 @@ def _pooled(shards: list, jobs: int | None):
         pool.shutdown(cancel_futures=True)
 
 
-def enumerate_ldp(
-    box: BoxSpec | int, jobs: int | None = 1, stats: EnumerationStats | None = None
-) -> list[CatalogEntry]:
-    """All equivalence classes with a representative inside the box.
+def enumerate_ldp(box: int, jobs: int | None = 1, stats: EnumerationStats | None = None) -> list[CatalogEntry]:
+    """All equivalence classes with a representative inside the box
+    [-box, box] x [-box, box], for an int box in 1..I64_MAX.
 
     Dedup by canonical form; the returned list is sorted by (d, vertices) and
     identical for every worker count.  jobs is None, for all logical cores,
@@ -284,12 +269,12 @@ def enumerate_ldp(
     process pool, and a pool whose worker dies raises WorkerPoolError.
     `stats`, when given, is filled in with this call's work.
     """
-    if not isinstance(box, BoxSpec):
-        box = BoxSpec(box)
+    if checked_i64(box, "box size") < 1:
+        raise ValueError("box size must be at least 1")
     if jobs is not None and (type(jobs) is not int or jobs < 1):  # not isinstance: bool is an int
         raise ValueError(f"jobs {jobs!r} is not None or an integer of at least 1")
     t0 = time.perf_counter()
-    shards = _shards(list(map(tuple, primitive_points(box.n))))
+    shards = _shards(list(map(tuple, primitive_points(box))))
     results = map(_shard_worker, shards) if jobs == 1 else _pooled(shards, jobs)
     canon: set[Chain] = set()
     raw = []

@@ -173,9 +173,6 @@ class FamilyParams(_Record):
     def as_tuple(self) -> tuple[int, ...]:
         return self[1 : 1 + len(FAMILY_SPECS[self.family].params)]
 
-    def to_dict(self) -> dict:
-        return {"family": self.family, **dict(zip(FAMILY_SPECS[self.family].params, self[1:]))}
-
 
 class FamilyInstance(_Record):
     __slots__ = ()

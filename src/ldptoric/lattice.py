@@ -2,9 +2,9 @@
 
 Everything downstream (fans, polygons, equivalence, enumeration) reduces to
 the handful of operations here: signed 2x2 determinants, primitivity tests,
-and applying, composing and inverting integer matrix maps.  Solving for the
-map that sends one ray pair onto another is part of the equivalence decision
-and lives in equivalence.are_equivalent.  All arithmetic runs on exact
+and applying and composing integer matrix maps.  Solving for the map that
+sends one ray pair onto another is part of the equivalence decision and
+lives in equivalence.are_equivalent.  All arithmetic runs on exact
 Python ints, so no intermediate step can overflow; a ray, RayVector, is
 the int pair (x, y) itself.  The 64-bit contract names values instead:
 every vertex coordinate, map entry, determinant, vertex turn and f-value
@@ -14,9 +14,9 @@ raises ValueError naming a value that is not an int (a bool, float or str),
 and LatticeOverflowError naming an int outside the range.  Each named value
 passes it once, where it is produced: here the RayVector coordinates, the
 UnimodularMap entries and the results of det2 and UnimodularMap.det;
-BoxSpec its box size (so a box past I64_MAX raises before any grid is
-built), validation its cone determinants and vertex turns, and analyze its
-f-values.  identify's basis readings are never checked.  No message spells
+enumerate_ldp its box size (so a box past I64_MAX raises before any grid
+is built), validation its cone determinants and vertex turns, and analyze
+its f-values.  identify's basis readings are never checked.  No message spells
 out an unbounded value: checked_i64 names an int past 256 bits by its size,
 and _clipped cuts any other long echo, or names it by its type when repr
 refuses it.  _checked_ray reads one vertex's point once and raises
@@ -78,12 +78,6 @@ class RayVector(tuple):
 
     def __add__(self, other: "RayVector") -> "RayVector":
         return RayVector(self[0] + other[0], self[1] + other[1])
-
-    def __sub__(self, other: "RayVector") -> "RayVector":
-        return RayVector(self[0] - other[0], self[1] - other[1])
-
-    def __neg__(self) -> "RayVector":
-        return RayVector(-self[0], -self[1])
 
     def __mul__(self, other):  # a vector, not a sequence to repeat
         return NotImplemented
@@ -182,18 +176,6 @@ class UnimodularMap(_Record):
 
     def det(self) -> int:
         return checked_i64(self.a * self.d - self.b * self.c, "matrix determinant")
-
-    def is_unimodular(self) -> bool:
-        return self.det() in (1, -1)
-
-    def inverse(self) -> "UnimodularMap":
-        """Inverse of a determinant +-1 matrix; raises ValueError otherwise."""
-        det = self.det()
-        if det == 1:
-            return UnimodularMap(self.d, -self.b, -self.c, self.a)
-        if det == -1:
-            return UnimodularMap(-self.d, self.b, self.c, -self.a)
-        raise ValueError(f"matrix with determinant {det} has no integer inverse")
 
 
 IDENTITY_MAP = UnimodularMap(1, 0, 0, 1)

@@ -151,16 +151,6 @@ class LdpPolygon(FanCycle):
         return self.rays
 
 
-class ConeRecord(_Record):
-    """Local data of one cone: 1-based index, determinant, singularity flag."""
-
-    __slots__ = ()
-    _fields = ("index", "det", "singular")
-
-    def __new__(cls, index: int, det: int, singular: bool) -> "ConeRecord":
-        return tuple.__new__(cls, (index, det, singular))
-
-
 class SurfaceReport(_Record):
     """The stored fields d, dets, f_values and singular_count; the rest is read off them."""
 
@@ -177,10 +167,6 @@ class SurfaceReport(_Record):
     @property
     def is_log_del_pezzo(self) -> bool:
         return min(self.f_values) >= 1
-
-    @property
-    def cones(self) -> tuple[ConeRecord, ...]:
-        return tuple(ConeRecord(i, det, det >= 2) for i, det in enumerate(self.dets, start=1))
 
     @property
     def anticanonical_degrees(self) -> tuple[Fraction, ...]:

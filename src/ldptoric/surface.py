@@ -20,9 +20,9 @@ polygon computes nothing, and the tagging path (analyze, identify,
 classify_three) and equivalence's normalizations read that one report.  Any
 other cycle (validate_fan's, blow_up's, a canonical form, one built by hand)
 is validated as a fan on its first analyze, its f-values range-checked.
-blow_up validates its input as a fan too, every time, and reads the cone's
-determinant off that loop, so a hand-built non-fan raises its validation
-error instead of growing a ray.
+blow_up validates its input as a fan too, every time and before it reads
+the cone index, and reads the cone's determinant off that loop, so a
+hand-built non-fan raises its validation error instead of growing a ray.
 """
 
 from __future__ import annotations
@@ -51,14 +51,16 @@ def analyze(cycle: FanCycle) -> SurfaceReport:
 def blow_up(cycle: FanCycle, i: int) -> FanCycle:
     """Subdivide the smooth cone i by inserting the primitive ray v_i + v_{i+1}.
 
-    Raises validate_fan's error when `cycle` is not a complete fan, and
-    ConeSingular(i) when the cone determinant is not 1.  The result has
-    d + 1 rays and the same multiset of singular cone determinants: the
-    determinant-1 cone is replaced by two determinant-1 cones.
+    Raises validate_fan's error when `cycle` is not a complete fan, then
+    IndexError for an i outside 1..d, then ConeSingular(i) when the cone
+    determinant is not 1.  The result has d + 1 rays and the same multiset
+    of singular cone determinants: the determinant-1 cone is replaced by
+    two determinant-1 cones.
     """
+    dets = _validated(cycle.rays, False)[1].dets
     if not 1 <= i <= cycle.d:
         raise IndexError(f"cone index {i} out of range 1..{cycle.d}")
-    if _validated(cycle.rays, False)[1].dets[i - 1] != 1:
+    if dets[i - 1] != 1:
         raise ConeSingular(i)
     inserted = cycle.ray(i) + cycle.ray(i + 1)
     rays = cycle.rays[:i] + (inserted,) + cycle.rays[i:]

@@ -217,7 +217,7 @@ def test_criterion_11_blow_up_laws(box2_entries):
     while checked < 1_000:
         poly = random_ldp_polygon(rng, seeds)
         rep = analyze(poly)
-        smooth = [c.index for c in rep.cones if not c.singular]
+        smooth = [i for i, det in enumerate(rep.dets, start=1) if det == 1]
         if not smooth:
             continue  # criterion demands a nonsingular cone, keep drawing
         checked += 1

@@ -9,7 +9,7 @@ import pytest
 
 import ldptoric
 from ldptoric import FAMILY_TAGS, CatalogEntry, FamilyParams, analyze, classify_catalog, enumerate_ldp
-from ldptoric import enumeration
+from ldptoric import enumeration, polygon, surface
 from ldptoric.cli import (
     SVG_MAX_GRID_POINTS,
     _dump,
@@ -129,6 +129,28 @@ def test_blowup(capsys):
     code, out, err = run(capsys, "blowup", "--vertices", "1,0;0,1;-1,0;1,-3", "--cone", "2")
     assert code == 0
     assert out.strip() == "1,0;0,1;-1,1;-1,0;1,-3"
+
+
+def test_analyze_and_blowup_validate_their_cycle_once(capsys, monkeypatch):
+    # analyze and blow_up validate the cycle the CLI parsed, so no command
+    # validates it beforehand; a refused cycle is refused by that one pass.
+    validated, calls = polygon._validated, []
+
+    def counted(points, convex):
+        calls.append(convex)
+        return validated(points, convex)
+
+    monkeypatch.setattr(polygon, "_validated", counted)
+    monkeypatch.setattr(surface, "_validated", counted)
+    for argv, code in [
+        (["analyze", "1,0;0,1;-2,-3", "--json"], 0),
+        (["analyze", "1,0;0,1;1,0"], 2),
+        (["blowup", "--vertices", "1,0;0,1;-1,0;1,-3", "--cone", "2"], 0),
+        (["blowup", "--vertices", "1,0;0,1;1,0", "--cone", "9"], 2),
+    ]:
+        calls.clear()
+        assert run(capsys, *argv)[0] == code
+        assert calls == [False], argv
 
 
 # Vertex lists that begin with a minus sign, in each place the CLI takes one.
@@ -559,7 +581,9 @@ def _reference_line(entry):
         "dets": list(report.dets),
         "f": list(report.f_values),
         "singular": report.singular_count,
-        "family": None if entry.family is None else entry.family.to_dict(),
+        "family": None if entry.family is None else {
+            name: value for name, value in zip(entry.family._fields, entry.family) if value is not None
+        },
         "three_case": entry.three_case,
     }
     return json.dumps(data, separators=(",", ":")) + "\n"

@@ -5,6 +5,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import ldptoric
@@ -95,3 +96,17 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: found for name, found in unused.items() if found} == {}
     # The check sees an unused import.
     assert _unused_imports("from typing import Callable, Sequence\n\nx: Sequence = ()\n") == ["line 1: Callable"]
+
+
+def test_all_lists_exactly_the_public_names_the_package_binds():
+    bound = [name for name, value in vars(ldptoric).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert len(set(ldptoric.__all__)) == len(ldptoric.__all__)
+    assert sorted(ldptoric.__all__) == sorted(bound)
+    # Names that only re-wrapped a value another name gives stay gone.
+    for owner, name in [(ldptoric, "BoxSpec"), (ldptoric, "ConeRecord"),
+                        (ldptoric.UnimodularMap, "inverse"), (ldptoric.UnimodularMap, "is_unimodular"),
+                        (ldptoric.RayVector, "__sub__"), (ldptoric.RayVector, "__neg__"),
+                        (ldptoric.SurfaceReport, "cones"), (ldptoric.CatalogEntry, "picard_number"),
+                        (ldptoric.CatalogEntry, "f_values"), (ldptoric.FamilyParams, "to_dict")]:
+        assert not hasattr(owner, name), (owner.__name__, name)

@@ -228,7 +228,7 @@ def test_are_equivalent_where_the_form_is_out_of_range():
     half, three_quarters = UnimodularMap(-1, 0, 0, -1), UnimodularMap(0, 1, -1, 0)
     rotated = [one, quarter, quarter, half, half, three_quarters, three_quarters, one]
     negated = [half, three_quarters, three_quarters, one, one, quarter, quarter, half]
-    vs, neg = octagon.vertices, tuple(-v for v in octagon.vertices)
+    vs, neg = octagon.vertices, tuple((-x, -y) for x, y in octagon.vertices)
     for k in range(8):
         assert are_equivalent(octagon, validate_ldp_polygon(vs[k:] + vs[:k])) == rotated[k]
         assert are_equivalent(octagon, validate_ldp_polygon(neg[k:] + neg[:k])) == negated[k]

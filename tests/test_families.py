@@ -60,7 +60,6 @@ def test_family_params_field_discipline():
 def test_family_params_tuple_and_dict():
     fp = FamilyParams("two2", p=0, q=1, r=-2)
     assert fp.as_tuple() == (0, 1, -2)
-    assert fp.to_dict() == {"family": "two2", "p": 0, "q": 1, "r": -2}
     assert FamilyParams("dais2", p=4).as_tuple() == (4,)
 
 

@@ -94,8 +94,7 @@ def _rays(cycle):
 
 def _report(cycle):
     r = analyze(cycle)
-    assert tuple(c.index for c in r.cones) == tuple(range(1, r.d + 1))
-    assert tuple(c.singular for c in r.cones) == tuple(det >= 2 for det in r.dets)
+    assert r.singular_indices() == tuple(i for i, det in enumerate(r.dets, start=1) if det >= 2)
     return {
         "d": r.d,
         "picard_number": r.picard_number,

@@ -58,7 +58,6 @@ def test_analyze_examples(text, dets, f_values, degrees, ldp, singular):
     assert rep.anticanonical_degrees == tuple(map(Fraction, degrees.split()))
     assert rep.is_log_del_pezzo is ldp
     assert (rep.singular_count, rep.singular_indices()) == (len(singular), singular)
-    assert [c.index for c in rep.cones] == list(range(1, d + 1))
 
 
 def test_degree_formula_consistency():
@@ -114,7 +113,7 @@ def test_blow_up_preserves_singular_data():
     while checked < 100:
         cyc = random_fan(rng)
         rep = analyze(cyc)
-        smooth = [c.index for c in rep.cones if not c.singular]
+        smooth = [i for i, det in enumerate(rep.dets, start=1) if det == 1]
         if not smooth:
             continue
         i = rng.choice(smooth)
@@ -284,7 +283,7 @@ def test_validated_report_equals_the_computed_one(box3_catalog):
 
 
 # A FanCycle built by hand is validated on its first analyze and on every
-# blow_up, as validate_fan validates its rays.
+# blow_up, before its cone index is read, as validate_fan validates its rays.
 @pytest.mark.parametrize("rays, error", [
     pytest.param(((1, 0), (0, 1), (1, 0)), "DuplicateRay(3): ray 3 repeats an earlier ray", id="repeat"),
     pytest.param(((2, 0), (0, 1), (-1, -1)), "NonPrimitiveRay(1): ray 1 is not primitive", id="non-primitive"),
@@ -296,7 +295,7 @@ def test_validated_report_equals_the_computed_one(box3_catalog):
 ])
 def test_hand_built_cycle_is_checked_not_trusted(rays, error):
     cycle = FanCycle(tuple(RayVector(x, y) for x, y in rays))
-    for call in (analyze, lambda c: blow_up(c, 1)):
+    for call in (analyze, lambda c: blow_up(c, 1), lambda c: blow_up(c, 0)):
         with pytest.raises(ValueError) as raised:
             call(cycle)
         assert str(raised.value) == error
@@ -307,7 +306,7 @@ def test_report_stores_only_dets_and_f_values():
     rep = analyze(fan("1,0;0,1;-1,0;1,-3;2,-3"))
     assert surface.SurfaceReport(rep.d, rep.dets, rep.f_values, rep.singular_count) == rep
     assert not hasattr(rep, "__dict__")
-    assert rep.cones == rep.cones and rep.anticanonical_degrees == rep.anticanonical_degrees
+    assert rep.anticanonical_degrees == rep.anticanonical_degrees
     assert repr(rep) == "SurfaceReport(d=5, dets=(1, 1, 3, 3, 3), f_values=(2, 2, 5, 3, 3), singular_count=3)"
 
 
@@ -315,6 +314,5 @@ def test_lazy_fields_match_the_oracle_report(box2_catalog):
     for entry in box2_catalog:
         rep, ref = analyze(entry.polygon()), ref_analyze(entry.vertices)
         assert rep.anticanonical_degrees == ref["anticanonical_degrees"]
-        want = tuple((i, det, det >= 2) for i, det in enumerate(ref["dets"], start=1))
-        assert tuple((c.index, c.det, c.singular) for c in rep.cones) == want
-        assert rep.singular_indices() == tuple(i for i, det, singular in want if singular)
+        assert rep.dets == ref["dets"]
+        assert rep.singular_indices() == tuple(i for i, det in enumerate(ref["dets"], start=1) if det >= 2)
