@@ -10,7 +10,7 @@ each angular step below a half-turn, which makes the once-around winding
 automatic at closure.  Strict-left-turn pruning is exact: the turn at a
 vertex equals its f-value, so partial chains that already violate the log
 del Pezzo condition are cut immediately.  The DFS runs on lists of plain int
-tuples and emits int-tuple chains.
+tuples and emits each chain as the tuple of its positions in the list.
 
 The 8 signed permutations of the square (the group D4) lie in GL(2, Z) and map
 the box onto itself, so the raw cycles are closed under D4 and each orbit lies
@@ -24,8 +24,15 @@ D4 image is >= s, in angular order starting at s.  Every cycle through s
 has exactly one rotation starting at s, so the chains kept by the orbit
 test, and hence the classes, are exactly those of the unrooted walk, which
 enumerate_raw keeps.  After rooting, no image of a chain has a vertex
-below s, so an image can tie with `key` only when it contains s, and only
-those images are sorted.
+below s, so only an image that contains s, one whose g^-1 s is a vertex,
+can tie with or undercut `key`.  The test compares weight sums: with the
+R primitive points of the box ranked by (x, y), the point of rank r weighs
+2^(R-1-r).  Where the sorted lists of two vertex sets of one size first
+differ lies the least point of their symmetric difference, the highest set
+bit of the XOR of their weight sums, so the smaller list has the larger
+sum, and a chain is kept exactly when no image outweighs it.  The weights
+cover every box point, since images need not be candidates.  The DFS walks
+candidate positions, and only a kept chain becomes int tuples.
 
 The shards (one per root and second vertex, so that no root's walk holds a
 worker alone) reduce each kept chain to its canonical key on int tuples and
@@ -91,11 +98,12 @@ class EnumerationStats:
     roots: walk roots; raw_chains: the LDP cycles that each (root, second
     vertex) shard found, in shard order; canonicalizations: the cycles kept
     by the D4 orbit test, one canonical key each; classes: distinct keys.
-    seconds per stage: "dfs", "orbit_test" and "canonical_key" summed over
-    the shards (inside the workers when jobs > 1), then the wall times
-    "shard_loop" and "entries" (sorting the keys in groups by d and first
-    three vertices, then validating each into its entry with the collector
-    paused).
+    seconds per stage: "dfs" (the walk on candidate positions), "orbit_test"
+    (the weight-sum test, kept chains turned into int tuples) and
+    "canonical_key" summed over the shards (inside the workers when jobs > 1),
+    then the wall times "shard_loop" and "entries" (sorting the keys in groups
+    by d and first three vertices, then validating each into its entry with
+    the collector paused).
     vars(stats) is the record as a dict.  Not a dataclass: the dataclass()
     call would compile its methods at import, about 0.7 ms, a third of the
     package's import time with bytecode present."""
@@ -114,29 +122,25 @@ def primitive_points(n: int) -> list[RayVector]:
     return angular_sort(filter(is_primitive, grid))
 
 
-Chain = tuple[tuple[int, int], ...]
-
-
 def _first_edges(pts: list[tuple[int, int]], i: int) -> list[list[int]]:
     """The first edges [i, j] of the chains from pts[i]: each later j with det(pts[i], pts[j]) >= 1."""
     sx, sy = pts[i]
     return [[i, j] for j in range(i + 1, len(pts)) if sx * pts[j][1] - pts[j][0] * sy >= 1]
 
 
-def _chains_from(pts: list[tuple[int, int]], prefix: list[int]) -> list[Chain]:
-    """All LDP cycles, as int tuples, that begin with the points pts[i] for i
-    in `prefix` and go on through strictly increasing positions of `pts`.
-
+def _chains_from(pts: list[tuple[int, int]], prefix: list[int]) -> list[tuple[int, ...]]:
+    """All LDP cycles, as tuples of positions in `pts`, that begin with the
+    positions in `prefix` and go on through strictly increasing positions.
     pts is a list of primitive int tuples in angular order starting at
     pts[prefix[0]] (primitive_points, or a rotation of a sublist of it), and
     the prefix is a valid partial chain of two points or more: increasing
     positions, consecutive determinants >= 1 and strict left turns."""
-    found: list[Chain] = []
+    found: list[tuple[int, ...]] = []
     _extend(pts, found, list(prefix))
     return found
 
 
-def _extend(pts: list[tuple[int, int]], found: list[Chain], chain: list[int]) -> None:
+def _extend(pts: list[tuple[int, int]], found: list[tuple[int, ...]], chain: list[int]) -> None:
     """_chains_from's step: append to `found` every LDP cycle that extends
     the partial chain `chain`, of two points or more, past its last position."""
     # Inline det2 and the vertex turn: (ex, ey) is the last edge of the chain.
@@ -150,7 +154,7 @@ def _extend(pts: list[tuple[int, int]], found: list[Chain], chain: list[int]) ->
             and ex * (fy - ly) - (fx - lx) * ey >= 1
             and (fx - lx) * (sy - fy) - (sx - fx) * (fy - ly) >= 1
         ):
-            found.append(tuple(pts[j] for j in chain))
+            found.append(tuple(chain))
     for nxt in range(chain[-1] + 1, len(pts)):
         cx, cy = pts[nxt]
         if lx * cy - cx * ly < 1 or ex * (cy - ly) - (cx - lx) * ey < 1:
@@ -165,8 +169,8 @@ def enumerate_raw(n: int) -> list[tuple[RayVector, ...]]:
     (starting at the angularly smallest vertex), each one validated: the
     unrooted walk."""
     pts = list(map(tuple, primitive_points(n)))
-    edges = (edge for i in range(len(pts)) for edge in _first_edges(pts, i))
-    return [validate_ldp_polygon(chain).vertices for edge in edges for chain in _chains_from(pts, edge)]
+    chains = (chain for i in range(len(pts)) for edge in _first_edges(pts, i) for chain in _chains_from(pts, edge))
+    return [validate_ldp_polygon([pts[j] for j in chain]).vertices for chain in chains]
 
 
 # The signed permutations of the square other than the identity, as
@@ -177,51 +181,41 @@ _SQUARE_SYMMETRIES = (
 )
 
 
-def _shards(pts: list[tuple[int, int]]) -> list[tuple[list[tuple[int, int]], list[int]]]:
-    """(candidates, [0, j]) per root and first edge [0, j] (_first_edges),
-    over the angularly sorted box points `pts`; the module docstring says
-    which points are roots and candidates."""
-    least = [
-        min([(x, y)] + [(a * x + b * y, c * x + d * y) for a, b, c, d in _SQUARE_SYMMETRIES])
-        for x, y in pts
-    ]
+def _shards(pts: list[tuple[int, int]]) -> list[tuple]:
+    """(candidates, [0, j], weights, images) per root and first edge [0, j]
+    (_first_edges) over the angularly sorted box points `pts`: the weight of
+    each candidate, and per g in _SQUARE_SYMMETRIES that of g^-1 s and of each
+    candidate's image.  Built once per call, a root's tables go with each shard."""
+    weight = {p: 1 << r for r, p in enumerate(sorted(pts, reverse=True))}
+    least = [min([(x, y)] + [(a * x + b * y, c * x + d * y) for a, b, c, d in _SQUARE_SYMMETRIES]) for x, y in pts]
     shards = []
     for i, (sx, sy) in enumerate(pts):
         if least[i] == (sx, sy):
             cands = [p for p, m in zip(pts[i:] + pts[:i], least[i:] + least[:i]) if m >= (sx, sy)]
-            shards += [(cands, edge) for edge in _first_edges(cands, 0)]
+            weights = [weight[p] for p in cands]
+            images = [(weight[a * sx + c * sy, b * sx + d * sy],
+                       [weight[a * x + b * y, c * x + d * y] for x, y in cands]) for a, b, c, d in _SQUARE_SYMMETRIES]
+            shards += [(cands, edge, weights, images) for edge in _first_edges(cands, 0)]
     return shards
 
 
-def _root_preimages(s: tuple[int, int]) -> list[tuple[tuple[int, int], tuple[int, int, int, int]]]:
-    """(g^-1 s = g^T s, g) for every g in _SQUARE_SYMMETRIES."""
-    sx, sy = s
-    return [((a * sx + c * sy, b * sx + d * sy), (a, b, c, d)) for a, b, c, d in _SQUARE_SYMMETRIES]
-
-
-def _is_orbit_least(chain: Chain, preimages: list) -> bool:
-    """True iff the sorted vertex list of a rooted chain is least in its D4
-    orbit, sorting only the images that contain the root s = chain[0]: those
-    of g whose preimage g^-1 s is a vertex.  `preimages` is
-    _root_preimages(s), which a shard computes once."""
-    key = None
-    for pre, (a, b, c, d) in preimages:
-        if pre in chain:
-            key = key or sorted(chain)
-            if sorted([(a * x + b * y, c * x + d * y) for x, y in chain]) < key:
-                return False
-    return True
-
-
-def _shard_worker(shard: tuple[list[tuple[int, int]], list[int]]):
+def _shard_worker(shard: tuple):
     """(canonical keys of its orbit-least chains, raw chains, kept chains,
-    (dfs, orbit test, canonical key) seconds) of one shard."""
-    cands, prefix = shard
+    (dfs, orbit test, canonical key) seconds) of one shard.  A chain is kept
+    when no D4 image outweighs it; only the images that contain the root,
+    those whose g^-1 s has its weight in the chain's sum, are summed."""
+    cands, prefix, weights, images = shard
     t0 = time.perf_counter()
     chains = _chains_from(cands, prefix)
     t1 = time.perf_counter()
-    preimages = _root_preimages(cands[prefix[0]])
-    kept = [chain for chain in chains if _is_orbit_least(chain, preimages)]
+    kept = []
+    for chain in chains:
+        total = sum(map(weights.__getitem__, chain))
+        for root, image in images:
+            if total & root and sum(map(image.__getitem__, chain)) > total:
+                break
+        else:
+            kept.append(tuple(map(cands.__getitem__, chain)))
     t2 = time.perf_counter()
     keys = {_canonical_key(chain) for chain in kept}
     t3 = time.perf_counter()
@@ -276,10 +270,8 @@ def enumerate_ldp(box: int, jobs: int | None = 1, stats: EnumerationStats | None
     t0 = time.perf_counter()
     shards = _shards(list(map(tuple, primitive_points(box))))
     results = map(_shard_worker, shards) if jobs == 1 else _pooled(shards, jobs)
-    canon: set[Chain] = set()
-    raw = []
-    kept = 0
-    stage = [0.0, 0.0, 0.0]
+    canon: set[tuple] = set()
+    raw, kept, stage = [], 0, [0.0, 0.0, 0.0]
     for keys, n_raw, n_kept, seconds in results:
         canon |= keys
         raw.append(n_raw)
@@ -289,7 +281,7 @@ def enumerate_ldp(box: int, jobs: int | None = 1, stats: EnumerationStats | None
     # A key is its entry's vertex list: grouped by d and first three vertices,
     # each group sorted on its own, the groups joined in order give the
     # (d, vertices) order in fewer compares than one sort.
-    groups: dict[tuple, list[Chain]] = {}
+    groups: dict[tuple, list[tuple]] = {}
     for key in canon:
         groups.setdefault((len(key), key[:3]), []).append(key)
     for group in groups.values():
@@ -303,7 +295,7 @@ def enumerate_ldp(box: int, jobs: int | None = 1, stats: EnumerationStats | None
         if enabled:
             gc.enable()
     if stats is not None:
-        stats.roots = len({cands[0] for cands, _ in shards})
+        stats.roots = len({shard[0][0] for shard in shards})
         stats.raw_chains, stats.canonicalizations, stats.classes = raw, kept, len(entries)
         stats.seconds = dict(zip(("dfs", "orbit_test", "canonical_key"), stage))
         stats.seconds.update(shard_loop=t1 - t0, entries=time.perf_counter() - t1)

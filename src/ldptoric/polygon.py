@@ -108,7 +108,7 @@ class FanCycle:
 
     Immutable: assigning an attribute raises FrozenInstanceError.  Its slots
     after `rays` hold memos, so it has no instance dict: _report (analyze's,
-    set by validate_ldp_polygon or the first analyze), _tied
+    set by validation or the first analyze), _tied
     (equivalence._normalizations) and _family (identify's).  A memo is unset
     until computed, then set once with object.__setattr__.
     ==, hash, repr and pickling read only the rays, == only within one type."""
@@ -255,8 +255,13 @@ def validate_fan(points: Sequence) -> FanCycle:
     ValueError for a vertex list that is not iterable, a point that is not an
     (x, y) pair of ints or fewer than 3 rays; NonPrimitiveRay, DuplicateRay,
     NotCounterclockwise, BadWinding; or LatticeOverflowError for a coordinate
-    or cone determinant outside the signed 64-bit range."""
-    return FanCycle(_validated(points, False)[0])
+    or cone determinant outside the signed 64-bit range.  The fan carries
+    the loop's report as analyze's memo when every f-value is in that range."""
+    rays, report = _validated(points, False)
+    fan = FanCycle(rays)
+    if all(I64_MIN <= f <= I64_MAX for f in report.f_values):  # else analyze raises on it
+        object.__setattr__(fan, "_report", report)
+    return fan
 
 
 def validate_ldp_polygon(points: Sequence) -> LdpPolygon:

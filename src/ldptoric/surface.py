@@ -15,14 +15,14 @@ rest is read off them on every access.
 analyze() returns the report memoized in the `_report` slot of a FanCycle,
 out of ==, hash, repr and pickling; later calls return the same object.
 Its one source is validation's loop (polygon._validated).  validate_ldp_polygon
-sets that memo from the values it has just checked, so analyze on a validated
-polygon computes nothing, and the tagging path (analyze, identify,
-classify_three) and equivalence's normalizations read that one report.  Any
-other cycle (validate_fan's, blow_up's, a canonical form, one built by hand)
-is validated as a fan on its first analyze, its f-values range-checked.
-blow_up validates its input as a fan too, every time and before it reads
-the cone index, and reads the cone's determinant off that loop, so a
-hand-built non-fan raises its validation error instead of growing a ray.
+sets that memo from the values it has just checked, as validate_fan does when
+every f-value is in the signed 64-bit range, so analyze on such a cycle
+computes nothing, and the tagging path (analyze, identify, classify_three) and
+equivalence's normalizations read that one report.  Any other cycle is
+validated as a fan on its first analyze, its f-values range-checked.
+blow_up reads the cone's determinant off the memo when it is set, else off
+that loop run first, before it reads the cone index, so a hand-built non-fan
+raises its validation error instead of growing a ray.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ class ConeSingular(_ValuedError):
 
 
 def analyze(cycle: FanCycle) -> SurfaceReport:
-    """Full singularity and degree report of a cycle, memoized.  A cycle that
-    validation did not build is checked as validate_fan checks it on the
-    first call, then its f-values against the signed 64-bit range."""
+    """Full singularity and degree report of a cycle, memoized.  A cycle with
+    no report from validate_ldp_polygon or validate_fan is validated as a fan
+    on the first call, then its f-values checked against the 64-bit range."""
     report = getattr(cycle, "_report", None)
     if report is None:
         report = _validated(cycle.rays, False)[1]
@@ -57,7 +57,7 @@ def blow_up(cycle: FanCycle, i: int) -> FanCycle:
     of singular cone determinants: the determinant-1 cone is replaced by
     two determinant-1 cones.
     """
-    dets = _validated(cycle.rays, False)[1].dets
+    dets = (getattr(cycle, "_report", None) or _validated(cycle.rays, False)[1]).dets
     if not 1 <= i <= cycle.d:
         raise IndexError(f"cone index {i} out of range 1..{cycle.d}")
     if dets[i - 1] != 1:

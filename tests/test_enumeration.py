@@ -33,8 +33,7 @@ from ldptoric.enumeration import (
     VerificationReport,
     _chains_from,
     _is_alternating_d5,
-    _is_orbit_least,
-    _root_preimages,
+    _shard_worker,
     _shards,
     _violates_half_plane,
 )
@@ -69,10 +68,31 @@ def _unrooted_chains(n):
     pts = _box_tuples(n)
     # Each walk starts from a first edge [i, j]: j > i at determinant >= 1.
     edges = [[i, j] for i, (x, y) in enumerate(pts) for j in range(i + 1, len(pts)) if x * pts[j][1] - pts[j][0] * y >= 1]
-    return [chain for edge in edges for chain in _chains_from(pts, edge)]
+    return [tuple(pts[j] for j in chain) for edge in edges for chain in _chains_from(pts, edge)]
 
 
-def test_box_spec_rejects_nonpositive():
+def _orbit_least(chain):
+    # The full test: no D4 image of the vertex set sorts below it.
+    key = sorted(chain)
+    return all(sorted(_d4_image(g, chain)) >= key for g in D4)
+
+
+def _rooted_and_kept(n, monkeypatch):
+    """Every chain of the rooted walk at box n, as int tuples, and the set
+    the shards keep: with the canonical key made the identity, a shard's
+    keys are the chains its weight test kept."""
+    monkeypatch.setattr(enumeration, "_canonical_key", lambda chain: chain)
+    rooted, kept = [], set()
+    for shard in _shards(_box_tuples(n)):
+        cands, prefix = shard[:2]
+        rooted += [tuple(cands[j] for j in chain) for chain in _chains_from(cands, prefix)]
+        keys, n_raw, n_kept, _ = _shard_worker(shard)
+        assert len(keys) == n_kept
+        kept |= keys
+    return rooted, kept
+
+
+def test_box_below_one_is_a_value_error():
     for box in (0, -2):
         with pytest.raises(ValueError, match="^box size must be at least 1$"):
             enumerate_ldp(box)
@@ -97,12 +117,12 @@ def test_bad_jobs_is_a_value_error_before_any_pool(jobs, monkeypatch):
         enumerate_ldp(1, jobs=2)
 
 
-def test_box_spec_rejects_a_non_int():
+def test_box_that_is_a_float_is_a_value_error():
     with pytest.raises(ValueError, match=re.escape("box size 1.5 is not an integer")):
         enumerate_ldp(1.5)
 
 
-def test_box_spec_above_the_64_bit_range_is_an_overflow():
+def test_box_above_the_64_bit_range_is_an_overflow():
     # Raised before any grid is built: a box this size would never finish enumerating.
     with pytest.raises(LatticeOverflowError, match="^box size 9223372036854775808 exceeds"):
         enumerate_ldp(2**63)
@@ -235,33 +255,72 @@ def test_each_root_is_its_own_orbit_minimum(n, roots):
         return min(_d4_image(g, [p])[0] for g in D4)
 
     shards = _shards(pts)
-    lists = list({cands[0]: cands for cands, _ in shards}.values())
+    lists = list({cands[0]: cands for cands, *_ in shards}.values())
     assert [cands[0] for cands in lists] == [p for p in pts if orbit_min(p) == p]
     assert len(lists) == roots
+    # The point of rank r in (x, y) order weighs 2^(R-1-r).
+    weight = {p: 2 ** (len(pts) - 1 - r) for r, p in enumerate(sorted(pts))}
     for cands in lists:
         s = cands[0]
         assert all(_d4_image(g, [s])[0] >= s for g in D4)
         # Every point whose orbit stays at or above s, in angular order from s.
         i = pts.index(s)
         assert cands == [p for p in pts[i:] + pts[:i] if orbit_min(p) >= s]
-        # One shard per second vertex at determinant >= 1.
-        seconds = [prefix for c, prefix in shards if c is cands]
+        # One shard per second vertex at determinant >= 1, each with the
+        # root's weight tables: the candidates' weights, then per g that of
+        # g^-1 s and those of the candidates' images.
+        mine = [shard[1:] for shard in shards if shard[0] is cands]
+        seconds = [prefix for prefix, _, _ in mine]
         assert seconds == [[0, j] for j, p in enumerate(cands) if det2(RayVector(*s), RayVector(*p)) >= 1]
+        tables = [weight[p] for p in cands], [
+            (weight[next(p for p in pts if _d4_image(g, [p])[0] == s)], [weight[q] for q in _d4_image(g, cands)])
+            for g in _SQUARE_SYMMETRIES
+        ]
+        assert all((weights, images) == tables for _, weights, images in mine)
 
 
-def test_rooted_kept_set_equals_the_unrooted_kept_set():
-    def orbit_least(chain):
-        key = sorted(chain)
-        return all(sorted(_d4_image(g, chain)) >= key for g in D4)
+def test_sorted_list_order_is_the_reverse_of_weight_sum_order():
+    # On random equal-size vertex sets of box 4, from equal up to all 48
+    # points: the sorted list that compares smaller has the larger weight
+    # sum, with the weights the shards use.  The root (-4, -3) is the least
+    # point, so its candidates are every box point.
+    pts = _box_tuples(4)
+    cands, _, weights, _ = next(shard for shard in _shards(pts) if shard[0][0] == (-4, -3))
+    assert min(pts) == (-4, -3) and sorted(cands) == sorted(pts) and len(pts) == 48
+    weight = dict(zip(cands, weights))
+    assert sorted(weights) == [2**r for r in range(48)]
+    rng = random.Random(36)
+    seen = Counter()
+    for _ in range(5000):
+        a = rng.sample(pts, rng.randint(1, 48))
+        # A third of the pairs differ in one point only, anywhere in the
+        # sorted list, and a third are one set in two orders.
+        b = [rng.sample(pts, len(a)), a[:-1] + rng.sample(pts, 1), rng.sample(a, len(a))][rng.randrange(3)]
+        if len(set(b)) < len(b):
+            continue
+        order = (sorted(a) > sorted(b)) - (sorted(a) < sorted(b))
+        sums = sum(map(weight.get, a)), sum(map(weight.get, b))
+        assert order == (sums[1] > sums[0]) - (sums[1] < sums[0]), (a, b)
+        seen[order] += 1
+    assert min(seen.values()) > 300, seen
 
-    unrooted = {frozenset(c) for c in _unrooted_chains(2) if orbit_least(c)}
-    rooted = [c for cands, prefix in _shards(_box_tuples(2)) for c in _chains_from(cands, prefix)]
+
+def test_rooted_kept_set_equals_the_unrooted_kept_set(monkeypatch):
+    unrooted = {frozenset(c) for c in _unrooted_chains(2) if _orbit_least(c)}
+    rooted, kept = _rooted_and_kept(2, monkeypatch)
     assert len(rooted) == 533
-    # _is_orbit_least's shortcut agrees with the full test on every rooted chain.
-    assert [c for c in rooted if _is_orbit_least(c, _root_preimages(c[0]))] == [c for c in rooted if orbit_least(c)]
-    kept = [frozenset(c) for c in rooted if _is_orbit_least(c, _root_preimages(c[0]))]
+    # The weight test keeps exactly the rooted chains the full test keeps.
+    assert kept == {c for c in rooted if _orbit_least(c)}
     assert len(kept) == len(unrooted) == 219
-    assert set(kept) == unrooted
+    assert {frozenset(c) for c in kept} == unrooted
+
+
+@pytest.mark.parametrize("n, raw, least", [(1, 32, 14), (3, 36797, 17410)])
+def test_weight_test_keeps_the_fully_sorted_orbit_least_chains(n, raw, least, monkeypatch):
+    rooted, kept = _rooted_and_kept(n, monkeypatch)
+    assert len(rooted) == raw
+    assert kept == {c for c in rooted if _orbit_least(c)}
+    assert len(kept) == least
 
 
 def test_chains_from_leaves_no_cyclic_garbage():
@@ -272,7 +331,7 @@ def test_chains_from_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        found = sum(len(_chains_from(cands, prefix)) for cands, prefix in shards)
+        found = sum(len(_chains_from(cands, prefix)) for cands, prefix, *_ in shards)
         unreachable = gc.collect()
     finally:
         gc.enable()

@@ -57,7 +57,7 @@ def test_family_params_field_discipline():
         FamilyParams("dais1", p="3")
 
 
-def test_family_params_tuple_and_dict():
+def test_family_params_as_tuple():
     fp = FamilyParams("two2", p=0, q=1, r=-2)
     assert fp.as_tuple() == (0, 1, -2)
     assert FamilyParams("dais2", p=4).as_tuple() == (4,)

@@ -75,7 +75,7 @@ def test_apply_map():
     assert apply_map(swap, RayVector(2, 3)) == RayVector(3, 2)
 
 
-def test_map_det_and_inverse():
+def test_map_det():
     m = UnimodularMap(2, 1, 1, 1)
     assert m.det() == 1
     assert UnimodularMap(1, 0, 0, -1).det() == -1

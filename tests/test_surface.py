@@ -250,16 +250,49 @@ def test_one_report_for_analyze_identify_classify_three(monkeypatch):
     assert identify(poly) is not None
     assert classify_three(poly) == "family_d5"
     assert analyze(poly) is report and runs == []
-    # A cycle that validate_ldp_polygon did not build computes its report
-    # once, on the first analyze.
+    # validate_fan leaves its loop's report on the fan too; a cycle built by
+    # hand computes its report once, on the first analyze.
     cycle = validate_fan(parse_vertices("1,0;0,1;-1,0;1,-3;2,-3"))
-    assert analyze(cycle) is analyze(cycle) and analyze(cycle) == report
-    assert runs == [tuple(v.as_tuple() for v in cycle.rays)]
+    assert analyze(cycle) is cycle._report and analyze(cycle) == report and runs == []
+    hand = FanCycle(cycle.rays)
+    assert analyze(hand) is analyze(hand) and analyze(hand) == report
+    assert runs == [tuple(v.as_tuple() for v in hand.rays)]
+
+
+def test_blow_up_reads_the_report_of_a_validated_cycle(monkeypatch):
+    # blow_up validates only a cycle with no report: not a validated polygon
+    # or fan, nor a hand-built cycle that analyze has seen.
+    runs = _count_reports(monkeypatch)
+    text = "1,0;0,1;-1,0;1,-3;2,-3"
+    hand = FanCycle(fan(text).rays)
+    want = [blow_up(hand, i) for i in (1, 2)]
+    assert runs == [tuple(v.as_tuple() for v in hand.rays)] * 2
+    runs.clear()
+    analyze(hand)
+    for cycle in (validate_ldp_polygon(parse_vertices(text)), fan(text), hand):
+        assert [blow_up(cycle, i) for i in (1, 2)] == want
+        with pytest.raises(ConeSingular):
+            blow_up(cycle, 3)
+    assert runs == [tuple(v.as_tuple() for v in hand.rays)]
 
 
 # The triangle (1,0), (0,1), (x,y) has cone determinants 1, -x and -y, and
-# every vertex turn 1 - x - y, here I64_MAX.
+# every vertex turn 1 - x - y, here I64_MAX, then I64_MAX + 1.
 TURNS_I64_MAX = [(1, 0), (0, 1), (-(2**62) - 1, 3 - 2**62)]
+TURNS_PAST_I64_MAX = [(1, 0), (0, 1), (-(2**62) - 1, 2 - 2**62)]
+
+
+def test_validate_fan_keeps_its_report_only_inside_the_64_bit_range():
+    inside = validate_fan(TURNS_I64_MAX)
+    assert inside._report.f_values == (I64_MAX,) * 3 and analyze(inside) is inside._report
+    # Past the range the fan validates but carries no report, so analyze
+    # runs the loop and raises on the f-value, as on a hand-built cycle.
+    past = validate_fan(TURNS_PAST_I64_MAX)
+    assert not hasattr(past, "_report")
+    for cycle in (past, FanCycle(past.rays)):
+        with pytest.raises(LatticeOverflowError, match=f"^f value {I64_MAX + 1} exceeds the signed 64-bit range$"):
+            analyze(cycle)
+        assert not hasattr(cycle, "_report")
 
 
 def test_validated_report_equals_the_computed_one(box3_catalog):
